@@ -93,10 +93,7 @@ def _check_base_permutation(g, n: int) -> tuple[int, ...]:
 def induced_action(g, params: GraphParams) -> InducedAction:
     """Vertex action of a ground-set permutation: each subset maps to its
     elementwise image.  Always an automorphism of the inclusion graph."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical"
-        )
+    params.require_canonical()
     g = _check_base_permutation(g, params.n)
     masks, index = _vertex_table(params)
     images = []
@@ -114,10 +111,7 @@ def induced_action(g, params: GraphParams) -> InducedAction:
 def tau_action(params: GraphParams) -> InducedAction:
     """Complementation v -> [n] \\ v as a vertex permutation; defined only
     when k + l = n, where it swaps the two size classes and has order 2."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical"
-        )
+    params.require_canonical()
     if params.k + params.l != params.n:
         raise ValueError(
             "complementation is a vertex permutation only when k + l = n"
@@ -143,10 +137,7 @@ def aut_group(params: GraphParams) -> GroupDescription:
     acting on subsets when k + l < n, extended by complementation when
     k + l = n.  Generators: the transposition (0 1), the n-cycle, and the
     complementation involution where it exists."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical"
-        )
+    params.require_canonical()
     n = params.n
     transposition = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)

@@ -42,7 +42,18 @@ EX_USAGE = 64
 
 def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_cap(vertices: int, cap: int) -> None:
+    """Refuse from the parameter arithmetic alone, before anything is built."""
+    if vertices > cap:
+        raise CapExceededError(f"graph has {vertices} vertices, cap is {cap}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,16 +149,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _canonical_params(args)
+    vertices = params.n1 * params.r1 if args.line else params.n1 + params.n2
+    _check_cap(vertices, args.max_vertices)
     graph = build_inclusion_graph(params)
     if args.line:
         graph = build_line_graph(graph)
         exact = spectrum_line_inclusion(params)
     else:
         exact = spectrum_inclusion(params)
-    if graph.num_vertices > args.max_vertices:
-        raise CapExceededError(
-            f"graph has {graph.num_vertices} vertices, cap is {args.max_vertices}"
-        )
     numeric = eigensolver_oracle(graph.adjacency_matrix(), max_dim=args.max_vertices)
     if args.inject_perturbation:
         numeric[0] += args.inject_perturbation
@@ -164,6 +173,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_aut(args) -> int:
     params = _canonical_params(args)
+    if args.brute_force:
+        _check_cap(params.n1 + params.n2, args.max_vertices)
     group = aut_group(params)
     verified = None
     if args.brute_force:
@@ -233,13 +244,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads the cap defaults from the environment
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EX_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except CapExceededError as exc:
         sys.stderr.write(f"setincl: cap exceeded: {exc}\n")
         return EX_CAP

@@ -55,9 +55,8 @@ def beta(params: "GraphParams", s: int) -> int:
 
     Requires canonical parameters (k + l <= n) and 0 <= s <= k.
     """
+    params.require_canonical()
     n, k, l = params.n, params.k, params.l
-    if k + l > n:
-        raise ValueError(f"parameters ({n},{k},{l}) are not canonical (k+l>n)")
     if not 0 <= s <= k:
         raise ValueError(f"eigenspace index s={s} out of range 0..{k}")
     total = 0

@@ -60,6 +60,14 @@ class GraphParams:
     def is_canonical(self) -> bool:
         return self.k + self.l <= self.n
 
+    def require_canonical(self) -> None:
+        """Raise ValueError unless k + l <= n; see canonicalize."""
+        if not self.is_canonical:
+            raise ValueError(
+                f"parameters ({self.n},{self.k},{self.l}) are not canonical"
+                " (k+l>n); canonicalize first"
+            )
+
     @property
     def n1(self) -> int:
         """Number of k-subsets."""
@@ -226,11 +234,7 @@ class JohnsonGraph(Graph):
 
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical;"
-            " canonicalize first"
-        )
+    params.require_canonical()
     n, k, l = params.n, params.k, params.l
     if n > MAX_GROUND_SET:
         raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
@@ -292,7 +296,6 @@ def build_line_graph(g: Graph) -> Graph:
     if g.loop_vertices:
         raise ValueError("line graph of a graph with loops is not supported")
     edge_list = g.edges()
-    edge_index = {e: i for i, e in enumerate(edge_list)}
     incident = [[] for _ in range(g.num_vertices)]
     for e, (u, v) in enumerate(edge_list):
         incident[u].append(e)
@@ -304,9 +307,7 @@ def build_line_graph(g: Graph) -> Graph:
             for b in range(a + 1, len(edges_at_v)):
                 adj[edges_at_v[a]].append(edges_at_v[b])
                 adj[edges_at_v[b]].append(edges_at_v[a])
-    lg = Graph(adj)
-    lg.parent_edges = tuple(edge_list)
-    return lg
+    return Graph(adj)
 
 
 def is_connected(g: Graph) -> bool:
@@ -393,17 +394,19 @@ def parse_graph6(data: bytes) -> Graph:
         buf = buf[len(b">>graph6<<") :]
     if not buf:
         raise ValueError("empty graph6 data")
-    if buf[0] == 126 and len(buf) > 1 and buf[1] == 126:
-        n = 0
-        for byte in buf[2:8]:
-            n = (n << 6) | (byte - 63)
-        pos = 8
-    elif buf[0] == 126:
-        n = ((buf[1] - 63) << 12) | ((buf[2] - 63) << 6) | (buf[3] - 63)
-        pos = 4
+    if buf[:2] == b"~~":
+        start, pos = 2, 8
+    elif buf[:1] == b"~":
+        start, pos = 1, 4
     else:
-        n = buf[0] - 63
-        pos = 1
+        start, pos = 0, 1
+    if len(buf) < pos:
+        raise ValueError("graph6 header is cut short")
+    n = 0
+    for byte in buf[start:pos]:
+        if not 63 <= byte <= 126:
+            raise ValueError("invalid graph6 byte")
+        n = (n << 6) | (byte - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(buf) - pos != need:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import isqrt, sqrt
+from math import isqrt
 
 import numpy as np
 
@@ -306,10 +306,7 @@ def spectrum_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the inclusion graph on k- and l-subsets:
     +-sqrt(beta_s) with multiplicity C(n,s) - C(n,s-1) for s = 0..k, and 0
     with multiplicity C(n,l) - C(n,k)."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical"
-        )
+    params.require_canonical()
     n, k, l = params.n, params.k, params.l
     pairs = []
     for s in range(k + 1):
@@ -384,10 +381,7 @@ def spectrum_line_semiregular(
 
 def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the line graph of the inclusion graph."""
-    if not params.is_canonical:
-        raise ValueError(
-            f"parameters ({params.n},{params.k},{params.l}) are not canonical"
-        )
+    params.require_canonical()
     n, k = params.n, params.k
     top = []
     for s in range(k + 1):
@@ -415,9 +409,8 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
 def eigensolver_oracle(matrix, max_dim: int = 2000) -> list[float]:
     """All eigenvalues of a dense symmetric matrix, sorted descending.
 
-    Cyclic Jacobi rotations over the upper triangle; iteration stops when
-    the off-diagonal Frobenius norm drops below 1e-12 * ||A||_F, with a hard
-    cap of 100 sweeps.  Pivots too small to affect convergence are skipped.
+    LAPACK's symmetric solver via ``np.linalg.eigvalsh``, which reads only
+    one triangle; symmetry is therefore checked here before the solve.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -427,45 +420,7 @@ def eigensolver_oracle(matrix, max_dim: int = 2000) -> list[float]:
         raise CapExceededError(f"dimension {n} exceeds cap {max_dim}")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return [0.0] * n
-    tol = 1e-12 * norm
-    skip = tol / (2.0 * n)  # leaving all such pivots keeps the off norm < tol
-
-    def off_norm() -> float:
-        # summing only off-diagonal squares avoids cancellation noise
-        b = a * a
-        np.fill_diagonal(b, 0.0)
-        return float(np.sqrt(np.sum(b)))
-
-    if off_norm() <= tol:
-        return sorted((float(x) for x in np.diag(a)), reverse=True)
-    for _ in range(100):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + sqrt(theta * theta + 1.0))
-                else:
-                    t = 1.0 / (theta - sqrt(theta * theta + 1.0))
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p].copy()
-                rq = a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-        if off_norm() <= tol:
-            return sorted((float(x) for x in np.diag(a)), reverse=True)
-    raise RuntimeError("Jacobi iteration did not converge within 100 sweeps")
+    return np.linalg.eigvalsh(a)[::-1].tolist()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, including exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -94,9 +95,17 @@ def test_verify_negative_control(capsys):
 
 
 def test_verify_cap_exit(capsys):
-    code, _, err = run(["verify", "10", "2", "3", "--max-vertices", "50"], capsys)
-    assert code == 2
-    assert "cap" in err
+    # the cap is checked on (n,k,l) before any graph is built, so even
+    # C(30,15)-vertex inputs are refused at once
+    for args in (
+        ["verify", "10", "2", "3", "--max-vertices", "50"],
+        ["verify", "14", "4", "7", "--line", "--max-vertices", "10"],
+        ["verify", "30", "10", "15"],
+    ):
+        start = time.perf_counter()
+        code, _, err = run(args, capsys)
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "cap" in err
 
 
 def test_aut_report(capsys):
@@ -118,9 +127,14 @@ def test_aut_json(capsys):
 
 
 def test_aut_brute_force_cap(capsys):
-    code, _, err = run(["aut", "7", "2", "3", "--brute-force"], capsys)
-    assert code == 2
-    assert "cap" in err
+    for args in (
+        ["aut", "7", "2", "3", "--brute-force"],
+        ["aut", "30", "10", "15", "--brute-force"],
+    ):
+        start = time.perf_counter()
+        code, _, err = run(args, capsys)
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "cap" in err
 
 
 def test_orbits(capsys):
@@ -179,6 +193,13 @@ def test_env_var_cap(monkeypatch, capsys):
     monkeypatch.setenv("SETINCL_BRUTE_CAP", "5")
     code, _, err = run(["aut", "4", "1", "2", "--brute-force"], capsys)
     assert code == 2 and "cap" in err
+
+
+def test_env_var_cap_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "abc")
+    code, out, err = run(["verify", "5", "2", "3"], capsys)
+    assert code == 64 and out == ""
+    assert err == "setincl: error: SETINCL_MAX_VERTICES must be an integer, got 'abc'\n"
 
 
 def test_unknown_subcommand(capsys):

@@ -130,7 +130,7 @@ def test_inclusion_graph_semiregular_audit():
 
 
 def test_inclusion_graph_rejects_noncanonical():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(5,2,4\)"):
         build_inclusion_graph(GraphParams(5, 2, 4))
 
 
@@ -269,6 +269,10 @@ def test_graph6_parse_errors():
         parse_graph6(b"")
     with pytest.raises(ValueError):
         parse_graph6(b"C~~~")  # trailing junk
+    # two cut-off four-byte headers, and a header byte below "?" (n = -1)
+    for bad in (b"~", b"~??", b">?"):
+        with pytest.raises(ValueError):
+            parse_graph6(bad)
 
 
 def test_export_unknown_format():
