@@ -11,11 +11,19 @@ graph built from the same parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
+
+import numpy as np
 
 from .errors import CapExceededError
-from .graphs import Graph, GraphParams, SubsetGraph, enumerate_subsets
+from .graphs import (
+    Graph,
+    GraphParams,
+    SubsetGraph,
+    colex_ranks,
+    component_count,
+    subset_positions,
+)
 
 __all__ = [
     "InducedAction",
@@ -75,37 +83,27 @@ class GroupDescription:
         }
 
 
-@lru_cache(maxsize=128)
-def _vertex_table(params: GraphParams):
-    masks = enumerate_subsets(params.n, params.k) + enumerate_subsets(
-        params.n, params.l
-    )
-    return masks, {m: i for i, m in enumerate(masks)}
-
-
-def _check_base_permutation(g, n: int) -> tuple[int, ...]:
-    g = tuple(g)
-    if sorted(g) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {g!r}")
-    return g
-
-
 def induced_action(g, params: GraphParams) -> InducedAction:
     """Vertex action of a ground-set permutation: each subset maps to its
     elementwise image.  Always an automorphism of the inclusion graph."""
     params.require_canonical()
-    g = _check_base_permutation(g, params.n)
-    masks, index = _vertex_table(params)
-    images = []
-    for mask in masks:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << g[low.bit_length() - 1]
-            m ^= low
-        images.append(index[out])
-    return InducedAction(tuple(images), "sigma")
+    g = tuple(g)
+    if sorted(g) != list(range(params.n)):
+        raise ValueError(f"not a permutation of 0..{params.n - 1}: {g!r}")
+    g = np.array(g, dtype=np.int64)
+    images = [
+        colex_ranks(np.sort(g[subset_positions(params.n, size)], axis=1).T)
+        for size in (params.k, params.l)
+    ]
+    images[1] += params.n1
+    return InducedAction(tuple(np.concatenate(images).tolist()), "sigma")
+
+
+def _complement_positions(positions: np.ndarray, n: int) -> np.ndarray:
+    """Element rows of the complements in {0,...,n-1} of the given subsets."""
+    outside = np.ones((len(positions), n), dtype=bool)
+    outside[np.arange(len(positions))[:, None], positions] = False
+    return np.nonzero(outside)[1].reshape(len(positions), -1)
 
 
 def tau_action(params: GraphParams) -> InducedAction:
@@ -116,9 +114,18 @@ def tau_action(params: GraphParams) -> InducedAction:
         raise ValueError(
             "complementation is a vertex permutation only when k + l = n"
         )
-    masks, index = _vertex_table(params)
-    full = (1 << params.n) - 1
-    return InducedAction(tuple(index[full ^ m] for m in masks), "tau")
+    images = [
+        colex_ranks(_complement_positions(subset_positions(params.n, size), params.n).T)
+        for size in (params.k, params.l)
+    ]
+    images[0] += params.n1
+    return InducedAction(tuple(np.concatenate(images).tolist()), "tau")
+
+
+def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """Key min*nv + max of each vertex pair; keys sort like the edges."""
+    u, v = pairs.T
+    return np.minimum(u, v) * nv + np.maximum(u, v)
 
 
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
@@ -127,9 +134,10 @@ def is_automorphism(g: Graph, action: InducedAction) -> bool:
         raise ValueError(
             f"action acts on {len(action.images)} vertices, graph has {g.num_vertices}"
         )
-    nbr = [set(nbrs) for nbrs in g.adj]
-    img = action.images
-    return all(img[v] in nbr[img[u]] for u, v in g.edges())
+    edges = g.edges()
+    image_keys = _edge_keys(np.array(action.images, dtype=np.int64)[edges], g.num_vertices)
+    # a permutation maps edges into edges iff it maps the edge set onto itself
+    return np.array_equal(np.sort(image_keys), _edge_keys(edges, g.num_vertices))
 
 
 def aut_group(params: GraphParams) -> GroupDescription:
@@ -148,16 +156,16 @@ def aut_group(params: GraphParams) -> GroupDescription:
     return GroupDescription(f"Sym({n})", factorial(n), tuple(gens))
 
 
-def _refinement_colors(g: Graph) -> list[int]:
+def _refinement_colors(adj: list[list[int]]) -> list[int]:
     """Iterated degree refinement: split vertex classes by the multiset of
     neighbor classes until stable."""
-    colors = [g.degree(v) for v in range(g.num_vertices)]
+    colors = [len(nbrs) for nbrs in adj]
     palette = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [palette[c] for c in colors]
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
-            for v in range(g.num_vertices)
+            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
+            for v in range(len(adj))
         ]
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
@@ -166,11 +174,11 @@ def _refinement_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def _search_order(g: Graph) -> list[int]:
+def _search_order(adj: list[list[int]]) -> list[int]:
     """Most-constrained-first vertex order: each step appends the vertex with
     the most already-placed neighbors (ties by index), so image candidates
     are cut down as early as possible."""
-    nv = g.num_vertices
+    nv = len(adj)
     placed_nbrs = [0] * nv
     placed = [False] * nv
     order: list[int] = []
@@ -181,7 +189,7 @@ def _search_order(g: Graph) -> list[int]:
                 best = v
         placed[best] = True
         order.append(best)
-        for u in g.adj[best]:
+        for u in adj[best]:
             placed_nbrs[u] += 1
     return order
 
@@ -204,15 +212,16 @@ def brute_force_aut_order(
         )
     if nv == 0:
         return 1
-    colors = _refinement_colors(g)
+    adj = [g.neighbors(v).tolist() for v in range(nv)]
+    colors = _refinement_colors(adj)
     color_mask = {}
     for v, c in enumerate(colors):
         color_mask[c] = color_mask.get(c, 0) | (1 << v)
-    nbr_mask = g.neighbor_masks()
-    order = _search_order(g)
+    nbr_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
+    order = _search_order(adj)
     pos_of = {v: d for d, v in enumerate(order)}
     earlier_nbrs = [
-        [u for u in g.adj[v] if pos_of[u] < d] for d, v in enumerate(order)
+        [u for u in adj[v] if pos_of[u] < d] for d, v in enumerate(order)
     ]
     image = [0] * nv
     base_cand = [color_mask[colors[v]] for v in order]
@@ -254,13 +263,9 @@ def pointwise_stabilizer_trivial(
         raise CapExceededError(
             f"graph has {nv} vertices, brute-force cap is {max_vertices}"
         )
-    seen = set()
-    for v in range(g.v1_count, nv):
-        nbrs = g.adj[v]
-        if nbrs in seen:
-            return False
-        seen.add(nbrs)
-    return True
+    # every l-subset vertex has degree r2, so its sorted row has r2 entries
+    rows = g.indices[g.indptr[g.v1_count] :].reshape(-1, g.params.r2)
+    return len(np.unique(rows, axis=0)) == len(rows)
 
 
 def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
@@ -268,63 +273,35 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
     when u == v); determines the intersection size of the two subsets."""
     if not (0 <= u < g.v1_count and 0 <= v < g.v1_count):
         raise ValueError("both vertices must lie in the k-subset class")
-    if u == v:
-        return g.degree(u)
-    return len(set(g.adj[u]).intersection(g.adj[v]))
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def count(self) -> int:
-        return sum(1 for x, p in enumerate(self.parent) if x == p)
+    return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))
 
 
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     """Number of orbits of the group generated by verified automorphisms on
-    the chosen object set ("vertices", "edges" or "arcs"), by union-find
-    closure under the generators."""
+    the chosen object set ("vertices", "edges" or "arcs"): the classes of
+    the pairs (x, generator(x)), counted by component_count."""
     generators = list(generators)
     for action in generators:
         if not is_automorphism(g, action):
             raise ValueError("generator is not an automorphism of the graph")
+    nv = g.num_vertices
+    # each object has a key; image_keys(img) gives the keys of the images
     if on == "vertices":
-        uf = _UnionFind(g.num_vertices)
-        for action in generators:
-            for x in range(g.num_vertices):
-                uf.union(x, action.images[x])
-        return uf.count()
-    edges = g.edges()
-    if on == "edges":
-        index = {e: i for i, e in enumerate(edges)}
-        uf = _UnionFind(len(edges))
-        for action in generators:
-            img = action.images
-            for i, (a, b) in enumerate(edges):
-                x, y = img[a], img[b]
-                uf.union(i, index[(x, y) if x < y else (y, x)])
-        return uf.count()
-    if on == "arcs":
-        arcs = [(a, b) for a, b in edges] + [(b, a) for a, b in edges]
-        index = {arc: i for i, arc in enumerate(arcs)}
-        uf = _UnionFind(len(arcs))
-        for action in generators:
-            img = action.images
-            for i, (a, b) in enumerate(arcs):
-                uf.union(i, index[(img[a], img[b])])
-        return uf.count()
-    raise ValueError(f"unknown object set: {on!r}")
+        keys, image_keys = np.arange(nv), lambda img: img
+    elif on == "edges":
+        ends = g.edges()
+        keys, image_keys = _edge_keys(ends, nv), lambda img: _edge_keys(img[ends], nv)
+    elif on == "arcs":
+        tails, heads = g.arc_sources(), g.indices
+        keys, image_keys = tails * nv + heads, lambda img: img[tails] * nv + img[heads]
+    else:
+        raise ValueError(f"unknown object set: {on!r}")
+    # keys are sorted, so an object's number is its key's place among them
+    targets = [
+        np.searchsorted(keys, image_keys(np.array(a.images, dtype=np.int64)))
+        for a in generators
+    ]
+    objects = np.tile(np.arange(len(keys)), len(targets))
+    return component_count(
+        len(keys), objects, np.concatenate(targets) if targets else objects
+    )

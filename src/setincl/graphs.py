@@ -11,7 +11,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "GraphParams",
     "Graph",
     "SubsetGraph",
-    "JohnsonGraph",
     "canonicalize",
     "canonical_params_up_to",
     "enumerate_subsets",
@@ -114,21 +113,26 @@ def enumerate_subsets(n: int, size: int) -> list[int]:
 
     For a fixed size, colex order coincides with numeric order of the masks.
     """
+    # uint64 throughout: bit 63 does not fit int64, and mixing the two
+    # promotes to float64
+    bits = np.left_shift(np.uint64(1), subset_positions(n, size).astype(np.uint64))
+    return bits.sum(axis=1, dtype=np.uint64).tolist()
+
+
+def subset_positions(n: int, size: int) -> np.ndarray:
+    """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
+    per subset, rows in colexicographic order."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
     if n > MAX_GROUND_SET:
         raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
-    if size == 0:
-        return [0]
-    out = []
-    v = (1 << size) - 1
-    limit = 1 << n
-    while v < limit:
-        out.append(v)
-        u = v & -v  # Gosper's hack: next mask of equal popcount
-        t = v + u
-        v = t | (((t ^ v) // u) >> 2)
-    return out
+    # lex order of descending tuples drawn from n-1, ..., 0 is reverse colex
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n - 1, -1, -1), size)),
+        dtype=np.int64,
+        count=comb(n, size) * size,
+    )
+    return flat.reshape(comb(n, size), size)[::-1, ::-1]
 
 
 def subset_rank(mask: int) -> int:
@@ -160,50 +164,75 @@ def subset_unrank(size: int, rank: int) -> int:
     return mask
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+# _BINOM[p, j] = C(p, j) for element positions p < 64; C(63, 31) < 2**63
+_BINOM = np.array(
+    [[comb(p, j) for j in range(MAX_GROUND_SET + 1)] for p in range(MAX_GROUND_SET)],
+    dtype=np.int64,
+)
 
-    Adjacency lists are sorted.  Loops (used only by the identity relation
-    graph) are tracked separately: they show up in the adjacency-matrix view
-    but never in edge lists.
+
+def colex_ranks(columns) -> np.ndarray:
+    """Vectorised subset_rank.  columns[j] holds the (j+1)-th smallest
+    element of every subset (for a positions array p, pass p.T); the rank is
+    the sum of C(columns[j], j+1)."""
+    return sum(_BINOM[col, j] for j, col in enumerate(columns, 1))
+
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..num_vertices-1, in
+    compressed sparse row form: the neighbours of v are
+    indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
+
+    Loops (used only by the identity relation graph) are tracked separately:
+    they show up in the adjacency-matrix view but never in edge lists.
     """
 
-    def __init__(self, adj, loop_vertices=()):
-        self.adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.num_edges = sum(len(nbrs) for nbrs in self.adj) // 2
+    def __init__(self, num_vertices: int, edges, loop_vertices=()):
+        """edges: an (m, 2) array of distinct pairs of distinct vertices."""
+        nv = int(num_vertices)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges.T
+        if edges.size and (edges.min() < 0 or edges.max() >= nv or (u == v).any()):
+            raise ValueError(f"edges must join two distinct vertices of 0..{nv - 1}")
+        arcs = np.sort(np.concatenate((u * nv + v, v * nv + u)))
+        if (arcs[1:] == arcs[:-1]).any():
+            raise ValueError("repeated edge")
+        self.num_vertices = nv
+        self.num_edges = len(edges)
+        self.indices = arcs % nv
+        self.indptr = np.searchsorted(arcs, np.arange(nv + 1) * nv)
         self.loop_vertices = tuple(sorted(loop_vertices))
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.adj)
-
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list as (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.num_vertices) for v in self.adj[u] if u < v]
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def arc_sources(self) -> np.ndarray:
+        """Tail of every arc, aligned with indices: the arcs (u, v) of both
+        directions of every edge, in lexicographic order."""
+        return np.repeat(np.arange(self.num_vertices), self.indptr[1:] - self.indptr[:-1])
+
+    def edges(self) -> np.ndarray:
+        """Edges as an (m, 2) int64 array of pairs u < v, in lexicographic order."""
+        tails = self.arc_sources()
+        upper = tails < self.indices
+        return np.column_stack((tails[upper], self.indices[upper]))
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
-        for u, nbrs in enumerate(self.adj):
-            for v in nbrs:
-                a[u, v] = 1
-        for v in self.loop_vertices:
-            a[v, v] = 1
+        a[self.arc_sources(), self.indices] = 1
+        a[self.loop_vertices, self.loop_vertices] = 1
         return a
-
-    def neighbor_masks(self) -> list[int]:
-        """Per-vertex neighbor sets packed as integer bitmasks (loops ignored)."""
-        return [sum(1 << v for v in nbrs) for nbrs in self.adj]
 
 
 class SubsetGraph(Graph):
     """Inclusion graph: k-subsets (first) and l-subsets of an n-set, adjacent
     under containment."""
 
-    def __init__(self, params: GraphParams, masks, adj):
-        super().__init__(adj)
+    def __init__(self, params: GraphParams, masks, edges):
+        super().__init__(params.n1 + params.n2, edges)
         self.params = params
         self.masks = tuple(masks)
         self.v1_count = params.n1
@@ -217,77 +246,39 @@ class SubsetGraph(Graph):
         raise ValueError(f"mask {mask:#x} is not a k- or l-subset")
 
 
-class JohnsonGraph(Graph):
-    """Intersection-relation graph on k-subsets: u ~ v iff |u & v| = i.
-
-    For i = k the relation is the identity; the graph then has no edges and
-    one loop per vertex, matching the scheme's identity matrix.
-    """
-
-    def __init__(self, n: int, k: int, i: int, masks, adj, loop_vertices=()):
-        super().__init__(adj, loop_vertices)
-        self.n = n
-        self.k = k
-        self.i = i
-        self.masks = tuple(masks)
-
-
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters."""
     params.require_canonical()
     n, k, l = params.n, params.k, params.l
-    if n > MAX_GROUND_SET:
-        raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
-    masks_k = enumerate_subsets(n, k)
-    masks_l = enumerate_subsets(n, l)
-    masks = masks_k + masks_l
-    n1 = len(masks_k)
-    adj = [[] for _ in range(len(masks))]
-    for j, ml in enumerate(masks_l):
-        for mk in _subsets_of_mask(ml, k):
-            i = subset_rank(mk)
-            adj[i].append(n1 + j)
-            adj[n1 + j].append(i)
-    g = SubsetGraph(params, masks, adj)
-    assert all(g.degree(v) == params.r1 for v in range(n1))
-    assert all(g.degree(v) == params.r2 for v in range(n1, g.num_vertices))
+    n1, n2, r2 = params.n1, params.n2, params.r2
+    large = subset_positions(n, l)
+    # the k-subsets of an l-subset, as column choices from its element row
+    inside = np.array(list(combinations(range(l), k)), dtype=np.int64)
+    ranks = colex_ranks(large[:, cols] for cols in inside.T)
+    edges = np.column_stack((ranks.ravel(), np.repeat(np.arange(n1, n1 + n2), r2)))
+    g = SubsetGraph(params, enumerate_subsets(n, k) + enumerate_subsets(n, l), edges)
+    degrees = np.diff(g.indptr)
+    assert (degrees[:n1] == params.r1).all() and (degrees[n1:] == r2).all()
     assert g.num_edges == params.n1 * params.r1 == params.n2 * params.r2
     return g
 
 
-def _subsets_of_mask(mask: int, size: int):
-    """All size-subsets of the set bits of mask, as masks."""
-    bits = []
-    m = mask
-    while m:
-        low = m & -m
-        bits.append(low)
-        m ^= low
-    for combo in combinations(bits, size):
-        sub = 0
-        for b in combo:
-            sub |= b
-        yield sub
+def build_johnson_graph(n: int, k: int, i: int) -> Graph:
+    """Construct the intersection-i relation graph on all k-subsets of an n-set.
 
-
-def build_johnson_graph(n: int, k: int, i: int) -> JohnsonGraph:
-    """Construct the intersection-i relation graph on all k-subsets of an n-set."""
+    For i = k the relation is the identity; the graph then has no edges and
+    one loop per vertex, matching the scheme's identity matrix.
+    """
     if not (0 <= i <= k and 2 * k <= n):
         raise ValueError(f"need 0 <= i <= k <= n/2, got n={n}, k={k}, i={i}")
-    if n > MAX_GROUND_SET:
-        raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
-    masks = enumerate_subsets(n, k)
-    nv = len(masks)
-    adj = [[] for _ in range(nv)]
-    if i == k:
-        return JohnsonGraph(n, k, i, masks, adj, loop_vertices=range(nv))
-    for a in range(nv):
-        ma = masks[a]
-        for b in range(a + 1, nv):
-            if (ma & masks[b]).bit_count() == i:
-                adj[a].append(b)
-                adj[b].append(a)
-    return JohnsonGraph(n, k, i, masks, adj)
+    positions = subset_positions(n, k)
+    nv = len(positions)
+    incidence = np.zeros((nv, n), dtype=np.int64)
+    incidence[np.arange(nv)[:, None], positions] = 1
+    # entry (a, b) of X X^T is |a & b|
+    meets = incidence @ incidence.T
+    edges = np.column_stack(np.nonzero(np.triu(meets == i, 1)))
+    return Graph(nv, edges, loop_vertices=range(nv) if i == k else ())
 
 
 def build_line_graph(g: Graph) -> Graph:
@@ -295,39 +286,40 @@ def build_line_graph(g: Graph) -> Graph:
     adjacent when the edges share an endpoint."""
     if g.loop_vertices:
         raise ValueError("line graph of a graph with loops is not supported")
-    edge_list = g.edges()
-    incident = [[] for _ in range(g.num_vertices)]
-    for e, (u, v) in enumerate(edge_list):
-        incident[u].append(e)
-        incident[v].append(e)
-    adj = [[] for _ in range(len(edge_list))]
-    for edges_at_v in incident:
-        # two distinct edges share at most one endpoint, so no pair repeats
-        for a in range(len(edges_at_v)):
-            for b in range(a + 1, len(edges_at_v)):
-                adj[edges_at_v[a]].append(edges_at_v[b])
-                adj[edges_at_v[b]].append(edges_at_v[a])
-    return Graph(adj)
+    ends = g.edges()
+    m = len(ends)
+    # edge ids grouped by endpoint, vertex v's group at indptr[v]:indptr[v+1]
+    incident = np.argsort(ends.T.ravel(), kind="stable") % m
+    degrees = g.indptr[1:] - g.indptr[:-1]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    # two distinct edges share at most one endpoint, so no pair repeats
+    for d in np.flatnonzero(np.bincount(degrees)).tolist():
+        at = incident[g.indptr[:-1][degrees == d][:, None] + np.arange(d)]
+        choose = np.array(list(combinations(range(d), 2)), dtype=np.int64).reshape(-1, 2)
+        pairs.append(at[:, choose].reshape(-1, 2))
+    return Graph(m, np.concatenate(pairs))
+
+
+def component_count(size: int, a, b) -> int:
+    """Number of classes of the equivalence on 0..size-1 generated by
+    a[i] ~ b[i], by min-label propagation with pointer jumping."""
+    label = np.arange(size)  # every label is a root at the top of the loop
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return int(np.count_nonzero(label == np.arange(size)))
+        # hook each larger root under the smallest root paired with it, then
+        # point every element straight at its root
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 def is_connected(g: Graph) -> bool:
     """True when g has a single connected component (empty graph counts as
     connected only if it has at most one vertex)."""
-    nv = g.num_vertices
-    if nv <= 1:
-        return True
-    seen = [False] * nv
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == nv
+    return g.num_vertices <= 1 or component_count(g.num_vertices, *g.edges().T) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +335,7 @@ def export_graph(g: Graph, format: str) -> bytes:
     """
     if format == "edgelist":
         lines = [f"p {g.num_vertices} {g.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges())
+        lines.extend(f"{u} {v}" for u, v in g.edges().tolist())
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "graph6":
         if g.loop_vertices:
@@ -352,7 +344,7 @@ def export_graph(g: Graph, format: str) -> bytes:
     if format == "dot":
         lines = ["graph g {"]
         lines.extend(f"  {v};" for v in range(g.num_vertices))
-        lines.extend(f"  {u} -- {v};" for u, v in g.edges())
+        lines.extend(f"  {u} -- {v};" for u, v in g.edges().tolist())
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported format: {format!r}")
@@ -369,22 +361,15 @@ def _graph6_encode_count(n: int) -> bytes:
 
 
 def _to_graph6(g: Graph) -> bytes:
+    # edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle read
+    # column by column; each output byte carries six bits, high bit first
     n = g.num_vertices
-    out = bytearray(_graph6_encode_count(n))
-    nbr = g.neighbor_masks()
-    bits = []
-    for j in range(1, n):
-        col = nbr[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    for start in range(0, len(bits), 6):
-        group = bits[start : start + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out)
+    i, j = g.edges().T
+    bit = j * (j - 1) // 2 + i
+    groups = (n * (n - 1) // 2 + 5) // 6
+    octets = np.zeros(groups * 8, dtype=np.uint8)
+    octets[bit // 6 * 8 + bit % 6 + 2] = 1
+    return _graph6_encode_count(n) + (np.packbits(octets) + 63).tobytes()
 
 
 def parse_graph6(data: bytes) -> Graph:
@@ -408,24 +393,18 @@ def parse_graph6(data: bytes) -> Graph:
             raise ValueError("invalid graph6 byte")
         n = (n << 6) | (byte - 63)
     nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(buf) - pos != need:
+    if len(buf) - pos != (nbits + 5) // 6:
         raise ValueError("graph6 data has wrong length")
-    bits = []
-    for byte in buf[pos:]:
-        val = byte - 63
-        if not 0 <= val <= 63:
-            raise ValueError("invalid graph6 byte")
-        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
-    adj = [[] for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                adj[i].append(j)
-                adj[j].append(i)
-            idx += 1
-    return Graph(adj)
+    values = np.frombuffer(buf, dtype=np.uint8)[pos:] - np.uint8(63)
+    if (values > 63).any():
+        raise ValueError("invalid graph6 byte")
+    set_bits = np.flatnonzero(np.unpackbits(values))
+    bit = set_bits // 8 * 6 + set_bits % 8 - 2
+    bit = bit[bit < nbits]
+    # column j holds bits j(j-1)/2 .. j(j+1)/2 - 1
+    starts = np.arange(n) * (np.arange(n) - 1) // 2
+    j = np.searchsorted(starts, bit, side="right") - 1
+    return Graph(n, np.column_stack((bit - starts[j], j)))
 
 
 # ---------------------------------------------------------------------------

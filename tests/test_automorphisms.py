@@ -277,3 +277,21 @@ def test_johnson_graph_aut_orders(n, k, expect):
         assert expect == factorial(n)
     else:
         assert expect == 2 * factorial(n)
+
+
+def test_full_64_element_ground_set():
+    # the last masks have bit 63 set; τ pairs each subset of G(64,1,63) with
+    # its complement in the full 64-bit mask
+    full = (1 << 64) - 1
+    for (n, k, l), expect in [((64, 1, 2), (2, 1, 2)), ((64, 1, 63), (1, 1, 1))]:
+        params = GraphParams(n, k, l)
+        g = build_inclusion_graph(params)
+        assert g.masks[-1] >> 63 == 1
+        assert all(g.rank_of_mask(m) == v for v, m in enumerate(g.masks))
+        gens = aut_group(params).generators
+        counts = tuple(orbit_count(g, gens, on=on) for on in ("vertices", "edges", "arcs"))
+        assert counts == expect
+        if k + l == n:
+            tau = tau_action(params)
+            assert is_automorphism(g, tau)
+            assert all(g.masks[tau(v)] == full ^ m for v, m in enumerate(g.masks))
