@@ -12,7 +12,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .graphs import GraphParams
 
-__all__ = ["binom", "alpha", "beta", "beta_middle", "intersection_number"]
+__all__ = [
+    "binom",
+    "alpha",
+    "beta",
+    "radicands",
+    "multiplicities",
+    "beta_middle",
+    "intersection_number",
+]
 
 
 def binom(a: int, b: int) -> int:
@@ -53,7 +61,9 @@ def beta(params: "GraphParams", s: int) -> int:
     """Eigenvalue of the common-neighbor matrix on the k-side of the
     inclusion graph; the graph's nonzero eigenvalues are +-sqrt(beta_s).
 
-    Requires canonical parameters (k + l <= n) and 0 <= s <= k.
+    This is the paper's sum over the intersection relations; `radicands`
+    evaluates the same values from a product form and is what the spectra
+    use.  Requires canonical parameters (k + l <= n) and 0 <= s <= k.
     """
     params.require_canonical()
     n, k, l = params.n, params.k, params.l
@@ -63,6 +73,42 @@ def beta(params: "GraphParams", s: int) -> int:
     for i in range(max(2 * k - l, 0), k + 1):
         total += binom(n - 2 * k + i, l - 2 * k + i) * alpha(n, k, i, s)
     return total
+
+
+def radicands(params: "GraphParams") -> list[int]:
+    """All of beta_0..beta_k, from the product form
+
+        beta_s = C(n-k-s, l-k) * C(l-s, k-s)
+
+    (the eigenvalue of W W^T on the s-th eigenspace, W the k-vs-l inclusion
+    matrix; Wilson 1990).  Both factors follow s down from s = k by exact
+    ratio steps, so the list costs O(k) big-integer operations.  Every value
+    is positive, because k + l <= n keeps both binomials in range.
+    """
+    params.require_canonical()
+    n, k, l = params.n, params.k, params.l
+    first, second = comb(n - 2 * k, l - k), 1  # the factors at s = k
+    out = [first]
+    for s in range(k, 0, -1):
+        # C(m+1, r) = C(m, r) (m+1)/(m+1-r) with m = n-k-s, r = l-k, and
+        # C(a+1, b+1) = C(a, b) (a+1)/(b+1) with a = l-s, b = k-s
+        first = first * (n - k - s + 1) // (n - l - s + 1)
+        second = second * (l - s + 1) // (k - s + 1)
+        out.append(first * second)
+    out.reverse()
+    return out
+
+
+def multiplicities(n: int, k: int) -> list[int]:
+    """The eigenspace dimensions C(n,s) - C(n,s-1) for s = 0..k, from the
+    exact recurrence C(n,s+1) = C(n,s) (n-s)/(s+1)."""
+    if not 0 <= 2 * k <= n:
+        raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+    out, prev, cur = [], 0, 1
+    for s in range(k + 1):
+        out.append(cur - prev)
+        prev, cur = cur, cur * (n - s) // (s + 1)
+    return out
 
 
 def beta_middle(n: int, k: int, s: int) -> int:
@@ -79,6 +125,8 @@ def intersection_number(n: int, k: int, i: int, j: int, s: int) -> int:
     of the scheme on k-subsets of an n-set (i != j).
 
         p^s_{ij} = sum_r C(s,r) C(k-s,i-r) C(k-s,j-r) C(n-2k+s, k-i-j+r)
+
+    The sum runs only over the r for which all four binomials are nonzero.
     """
     if i == j:
         raise ValueError("product formula is stated for i != j only")
@@ -86,10 +134,12 @@ def intersection_number(n: int, k: int, i: int, j: int, s: int) -> int:
         raise ValueError(
             f"need 0 <= i,j,s <= k <= n/2, got n={n}, k={k}, i={i}, j={j}, s={s}"
         )
+    lo = max(0, i + s - k, j + s - k, i + j - k)
+    hi = min(s, i, j, n - 3 * k + i + j + s)
     return sum(
-        binom(s, r)
-        * binom(k - s, i - r)
-        * binom(k - s, j - r)
-        * binom(n - 2 * k + s, k - i - j + r)
-        for r in range(s + 1)
+        comb(s, r)
+        * comb(k - s, i - r)
+        * comb(k - s, j - r)
+        * comb(n - 2 * k + s, k - i - j + r)
+        for r in range(lo, hi + 1)
     )

@@ -18,7 +18,9 @@ from math import isqrt
 
 import numpy as np
 
-from .combinatorics import beta, beta_middle, binom
+# beta, the paper's sum, is no longer called here, but the name stays bound in
+# this module, where perfbench/spans.py looks it up to trace it
+from .combinatorics import beta, beta_middle, binom, multiplicities, radicands  # noqa: F401
 from .errors import CapExceededError
 from .graphs import GraphParams
 
@@ -306,16 +308,11 @@ def spectrum_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the inclusion graph on k- and l-subsets:
     +-sqrt(beta_s) with multiplicity C(n,s) - C(n,s-1) for s = 0..k, and 0
     with multiplicity C(n,l) - C(n,k)."""
-    params.require_canonical()
     n, k, l = params.n, params.k, params.l
     pairs = []
-    for s in range(k + 1):
-        mult = binom(n, s) - binom(n, s - 1)
-        b = beta(params, s)
-        if b < 0:
-            raise ArithmeticError(f"beta_{s} = {b} negative, which is impossible")
-        pairs.append((ExactEigenvalue(1 if b else 0, b), mult))
-        pairs.append((ExactEigenvalue(-1 if b else 0, b), mult))
+    for b, mult in zip(radicands(params), multiplicities(n, k)):
+        pairs.append((ExactEigenvalue(1, b), mult))
+        pairs.append((ExactEigenvalue(-1, b), mult))
     pairs.append((ExactEigenvalue(0, 0), binom(n, l) - binom(n, k)))
     return Spectrum(pairs)
 
@@ -326,11 +323,10 @@ def spectrum_middle(n: int, k: int) -> Spectrum:
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
     pairs = []
-    for s in range(k + 1):
-        mult = binom(n, s) - binom(n, s - 1)
+    for s, mult in enumerate(multiplicities(n, k)):
         b = beta_middle(n, k, s)
-        pairs.append((ExactEigenvalue(1 if b else 0, b), mult))
-        pairs.append((ExactEigenvalue(-1 if b else 0, b), mult))
+        pairs.append((ExactEigenvalue(1, b), mult))
+        pairs.append((ExactEigenvalue(-1, b), mult))
     pairs.append((ExactEigenvalue(0, 0), binom(n, k + 1) - binom(n, k)))
     return Spectrum(pairs)
 
@@ -381,12 +377,10 @@ def spectrum_line_semiregular(
 
 def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the line graph of the inclusion graph."""
-    params.require_canonical()
-    n, k = params.n, params.k
-    top = []
-    for s in range(k + 1):
-        b = beta(params, s)
-        top.append((ExactEigenvalue(1 if b else 0, b), binom(n, s) - binom(n, s - 1)))
+    top = [
+        (ExactEigenvalue(1, b), mult)
+        for b, mult in zip(radicands(params), multiplicities(params.n, params.k))
+    ]
     return spectrum_line_semiregular(params.n1, params.n2, params.r1, params.r2, top)
 
 
@@ -399,8 +393,7 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
     pairs = [(_int_eigenvalue(n - 1), 1)]
     pairs.append((_int_eigenvalue(k - 1), binom(n, k + 1) - binom(n, k)))
     pairs.append((_int_eigenvalue(-2), k * binom(n, k + 1) - binom(n, k) + 1))
-    for s in range(1, k + 1):
-        mult = binom(n, s) - binom(n, s - 1)
+    for s, mult in enumerate(multiplicities(n, k)[1:], start=1):
         pairs.append((_int_eigenvalue(s - 2), mult))
         pairs.append((_int_eigenvalue(n - s - 1), mult))
     return Spectrum(pairs)

@@ -17,6 +17,8 @@ from setincl import (
     eigensolver_oracle,
     intersection_number,
     johnson_matrices,
+    multiplicities,
+    radicands,
 )
 
 
@@ -101,6 +103,25 @@ def test_beta_nonnegative_and_top_value():
         )
 
 
+def test_radicands_match_beta_sum():
+    # reference: the paper's sum over the intersection relations
+    for params in canonical_params_up_to(30):
+        assert radicands(params) == [beta(params, s) for s in range(params.k + 1)]
+    with pytest.raises(ValueError):
+        radicands(GraphParams(5, 2, 4))  # k+l > n
+
+
+def test_multiplicities_match_binomial_differences():
+    cases = [(n, k) for n in range(65) for k in range(n // 2 + 1)]
+    cases += [(1000, 500), (2047, 300), (3001, 400), (4096, 37)]
+    for n, k in cases:
+        assert multiplicities(n, k) == [binom(n, s) - binom(n, s - 1) for s in range(k + 1)]
+    with pytest.raises(ValueError):
+        multiplicities(5, 3)  # k > n/2
+    with pytest.raises(ValueError):
+        multiplicities(5, -1)
+
+
 def test_beta_middle_frozen_values():
     assert beta_middle(4, 1, 0) == 6
     assert beta_middle(4, 1, 1) == 2
@@ -144,6 +165,26 @@ def test_intersection_number_vanishes_on_diagonal_coefficient():
                 for j in range(k + 1):
                     if i != j:
                         assert intersection_number(n, k, i, j, k) == 0
+
+
+def test_intersection_number_matches_full_range_sum():
+    # reference: the formula summed over every r = 0..s, zero terms included
+    def full_sum(n, k, i, j, s):
+        return sum(
+            binom(s, r)
+            * binom(k - s, i - r)
+            * binom(k - s, j - r)
+            * binom(n - 2 * k + s, k - i - j + r)
+            for r in range(s + 1)
+        )
+
+    for n in range(13):
+        for k in range(n // 2 + 1):
+            for i in range(k + 1):
+                for j in range(k + 1):
+                    if i != j:
+                        for s in range(k + 1):
+                            assert intersection_number(n, k, i, j, s) == full_sum(n, k, i, j, s)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 3)])

@@ -11,6 +11,7 @@ from setincl import (
     GraphParams,
     Spectrum,
     SurdEigenvalue,
+    beta,
     binom,
     build_inclusion_graph,
     build_line_graph,
@@ -169,6 +170,22 @@ def test_spectrum_inclusion_trace_identities():
         rational, irrational = spec.power_sum(2)
         assert irrational == {}
         assert rational == 2 * params.n1 * params.r1
+
+
+@pytest.mark.parametrize("n,k,l", [(301, 20, 41), (300, 20, 280), (300, 20, 41)])
+def test_spectra_match_beta_sum_reference(n, k, l):
+    # reference: radicands from the paper's sum, multiplicities from binom
+    params = GraphParams(n, k, l)
+    top = [
+        (ExactEigenvalue(1, beta(params, s)), binom(n, s) - binom(n, s - 1))
+        for s in range(k + 1)
+    ]
+    negated = [(ExactEigenvalue(-1, ev.radicand), mult) for ev, mult in top]
+    zero = [(ExactEigenvalue(0, 0), binom(n, l) - binom(n, k))]
+    assert spectrum_inclusion(params) == Spectrum(top + negated + zero)
+    assert spectrum_line_inclusion(params) == spectrum_line_semiregular(
+        params.n1, params.n2, params.r1, params.r2, top
+    )
 
 
 def test_spectrum_middle_frozen():
