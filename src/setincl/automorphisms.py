@@ -1,6 +1,7 @@
 """Symmetries of inclusion graphs: induced vertex actions from base
-permutations, the complementation involution, orbit computation, and a
-brute-force automorphism counter used as an independent oracle.
+permutations, the complementation involution, orbit computation, and an
+independent oracle for the automorphism-group order of any graph, an
+orbit-stabiliser search by individualisation and refinement.
 
 The ground set is {0, ..., n-1}; a base permutation is its image table.
 Vertex indices follow the construction order (k-subsets first, colex within
@@ -11,6 +12,7 @@ graph built from the same parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import factorial
 
 import numpy as np
@@ -22,15 +24,18 @@ from .graphs import (
     SubsetGraph,
     colex_ranks,
     component_count,
+    component_labels,
     subset_positions,
 )
 
 __all__ = [
     "InducedAction",
+    "GroupShape",
     "GroupDescription",
     "induced_action",
     "tau_action",
     "is_automorphism",
+    "group_shape",
     "aut_group",
     "brute_force_aut_order",
     "pointwise_stabilizer_trivial",
@@ -67,20 +72,28 @@ class InducedAction:
 
 
 @dataclass(frozen=True)
-class GroupDescription:
-    """Abstract automorphism group of an inclusion graph with generators."""
+class GroupShape:
+    """Kind, order and generator count of the automorphism group of an
+    inclusion graph."""
 
     kind: str  # "Sym(n)" or "Sym(n)xZ2"
     order: int
-    generators: tuple[InducedAction, ...]
+    generator_count: int
 
     def to_json_dict(self, verified_brute_force=None) -> dict:
         return {
             "kind": self.kind,
             "order": str(self.order),
-            "generators": len(self.generators),
+            "generators": self.generator_count,
             "verified_brute_force": verified_brute_force,
         }
+
+
+@dataclass(frozen=True)
+class GroupDescription(GroupShape):
+    """Automorphism group of an inclusion graph with generators."""
+
+    generators: tuple[InducedAction, ...]
 
 
 def induced_action(g, params: GraphParams) -> InducedAction:
@@ -128,82 +141,137 @@ def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
     return np.minimum(u, v) * nv + np.maximum(u, v)
 
 
-def is_automorphism(g: Graph, action: InducedAction) -> bool:
-    """True iff the action maps every edge of g onto an edge of g."""
+def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
     if len(action.images) != g.num_vertices:
         raise ValueError(
             f"action acts on {len(action.images)} vertices, graph has {g.num_vertices}"
         )
+    return np.array(action.images, dtype=np.int64)
+
+
+def _places(keys: np.ndarray, image_keys: np.ndarray):
+    """Index of each image key among the sorted keys, or None when some image
+    key is not a key.  For the keys of the edges (or arcs) under a vertex
+    permutation, a result that is not None certifies an automorphism: a
+    permutation maps edges into edges iff it maps the edge set onto itself."""
+    places = np.searchsorted(keys, image_keys)
+    np.minimum(places, len(keys) - 1, out=places)
+    return places if np.array_equal(keys[places], image_keys) else None
+
+
+def is_automorphism(g: Graph, action: InducedAction) -> bool:
+    """True iff the action maps every edge of g onto an edge of g."""
+    images = _image_table(g, action)
     edges = g.edges()
-    image_keys = _edge_keys(np.array(action.images, dtype=np.int64)[edges], g.num_vertices)
-    # a permutation maps edges into edges iff it maps the edge set onto itself
-    return np.array_equal(np.sort(image_keys), _edge_keys(edges, g.num_vertices))
+    nv = g.num_vertices
+    return _places(_edge_keys(edges, nv), _edge_keys(images[edges], nv)) is not None
+
+
+def group_shape(params: GraphParams) -> GroupShape:
+    """Kind, order and generator count of the automorphism group, read off
+    (n, k, l): Sym(n) acting on subsets, generated by the transposition
+    (0 1) and the n-cycle, extended by the complementation involution when
+    k + l = n."""
+    params.require_canonical()
+    n = params.n
+    if params.k + params.l == n:
+        return GroupShape(f"Sym({n})xZ2", 2 * factorial(n), 3)
+    return GroupShape(f"Sym({n})", factorial(n), 2)
 
 
 def aut_group(params: GraphParams) -> GroupDescription:
-    """Automorphism group of the inclusion graph: the full symmetric group
-    acting on subsets when k + l < n, extended by complementation when
-    k + l = n.  Generators: the transposition (0 1), the n-cycle, and the
-    complementation involution where it exists."""
-    params.require_canonical()
+    """Automorphism group of the inclusion graph with its generators (see
+    group_shape) built as vertex permutations."""
+    shape = group_shape(params)
     n = params.n
-    transposition = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
-    gens = [induced_action(transposition, params), induced_action(cycle, params)]
-    if params.k + params.l == n:
+    gens = [
+        induced_action((1, 0) + tuple(range(2, n)), params),
+        induced_action(tuple(range(1, n)) + (0,), params),
+    ]
+    if shape.generator_count == 3:
         gens.append(tau_action(params))
-        return GroupDescription(f"Sym({n})xZ2", 2 * factorial(n), tuple(gens))
-    return GroupDescription(f"Sym({n})", factorial(n), tuple(gens))
+    return GroupDescription(shape.kind, shape.order, shape.generator_count, tuple(gens))
 
 
-def _refinement_colors(adj: list[list[int]]) -> list[int]:
-    """Iterated degree refinement: split vertex classes by the multiset of
-    neighbor classes until stable."""
-    colors = [len(nbrs) for nbrs in adj]
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [palette[c] for c in colors]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in range(len(adj))
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+def _refinement_colors(g: Graph, colors=None, expect=None):
+    """Equitable refinement of a vertex colouring: split the classes by the
+    number of neighbours each vertex has in every class until no class
+    splits.
+
+    colors numbers the classes 0..c-1 (None: one class).  Each round gives
+    every vertex the signature (class, (class, count) of each class among
+    its neighbours) and renumbers the classes by the rank of their
+    signature, so the result depends on the colour numbers only, never on
+    the vertex labels: refining the colouring relabelled by an automorphism
+    gives the relabelled result.  Returns (colours, trace), where the trace
+    lists each round's sorted signatures.  With expect, the trace of another
+    refinement, it returns None at the first round that differs from it,
+    and an empty trace otherwise; equal rounds end together, since the
+    number of classes is read off the signatures.
+    """
+    nv = g.num_vertices
+    tails, heads = g.arc_sources(), g.indices
+    colors = np.zeros(nv, dtype=np.int64) if colors is None else colors
+    classes = int(colors.max()) + 1
+    trace = []
+    for round_ in count():
+        pairs, mult = np.unique(tails * classes + colors[heads], return_counts=True)
+        owner = pairs // classes
+        per = np.bincount(owner, minlength=nv)
+        rows = np.full((nv, 1 + int(per.max(initial=0))), -1, dtype=np.int64)
+        rows[:, 0] = colors
+        slot = np.arange(len(owner)) - (np.cumsum(per) - per)[owner]
+        rows[owner, 1 + slot] = (pairs - owner * classes) * nv + mult
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        if expect is None:
+            trace.append(ranked)
+        elif not np.array_equal(ranked, expect[round_]):
+            return None
+        rank = np.concatenate(([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+        colors = np.empty(nv, dtype=np.int64)
+        colors[order] = rank
+        if rank[-1] + 1 == classes:
+            return colors, trace
+        classes = int(rank[-1]) + 1
 
 
-def _search_order(adj: list[list[int]]) -> list[int]:
-    """Most-constrained-first vertex order: each step appends the vertex with
-    the most already-placed neighbors (ties by index), so image candidates
-    are cut down as early as possible."""
-    nv = len(adj)
-    placed_nbrs = [0] * nv
-    placed = [False] * nv
-    order: list[int] = []
-    for _ in range(nv):
-        best = -1
-        for v in range(nv):
-            if not placed[v] and (best < 0 or placed_nbrs[v] > placed_nbrs[best]):
-                best = v
-        placed[best] = True
-        order.append(best)
-        for u in adj[best]:
-            placed_nbrs[u] += 1
-    return order
+def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
+    """The colouring with v alone in a new class just after its own."""
+    out = colors + (colors > colors[v])
+    out[v] += 1
+    return out
+
+
+def _orbit_labels(nv: int, images: list[np.ndarray]) -> np.ndarray:
+    """Smallest member of each vertex's orbit under the group generated by
+    the given vertex maps."""
+    points = np.tile(np.arange(nv), len(images))
+    return component_labels(nv, points, np.concatenate(images) if images else points)
 
 
 def brute_force_aut_order(
     g: Graph, max_vertices: int = 40, force: bool = False
 ) -> int:
-    """Exact automorphism-group order by backtracking over vertex images.
+    """Exact automorphism-group order of g as a product of orbit sizes down
+    a stabiliser chain, found by individualisation and refinement (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014; Seress, "Permutation
+    Group Algorithms", ch. 4).
 
-    Candidate images must share the refinement class of their preimage and
-    be adjacent to the images of all previously assigned neighbors; since a
-    bijection mapping edges into edges is an automorphism, completing the
-    assignment certifies one.  The count enumerates every automorphism, so
-    the cap guards against astronomically large groups.
+    The base b_1, b_2, ... takes each b_i from the first non-singleton class
+    of the refined colouring with b_1..b_{i-1} individualised, until that
+    colouring is discrete.  The order is the product over i of the size of
+    b_i's orbit under the pointwise stabiliser of b_1..b_{i-1}.  For each
+    candidate c in b_i's class, a depth-first search individualises c where
+    the base individualises b_i, then follows the base's later choices with
+    every vertex of the matching class, and cuts a branch as soon as its
+    refinement trace differs from the base's.  It stops at the first leaf
+    whose vertex map sends every edge to an edge.  Orbits are merged under
+    all automorphisms found so far, so a candidate already joined to b_i or
+    to a rejected candidate is never searched.  Only indptr/indices are
+    read, every automorphism used is checked against the edges, and the
+    search keeps its own stack, so graphs of any size run without
+    recursion; the cap guards the running time.
     """
     nv = g.num_vertices
     if nv > max_vertices and not force:
@@ -212,38 +280,60 @@ def brute_force_aut_order(
         )
     if nv == 0:
         return 1
-    adj = [g.neighbors(v).tolist() for v in range(nv)]
-    colors = _refinement_colors(adj)
-    color_mask = {}
-    for v, c in enumerate(colors):
-        color_mask[c] = color_mask.get(c, 0) | (1 << v)
-    nbr_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
-    order = _search_order(adj)
-    pos_of = {v: d for d, v in enumerate(order)}
-    earlier_nbrs = [
-        [u for u in adj[v] if pos_of[u] < d] for d, v in enumerate(order)
-    ]
-    image = [0] * nv
-    base_cand = [color_mask[colors[v]] for v in order]
+    tails, heads = g.arc_sources(), g.indices
+    arc_keys = tails * nv + heads
+    # chain[i]: the refined colouring (and its trace) with base[:i] individualised
+    chain = [_refinement_colors(g)]
+    base: list[int] = []
+    while chain[-1][0].max() + 1 < nv:
+        colors = chain[-1][0]
+        first = np.argmax(np.bincount(colors) > 1)
+        base.append(int(np.flatnonzero(colors == first)[0]))
+        chain.append(_refinement_colors(g, _individualize(colors, base[-1])))
+    leaf = chain[-1][0]
 
-    def count_extensions(depth: int, used: int) -> int:
-        if depth == nv:
-            return 1
-        v = order[depth]
-        cand = base_cand[depth] & ~used
-        for u in earlier_nbrs[depth]:
-            cand &= nbr_mask[image[u]]
-            if not cand:
-                return 0
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[v] = low.bit_length() - 1
-            total += count_extensions(depth + 1, used | low)
-        return total
+    def extension(depth: int, c: int):
+        """Vertex map of an automorphism preserving chain[depth]'s colouring
+        and sending base[depth] to c, or None if there is none."""
+        pending = [(depth, chain[depth][0], c)]
+        while pending:
+            d, colors, v = pending.pop()
+            refined = _refinement_colors(g, _individualize(colors, v), chain[d + 1][1])
+            if refined is None:
+                continue
+            colors = refined[0]
+            if d + 1 == len(base):
+                # send each vertex to the one of its colour on this branch
+                vertex_of = np.empty(nv, dtype=np.int64)
+                vertex_of[colors] = np.arange(nv)
+                image = vertex_of[leaf]
+                if _places(arc_keys, image[tails] * nv + image[heads]) is not None:
+                    return image
+                continue
+            target = chain[d + 1][0][base[d + 1]]
+            pending.extend((d + 1, colors, y) for y in np.flatnonzero(colors == target)[::-1])
+        return None
 
-    return count_extensions(0, 0)
+    # bottom-up, so every automorphism already found fixes base[:depth]
+    found: list[np.ndarray] = []
+    order = 1
+    for depth in reversed(range(len(base))):
+        b = base[depth]
+        colors = chain[depth][0]
+        cell = np.flatnonzero(colors == colors[b])
+        orbit = _orbit_labels(nv, found)
+        rejected: list[int] = []
+        for c in cell:
+            if orbit[c] == orbit[b] or orbit[c] in orbit[rejected]:
+                continue
+            image = extension(depth, int(c))
+            if image is None:
+                rejected.append(int(c))
+            else:
+                found.append(image)
+                orbit = _orbit_labels(nv, found)
+        order *= int(np.count_nonzero(orbit[cell] == orbit[b]))
+    return order
 
 
 def pointwise_stabilizer_trivial(
@@ -279,16 +369,12 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     """Number of orbits of the group generated by verified automorphisms on
     the chosen object set ("vertices", "edges" or "arcs"): the classes of
-    the pairs (x, generator(x)), counted by component_count."""
-    generators = list(generators)
-    for action in generators:
-        if not is_automorphism(g, action):
-            raise ValueError("generator is not an automorphism of the graph")
+    the pairs (x, generator(x)), counted by component_count.  Each
+    generator is verified by the same search that maps the objects: every
+    image of an edge (or arc) key must be a key."""
     nv = g.num_vertices
-    # each object has a key; image_keys(img) gives the keys of the images
-    if on == "vertices":
-        keys, image_keys = np.arange(nv), lambda img: img
-    elif on == "edges":
+    # sorted keys of the edges (or arcs), and the keys of their images
+    if on in ("vertices", "edges"):
         ends = g.edges()
         keys, image_keys = _edge_keys(ends, nv), lambda img: _edge_keys(img[ends], nv)
     elif on == "arcs":
@@ -296,12 +382,13 @@ def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
         keys, image_keys = tails * nv + heads, lambda img: img[tails] * nv + img[heads]
     else:
         raise ValueError(f"unknown object set: {on!r}")
-    # keys are sorted, so an object's number is its key's place among them
-    targets = [
-        np.searchsorted(keys, image_keys(np.array(a.images, dtype=np.int64)))
-        for a in generators
-    ]
-    objects = np.tile(np.arange(len(keys)), len(targets))
-    return component_count(
-        len(keys), objects, np.concatenate(targets) if targets else objects
-    )
+    targets = []
+    for action in generators:
+        images = _image_table(g, action)
+        places = _places(keys, image_keys(images))
+        if places is None:
+            raise ValueError("generator is not an automorphism of the graph")
+        targets.append(images if on == "vertices" else places)
+    size = nv if on == "vertices" else len(keys)
+    objects = np.tile(np.arange(size), len(targets))
+    return component_count(size, objects, np.concatenate(targets) if targets else objects)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .automorphisms import aut_group, brute_force_aut_order, orbit_count
+from .automorphisms import aut_group, brute_force_aut_order, group_shape, orbit_count
 from .errors import CapExceededError
 from .graphs import (
     GraphParams,
@@ -175,7 +175,7 @@ def _cmd_aut(args) -> int:
     params = _canonical_params(args)
     if args.brute_force:
         _check_cap(params.n1 + params.n2, args.max_vertices)
-    group = aut_group(params)
+    group = group_shape(params)
     verified = None
     if args.brute_force:
         graph = build_inclusion_graph(params)
@@ -186,7 +186,7 @@ def _cmd_aut(args) -> int:
     else:
         print(f"kind:  {group.kind}")
         print(f"order: {group.order}")
-        print(f"generators: {len(group.generators)}")
+        print(f"generators: {group.generator_count}")
         if args.brute_force:
             print(f"brute-force order: {oracle_order} ({'agree' if verified else 'DISAGREE'})")
     if verified is False:

@@ -300,20 +300,27 @@ def build_line_graph(g: Graph) -> Graph:
     return Graph(m, np.concatenate(pairs))
 
 
-def component_count(size: int, a, b) -> int:
-    """Number of classes of the equivalence on 0..size-1 generated by
-    a[i] ~ b[i], by min-label propagation with pointer jumping."""
+def component_labels(size: int, a, b) -> np.ndarray:
+    """Smallest member of each element's class in the equivalence on
+    0..size-1 generated by a[i] ~ b[i], by min-label propagation with
+    pointer jumping."""
     label = np.arange(size)  # every label is a root at the top of the loop
     while True:
         la, lb = label[a], label[b]
         if np.array_equal(la, lb):
-            return int(np.count_nonzero(label == np.arange(size)))
+            return label
         # hook each larger root under the smallest root paired with it, then
         # point every element straight at its root
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         up = label[label]
         while not np.array_equal(up, label):
             label, up = up, up[up]
+
+
+def component_count(size: int, a, b) -> int:
+    """Number of classes of the equivalence on 0..size-1 generated by
+    a[i] ~ b[i]."""
+    return int(np.count_nonzero(component_labels(size, a, b) == np.arange(size)))
 
 
 def is_connected(g: Graph) -> bool:

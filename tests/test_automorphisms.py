@@ -1,12 +1,15 @@
 """Tests for induced actions, the complementation involution, orbit counts
-and the brute-force automorphism oracle."""
+and the orbit-stabiliser automorphism oracle."""
 
 import random
+import sys
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 from setincl import (
+    Graph,
     GraphParams,
     InducedAction,
     aut_group,
@@ -168,6 +171,60 @@ def test_brute_force_aut_order(n, k, l, expect):
     assert brute_force_aut_order(g) == expect
 
 
+def test_brute_force_petersen():
+    # the Kneser graph K(5,2), whose group is Sym(5)
+    assert brute_force_aut_order(build_johnson_graph(5, 2, 0)) == 120
+
+
+def test_brute_force_long_path_needs_no_recursion():
+    nv = sys.getrecursionlimit() + 200
+    path = Graph(nv, [(v, v + 1) for v in range(nv - 1)])
+    assert brute_force_aut_order(path, force=True) == 2
+
+
+def cfi_k4(twisted):
+    """(vertices, edges) of the Cai-Furer-Immerman graph over K4: for each
+    base vertex, one vertex per even subset of its three edges and two per
+    edge end, the ends of each base edge joined bit to bit, crosswise on the
+    first edge when twisted.  Refinement cannot tell the plain graph from
+    the twisted one, which are not isomorphic; each has 2^3 * 4! = 192
+    automorphisms."""
+    ids = {}
+
+    def vid(key):
+        return ids.setdefault(key, len(ids))
+
+    base = list(combinations(range(4), 2))
+    edges = []
+    for v in range(4):
+        ends = [e for e in base if v in e]
+        for even in [()] + list(combinations(ends, 2)):
+            edges += [(vid(("a", v, even)), vid(("b", v, e, e in even))) for e in ends]
+    for i, (v, w) in enumerate(base):
+        cross = twisted and i == 0
+        edges += [(vid(("b", v, (v, w), bit)), vid(("b", w, (v, w), bit ^ cross))) for bit in (0, 1)]
+    return len(ids), edges
+
+
+def test_brute_force_backtracks_across_lookalike_components():
+    # in P + P + T only the two plain copies can swap: 2 * 192^3.  Under a
+    # shuffled labelling the classes left by refinement mix the components,
+    # so some searches must back out of a branch whose traces agree
+    rng = random.Random(3)
+    parts = [cfi_k4(False), cfi_k4(False), cfi_k4(True)]
+    for nv, edges in parts[1:]:
+        assert brute_force_aut_order(Graph(nv, edges), force=True) == 192
+    edges, offset = [], 0
+    for nv, part in parts:
+        edges += [(u + offset, v + offset) for u, v in part]
+        offset += nv
+    label = list(range(offset))
+    for _ in range(3):
+        rng.shuffle(label)
+        g = Graph(offset, [(label[u], label[v]) for u, v in edges])
+        assert brute_force_aut_order(g, force=True) == 2 * 192**3
+
+
 def test_brute_force_cap():
     g = build_inclusion_graph(GraphParams(7, 2, 3))  # 56 vertices
     with pytest.raises(CapExceededError):
@@ -259,10 +316,17 @@ def test_orbit_count_rejects_non_automorphism():
     g = build_inclusion_graph(GraphParams(4, 1, 2))
     images = list(range(10))
     images[0], images[4] = images[4], images[0]
+    swap = InducedAction(tuple(images), "composite")
+    gens = aut_group(GraphParams(4, 1, 2)).generators
+    for on in ("vertices", "edges", "arcs"):
+        # a bad generator after good ones, and on its own
+        for bad in ([*gens, swap], [swap]):
+            with pytest.raises(ValueError, match="not an automorphism"):
+                orbit_count(g, bad, on=on)
+        with pytest.raises(ValueError, match="acts on 3 vertices"):
+            orbit_count(g, [InducedAction((0, 1, 2), "composite")], on=on)
     with pytest.raises(ValueError):
-        orbit_count(g, [InducedAction(tuple(images), "composite")], on="edges")
-    with pytest.raises(ValueError):
-        orbit_count(g, aut_group(GraphParams(4, 1, 2)).generators, on="faces")
+        orbit_count(g, gens, on="faces")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import time
+from math import factorial
 
 import pytest
 
@@ -124,6 +125,18 @@ def test_aut_json(capsys):
         "generators": 3,
         "verified_brute_force": None,
     }
+
+
+def test_aut_report_from_parameters_alone(capsys):
+    # C(30,15) l-subsets: the report must not build a single vertex
+    for args, kind, order in (
+        (["aut", "30", "10", "15"], "Sym(30)", factorial(30)),
+        (["aut", "30", "10", "20"], "Sym(30)xZ2", 2 * factorial(30)),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run(args, capsys)
+        assert code == 0 and time.perf_counter() - start < 1.0
+        assert f"kind:  {kind}" in out and f"order: {order}" in out
 
 
 def test_aut_brute_force_cap(capsys):

@@ -1,13 +1,14 @@
-"""Property-based tests (hypothesis) for graph6, the vectorised colex rank
-and the exact merge and order of `Spectrum`."""
+"""Property-based tests (hypothesis) for graph6, the vectorised colex rank,
+the exact merge and order of `Spectrum` and the automorphism-order oracle."""
 
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from setincl import (  # noqa: E402
@@ -15,6 +16,7 @@ from setincl import (  # noqa: E402
     Graph,
     Spectrum,
     SurdEigenvalue,
+    brute_force_aut_order,
     export_graph,
     parse_graph6,
     subset_rank,
@@ -130,3 +132,32 @@ def test_spectrum_merge_and_order_match_sympy(data):
         counted[matches[0]] += mult
     assert counted == [mult for _, mult in spec.entries]
     assert all(mult > 0 for _, mult in spec.entries)
+
+
+@st.composite
+def _small_graphs(draw):
+    """(n, edges) on at most 8 vertices, each pair an edge independently."""
+    n = draw(st.integers(0, 8), label="n")
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+@settings(deadline=None, max_examples=100)
+@given(_small_graphs())
+# the smallest asymmetric graphs have 6 vertices; this is one
+@example((6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)]))
+def test_aut_order_matches_networkx_isomorphism_count(graph):
+    nx = pytest.importorskip("networkx")
+    n, edges = graph
+    if len(edges) in (0, n * (n - 1) // 2):
+        # every bijection is an automorphism; networkx would list all 8! of
+        # them one by one, which takes seconds
+        expect = factorial(n)
+    else:
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(edges)
+        matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
+        expect = sum(1 for _ in matcher.isomorphisms_iter())
+    assert brute_force_aut_order(Graph(n, edges)) == expect
