@@ -6,13 +6,16 @@ Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded,
 
 Default resource caps can be overridden via the environment:
 SETINCL_MAX_VERTICES (eigensolver and scheme matrices, default 2000) and
-SETINCL_BRUTE_CAP (brute-force automorphism search, default 40).
+SETINCL_BRUTE_CAP (brute-force automorphism search, default 40).  A cap,
+from a flag or the environment, must be a positive integer and --tol a
+finite nonnegative number; anything else is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,9 +48,34 @@ def _env_cap(name: str, default: int) -> int:
     if not value:
         return default
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if cap < 1:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return cap
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for caps: a cap below 1 is a usage error, not a cap hit."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: finite and nonnegative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _check_cap(vertices: int, cap: int) -> None:
@@ -81,9 +109,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="compare the exact spectrum with the numeric solver")
     add_params(p)
     p.add_argument("--line", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument(
-        "--max-vertices", type=int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
+        "--max-vertices", type=_positive_int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
     )
     p.add_argument("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
 
@@ -91,7 +119,7 @@ def _build_parser() -> _Parser:
     add_params(p)
     p.add_argument("--brute-force", action="store_true", help="cross-check the order by search")
     p.add_argument(
-        "--max-vertices", type=int, default=_env_cap("SETINCL_BRUTE_CAP", 40)
+        "--max-vertices", type=_positive_int, default=_env_cap("SETINCL_BRUTE_CAP", 40)
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
 
@@ -109,7 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("k", type=int)
     p.add_argument("--check", action="store_true", help="verify the identities on explicit matrices")
     p.add_argument(
-        "--max-dim", type=int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
+        "--max-dim", type=_positive_int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
     )
     return parser
 

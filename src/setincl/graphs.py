@@ -425,29 +425,38 @@ def johnson_matrices(n: int, k: int) -> list[np.ndarray]:
 
 def johnson_scheme_holds(n: int, k: int, max_dim: int = 2000) -> bool:
     """Entrywise check of the scheme identities on explicit matrices:
-    A_i A_j = sum_s p^s_{ij} A_s and A_i A_j = A_j A_i for i != j,
-    sum_i A_i = all-ones, A_k = identity.
+    every A_s is a symmetric 0/1 matrix, sum_s A_s = all-ones, A_k = identity,
+    and for i != j, A_i A_j = A_j A_i = sum_s p^s_{ij} A_s = sum_s p^s_{ji} A_s.
+
+    The products run in float64 (BLAS) and are exact: the factors are 0/1,
+    so every product entry and every partial sum of one is an integer in
+    0..C(n,k), and C(n,k) < 2**53.  Symmetry gives A_j A_i = (A_i A_j)^T, so
+    one product per pair i < j covers both orders.  Once the A_s are known to
+    partition all-ones, sum_s p_s A_s is the gather p[label], where label
+    holds the relation index of each entry.
     """
     from .errors import CapExceededError
 
     dim = comb(n, k)
     if dim > max_dim:
         raise CapExceededError(f"matrix dimension {dim} exceeds cap {max_dim}")
-    mats = johnson_matrices(n, k)
-    if not np.array_equal(sum(mats), np.ones((dim, dim), dtype=np.int64)):
+    mats = [
+        build_johnson_graph(n, k, s).adjacency_matrix().astype(np.float64)
+        for s in range(k + 1)
+    ]
+    for a in mats:
+        if not (np.array_equal(a, a.T) and np.isin(a, (0, 1)).all()):
+            return False
+    if not (sum(mats) == 1).all() or not np.array_equal(mats[k], np.eye(dim)):
         return False
-    if not np.array_equal(mats[k], np.eye(dim, dtype=np.int64)):
-        return False
+    label = sum(s * a for s, a in enumerate(mats)).astype(np.intp)
     for i in range(k + 1):
-        for j in range(k + 1):
-            if i == j:
-                continue
+        for j in range(i + 1, k + 1):
             prod = mats[i] @ mats[j]
-            if not np.array_equal(prod, mats[j] @ mats[i]):
+            if not np.array_equal(prod, prod.T):
                 return False
-            expect = sum(
-                intersection_number(n, k, i, j, s) * mats[s] for s in range(k + 1)
-            )
-            if not np.array_equal(prod, expect):
-                return False
+            for a, b in ((i, j), (j, i)):
+                p = np.array([intersection_number(n, k, a, b, s) for s in range(k + 1)])
+                if not np.array_equal(prod, p[label]):
+                    return False
     return True

@@ -107,11 +107,11 @@ def test_criterion_05_layer_radicand_product_form():
 
 def test_criterion_06_scheme_identities():
     failures = []
-    for n in range(1, 9):
+    for n in range(1, 11):
         for k in range(n // 2 + 1):
             if not johnson_scheme_holds(n, k):
                 failures.append((n, k))
-    report(6, not failures, f"scheme identities entrywise exact for n <= 8 {failures}")
+    report(6, not failures, f"scheme identities entrywise exact for n <= 10 {failures}")
 
 
 def test_criterion_07_aut_order_oracle():

@@ -215,6 +215,45 @@ def test_env_var_cap_not_an_integer(monkeypatch, capsys):
     assert err == "setincl: error: SETINCL_MAX_VERTICES must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-nan", "inf", "-inf", "-1", "-1e-12", "abc"])
+def test_verify_tol_rejected(tol, capsys):
+    code, out, err = run(["verify", "3", "1", "2", "--tol", tol], capsys)
+    assert code == 64 and out == ""
+    assert "--tol" in err
+
+
+def test_verify_tol_zero_is_allowed(capsys):
+    # a zero tolerance is valid input; float round-off then fails the check
+    code, out, _ = run(["verify", "3", "1", "2", "--tol", "0"], capsys)
+    assert code in (0, 1) and "verify (3,1,2)" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "3", "1", "2", "--max-vertices", "0"],
+        ["verify", "3", "1", "2", "--max-vertices", "-5"],
+        ["aut", "4", "1", "2", "--brute-force", "--max-vertices", "-1"],
+        ["aut", "4", "1", "2", "--brute-force", "--max-vertices", "1.5"],
+        ["scheme", "6", "2", "--check", "--max-dim", "0"],
+        ["scheme", "6", "2", "--check", "--max-dim", "x"],
+    ],
+)
+def test_cap_flag_must_be_positive(args, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 64 and out == ""
+    assert "must be a positive integer" in err
+
+
+@pytest.mark.parametrize("name", ["SETINCL_MAX_VERTICES", "SETINCL_BRUTE_CAP"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_var_cap_must_be_positive(name, value, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(["aut", "4", "1", "2", "--brute-force"], capsys)
+    assert code == 64 and out == ""
+    assert err == f"setincl: error: {name} must be positive, got {value!r}\n"
+
+
 def test_unknown_subcommand(capsys):
     assert run(["bogus"], capsys)[0] == 64
 

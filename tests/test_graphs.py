@@ -2,10 +2,12 @@
 
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import setincl.graphs as graphs_module
 from setincl import (
     Graph,
     GraphParams,
@@ -17,10 +19,12 @@ from setincl import (
     enumerate_subsets,
     export_graph,
     is_connected,
+    johnson_scheme_holds,
     parse_graph6,
     subset_rank,
     subset_unrank,
 )
+from setincl.cli import main
 
 
 def test_params_validation():
@@ -186,6 +190,71 @@ def test_johnson_bounds():
         build_johnson_graph(5, 3, 0)  # k > n/2
     with pytest.raises(ValueError):
         build_johnson_graph(5, 2, 3)  # i > k
+
+
+# Negative controls for johnson_scheme_holds: each breaks one ingredient of
+# the check, which must then report FAIL through the CLI as well.
+SCHEME_N, SCHEME_K = 7, 3
+
+
+def _shift_intersection_number(monkeypatch, i, j, s):
+    """Make p^s_ij, for this order of i and j only, one too large."""
+    exact = graphs_module.intersection_number
+
+    def shifted(n, k, a, b, t):
+        return exact(n, k, a, b, t) + ((a, b, t) == (i, j, s))
+
+    monkeypatch.setattr(graphs_module, "intersection_number", shifted)
+
+
+def _edit_relations(monkeypatch, edit):
+    """Let edit(s, a) change relation s's adjacency matrix a in place before
+    the scheme check sees it."""
+    build = graphs_module.build_johnson_graph
+
+    def edited(n, k, s):
+        a = build(n, k, s).adjacency_matrix()
+        edit(s, a)
+        return SimpleNamespace(adjacency_matrix=lambda: a)
+
+    monkeypatch.setattr(graphs_module, "build_johnson_graph", edited)
+
+
+def _conjugate_relation_0(s, a):
+    # swap vertices {0,1,2} and {4,5,6}: not an automorphism of relation 0
+    if s == 0:
+        a[[0, -1]] = a[[-1, 0]]
+        a[:, [0, -1]] = a[:, [-1, 0]]
+
+
+def _drop_arc_direction(s, a):
+    # {0,1,2} -> {3,4,5} leaves relation 0, {3,4,5} -> {0,1,2} stays
+    if s == 0:
+        a[0, 19] = 0
+
+
+def _move_arc_direction(s, a):
+    # as above, but the arc joins relation 1 so the relations still
+    # partition all-ones
+    if s in (0, 1):
+        a[0, 19] = s
+
+
+@pytest.mark.parametrize(
+    "break_check",
+    [
+        pytest.param(lambda mp: _shift_intersection_number(mp, 0, 1, 1), id="p_ij"),
+        pytest.param(lambda mp: _shift_intersection_number(mp, 2, 1, 1), id="p_ji-only"),
+        pytest.param(lambda mp: _edit_relations(mp, _conjugate_relation_0), id="conjugated"),
+        pytest.param(lambda mp: _edit_relations(mp, _drop_arc_direction), id="arc-dropped"),
+        pytest.param(lambda mp: _edit_relations(mp, _move_arc_direction), id="arc-moved"),
+    ],
+)
+def test_scheme_check_negative_controls(break_check, monkeypatch, capsys):
+    break_check(monkeypatch)
+    assert johnson_scheme_holds(SCHEME_N, SCHEME_K) is False
+    assert main(["scheme", str(SCHEME_N), str(SCHEME_K), "--check"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_line_graph_cases():
