@@ -17,7 +17,6 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapExceededError
 from .graphs import (
     Graph,
     GraphParams,
@@ -250,9 +249,7 @@ def _orbit_labels(nv: int, images: list[np.ndarray]) -> np.ndarray:
     return component_labels(nv, points, np.concatenate(images) if images else points)
 
 
-def brute_force_aut_order(
-    g: Graph, max_vertices: int = 40, force: bool = False
-) -> int:
+def brute_force_aut_order(g: Graph) -> int:
     """Exact automorphism-group order of g as a product of orbit sizes down
     a stabiliser chain, found by individualisation and refinement (McKay &
     Piperno, "Practical graph isomorphism, II", 2014; Seress, "Permutation
@@ -271,13 +268,10 @@ def brute_force_aut_order(
     to a rejected candidate is never searched.  Only indptr/indices are
     read, every automorphism used is checked against the edges, and the
     search keeps its own stack, so graphs of any size run without
-    recursion; the cap guards the running time.
+    recursion.  It takes no cap: the caller bounds the graph (the ``aut``
+    command refuses an oversized one before building it).
     """
     nv = g.num_vertices
-    if nv > max_vertices and not force:
-        raise CapExceededError(
-            f"graph has {nv} vertices, brute-force cap is {max_vertices}"
-        )
     if nv == 0:
         return 1
     tails, heads = g.arc_sources(), g.indices
@@ -336,9 +330,7 @@ def brute_force_aut_order(
     return order
 
 
-def pointwise_stabilizer_trivial(
-    g: SubsetGraph, max_vertices: int = 40, force: bool = False
-) -> bool:
+def pointwise_stabilizer_trivial(g: SubsetGraph) -> bool:
     """True iff the identity is the only automorphism fixing every k-subset
     vertex.
 
@@ -348,11 +340,6 @@ def pointwise_stabilizer_trivial(
     the restricted search therefore reduces to checking that all
     neighborhoods on the l-side are distinct.
     """
-    nv = g.num_vertices
-    if nv > max_vertices and not force:
-        raise CapExceededError(
-            f"graph has {nv} vertices, brute-force cap is {max_vertices}"
-        )
     # every l-subset vertex has degree r2, so its sorted row has r2 entries
     rows = g.indices[g.indptr[g.v1_count] :].reshape(-1, g.params.r2)
     return len(np.unique(rows, axis=0)) == len(rows)

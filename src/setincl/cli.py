@@ -1,14 +1,16 @@
 """Command-line front end: exact spectra, oracle verification, automorphism
 reports, orbit counts, graph export and scheme checking.
 
-Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded,
-64 usage error.  Machine output goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded or
+out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
+to stderr.
 
-Default resource caps can be overridden via the environment:
-SETINCL_MAX_VERTICES (eigensolver and scheme matrices, default 2000) and
-SETINCL_BRUTE_CAP (brute-force automorphism search, default 40).  A cap,
-from a flag or the environment, must be a positive integer and --tol a
-finite nonnegative number; anything else is a usage error.
+Caps are checked here only, before anything is built, on sizes computed
+from the parameters: verify n1+n2 (n1*r1 with --line) and scheme --check
+C(n,k) against SETINCL_MAX_VERTICES (default 2000), aut --brute-force n1+n2
+against SETINCL_BRUTE_CAP (default 40); the environment is read on every
+call.  A cap, from a flag or the environment, must be a positive integer
+and --tol a finite nonnegative number; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ EX_OK = 0
 EX_VERIFY_FAIL = 1
 EX_CAP = 2
 EX_USAGE = 64
+
+MAX_VERTICES = 2000  # default cap of verify's solve and scheme's matrices
+BRUTE_CAP = 40  # default cap of aut --brute-force
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -78,12 +83,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _check_cap(vertices: int, cap: int) -> None:
-    """Refuse from the parameter arithmetic alone, before anything is built."""
-    if vertices > cap:
-        raise CapExceededError(f"graph has {vertices} vertices, cap is {cap}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -110,17 +109,13 @@ def _build_parser() -> _Parser:
     add_params(p)
     p.add_argument("--line", action="store_true")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument(
-        "--max-vertices", type=_positive_int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
-    )
+    p.add_argument("--max-vertices", type=_positive_int)
     p.add_argument("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("aut", help="automorphism group report")
     add_params(p)
     p.add_argument("--brute-force", action="store_true", help="cross-check the order by search")
-    p.add_argument(
-        "--max-vertices", type=_positive_int, default=_env_cap("SETINCL_BRUTE_CAP", 40)
-    )
+    p.add_argument("--max-vertices", type=_positive_int)
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("orbits", help="orbit counts under the automorphism group")
@@ -136,56 +131,77 @@ def _build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--check", action="store_true", help="verify the identities on explicit matrices")
-    p.add_argument(
-        "--max-dim", type=_positive_int, default=_env_cap("SETINCL_MAX_VERTICES", 2000)
-    )
+    p.add_argument("--max-dim", type=_positive_int)
     return parser
 
 
-def _canonical_params(args) -> GraphParams:
-    params, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
+_PARSER = _build_parser()
+
+
+def _preflight(argv):
+    """Parse argv and validate the parameters (canonicalizing any (n,k,l),
+    with a note), then refuse a capped command whose size, computed from
+    them alone, exceeds its cap.  Both environment caps are read, and so
+    validated, first and whatever the command."""
+    env_max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
+    env_brute_cap = _env_cap("SETINCL_BRUTE_CAP", BRUTE_CAP)
+    args = _PARSER.parse_args(argv)
+    if args.command == "scheme":
+        n, k = args.n, args.k
+        if not (0 <= k and 2 * k <= n):
+            raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+        if args.check:
+            dim, cap = math.comb(n, k), args.max_dim or env_max_vertices
+            if dim > cap:
+                raise CapExceededError(f"matrix dimension {dim} exceeds cap {cap}")
+        return args
+    p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
     if complemented:
         sys.stderr.write(
             f"note: ({args.n},{args.k},{args.l}) canonicalized to "
-            f"({params.n},{params.k},{params.l}) via complementation\n"
+            f"({p.n},{p.k},{p.l}) via complementation\n"
         )
-    return params
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    args.params = p
+    if args.command == "verify":
+        size = p.n1 * p.r1 if args.line else p.n1 + p.n2
+        cap = args.max_vertices or env_max_vertices
+    elif args.command == "aut" and args.brute_force:
+        size, cap = p.n1 + p.n2, args.max_vertices or env_brute_cap
     else:
-        sys.stdout.write(text)
+        return args
+    if size > cap:
+        raise CapExceededError(f"graph has {size} vertices, cap is {cap}")
+    return args
 
 
 def _cmd_spectrum(args) -> int:
-    params = _canonical_params(args)
+    params = args.params
     spec = spectrum_line_inclusion(params) if args.line else spectrum_inclusion(params)
     if args.format == "json":
         text = json.dumps(spec.to_json_obj(), indent=2) + "\n"
     elif args.format == "csv":
         text = spec.to_csv_text()
     else:
-        width = max(len(format_eigenvalue(ev)) for ev, _ in spec.entries)
-        lines = [f"{format_eigenvalue(ev):>{width}}  {mult}" for ev, mult in spec.entries]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        values = [format_eigenvalue(ev) for ev, _ in spec.entries]
+        width = max(map(len, values))
+        text = "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, spec.entries))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EX_OK
 
 
 def _cmd_verify(args) -> int:
-    params = _canonical_params(args)
-    vertices = params.n1 * params.r1 if args.line else params.n1 + params.n2
-    _check_cap(vertices, args.max_vertices)
+    params = args.params
     graph = build_inclusion_graph(params)
     if args.line:
         graph = build_line_graph(graph)
         exact = spectrum_line_inclusion(params)
     else:
         exact = spectrum_inclusion(params)
-    numeric = eigensolver_oracle(graph.adjacency_matrix(), max_dim=args.max_vertices)
+    numeric = eigensolver_oracle(graph.adjacency_matrix())
     if args.inject_perturbation:
         numeric[0] += args.inject_perturbation
     report = compare_spectra(exact, numeric, args.tol)
@@ -200,14 +216,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    params = _canonical_params(args)
-    if args.brute_force:
-        _check_cap(params.n1 + params.n2, args.max_vertices)
-    group = group_shape(params)
+    group = group_shape(args.params)
     verified = None
     if args.brute_force:
-        graph = build_inclusion_graph(params)
-        oracle_order = brute_force_aut_order(graph, max_vertices=args.max_vertices)
+        oracle_order = brute_force_aut_order(build_inclusion_graph(args.params))
         verified = oracle_order == group.order
     if args.format == "json":
         print(json.dumps(group.to_json_dict(verified_brute_force=verified)))
@@ -223,17 +235,15 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    params = _canonical_params(args)
-    graph = build_inclusion_graph(params)
-    group = aut_group(params)
+    graph = build_inclusion_graph(args.params)
+    group = aut_group(args.params)
     count = orbit_count(graph, group.generators, on=args.on)
     print(f"orbits on {args.on}: {count}")
     return EX_OK
 
 
 def _cmd_export(args) -> int:
-    params = _canonical_params(args)
-    graph = build_inclusion_graph(params)
+    graph = build_inclusion_graph(args.params)
     data = export_graph(graph, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -246,10 +256,8 @@ def _cmd_export(args) -> int:
 
 def _cmd_scheme(args) -> int:
     n, k = args.n, args.k
-    if not (0 <= k and 2 * k <= n):
-        raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
     if args.check:
-        ok = johnson_scheme_holds(n, k, max_dim=args.max_dim)
+        ok = johnson_scheme_holds(n, k)
         print(f"scheme ({n},{k}) identities: {'PASS' if ok else 'FAIL'}")
         return EX_OK if ok else EX_VERIFY_FAIL
     from .combinatorics import intersection_number
@@ -273,13 +281,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        # building the parser reads the cap defaults from the environment
-        args = _build_parser().parse_args(argv)
+        args = _preflight(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EX_USAGE
     except CapExceededError as exc:
         sys.stderr.write(f"setincl: cap exceeded: {exc}\n")
+        return EX_CAP
+    except MemoryError as exc:  # last resort, for a command without a cap
+        detail = " ".join(str(exc).split()) or "allocation failed"
+        sys.stderr.write(f"setincl: out of memory: {detail}\n")
         return EX_CAP
     except ValueError as exc:
         sys.stderr.write(f"setincl: error: {exc}\n")

@@ -423,7 +423,7 @@ def johnson_matrices(n: int, k: int) -> list[np.ndarray]:
     return [build_johnson_graph(n, k, i).adjacency_matrix() for i in range(k + 1)]
 
 
-def johnson_scheme_holds(n: int, k: int, max_dim: int = 2000) -> bool:
+def johnson_scheme_holds(n: int, k: int) -> bool:
     """Entrywise check of the scheme identities on explicit matrices:
     every A_s is a symmetric 0/1 matrix, sum_s A_s = all-ones, A_k = identity,
     and for i != j, A_i A_j = A_j A_i = sum_s p^s_{ij} A_s = sum_s p^s_{ji} A_s.
@@ -433,13 +433,10 @@ def johnson_scheme_holds(n: int, k: int, max_dim: int = 2000) -> bool:
     0..C(n,k), and C(n,k) < 2**53.  Symmetry gives A_j A_i = (A_i A_j)^T, so
     one product per pair i < j covers both orders.  Once the A_s are known to
     partition all-ones, sum_s p_s A_s is the gather p[label], where label
-    holds the relation index of each entry.
+    holds the relation index of each entry.  It takes no cap (``scheme
+    --check`` refuses an oversized C(n,k) before building anything).
     """
-    from .errors import CapExceededError
-
     dim = comb(n, k)
-    if dim > max_dim:
-        raise CapExceededError(f"matrix dimension {dim} exceeds cap {max_dim}")
     mats = [
         build_johnson_graph(n, k, s).adjacency_matrix().astype(np.float64)
         for s in range(k + 1)

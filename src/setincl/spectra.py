@@ -21,7 +21,6 @@ import numpy as np
 # beta, the paper's sum, is no longer called here, but the name stays bound in
 # this module, where perfbench/spans.py looks it up to trace it
 from .combinatorics import beta, beta_middle, binom, multiplicities, radicands  # noqa: F401
-from .errors import CapExceededError
 from .graphs import GraphParams
 
 __all__ = [
@@ -117,41 +116,39 @@ def _key_to_eigenvalue(key: tuple[int, int, int]) -> Eigenvalue:
     if e == 0:
         if a % 2 == 0:
             m = a // 2
-            return ExactEigenvalue(0 if m == 0 else (1 if m > 0 else -1), m * m)
+            return ExactEigenvalue(_sign(m), m * m)
         return SurdEigenvalue(a, 0, 1)
     if a == 0 and r % 4 == 0:
         return ExactEigenvalue(e, r // 4)
     return SurdEigenvalue(a, r, e)
 
 
-def _key_bounds(key: tuple[int, int, int], bits: int) -> tuple[int, int]:
-    """Enclosing integer interval for the value scaled by 2**(bits+1)."""
-    a, e, r = key
-    base = a << bits
-    if e == 0:
-        return base, base
-    s = isqrt(r << (2 * bits))
-    if e > 0:
-        return base + s, base + s + 1
-    return base - s - 1, base - s
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_surd(p: int, q: int, r: int) -> int:
+    """Exact sign of p + q*sqrt(r) for integers p, q and r >= 0: when the two
+    terms have opposite signs, the larger of p*p and q*q*r wins."""
+    sp, sq = _sign(p), _sign(q) if r else 0
+    if sp * sq >= 0:
+        return sp or sq
+    return sp * _sign(p * p - q * q * r)
 
 
 def _cmp_keys(k1: tuple[int, int, int], k2: tuple[int, int, int]) -> int:
-    """Exact three-way comparison of two normalized eigenvalue keys."""
-    if k1 == k2:
-        return 0
-    if k1[1] == 0 and k2[1] == 0:
-        return -1 if k1[0] < k2[0] else 1
-    bits = 32
-    while bits <= (1 << 20):
-        lo1, hi1 = _key_bounds(k1, bits)
-        lo2, hi2 = _key_bounds(k2, bits)
-        if hi1 < lo2:
-            return -1
-        if hi2 < lo1:
-            return 1
-        bits *= 2
-    raise RuntimeError("failed to separate two distinct eigenvalues")
+    """Exact three-way comparison of two normalized eigenvalue keys: the sign
+    of x - e2*sqrt(r2) with x = a + e1*sqrt(r1), a = a1 - a2.  When x and
+    e2*sqrt(r2) have one sign s and r1 != r2, one squaring gives
+    s * sign(x*x - r2) = s * sign((a*a + r1 - r2) + 2*a*e1*sqrt(r1))."""
+    (a1, e1, r1), (a2, e2, r2) = k1, k2
+    a = a1 - a2
+    if r1 == r2 or not e2:
+        return _sign_surd(a, e1 - e2, r1)
+    sx = _sign_surd(a, e1, r1)  # a rational key has e1 = r1 = 0
+    if sx != e2:
+        return sx or -e2
+    return sx * _sign_surd(a * a + r1 - r2, 2 * a * e1, r1)
 
 
 def _key_float(key: tuple[int, int, int]) -> float:
@@ -163,6 +160,11 @@ def _key_float(key: tuple[int, int, int]) -> float:
     return float(Fraction(a, 2) + e * Fraction(s, 1 << (_FLOAT_BITS + 1)))
 
 
+# the primes below 1000: a composite's square cannot divide what is left
+# once the squares of its prime factors are divided out
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
 def _extract_square(r: int) -> tuple[int, int]:
     """Best-effort split r = f*f*d used only for display (exact for perfect
     squares and small factors)."""
@@ -170,12 +172,12 @@ def _extract_square(r: int) -> tuple[int, int]:
     if s * s == r:
         return s, 1
     f, d = 1, r
-    p = 2
-    while p * p <= d and p <= 1000:
+    for p in _SMALL_PRIMES:
+        if p * p > d:
+            break
         while d % (p * p) == 0:
             d //= p * p
             f *= p
-        p += 1
     s = isqrt(d)
     if s * s == d:
         return f * s, 1
@@ -399,18 +401,16 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
     return Spectrum(pairs)
 
 
-def eigensolver_oracle(matrix, max_dim: int = 2000) -> list[float]:
+def eigensolver_oracle(matrix) -> list[float]:
     """All eigenvalues of a dense symmetric matrix, sorted descending.
 
     LAPACK's symmetric solver via ``np.linalg.eigvalsh``, which reads only
-    one triangle; symmetry is therefore checked here before the solve.
+    one triangle; symmetry is therefore checked here before the solve.  It
+    takes no cap (``verify`` refuses an oversized graph before building it).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
-    n = a.shape[0]
-    if n > max_dim:
-        raise CapExceededError(f"dimension {n} exceeds cap {max_dim}")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     return np.linalg.eigvalsh(a)[::-1].tolist()

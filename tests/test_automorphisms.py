@@ -25,7 +25,6 @@ from setincl import (
     pointwise_stabilizer_trivial,
     tau_action,
 )
-from setincl.errors import CapExceededError
 
 
 def random_permutation(n, rng):
@@ -179,7 +178,7 @@ def test_brute_force_petersen():
 def test_brute_force_long_path_needs_no_recursion():
     nv = sys.getrecursionlimit() + 200
     path = Graph(nv, [(v, v + 1) for v in range(nv - 1)])
-    assert brute_force_aut_order(path, force=True) == 2
+    assert brute_force_aut_order(path) == 2
 
 
 def cfi_k4(twisted):
@@ -213,7 +212,7 @@ def test_brute_force_backtracks_across_lookalike_components():
     rng = random.Random(3)
     parts = [cfi_k4(False), cfi_k4(False), cfi_k4(True)]
     for nv, edges in parts[1:]:
-        assert brute_force_aut_order(Graph(nv, edges), force=True) == 192
+        assert brute_force_aut_order(Graph(nv, edges)) == 192
     edges, offset = [], 0
     for nv, part in parts:
         edges += [(u + offset, v + offset) for u, v in part]
@@ -222,15 +221,7 @@ def test_brute_force_backtracks_across_lookalike_components():
     for _ in range(3):
         rng.shuffle(label)
         g = Graph(offset, [(label[u], label[v]) for u, v in edges])
-        assert brute_force_aut_order(g, force=True) == 2 * 192**3
-
-
-def test_brute_force_cap():
-    g = build_inclusion_graph(GraphParams(7, 2, 3))  # 56 vertices
-    with pytest.raises(CapExceededError):
-        brute_force_aut_order(g)
-    small = build_inclusion_graph(GraphParams(4, 1, 2))
-    assert brute_force_aut_order(small, max_vertices=5, force=True) == 24
+        assert brute_force_aut_order(g) == 2 * 192**3
 
 
 def test_bipartition_behavior_of_full_group():
@@ -257,13 +248,6 @@ def test_bipartition_behavior_of_full_group():
 def test_pointwise_stabilizer_trivial(n, k, l):
     g = build_inclusion_graph(GraphParams(n, k, l))
     assert pointwise_stabilizer_trivial(g)
-
-
-def test_pointwise_stabilizer_cap():
-    g = build_inclusion_graph(GraphParams(7, 2, 3))
-    with pytest.raises(CapExceededError):
-        pointwise_stabilizer_trivial(g)
-    assert pointwise_stabilizer_trivial(g, force=True)
 
 
 def test_fingerprint_values():

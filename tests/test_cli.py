@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface, including exit codes."""
 
+import argparse
 import json
 import time
 from math import factorial
 
 import pytest
 
+import setincl.cli as cli
 from setincl.cli import main
 
 
@@ -260,3 +262,83 @@ def test_unknown_subcommand(capsys):
 
 def test_bad_integer_argument(capsys):
     assert run(["spectrum", "four", "1", "2"], capsys)[0] == 64
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("SETINCL_BRUTE_CAP", ["aut", "4", "1", "2", "--brute-force"]),
+        ("SETINCL_MAX_VERTICES", ["verify", "5", "2", "3"]),
+        ("SETINCL_MAX_VERTICES", ["scheme", "6", "2", "--check"]),
+    ],
+)
+def test_env_cap_read_on_every_call(name, args, monkeypatch, capsys):
+    # the parser is built once per process, so a cap default frozen into it
+    # would miss a change to the environment after the first call
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw),
+    )
+    assert run(args, capsys)[0] == 0
+    monkeypatch.setenv(name, "5")
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == "" and "cap" in err
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "8", "3", "4", "--max-vertices", "100"],
+        ["verify", "7", "2", "3", "--line"],
+        ["aut", "7", "2", "3", "--brute-force"],
+        ["scheme", "8", "4", "--check", "--max-dim", "69"],
+    ],
+)
+def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
+    def never(*_):
+        raise AssertionError("built past the cap")
+
+    for name in ("build_inclusion_graph", "johnson_scheme_holds", "eigensolver_oracle"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scheme", "16", "9", "--check", "--max-dim", "100"],
+        ["verify", "4", "2", "2", "--max-vertices", "1"],
+        ["aut", "4", "2", "2", "--brute-force", "--max-vertices", "1"],
+    ],
+)
+def test_parameter_error_wins_over_cap(args, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 64 and out == ""
+    assert "error" in err and "cap" not in err
+
+
+@pytest.mark.parametrize(
+    "args", [["orbits", "4", "1", "2", "--on", "edges"], ["export", "4", "1", "2"]]
+)
+@pytest.mark.parametrize(
+    "exc,detail",
+    [
+        (MemoryError("Unable to allocate 20.1 TiB for an array"),
+         "Unable to allocate 20.1 TiB for an array"),
+        (MemoryError(), "allocation failed"),
+    ],
+)
+def test_memory_error_exits_2(args, exc, detail, monkeypatch, capsys):
+    def exhausted(params):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_inclusion_graph", exhausted)
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err == f"setincl: out of memory: {detail}\n"

@@ -1,7 +1,10 @@
 """Tests for exact eigenvalue arithmetic, closed-form spectra and the
 numeric solver cross-checks."""
 
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from setincl import (
     spectrum_line_semiregular,
     spectrum_middle,
 )
-from setincl.errors import CapExceededError
+from setincl.spectra import _cmp_keys
 
 
 def as_rational_int(ev):
@@ -119,6 +122,61 @@ def test_spectrum_distinguishes_close_values():
     assert len(spec) == 2
     assert spec.entries[0][0] == b
     assert spec.entries[1][0] == a
+
+
+def test_key_comparison_matches_decimal_on_small_keys():
+    # every normalized key (a + e*sqrt(r))/2 with |a| <= 6 and a few
+    # radicands, including the commensurable pair sqrt(2), sqrt(8) = 2*sqrt(2)
+    radicands = (2, 3, 5, 8, 12, 18)
+    keys = [(a, 0, 0) for a in range(-6, 7)]
+    keys += [(a, e, r) for a in range(-6, 7) for e in (-1, 1) for r in radicands]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        value = {key: (key[0] + key[1] * Decimal(key[2]).sqrt()) / 2 for key in keys}
+    for k1 in keys:
+        for k2 in keys:
+            expect = (value[k1] > value[k2]) - (value[k1] < value[k2])
+            assert _cmp_keys(k1, k2) == expect, (k1, k2)
+
+
+def test_key_comparison_needs_no_working_precision():
+    # sqrt(N^2 + 1) - N is below 1/(2N) = 2**-(2**20 + 9), past any fixed
+    # precision; the sign test settles it with one squaring
+    n = 1 << ((1 << 20) + 8)
+    key = (-2 * n, 1, 4 * n * n + 4)  # (-2N + sqrt(4N^2 + 4))/2
+    assert _cmp_keys(key, (0, 0, 0)) == 1
+    assert _cmp_keys((0, 0, 0), key) == -1
+    assert _cmp_keys(key, (-2 * n, 1, 4 * n * n + 5)) == -1
+
+
+def format_by_every_integer(sign, r):
+    """format_eigenvalue(ExactEigenvalue(sign, r)) with the square part of r
+    found by trial division with every integer from 2 to 1000."""
+    s = isqrt(r)
+    if s * s == r:
+        return str(sign * s)
+    f, d, p = 1, r, 2
+    while p * p <= d and p <= 1000:
+        while d % (p * p) == 0:
+            d //= p * p
+            f *= p
+        p += 1
+    s = isqrt(d)
+    if s * s == d:
+        return str(sign * f * s)
+    core = f"√{d}" if f == 1 else f"{f}√{d}"
+    return core if sign > 0 else f"-{core}"
+
+
+def test_square_extraction_by_primes_matches_every_integer():
+    rng = random.Random(11)
+    radicands = [997**2 * 3, 31**2 * 37**2 * 5, 2**11 * 3**5 * 7, 1009**2 * 2,
+                 998**2 * 7, 1000**2 * 3, 991**2 * 997**2 * 11, 2**64 + 1]
+    radicands += list(range(1, 3000))
+    radicands += [rng.randrange(1, 10**6) * rng.randrange(1, 1000) ** 2 for _ in range(500)]
+    for r in radicands:
+        for sign in (1, -1):
+            assert format_eigenvalue(ExactEigenvalue(sign, r)) == format_by_every_integer(sign, r)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +365,6 @@ def test_eigensolver_input_validation():
         eigensolver_oracle([[0, 1], [2, 0]])  # not symmetric
     with pytest.raises(ValueError):
         eigensolver_oracle([[1, 2]])  # not square
-    with pytest.raises(CapExceededError):
-        eigensolver_oracle(np.zeros((5, 5)), max_dim=4)
 
 
 def test_eigensolver_against_lapack():
