@@ -248,9 +248,11 @@ def _cmd_export(args) -> int:
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
+    else:  # a text-only stream, such as an io.StringIO
+        sys.stdout.write(data.decode("ascii"))
     return EX_OK
 
 

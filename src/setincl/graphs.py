@@ -338,23 +338,59 @@ def export_graph(g: Graph, format: str) -> bytes:
 
     Supported formats: "edgelist" ("p <nv> <ne>" header then "u v" lines),
     "graph6" (standard bit-packed encoding), "dot".  Loops are never written
-    to edge lists; graph6 cannot represent them at all.
+    to edge lists; graph6 cannot represent them at all.  The text formats are
+    built in one buffer, so peak memory is about twice the output size plus
+    one fixed block of rows.
     """
-    if format == "edgelist":
-        lines = [f"p {g.num_vertices} {g.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges().tolist())
-        return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "graph6":
         if g.loop_vertices:
             raise ValueError("graph6 cannot encode loops")
         return _to_graph6(g)
-    if format == "dot":
-        lines = ["graph g {"]
-        lines.extend(f"  {v};" for v in range(g.num_vertices))
-        lines.extend(f"  {u} -- {v};" for u, v in g.edges().tolist())
-        lines.append("}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unsupported format: {format!r}")
+    if format not in ("edgelist", "dot"):
+        raise ValueError(f"unsupported format: {format!r}")
+    nv = g.num_vertices
+    # an edge line is two tokens: one naming u (ids 0..nv-1), one naming v
+    # and ending the line (ids nv..2nv-1)
+    rows = g.edges()
+    rows[:, 1] += nv
+    if format == "edgelist":
+        head, tail = b"p %d %d\n" % (nv, g.num_edges), b""
+        starts, ends = [b"%d " % v for v in range(nv)], [b"%d\n" % v for v in range(nv)]
+    else:
+        starts, ends = [b"  %d -- " % v for v in range(nv)], [b"%d;\n" % v for v in range(nv)]
+        # the vertex lines "  v;\n" are the line-ending tokens, each after two spaces
+        head, tail = b"  ".join([b"graph g {\n", *ends]), b"}\n"
+    return _text_rows(head, starts + ends, rows, tail)
+
+
+_TEXT_BLOCK = 4096  # rows per gather step; bounds the index temporaries
+
+
+def _text_rows(head: bytes, tokens: list[bytes], rows: np.ndarray, tail: bytes) -> bytes:
+    """head, then each row of token ids written as its tokens in order, then
+    tail.  Each block of rows is one segmented gather from the joined token
+    table: byte j of a token that starts at offset o of the block comes from
+    table position (token start - o) + j."""
+    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    start = np.cumsum(length) - length
+    body = int(np.bincount(rows.ravel(), minlength=len(tokens)) @ length)
+    out = np.empty(len(head) + body + len(tail), dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    pos = len(head)
+    step = np.arange(_TEXT_BLOCK * rows.shape[1] * int(length.max(initial=0)))
+    for first in range(0, len(rows), _TEXT_BLOCK):
+        ids = rows[first : first + _TEXT_BLOCK].ravel()
+        lens = length[ids]
+        offsets = np.cumsum(lens)
+        size = int(offsets[-1])
+        offsets -= lens
+        src = np.repeat(start[ids] - offsets, lens)
+        src += step[:size]
+        np.take(table, src, out=out[pos : pos + size])
+        pos += size
+    out[pos:] = np.frombuffer(tail, dtype=np.uint8)
+    return out.tobytes()
 
 
 def _graph6_encode_count(n: int) -> bytes:

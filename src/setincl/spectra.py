@@ -79,7 +79,7 @@ class SurdEigenvalue:
 
     @property
     def is_rational(self) -> bool:
-        return isqrt(self.d) ** 2 == self.d
+        return _square_root(self.d) is not None
 
     def __float__(self) -> float:
         return _key_float(_normal_key(self))
@@ -105,10 +105,29 @@ def _normal_key(ev: Eigenvalue) -> tuple[int, int, int]:
         raise TypeError(f"not an exact eigenvalue: {ev!r}")
     if e == 0 or r == 0:
         return (a, 0, 0)
-    s = isqrt(r)
-    if s * s == r:
+    s = _square_root(r)
+    if s is not None:
         return (a + e * s, 0, 0)
     return (a, e, r)
+
+
+# a square is a quadratic residue modulo every m; together these four moduli
+# pass fewer than 1 in 100 non-squares on to isqrt
+_SQUARE_FILTERS = tuple(
+    (m, frozenset(x * x % m for x in range(m))) for m in (64, 63, 65, 11)
+)
+_FILTER_PERIOD = 64 * 63 * 65 * 11
+
+
+def _square_root(r: int) -> int | None:
+    """isqrt(r) when r >= 0 is a perfect square, else None.  One reduction
+    modulo 64*63*65*11 rejects most non-squares without taking a root."""
+    t = r % _FILTER_PERIOD
+    for m, residues in _SQUARE_FILTERS:
+        if t % m not in residues:
+            return None
+    s = isqrt(r)
+    return s if s * s == r else None
 
 
 def _key_to_eigenvalue(key: tuple[int, int, int]) -> Eigenvalue:
@@ -168,8 +187,8 @@ _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(
 def _extract_square(r: int) -> tuple[int, int]:
     """Best-effort split r = f*f*d used only for display (exact for perfect
     squares and small factors)."""
-    s = isqrt(r)
-    if s * s == r:
+    s = _square_root(r)
+    if s is not None:
         return s, 1
     f, d = 1, r
     for p in _SMALL_PRIMES:
@@ -178,8 +197,8 @@ def _extract_square(r: int) -> tuple[int, int]:
         while d % (p * p) == 0:
             d //= p * p
             f *= p
-    s = isqrt(d)
-    if s * s == d:
+    s = _square_root(d)
+    if s is not None:
         return f * s, 1
     return f, d
 

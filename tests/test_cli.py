@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface, including exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import time
 from math import factorial
@@ -179,6 +181,16 @@ def test_export_graph6_stdout(capsys):
     code, out, _ = run(["export", "4", "1", "2", "--format", "graph6"], capsys)
     assert code == 0
     assert out.strip()
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "graph6", "dot"])
+def test_export_to_text_only_stdout(fmt, tmp_path):
+    target = tmp_path / "g.out"
+    assert main(["export", "5", "2", "3", "--format", fmt, "--out", str(target)]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["export", "5", "2", "3", "--format", fmt]) == 0
+    assert out.getvalue() == target.read_text()
 
 
 def test_scheme_check(capsys):

@@ -26,6 +26,8 @@ from setincl import (
 )
 from setincl.cli import main
 
+from reference_export import reference_export
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -285,12 +287,7 @@ def test_line_graph_rejects_loops():
 
 def test_edgelist_export():
     g = build_inclusion_graph(GraphParams(3, 1, 2))
-    text = export_graph(g, "edgelist").decode()
-    lines = text.strip().split("\n")
-    assert lines[0] == "p 6 6"
-    assert len(lines) == 7  # header + one line per edge
-    u, v = lines[1].split()
-    assert int(u) < int(v)
+    assert export_graph(g, "edgelist") == b"p 6 6\n0 3\n0 4\n1 3\n1 5\n2 4\n2 5\n"
 
 
 def test_edgelist_header_only_for_edgeless_graph():
@@ -300,10 +297,26 @@ def test_edgelist_header_only_for_edgeless_graph():
 
 def test_dot_export():
     g = build_inclusion_graph(GraphParams(3, 1, 2))
-    text = export_graph(g, "dot").decode()
-    assert text.startswith("graph g {")
-    assert "0 -- 3;" in text
-    assert text.rstrip().endswith("}")
+    assert export_graph(g, "dot") == (
+        b"graph g {\n  0;\n  1;\n  2;\n  3;\n  4;\n  5;\n"
+        b"  0 -- 3;\n  0 -- 4;\n  1 -- 3;\n  1 -- 5;\n  2 -- 4;\n  2 -- 5;\n}\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_text_export_matches_reference_on_canonical_graphs(fmt):
+    for p in canonical_params_up_to(8):
+        g = build_inclusion_graph(p)
+        assert export_graph(g, fmt) == reference_export(g, fmt), p
+
+
+# the benchmark's structure graphs: 16632-75075 edges, so many blocks of
+# rows and a partial last one
+@pytest.mark.parametrize("triple", [(12, 3, 6), (12, 5, 7), (14, 3, 5), (13, 5, 8), (15, 4, 6)])
+@pytest.mark.parametrize("fmt", ["edgelist", "dot"])
+def test_text_export_matches_reference_on_large_graphs(triple, fmt):
+    g = build_inclusion_graph(GraphParams(*triple))
+    assert export_graph(g, fmt) == reference_export(g, fmt)
 
 
 def test_graph6_known_encodings():

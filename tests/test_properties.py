@@ -1,8 +1,13 @@
-"""Property-based tests (hypothesis) for graph6, the vectorised colex rank,
-the exact merge and order of `Spectrum` and the automorphism-order oracle."""
+"""Property-based tests (hypothesis) for graph6, the text exports, the
+vectorised colex rank, the exact merge and order of `Spectrum`, the
+automorphism-order oracle and the command line's exit codes."""
 
+import contextlib
+import io
+import os
 from itertools import combinations
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,17 +16,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from reference_export import reference_export  # noqa: E402
 from setincl import (  # noqa: E402
     ExactEigenvalue,
     Graph,
     Spectrum,
     SurdEigenvalue,
     brute_force_aut_order,
+    build_johnson_graph,
     export_graph,
     parse_graph6,
     subset_rank,
     subset_unrank,
 )
+from setincl.cli import main  # noqa: E402
 from setincl.graphs import colex_ranks  # noqa: E402
 
 
@@ -38,6 +46,40 @@ def test_graph6_roundtrip_random_edge_sets(data):
     assert np.array_equal(again.indptr, g.indptr)
     assert np.array_equal(again.indices, g.indices)
     assert set(map(tuple, again.edges().tolist())) == chosen
+
+
+# vertex counts at which the widest vertex number gains a digit
+_DIGIT_BOUNDARIES = st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100])
+
+
+@st.composite
+def _text_export_graphs(draw):
+    """A graph on at most 1100 vertices with up to 9000 random edges, past two
+    blocks of rows; or an edgeless relation graph with a loop at every vertex."""
+    if draw(st.booleans(), label="loops"):
+        n = draw(st.integers(2, 12), label="n")
+        k = draw(st.integers(1, n // 2), label="k")
+        return build_johnson_graph(n, k, k)
+    n = draw(st.one_of(_DIGIT_BOUNDARIES, st.integers(0, 1100)), label="n")
+    draws = draw(st.integers(0, 9000), label="edge draws")
+    if n < 2:
+        return Graph(n, [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    u, v = rng.integers(0, n, (2, draws))
+    keep = u != v
+    codes = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    return Graph(n, np.column_stack((codes // n, codes % n)))
+
+
+@settings(deadline=None)
+@given(_text_export_graphs(), st.sampled_from(["edgelist", "dot"]))
+@example(Graph(0, []), "edgelist")
+@example(Graph(0, []), "dot")
+@example(Graph(1100, []), "dot")
+@example(Graph(1001, [(8, 9), (9, 10), (98, 99), (99, 100), (998, 999), (999, 1000)]), "edgelist")
+@example(Graph(1001, [(8, 9), (9, 10), (98, 99), (99, 100), (998, 999), (999, 1000)]), "dot")
+def test_text_export_matches_per_edge_reference(g, fmt):
+    assert export_graph(g, fmt) == reference_export(g, fmt)
 
 
 _GRAPH6_PREFIXES = st.sampled_from([b"", b"~", b"~~", b">>graph6<<", b"A", b"C"])
@@ -161,3 +203,78 @@ def test_aut_order_matches_networkx_isomorphism_count(graph):
         matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
         expect = sum(1 for _ in matcher.isomorphisms_iter())
     assert brute_force_aut_order(Graph(n, edges)) == expect
+
+
+# per subcommand: each flag with the values to draw for it (None: a switch)
+_FLAGS = {
+    "spectrum": {"--line": None, "--format": ["table", "json", "csv", "xml"]},
+    "verify": {
+        "--line": None,
+        "--tol": ["1e-8", "0", "-1", "nan", "inf", "x"],
+        "--max-vertices": ["1", "5", "100", "0", "-3", "x"],
+        "--inject-perturbation": ["0.5", "0", "x"],
+    },
+    "aut": {
+        "--brute-force": None,
+        "--max-vertices": ["1", "5", "30", "0", "x"],
+        "--format": ["table", "json", "xml"],
+    },
+    "orbits": {"--on": ["vertices", "edges", "arcs", "faces"]},
+    "export": {"--format": ["edgelist", "graph6", "dot", "gml"]},
+    "scheme": {"--check": None, "--max-dim": ["1", "10", "200", "0", "-1", "x"]},
+}
+_BAD_TOKENS = ["--bogus", "--help", "--format", "-1", "nine", ""]
+# malformed or small: never above the defaults, so no run can be slow
+_ENV_VALUES = ["", "1", "5", "30", "0", "-2", "abc", "2.5"]
+_RARELY = st.integers(0, 7).map(lambda x: x == 0)
+
+
+@st.composite
+def _parameters(draw, command):
+    """Mostly valid numbers for the command, canonical or not; sometimes any."""
+    # brute force on n = 8 crowns visits 80640 leaves, so aut stays below 8
+    top = 7 if command == "aut" else 9
+    if draw(_RARELY, label="any numbers"):
+        count = 2 if command == "scheme" else 3
+        return draw(st.lists(st.integers(-1, top), min_size=count, max_size=count))
+    if command == "scheme":
+        n = draw(st.integers(0, 10))
+        return [n, draw(st.integers(0, n // 2))]
+    n = draw(st.integers(3, top))
+    k = draw(st.integers(1, n - 2))
+    return [n, k, draw(st.integers(k + 1, n - 1))]
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)), label="command")
+    argv = [command, *map(str, draw(_parameters(command), label="numbers"))]
+    if draw(_RARELY, label="drop a number"):
+        argv.pop()
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans(), label=flag):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    if draw(_RARELY, label="bad token"):
+        argv.append(draw(st.sampled_from(_BAD_TOKENS)))
+    env = {
+        name: draw(st.one_of(st.none(), st.sampled_from(_ENV_VALUES)), label=name)
+        for name in ("SETINCL_MAX_VERTICES", "SETINCL_BRUTE_CAP")
+    }
+    return argv, env
+
+
+@settings(deadline=None)
+@given(_cli_calls())
+def test_cli_exits_with_a_documented_code(call):
+    argv, env = call
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        for name, value in env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 64), (argv, env, code)
+    assert "Traceback" not in err.getvalue()

@@ -28,7 +28,8 @@ from setincl import (
     spectrum_line_semiregular,
     spectrum_middle,
 )
-from setincl.spectra import _cmp_keys
+import setincl.spectra as spectra_module
+from setincl.spectra import _cmp_keys, _square_root
 
 
 def as_rational_int(ev):
@@ -147,6 +148,32 @@ def test_key_comparison_needs_no_working_precision():
     assert _cmp_keys(key, (0, 0, 0)) == 1
     assert _cmp_keys((0, 0, 0), key) == -1
     assert _cmp_keys(key, (-2 * n, 1, 4 * n * n + 5)) == -1
+
+
+def test_huge_surd_pair_merges_without_a_square_root(monkeypatch):
+    # 4N^2 + 4 is 8 modulo 63, which is no square modulo 9, so the residue
+    # filter settles that the radicand is not a square
+    n = 1 << ((1 << 20) + 8)
+    d = 4 * n * n + 4
+
+    def no_root(_):
+        raise AssertionError("isqrt of a radicand of 2**21 bits")
+
+    monkeypatch.setattr(spectra_module, "isqrt", no_root)
+    spec = Spectrum([(SurdEigenvalue(-2 * n, d, 1), 1), (SurdEigenvalue(-2 * n, d, -1), 2)])
+    assert [(ev.branch, m) for ev, m in spec.entries] == [(1, 1), (-1, 2)]
+    assert not spec.entries[0][0].is_rational
+
+
+def test_square_root_agrees_with_isqrt():
+    def by_isqrt(r):
+        s = isqrt(r)
+        return s if s * s == r else None
+
+    rng = random.Random(20)
+    wide = [rng.getrandbits(2000) for _ in range(500)]
+    cases = [*range(1 << 20), *wide, *(x * x for x in wide), *(x * x - 1 for x in wide)]
+    assert [r for r in cases if _square_root(r) != by_isqrt(r)] == []
 
 
 def format_by_every_integer(sign, r):
