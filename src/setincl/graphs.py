@@ -30,6 +30,7 @@ __all__ = [
     "enumerate_subsets",
     "subset_rank",
     "subset_unrank",
+    "inclusion_ranks",
     "build_inclusion_graph",
     "build_johnson_graph",
     "build_line_graph",
@@ -246,15 +247,23 @@ class SubsetGraph(Graph):
         raise ValueError(f"mask {mask:#x} is not a k- or l-subset")
 
 
+def inclusion_ranks(params: GraphParams) -> np.ndarray:
+    """Biadjacency of the inclusion graph, for canonical parameters, as an
+    (n2, r2) int64 array: row i holds the colex ranks of the k-subsets
+    inside the l-subset of colex rank i (in the order of
+    itertools.combinations over its sorted elements)."""
+    params.require_canonical()
+    large = subset_positions(params.n, params.l)
+    # the k-subsets of an l-subset, as column choices from its element row
+    inside = np.array(list(combinations(range(params.l), params.k)), dtype=np.int64)
+    return colex_ranks(large[:, cols] for cols in inside.T)
+
+
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters."""
-    params.require_canonical()
+    ranks = inclusion_ranks(params)
     n, k, l = params.n, params.k, params.l
     n1, n2, r2 = params.n1, params.n2, params.r2
-    large = subset_positions(n, l)
-    # the k-subsets of an l-subset, as column choices from its element row
-    inside = np.array(list(combinations(range(l), k)), dtype=np.int64)
-    ranks = colex_ranks(large[:, cols] for cols in inside.T)
     edges = np.column_stack((ranks.ravel(), np.repeat(np.arange(n1, n1 + n2), r2)))
     g = SubsetGraph(params, enumerate_subsets(n, k) + enumerate_subsets(n, l), edges)
     degrees = np.diff(g.indptr)

@@ -35,6 +35,8 @@ __all__ = [
     "spectrum_line_inclusion",
     "spectrum_line_middle",
     "eigensolver_oracle",
+    "reduced_matrix",
+    "expand_reduced",
     "compare_spectra",
 ]
 
@@ -259,6 +261,15 @@ class Spectrum:
     def distinct_values(self) -> list[Eigenvalue]:
         return [ev for ev, _ in self.entries]
 
+    def eigenvalue_at(self, index: int) -> Eigenvalue:
+        """Entry index (from 0) of the expanded descending multiset."""
+        if index >= 0:
+            for ev, mult in self.entries:
+                if index < mult:
+                    return ev
+                index -= mult
+        raise IndexError("eigenvalue index out of range")
+
     def to_floats(self) -> list[float]:
         """Expand to a descending float list, one entry per multiplicity."""
         out: list[float] = []
@@ -435,14 +446,79 @@ def eigensolver_oracle(matrix) -> list[float]:
     return np.linalg.eigvalsh(a)[::-1].tolist()
 
 
+_GRAM_BLOCK = 1 << 22  # entries of one dense block of B; BLAS is at full speed from here
+
+
+def reduced_matrix(ranks, n1: int, line: bool = False) -> np.ndarray:
+    """The float64 matrix whose eigenvalues give the spectrum of a bipartite
+    graph (line=False) or of its line graph (line=True), much smaller than
+    either graph.  The graph has n1 + n2 vertices, and its biadjacency B
+    (n1 x n2) has column i set in the rows ranks[i], an (n2, r2) integer
+    array such as graphs.inclusion_ranks returns.
+
+    Without line it is the Gram matrix M = B B^T (n1 x n1), summed over
+    dense blocks of _GRAM_BLOCK entries of B.  Every entry and every partial
+    sum of one counts common neighbours, an integer no larger than a degree,
+    so the float64 sums are exact below 2**53.  With line it is the signless
+    Laplacian Q = D + A ((n1+n2) x (n1+n2)).  The identities that turn their
+    eigenvalues into the spectra (see expand_reduced) hold for every
+    bipartite graph, so the closed forms they are checked against are not
+    used here.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    n2, r2 = ranks.shape
+    if line:
+        dim = n1 + n2
+        q = np.zeros((dim, dim))
+        ends = np.repeat(np.arange(n1, dim), r2)
+        q[ranks.ravel(), ends] = 1
+        q[ends, ranks.ravel()] = 1
+        q[np.diag_indices(dim)] = q.sum(axis=1)
+        return q
+    m = np.zeros((n1, n1))
+    step = max(1, _GRAM_BLOCK // n1)
+    for first in range(0, n2, step):
+        rows = ranks[first : first + step]
+        b = np.zeros((n1, len(rows)))
+        b[rows, np.arange(len(rows))[:, None]] = 1
+        m += b @ b.T
+    return m
+
+
+def expand_reduced(mu, ranks, line: bool = False) -> list[float]:
+    """The whole spectrum, sorted descending, from the eigenvalues mu of
+    reduced_matrix(ranks, n1, line).
+
+    Without line: a bipartite graph's eigenvalues are +-sqrt(mu) for the
+    eigenvalues mu of B B^T, plus n2 - n1 zeros (Brouwer & Haemers, Spectra
+    of Graphs, 1.3-1.4).  With line: A_L = N^T N - 2I for the vertex-edge
+    incidence N, and N^T N has the eigenvalues of N N^T = D + A plus
+    |E| - (n1+n2) zeros, so the line graph has mu - 2 plus that many -2
+    (Cvetkovic, Rowlinson & Simic, ch. 1).  Needs n2 >= n1, or
+    |E| >= n1 + n2 with line.
+    """
+    mu = np.asarray(mu, dtype=float)
+    n2, r2 = np.shape(ranks)
+    if line:
+        values = np.concatenate((mu - 2, np.full(n2 * r2 - len(mu), -2.0)))
+    else:
+        root = np.sqrt(np.maximum(mu, 0))
+        values = np.concatenate((root, -root, np.zeros(n2 - len(mu))))
+    return np.sort(values)[::-1].tolist()
+
+
 @dataclass(frozen=True)
 class SpectrumComparison:
-    """Outcome of pairing an exact spectrum against numeric eigenvalues."""
+    """Outcome of pairing an exact spectrum against numeric eigenvalues.
+    worst_index is the position, in the descending expanded multiset, of the
+    pair that deviates most, and worst_numeric its numeric member."""
 
     max_deviation: float
     scale: float
     tolerance: float
     passed: bool
+    worst_index: int
+    worst_numeric: float
 
 
 def compare_spectra(exact: Spectrum, numeric, tol: float) -> SpectrumComparison:
@@ -455,6 +531,9 @@ def compare_spectra(exact: Spectrum, numeric, tol: float) -> SpectrumComparison:
         raise ValueError(
             f"multiset sizes differ: exact {len(floats)} vs numeric {len(nums)}"
         )
-    dev = max((abs(x - y) for x, y in zip(floats, nums)), default=0.0)
+    gaps = enumerate(abs(x - y) for x, y in zip(floats, nums))
+    worst, dev = max(gaps, key=lambda gap: gap[1], default=(0, 0.0))
     scale = max(1.0, abs(floats[0])) if floats else 1.0
-    return SpectrumComparison(dev, scale, tol, dev <= tol * scale)
+    return SpectrumComparison(
+        dev, scale, tol, dev <= tol * scale, worst, nums[worst] if nums else 0.0
+    )

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import time
 from math import factorial
 
@@ -92,18 +93,58 @@ def test_verify_line_pass(capsys):
 
 
 def test_verify_negative_control(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         ["verify", "4", "1", "2", "--inject-perturbation", "1e-4"], capsys
     )
     assert code == 1
-    assert "FAIL" in out
+    # the stdout line keeps its format; the worst pair goes to stderr
+    assert re.fullmatch(
+        r"verify \(4,1,2\) graph: max deviation 1\.000e-04 "
+        r"\(tol 1e-08 \* scale 2\.44949\) -> FAIL\n",
+        out,
+    )
+    assert err == (
+        "setincl: worst pair at index 0: exact √6 (2.4494897427831779), "
+        "numeric 2.4495897427831781\n"
+    )
+
+
+def test_verify_negative_control_names_a_lower_pair(capsys):
+    # a negative shift larger than the gap below moves the perturbed value down
+    # the sorted list, so the worst pair is not the top one
+    # (exact: √6, √2 x3, 0 x2, ...; numeric: √2 x3, 0 x2, √6 - 3, ...)
+    code, _, err = run(["verify", "4", "1", "2", "--inject-perturbation", "-3"], capsys)
+    assert code == 1
+    assert err == "setincl: worst pair at index 3: exact √2 (1.4142135623730951), numeric 0\n"
+
+
+@pytest.mark.parametrize(
+    "args,label",
+    [(["verify", "16", "4", "8"], "graph"), (["verify", "12", "3", "6", "--line"], "line graph")],
+)
+def test_verify_beyond_the_old_vertex_cap(args, label, capsys):
+    # 14,690 and 18,480 vertices: verify solves 1820 and 1144 dimensions
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert out.startswith(f"verify ({','.join(args[1:4])}) {label}: ") and out.endswith("-> PASS\n")
+
+
+def test_verify_line_negative_control_at_scale(capsys):
+    # tol * scale is 1e-8 * 102 here, so the shift must exceed 1.02e-6
+    code, out, err = run(
+        ["verify", "12", "3", "6", "--line", "--inject-perturbation", "1e-5"], capsys
+    )
+    assert code == 1 and out.endswith("-> FAIL\n")
+    head, numeric = err.split(", numeric ")
+    assert head == "setincl: worst pair at index 0: exact 102 (102)"
+    assert abs(float(numeric) - 102.00001) < 1e-9
 
 
 def test_verify_cap_exit(capsys):
     # the cap is checked on (n,k,l) before any graph is built, so even
     # C(30,15)-vertex inputs are refused at once
     for args in (
-        ["verify", "10", "2", "3", "--max-vertices", "50"],
+        ["verify", "8", "3", "4", "--max-vertices", "50"],
         ["verify", "14", "4", "7", "--line", "--max-vertices", "10"],
         ["verify", "30", "10", "15"],
     ):
@@ -301,24 +342,66 @@ def test_env_cap_read_on_every_call(name, args, monkeypatch, capsys):
     assert built == []
 
 
+_BUILDERS = (
+    "build_inclusion_graph",
+    "inclusion_ranks",
+    "reduced_matrix",
+    "johnson_scheme_holds",
+    "eigensolver_oracle",
+)
+
+
+def _forbid_building(monkeypatch):
+    def never(*_):
+        raise AssertionError("built past the cap")
+
+    for name in _BUILDERS:
+        monkeypatch.setattr(cli, name, never)
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "8", "3", "4", "--max-vertices", "100"],
-        ["verify", "7", "2", "3", "--line"],
+        ["verify", "8", "3", "4", "--max-vertices", "50"],
+        ["verify", "8", "3", "4", "--line"],
         ["aut", "7", "2", "3", "--brute-force"],
         ["scheme", "8", "4", "--check", "--max-dim", "69"],
     ],
 )
 def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
-    def never(*_):
-        raise AssertionError("built past the cap")
-
-    for name in ("build_inclusion_graph", "johnson_scheme_holds", "eigensolver_oracle"):
-        monkeypatch.setattr(cli, name, never)
+    _forbid_building(monkeypatch)
     monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
     code, out, err = run(args, capsys)
     assert code == 2 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "args,bound",
+    [
+        # n1 = 2000 fits the cap, and the rank array's 3,998,000 entries fit
+        # cap^2, but the Gram products take 8e12 multiply-adds
+        (["verify", "2000", "1", "2"], "Gram matrix takes 7996000000000 multiply-adds"),
+        (["verify", "50", "1", "6"], "rank array has 95344200 entries"),
+        (["verify", "30", "1", "15"], "rank array has 2326762800 entries"),
+        (["verify", "30", "1", "15", "--line"], "verify solves dimension 155117550"),
+    ],
+)
+def test_verify_construction_bounds_refuse_from_parameters(args, bound, monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(args, capsys)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert out == "" and err.startswith(f"setincl: cap exceeded: {bound}, cap is ")
+
+
+def test_verify_dense_gram_at_the_cap(capsys):
+    # n1 = n2 = 1953 and r2 = 1830: the largest rank array under cap^2
+    start = time.perf_counter()
+    code, out, err = run(["verify", "63", "2", "61"], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code == 2 and elapsed < 1.0 and "cap" in err) or (
+        code == 0 and elapsed < 5.0 and out.endswith("-> PASS\n")
+    )
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from setincl import (
     canonicalize,
     enumerate_subsets,
     export_graph,
+    inclusion_ranks,
     is_connected,
     johnson_scheme_holds,
     parse_graph6,
@@ -138,6 +139,23 @@ def test_inclusion_graph_semiregular_audit():
 def test_inclusion_graph_rejects_noncanonical():
     with pytest.raises(ValueError, match=r"\(5,2,4\)"):
         build_inclusion_graph(GraphParams(5, 2, 4))
+    with pytest.raises(ValueError, match=r"\(5,2,4\)"):
+        inclusion_ranks(GraphParams(5, 2, 4))
+
+
+def test_inclusion_ranks_are_the_k_side_neighbours():
+    # l-subsets of {0..3} in colex order: 01, 02, 12, 03, 13, 23
+    assert inclusion_ranks(GraphParams(4, 1, 2)).tolist() == [
+        [0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]
+    ]
+    for params in canonical_params_up_to(8):
+        ranks = inclusion_ranks(params)
+        assert ranks.dtype == np.int64 and ranks.shape == (params.n2, params.r2)
+        g = build_inclusion_graph(params)
+        for i, row in enumerate(ranks):
+            assert np.array_equal(np.sort(row), g.neighbors(params.n1 + i)), (params, i)
+            mask = g.masks[params.n1 + i]
+            assert all(g.masks[r] & ~mask == 0 for r in row)
 
 
 def test_rank_of_mask():

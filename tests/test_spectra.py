@@ -21,7 +21,12 @@ from setincl import (
     canonical_params_up_to,
     compare_spectra,
     eigensolver_oracle,
+    expand_reduced,
     format_eigenvalue,
+    inclusion_ranks,
+    multiplicities,
+    radicands,
+    reduced_matrix,
     spectrum_inclusion,
     spectrum_line_inclusion,
     spectrum_line_middle,
@@ -421,9 +426,103 @@ def test_compare_spectra_trivial_and_negative_control():
     g = build_inclusion_graph(params)
     numeric = eigensolver_oracle(g.adjacency_matrix())
     assert compare_spectra(spectrum_inclusion(params), numeric, 1e-8).passed
-    perturbed = list(numeric)
-    perturbed[0] += 1e-4
-    assert not compare_spectra(spectrum_inclusion(params), perturbed, 1e-8).passed
+    for index in (0, 4, 9):
+        perturbed = list(numeric)
+        perturbed[index] += 1e-4 if index < 9 else -1e-4  # each stays in its place
+        report = compare_spectra(spectrum_inclusion(params), perturbed, 1e-8)
+        assert not report.passed
+        assert (report.worst_index, report.worst_numeric) == (index, perturbed[index])
+
+
+def test_eigenvalue_at_walks_the_expanded_multiset():
+    spec = spectrum_inclusion(GraphParams(4, 1, 2))
+    expanded = [spec.eigenvalue_at(i) for i in range(spec.total_multiplicity)]
+    assert [format_eigenvalue(ev) for ev in expanded] == (
+        ["√6"] + ["√2"] * 3 + ["0"] * 2 + ["-√2"] * 3 + ["-√6"]
+    )
+    assert [float(ev) for ev in expanded] == spec.to_floats()
+    for index in (-1, spec.total_multiplicity):
+        with pytest.raises(IndexError):
+            spec.eigenvalue_at(index)
+
+
+def reduced_oracle(params, line=False):
+    """verify's numeric path: the spectrum from the reduced matrix."""
+    ranks = inclusion_ranks(params)
+    mu = eigensolver_oracle(reduced_matrix(ranks, params.n1, line))
+    return expand_reduced(mu, ranks, line)
+
+
+@pytest.mark.parametrize("block", [spectra_module._GRAM_BLOCK, 7])
+def test_reduced_matrices_equal_the_explicit_products(block, monkeypatch):
+    # a 7-entry block makes the Gram sum run over many blocks of l-subsets
+    monkeypatch.setattr(spectra_module, "_GRAM_BLOCK", block)
+    for params in canonical_params_up_to(7):
+        a = build_inclusion_graph(params).adjacency_matrix()
+        b = a[: params.n1, params.n1 :]
+        ranks = inclusion_ranks(params)
+        gram = reduced_matrix(ranks, params.n1)
+        assert gram.dtype == np.float64 and np.array_equal(gram, b @ b.T), params
+        q = reduced_matrix(ranks, params.n1, line=True)
+        assert np.array_equal(q, np.diag(a.sum(axis=1)) + a), params
+
+
+def test_reduced_oracle_equals_full_solve():
+    lines = set()
+    for params in canonical_params_up_to(8):
+        g = build_inclusion_graph(params)
+        cases = [(False, g)] + ([(True, build_line_graph(g))] if params.n <= 7 else [])
+        for line, graph in cases:
+            full = eigensolver_oracle(graph.adjacency_matrix())
+            reduced = reduced_oracle(params, line)
+            assert len(reduced) == len(full), (params, line)
+            scale = max(1.0, abs(full[0]))
+            assert np.max(np.abs(np.subtract(reduced, full))) <= 1e-9 * scale, (params, line)
+            if line:
+                lines.add((params.n, params.k, params.l))
+    assert {(7, 2, 4), (7, 2, 5)} <= lines and len(lines) == len(list(canonical_params_up_to(7)))
+
+
+def inclusion_spectrum_with_radicands(params, betas, line):
+    """spectrum_inclusion (spectrum_line_inclusion with line), rebuilt from
+    the given radicands."""
+    mults = multiplicities(params.n, params.k)
+    top = [(ExactEigenvalue(1, b), m) for b, m in zip(betas, mults)]
+    if line:
+        return spectrum_line_semiregular(params.n1, params.n2, params.r1, params.r2, top)
+    bottom = [(ExactEigenvalue(-1, b), m) for b, m in zip(betas, mults)]
+    return Spectrum(top + bottom + [(ExactEigenvalue(0, 0), params.n2 - params.n1)])
+
+
+def test_reduced_oracle_rejects_a_radicand_off_by_one():
+    for params in canonical_params_up_to(8):
+        betas = radicands(params)
+        for line in (False, True):
+            numeric = reduced_oracle(params, line)
+            spec = inclusion_spectrum_with_radicands(params, betas, line)
+            assert compare_spectra(spec, numeric, 1e-8).passed, (params, line)
+            # the line form requires beta_0 = r1*r2, its principal value
+            for s in range(1 if line else 0, params.k + 1):
+                bumped = betas[:s] + [betas[s] + 1] + betas[s + 1 :]
+                spec = inclusion_spectrum_with_radicands(params, bumped, line)
+                assert not compare_spectra(spec, numeric, 1e-8).passed, (params, line, s)
+
+
+def test_reduced_oracle_rejects_a_moved_multiplicity():
+    # one unit moved between neighbouring eigenvalues, the total unchanged:
+    # the smallest change a multiplicity error can make to the sorted list
+    for params in canonical_params_up_to(8):
+        for line in (False, True):
+            exact = (spectrum_line_inclusion if line else spectrum_inclusion)(params)
+            numeric = reduced_oracle(params, line)
+            assert compare_spectra(exact, numeric, 1e-8).passed
+            entries = list(exact.entries)
+            for i in range(len(entries) - 1):
+                for src, dst in ((i, i + 1), (i + 1, i)):
+                    moved = [(ev, m + (j == dst) - (j == src)) for j, (ev, m) in enumerate(entries)]
+                    spec = Spectrum(moved)
+                    assert spec.total_multiplicity == exact.total_multiplicity
+                    assert not compare_spectra(spec, numeric, 1e-8).passed, (params, line, i)
 
 
 def test_compare_spectra_length_mismatch():
