@@ -149,13 +149,18 @@ def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
 
 
 def _places(keys: np.ndarray, image_keys: np.ndarray):
-    """Index of each image key among the sorted keys, or None when some image
-    key is not a key.  For the keys of the edges (or arcs) under a vertex
-    permutation, a result that is not None certifies an automorphism: a
-    permutation maps edges into edges iff it maps the edge set onto itself."""
-    places = np.searchsorted(keys, image_keys)
-    np.minimum(places, len(keys) - 1, out=places)
-    return places if np.array_equal(keys[places], image_keys) else None
+    """Index of each image key among the sorted keys, or None unless the
+    image keys are the keys in some order.  For the keys of the edges (or
+    arcs) under a vertex permutation, which are distinct, a result that is
+    not None certifies an automorphism: a permutation maps edges into edges
+    iff it maps the edge set onto itself.  A stable sort, because image keys
+    mostly come in long ascending runs."""
+    order = np.argsort(image_keys, kind="stable")
+    if not np.array_equal(image_keys[order], keys):
+        return None
+    places = np.empty_like(order)
+    places[order] = np.arange(len(order))
+    return places
 
 
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
@@ -244,9 +249,12 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
 
 def _orbit_labels(nv: int, images: list[np.ndarray]) -> np.ndarray:
     """Smallest member of each vertex's orbit under the group generated by
-    the given vertex maps."""
+    the given vertex maps.  The maps go in as one link: the graphs here are
+    small, so one call's overhead outweighs hooking them one by one."""
+    if not images:
+        return np.arange(nv)
     points = np.tile(np.arange(nv), len(images))
-    return component_labels(nv, points, np.concatenate(images) if images else points)
+    return component_labels(nv, [(points, np.concatenate(images))])
 
 
 def brute_force_aut_order(g: Graph) -> int:
@@ -356,26 +364,36 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     """Number of orbits of the group generated by verified automorphisms on
     the chosen object set ("vertices", "edges" or "arcs"): the classes of
-    the pairs (x, generator(x)), counted by component_count.  Each
-    generator is verified by the same search that maps the objects: every
-    image of an edge (or arc) key must be a key."""
-    nv = g.num_vertices
-    # sorted keys of the edges (or arcs), and the keys of their images
-    if on in ("vertices", "edges"):
-        ends = g.edges()
-        keys, image_keys = _edge_keys(ends, nv), lambda img: _edge_keys(img[ends], nv)
-    elif on == "arcs":
-        tails, heads = g.arc_sources(), g.indices
-        keys, image_keys = tails * nv + heads, lambda img: img[tails] * nv + img[heads]
-    else:
+    the pairs (x, generator(x)), counted by component_count with one link
+    per generator.
+
+    Edges are numbered by their place in g.edges(), and arc e + d*m is edge
+    e read from its larger end when d = 1.  Each generator is verified by
+    the search that maps the edges: every image of an edge key must be a
+    key.  A generator sends arc e + d*m to arc places[e] + d'*m, where d'
+    flips d exactly when the generator reverses edge e."""
+    nv, m = g.num_vertices, g.num_edges
+    sizes = {"vertices": nv, "edges": m, "arcs": 2 * m}
+    if on not in sizes:
         raise ValueError(f"unknown object set: {on!r}")
-    targets = []
+    objects = np.arange(sizes[on])
+    ends = g.edges()
+    keys = _edge_keys(ends, nv)
+    links = []
     for action in generators:
         images = _image_table(g, action)
-        places = _places(keys, image_keys(images))
+        image_ends = images[ends]
+        places = _places(keys, _edge_keys(image_ends, nv))
         if places is None:
             raise ValueError("generator is not an automorphism of the graph")
-        targets.append(images if on == "vertices" else places)
-    size = nv if on == "vertices" else len(keys)
-    objects = np.tile(np.arange(size), len(targets))
-    return component_count(size, objects, np.concatenate(targets) if targets else objects)
+        if on == "vertices":
+            target = images
+        elif on == "edges":
+            target = places
+        else:
+            target = np.concatenate((places, places))
+            flip = (image_ends[:, 0] > image_ends[:, 1]) * m
+            target[:m] += flip
+            target[m:] += m - flip
+        links.append((objects, target))
+    return component_count(len(objects), links)

@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 
@@ -230,13 +231,25 @@ class Graph:
 
 class SubsetGraph(Graph):
     """Inclusion graph: k-subsets (first) and l-subsets of an n-set, adjacent
-    under containment."""
+    under containment.  Built only by build_inclusion_graph, which assembles
+    and checks the CSR arrays itself."""
 
-    def __init__(self, params: GraphParams, masks, edges):
-        super().__init__(params.n1 + params.n2, edges)
+    def __init__(self, params: GraphParams, indptr: np.ndarray, indices: np.ndarray):
+        # Graph.__init__ is skipped: its sort of all arc codes and its repeat
+        # check would redo what build_inclusion_graph has already checked
+        self.num_vertices = params.n1 + params.n2
+        self.num_edges = len(indices) // 2
+        self.indptr = indptr
+        self.indices = indices
+        self.loop_vertices = ()
         self.params = params
-        self.masks = tuple(masks)
         self.v1_count = params.n1
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Bitmask of every vertex, in vertex order; computed on first access."""
+        n, k, l = self.params.n, self.params.k, self.params.l
+        return tuple(enumerate_subsets(n, k) + enumerate_subsets(n, l))
 
     def rank_of_mask(self, mask: int) -> int:
         """Vertex index of a subset mask (k-subsets first, colex within class)."""
@@ -260,16 +273,32 @@ def inclusion_ranks(params: GraphParams) -> np.ndarray:
 
 
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
-    """Construct the inclusion graph for canonical parameters."""
+    """Construct the inclusion graph for canonical parameters.
+
+    The CSR rows come straight from inclusion_ranks: l-subset i's row is its
+    sorted rank row, and the k-side rows are one sort of the codes
+    rank * n2 + i, which lists each k-subset's l-supersets in ascending
+    order.  Checked on the way: every rank row strictly increases (so no
+    edge repeats), and every k-degree is r1 (every l-degree is r2 by shape).
+    """
     ranks = inclusion_ranks(params)
-    n, k, l = params.n, params.k, params.l
-    n1, n2, r2 = params.n1, params.n2, params.r2
-    edges = np.column_stack((ranks.ravel(), np.repeat(np.arange(n1, n1 + n2), r2)))
-    g = SubsetGraph(params, enumerate_subsets(n, k) + enumerate_subsets(n, l), edges)
-    degrees = np.diff(g.indptr)
-    assert (degrees[:n1] == params.r1).all() and (degrees[n1:] == r2).all()
-    assert g.num_edges == params.n1 * params.r1 == params.n2 * params.r2
-    return g
+    n1, n2, r1, r2 = params.n1, params.n2, params.r1, params.r2
+    m = n2 * r2
+    ranks.sort(axis=1)
+    assert (ranks[:, 1:] > ranks[:, :-1]).all()
+    indices = np.empty(2 * m, dtype=np.int64)
+    codes = indices[:m]
+    grid = codes.reshape(n2, r2)
+    np.multiply(ranks, n2, out=grid)
+    grid += np.arange(n2)[:, None]
+    codes.sort()
+    k_ptr = np.searchsorted(codes, np.arange(n1 + 1) * n2)
+    assert (np.diff(k_ptr) == r1).all()
+    codes %= n2
+    codes += n1
+    indices[m:] = ranks.ravel()
+    indptr = np.concatenate((k_ptr, m + r2 * np.arange(1, n2 + 1)))
+    return SubsetGraph(params, indptr, indices)
 
 
 def build_johnson_graph(n: int, k: int, i: int) -> Graph:
@@ -309,33 +338,42 @@ def build_line_graph(g: Graph) -> Graph:
     return Graph(m, np.concatenate(pairs))
 
 
-def component_labels(size: int, a, b) -> np.ndarray:
+def component_labels(size: int, links) -> np.ndarray:
     """Smallest member of each element's class in the equivalence on
-    0..size-1 generated by a[i] ~ b[i], by min-label propagation with
-    pointer jumping."""
+    0..size-1 generated by a[i] ~ b[i] for every (a, b) in links, by
+    min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
+
+    The links are hooked one (a, b) pair of arrays at a time, and each
+    hooking round keeps only the pairs whose labels still differ."""
     label = np.arange(size)  # every label is a root at the top of the loop
-    while True:
+    for a, b in links:
+        # the roots of each pair's ends; a root's label is its new root
         la, lb = label[a], label[b]
-        if np.array_equal(la, lb):
-            return label
-        # hook each larger root under the smallest root paired with it, then
-        # point every element straight at its root
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        up = label[label]
-        while not np.array_equal(up, label):
-            label, up = up, up[up]
+        while True:
+            keep = np.flatnonzero(la != lb)
+            if not len(keep):
+                break
+            la, lb = la[keep], lb[keep]
+            # hook each larger root under the smallest root paired with it,
+            # then point every element straight at its root
+            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+            up = label[label]
+            while not np.array_equal(up, label):
+                label, up = up, up[up]
+            la, lb = label[la], label[lb]
+    return label
 
 
-def component_count(size: int, a, b) -> int:
-    """Number of classes of the equivalence on 0..size-1 generated by
-    a[i] ~ b[i]."""
-    return int(np.count_nonzero(component_labels(size, a, b) == np.arange(size)))
+def component_count(size: int, links) -> int:
+    """Number of classes of the equivalence on 0..size-1 generated by the
+    (a, b) link arrays (see component_labels)."""
+    return int(np.count_nonzero(component_labels(size, links) == np.arange(size)))
 
 
 def is_connected(g: Graph) -> bool:
     """True when g has a single connected component (empty graph counts as
     connected only if it has at most one vertex)."""
-    return g.num_vertices <= 1 or component_count(g.num_vertices, *g.edges().T) == 1
+    return g.num_vertices <= 1 or component_count(g.num_vertices, [g.edges().T]) == 1
 
 
 # ---------------------------------------------------------------------------

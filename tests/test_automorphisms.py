@@ -3,6 +3,7 @@ and the orbit-stabiliser automorphism oracle."""
 
 import random
 import sys
+import time
 from itertools import combinations
 from math import factorial
 
@@ -311,6 +312,85 @@ def test_orbit_count_rejects_non_automorphism():
             orbit_count(g, [InducedAction((0, 1, 2), "composite")], on=on)
     with pytest.raises(ValueError):
         orbit_count(g, gens, on="faces")
+
+
+def closure_orbit_count(g, generators, on):
+    """Orbits counted in pure Python: vertices as 1-tuples, edges as sorted
+    pairs, arcs as ordered pairs, each orbit grown by applying every
+    generator until nothing new appears (a finite group needs no inverses)."""
+    edges = [tuple(e) for e in g.edges().tolist()]
+    objects = {
+        "vertices": [(v,) for v in range(g.num_vertices)],
+        "edges": edges,
+        "arcs": edges + [(v, u) for u, v in edges],
+    }[on]
+    seen, count = set(), 0
+    for x in objects:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for action in generators:
+                z = tuple(action.images[v] for v in y)
+                z = tuple(sorted(z)) if on == "edges" else z
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return count
+
+
+def actions(*maps):
+    """Vertex actions from image lists."""
+    return [InducedAction(tuple(images), "composite") for images in maps]
+
+
+def petersen():
+    """The Petersen graph drawn as an outer 5-cycle 0..4, spokes i - i+5 and
+    an inner pentagram, with its dihedral generators."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    rotate = [(v + 1) % 5 + v // 5 * 5 for v in range(10)]
+    reflect = [-v % 5 + v // 5 * 5 for v in range(10)]
+    return Graph(10, [sorted(e) for e in edges]), actions(rotate, reflect)
+
+
+def cycle(nv):
+    """The cycle graph C_nv with its rotation and reflection."""
+    edges = [(i, i + 1) for i in range(nv - 1)] + [(0, nv - 1)]
+    rotate, reflect = [(v + 1) % nv for v in range(nv)], [-v % nv for v in range(nv)]
+    return Graph(nv, edges), actions(rotate, reflect)
+
+
+def test_orbit_count_matches_pure_python_closure():
+    cases = []
+    for params in canonical_params_up_to(6):
+        gens = aut_group(params).generators
+        subsets = [c for r in range(1, len(gens) + 1) for c in combinations(gens, r)]
+        cases += [(str(params), build_inclusion_graph(params), c) for c in subsets]
+    for name, (g, gens) in (("petersen", petersen()), ("C12", cycle(12))):
+        cases += [(name, g, c) for c in ([gens[0]], [gens[1]], gens)]
+    for name, g, gens in cases:
+        assert all(is_automorphism(g, a) for a in gens), name
+        for on in ("vertices", "edges", "arcs"):
+            expect = closure_orbit_count(g, gens, on)
+            assert orbit_count(g, gens, on=on) == expect, (name, len(gens), on)
+    # D5 on the Petersen graph: outer and inner vertices; outer, spoke and
+    # inner edges; the spokes' two directions stay apart
+    g, gens = petersen()
+    assert [orbit_count(g, gens, on=on) for on in ("vertices", "edges", "arcs")] == [2, 3, 4]
+
+
+def test_orbit_count_on_a_long_cycle_is_not_a_frontier_search():
+    # one rotation of C_100000: a search that grows orbits one step at a
+    # time would need about 10^5 rounds
+    g, (rotation, _) = cycle(100_000)
+    for on, expect in (("vertices", 1), ("edges", 1), ("arcs", 2)):
+        start = time.perf_counter()
+        assert orbit_count(g, [rotation], on=on) == expect
+        assert time.perf_counter() - start < 1.0, on
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,31 @@ def test_inclusion_graph_semiregular_audit():
         assert is_connected(g)
 
 
+def test_inclusion_graph_csr_matches_generic_build(monkeypatch):
+    # the direct CSR against Graph(n1+n2, edges) from the same rank array
+    calls = []
+    enumerate_once = graphs_module.enumerate_subsets
+    monkeypatch.setattr(
+        graphs_module, "enumerate_subsets", lambda *a: calls.append(a) or enumerate_once(*a)
+    )
+    for params in canonical_params_up_to(9):
+        n, k, l, n1, n2, r2 = params.n, params.k, params.l, params.n1, params.n2, params.r2
+        edges = np.column_stack(
+            (inclusion_ranks(params).ravel(), np.repeat(np.arange(n1, n1 + n2), r2))
+        )
+        generic = Graph(n1 + n2, edges)
+        g = build_inclusion_graph(params)
+        assert np.array_equal(g.indptr, generic.indptr), params
+        assert np.array_equal(g.indices, generic.indices), params
+        assert g.num_edges == generic.num_edges
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert calls == []  # building makes no masks
+        assert g.masks == tuple(enumerate_once(n, k) + enumerate_once(n, l))
+        assert g.masks is g.masks
+        assert calls == [(n, k), (n, l)]
+        calls.clear()
+
+
 def test_inclusion_graph_rejects_noncanonical():
     with pytest.raises(ValueError, match=r"\(5,2,4\)"):
         build_inclusion_graph(GraphParams(5, 2, 4))

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
-vectorised colex rank, the exact merge and order of `Spectrum`, the
-automorphism-order oracle and the command line's exit codes."""
+vectorised colex rank, the union of link arrays, the exact merge and order
+of `Spectrum`, the automorphism-order oracle and the command line's exit
+codes."""
 
 import contextlib
 import io
@@ -30,7 +31,7 @@ from setincl import (  # noqa: E402
     subset_unrank,
 )
 from setincl.cli import main  # noqa: E402
-from setincl.graphs import colex_ranks  # noqa: E402
+from setincl.graphs import colex_ranks, component_labels  # noqa: E402
 
 
 @settings(deadline=None)
@@ -110,6 +111,47 @@ def test_colex_ranks_match_subset_rank(data):
         mask = sum(1 << p for p in row)
         assert rank == subset_rank(mask)
         assert subset_unrank(size, rank) == mask
+
+
+def _union_find_labels(size, links):
+    """Smallest member of each element's class, by a plain union-find that
+    always keeps the smaller root."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        for x, y in zip(a, b):
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(size)]
+
+
+@st.composite
+def _link_lists(draw):
+    """A size and up to five links on 0..size-1, each random pairs or the
+    pairs (x, p(x)) of a random permutation p."""
+    size = draw(st.integers(1, 60), label="size")
+    links = []
+    for _ in range(draw(st.integers(0, 5), label="links")):
+        if draw(st.booleans(), label="permutation"):
+            a, b = list(range(size)), draw(st.permutations(range(size)))
+        else:
+            pairs = draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * 2), max_size=80))
+            a, b = [x for x, _ in pairs], [y for _, y in pairs]
+        links.append((np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)))
+    return size, links
+
+
+@settings(deadline=None)
+@given(_link_lists())
+def test_component_labels_match_union_find(case):
+    size, links = case
+    labels = component_labels(size, links)
+    assert labels.tolist() == _union_find_labels(size, links)
 
 
 def _exact(sign, radicand):
