@@ -95,6 +95,19 @@ class GroupDescription(GroupShape):
     generators: tuple[InducedAction, ...]
 
 
+def _subset_rows(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
+    """Element rows of the k-subsets and of the l-subsets, in vertex order;
+    aut_group computes them once for all its generators."""
+    return subset_positions(params.n, params.k), subset_positions(params.n, params.l)
+
+
+def _sigma(g: np.ndarray, params: GraphParams, rows) -> InducedAction:
+    """induced_action of the image table g, given _subset_rows(params)."""
+    images = [colex_ranks(np.sort(g[r], axis=1).T) for r in rows]
+    images[1] += params.n1
+    return InducedAction(tuple(np.concatenate(images).tolist()), "sigma")
+
+
 def induced_action(g, params: GraphParams) -> InducedAction:
     """Vertex action of a ground-set permutation: each subset maps to its
     elementwise image.  Always an automorphism of the inclusion graph."""
@@ -102,13 +115,7 @@ def induced_action(g, params: GraphParams) -> InducedAction:
     g = tuple(g)
     if sorted(g) != list(range(params.n)):
         raise ValueError(f"not a permutation of 0..{params.n - 1}: {g!r}")
-    g = np.array(g, dtype=np.int64)
-    images = [
-        colex_ranks(np.sort(g[subset_positions(params.n, size)], axis=1).T)
-        for size in (params.k, params.l)
-    ]
-    images[1] += params.n1
-    return InducedAction(tuple(np.concatenate(images).tolist()), "sigma")
+    return _sigma(np.array(g, dtype=np.int64), params, _subset_rows(params))
 
 
 def _complement_positions(positions: np.ndarray, n: int) -> np.ndarray:
@@ -116,6 +123,13 @@ def _complement_positions(positions: np.ndarray, n: int) -> np.ndarray:
     outside = np.ones((len(positions), n), dtype=bool)
     outside[np.arange(len(positions))[:, None], positions] = False
     return np.nonzero(outside)[1].reshape(len(positions), -1)
+
+
+def _tau(params: GraphParams, rows) -> InducedAction:
+    """tau_action, given _subset_rows(params)."""
+    images = [colex_ranks(_complement_positions(r, params.n).T) for r in rows]
+    images[0] += params.n1
+    return InducedAction(tuple(np.concatenate(images).tolist()), "tau")
 
 
 def tau_action(params: GraphParams) -> InducedAction:
@@ -126,12 +140,7 @@ def tau_action(params: GraphParams) -> InducedAction:
         raise ValueError(
             "complementation is a vertex permutation only when k + l = n"
         )
-    images = [
-        colex_ranks(_complement_positions(subset_positions(params.n, size), params.n).T)
-        for size in (params.k, params.l)
-    ]
-    images[0] += params.n1
-    return InducedAction(tuple(np.concatenate(images).tolist()), "tau")
+    return _tau(params, _subset_rows(params))
 
 
 def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
@@ -188,51 +197,65 @@ def aut_group(params: GraphParams) -> GroupDescription:
     group_shape) built as vertex permutations."""
     shape = group_shape(params)
     n = params.n
+    rows = _subset_rows(params)
     gens = [
-        induced_action((1, 0) + tuple(range(2, n)), params),
-        induced_action(tuple(range(1, n)) + (0,), params),
+        _sigma(np.array((1, 0) + tuple(range(2, n))), params, rows),
+        _sigma(np.roll(np.arange(n), -1), params, rows),
     ]
     if shape.generator_count == 3:
-        gens.append(tau_action(params))
+        gens.append(_tau(params, rows))
     return GroupDescription(shape.kind, shape.order, shape.generator_count, tuple(gens))
 
 
-def _refinement_colors(g: Graph, colors=None, expect=None):
-    """Equitable refinement of a vertex colouring: split the classes by the
-    number of neighbours each vertex has in every class until no class
-    splits.
+def _color_weights(size: int) -> np.ndarray:
+    """A fixed pseudo-random uint64 weight for each colour number 0..size-1:
+    splitmix64 of the number (Steele, Lea & Flood, "Fast splittable
+    pseudorandom number generators", 2014)."""
+    x = (np.arange(size, dtype=np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    colors numbers the classes 0..c-1 (None: one class).  Each round gives
-    every vertex the signature (class, (class, count) of each class among
-    its neighbours) and renumbers the classes by the rank of their
-    signature, so the result depends on the colour numbers only, never on
-    the vertex labels: refining the colouring relabelled by an automorphism
-    gives the relabelled result.  Returns (colours, trace), where the trace
-    lists each round's sorted signatures.  With expect, the trace of another
-    refinement, it returns None at the first round that differs from it,
-    and an empty trace otherwise; equal rounds end together, since the
-    number of classes is read off the signatures.
+
+def _refinement_colors(g: Graph, weights: np.ndarray, colors=None, expect=None):
+    """Refinement of a vertex colouring by hashed neighbour colours: split
+    the classes by h(v), the sum mod 2^64 of weights[c(u)] over the
+    neighbours u of v, until no class splits (the hashing of
+    Weisfeiler-Leman refinement; Shervashidze et al., "Weisfeiler-Lehman
+    graph kernels", JMLR 2011).
+
+    colors numbers the classes 0..c-1 (None: one class), and weights holds
+    one weight per colour number, at least num_vertices of them.  Each round
+    sorts the vertices by (class, h) and renumbers the classes by the rank
+    of that pair, so the result depends on the colour numbers only, never
+    on the vertex labels: refining the colouring relabelled by an
+    automorphism gives the relabelled result.  Each round costs one gather
+    and one cumulative sum over the arcs and one sort of the vertices.  Two
+    vertices whose neighbour colours differ as multisets share a class only
+    if their sums collide; that leaves a class unsplit, never splits one
+    that equitable refinement would keep.  Returns (colours, trace), where
+    the trace lists each round's sorted (class, h) pairs.  With expect, the
+    trace of another refinement, it returns None at the first round that
+    differs from it, and an empty trace otherwise; equal rounds end
+    together, since the number of classes is read off the pairs.
     """
     nv = g.num_vertices
-    tails, heads = g.arc_sources(), g.indices
+    indptr, indices = g.indptr, g.indices
     colors = np.zeros(nv, dtype=np.int64) if colors is None else colors
     classes = int(colors.max()) + 1
+    sums = np.zeros(len(indices) + 1, dtype=np.uint64)
     trace = []
     for round_ in count():
-        pairs, mult = np.unique(tails * classes + colors[heads], return_counts=True)
-        owner = pairs // classes
-        per = np.bincount(owner, minlength=nv)
-        rows = np.full((nv, 1 + int(per.max(initial=0))), -1, dtype=np.int64)
-        rows[:, 0] = colors
-        slot = np.arange(len(owner)) - (np.cumsum(per) - per)[owner]
-        rows[owner, 1 + slot] = (pairs - owner * classes) * nv + mult
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
+        np.cumsum(weights[colors][indices], out=sums[1:])
+        h = sums[indptr[1:]] - sums[indptr[:-1]]
+        order = np.lexsort((h, colors))
+        ranked = (colors[order], h[order])
         if expect is None:
             trace.append(ranked)
-        elif not np.array_equal(ranked, expect[round_]):
+        elif not all(map(np.array_equal, ranked, expect[round_])):
             return None
-        rank = np.concatenate(([0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))))
+        step = (ranked[0][1:] != ranked[0][:-1]) | (ranked[1][1:] != ranked[1][:-1])
+        rank = np.concatenate(([0], np.cumsum(step)))
         colors = np.empty(nv, dtype=np.int64)
         colors[order] = rank
         if rank[-1] + 1 == classes:
@@ -263,19 +286,28 @@ def brute_force_aut_order(g: Graph) -> int:
     Piperno, "Practical graph isomorphism, II", 2014; Seress, "Permutation
     Group Algorithms", ch. 4).
 
-    The base b_1, b_2, ... takes each b_i from the first non-singleton class
-    of the refined colouring with b_1..b_{i-1} individualised, until that
-    colouring is discrete.  The order is the product over i of the size of
-    b_i's orbit under the pointwise stabiliser of b_1..b_{i-1}.  For each
+    The base b_1, b_2, ... takes each b_i from the target cell of the
+    refined colouring with b_1..b_{i-1} individualised, until that colouring
+    is discrete: the smallest non-singleton class, the lowest colour among
+    equal sizes (a rule on colour numbers, so it is as label-free as the
+    refinement).  The order is the product over i of the size of b_i's
+    orbit under the pointwise stabiliser of b_1..b_{i-1}.  For each
     candidate c in b_i's class, a depth-first search individualises c where
     the base individualises b_i, then follows the base's later choices with
     every vertex of the matching class, and cuts a branch as soon as its
     refinement trace differs from the base's.  It stops at the first leaf
-    whose vertex map sends every edge to an edge.  Orbits are merged under
+    whose vertex map sends every arc to an arc.  Orbits are merged under
     all automorphisms found so far, so a candidate already joined to b_i or
-    to a rejected candidate is never searched.  Only indptr/indices are
-    read, every automorphism used is checked against the edges, and the
-    search keeps its own stack, so graphs of any size run without
+    to a rejected candidate is never searched.
+
+    The order is exact whatever the refinement's hash does.  Refinement
+    commutes with relabelling, so the branch that follows an automorphism
+    reproduces the base's trace at every level and is never cut, and its
+    leaf is that automorphism.  A hash collision only leaves classes
+    unsplit, which grows the search; a leaf that is not an automorphism is
+    rejected by the check of its map against the arc keys, the one check
+    that every automorphism used passes.  Only indptr/indices are read, and
+    the search keeps its own stack, so graphs of any size run without
     recursion.  It takes no cap: the caller bounds the graph (the ``aut``
     command refuses an oversized one before building it).
     """
@@ -284,14 +316,16 @@ def brute_force_aut_order(g: Graph) -> int:
         return 1
     tails, heads = g.arc_sources(), g.indices
     arc_keys = tails * nv + heads
+    weights = _color_weights(nv)
     # chain[i]: the refined colouring (and its trace) with base[:i] individualised
-    chain = [_refinement_colors(g)]
+    chain = [_refinement_colors(g, weights)]
     base: list[int] = []
     while chain[-1][0].max() + 1 < nv:
         colors = chain[-1][0]
-        first = np.argmax(np.bincount(colors) > 1)
-        base.append(int(np.flatnonzero(colors == first)[0]))
-        chain.append(_refinement_colors(g, _individualize(colors, base[-1])))
+        sizes = np.bincount(colors)
+        target = np.argmin(np.where(sizes > 1, sizes, nv + 1))
+        base.append(int(np.flatnonzero(colors == target)[0]))
+        chain.append(_refinement_colors(g, weights, _individualize(colors, base[-1])))
     leaf = chain[-1][0]
 
     def extension(depth: int, c: int):
@@ -300,7 +334,9 @@ def brute_force_aut_order(g: Graph) -> int:
         pending = [(depth, chain[depth][0], c)]
         while pending:
             d, colors, v = pending.pop()
-            refined = _refinement_colors(g, _individualize(colors, v), chain[d + 1][1])
+            refined = _refinement_colors(
+                g, weights, _individualize(colors, v), chain[d + 1][1]
+            )
             if refined is None:
                 continue
             colors = refined[0]

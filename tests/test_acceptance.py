@@ -110,10 +110,10 @@ def test_criterion_06_scheme_identities():
 def test_criterion_07_aut_order_oracle():
     named = {(4, 1, 2): 24, (4, 1, 3): 48, (5, 1, 2): 120, (5, 1, 4): 240,
              (5, 2, 3): 240, (6, 1, 2): 720, (6, 2, 3): 720}
-    instances = list(canonical_params_up_to(8))
+    instances = list(canonical_params_up_to(9))
     covered = {(p.n, p.k, p.l) for p in instances}
     failures = [triple for triple in named if triple not in covered]
-    if len(instances) != 34:
+    if len(instances) != 50:
         failures.append(("instances", len(instances)))
     for params in instances:
         expect = factorial(params.n)

@@ -7,6 +7,7 @@ import time
 from itertools import combinations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from setincl import (
@@ -26,6 +27,7 @@ from setincl import (
     pointwise_stabilizer_trivial,
     tau_action,
 )
+from setincl import automorphisms
 
 
 def random_permutation(n, rng):
@@ -223,6 +225,30 @@ def test_brute_force_backtracks_across_lookalike_components():
         rng.shuffle(label)
         g = Graph(offset, [(label[u], label[v]) for u, v in edges])
         assert brute_force_aut_order(g) == 2 * 192**3
+
+
+# at most 8 vertices: with equal weights the search grows fast, and on the
+# 12-vertex Frucht graph it runs for more than 90 s
+EQUAL_WEIGHT_GRAPHS = [
+    pytest.param(5, [(v, (v + 1) % 5) for v in range(5)], id="C5"),
+    pytest.param(5, [(v, v + 1) for v in range(4)], id="P5"),
+    pytest.param(6, [(u, v) for u in range(3) for v in range(3, 6)], id="K3,3"),
+    pytest.param(8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit], id="Q3"),
+    pytest.param(8, [(v, (v + 1) % 6) for v in range(6)] + [(6, 7)], id="C6+K2"),
+]
+
+
+@pytest.mark.parametrize("nv,edges", EQUAL_WEIGHT_GRAPHS)
+def test_brute_force_is_exact_when_every_colour_weighs_the_same(monkeypatch, nv, edges):
+    # with one weight for every colour, refinement sees only degrees, so
+    # most leaves the search reaches are not automorphisms and only the
+    # check of each leaf map against the arcs keeps the order exact
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(automorphisms, "_color_weights", lambda size: np.ones(size, dtype=np.uint64))
+    reference = nx.Graph(edges)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
+    expect = sum(1 for _ in matcher.isomorphisms_iter())
+    assert brute_force_aut_order(Graph(nv, edges)) == expect
 
 
 def test_bipartition_behavior_of_full_group():

@@ -24,12 +24,15 @@ from setincl import (  # noqa: E402
     Spectrum,
     SurdEigenvalue,
     brute_force_aut_order,
+    build_inclusion_graph,
     build_johnson_graph,
+    canonical_params_up_to,
     export_graph,
     parse_graph6,
     subset_rank,
     subset_unrank,
 )
+from setincl.automorphisms import _color_weights, _refinement_colors  # noqa: E402
 from setincl.cli import main  # noqa: E402
 from setincl.graphs import colex_ranks, component_labels  # noqa: E402
 
@@ -219,9 +222,9 @@ def test_spectrum_merge_and_order_match_sympy(data):
 
 
 @st.composite
-def _small_graphs(draw):
-    """(n, edges) on at most 8 vertices, each pair an edge independently."""
-    n = draw(st.integers(0, 8), label="n")
+def _small_graphs(draw, min_n=0, max_n=8):
+    """(n, edges) on min_n to max_n vertices, each pair an edge independently."""
+    n = draw(st.integers(min_n, max_n), label="n")
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return n, [pair for pair, kept in zip(pairs, keep) if kept]
@@ -245,6 +248,44 @@ def test_aut_order_matches_networkx_isomorphism_count(graph):
         matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
         expect = sum(1 for _ in matcher.isomorphisms_iter())
     assert brute_force_aut_order(Graph(n, edges)) == expect
+
+
+@st.composite
+def _relabelled_colourings(draw):
+    """A graph on 1 to 12 vertices, a colouring numbered 0..c-1 and a
+    permutation of the vertices."""
+    n, edges = draw(_small_graphs(min_n=1, max_n=12))
+    drawn = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="colours")
+    colors = np.unique(drawn, return_inverse=True)[1].reshape(n)
+    return n, edges, colors, np.array(draw(st.permutations(range(n)), label="perm"), dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_relabelled_colourings())
+def test_refinement_commutes_with_relabelling(case):
+    n, edges, colors, perm = case
+    weights = _color_weights(n)
+    refined, trace = _refinement_colors(Graph(n, edges), weights, colors)
+    moved_graph = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    moved_colors = np.empty(n, dtype=np.int64)
+    moved_colors[perm] = colors
+    moved, moved_trace = _refinement_colors(moved_graph, weights, moved_colors)
+    assert np.array_equal(moved[perm], refined)
+    assert len(moved_trace) == len(trace)
+    for ours, theirs in zip(moved_trace, trace):
+        assert all(map(np.array_equal, ours, theirs))
+    assert _refinement_colors(moved_graph, weights, moved_colors, trace) is not None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(canonical_params_up_to(7))), st.randoms(use_true_random=False))
+def test_aut_order_of_a_relabelled_inclusion_graph(params, rng):
+    g = build_inclusion_graph(params)
+    label = list(range(g.num_vertices))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges().tolist()]
+    expect = factorial(params.n) * (2 if params.k + params.l == params.n else 1)
+    assert brute_force_aut_order(Graph(g.num_vertices, edges)) == expect
 
 
 # per subcommand: each flag with the values to draw for it (None: a switch)
