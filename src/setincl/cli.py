@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split()) or "allocation failed"
         sys.stderr.write(f"setincl: out of memory: {detail}\n")
         return EX_CAP
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an --out path that cannot be written
         sys.stderr.write(f"setincl: error: {exc}\n")
         return EX_USAGE
 

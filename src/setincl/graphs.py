@@ -38,7 +38,6 @@ __all__ = [
     "export_graph",
     "parse_graph6",
     "is_connected",
-    "johnson_matrices",
     "johnson_scheme_holds",
 ]
 
@@ -184,12 +183,9 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1, in
     compressed sparse row form: the neighbours of v are
     indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
-
-    Loops (used only by the identity relation graph) are tracked separately:
-    they show up in the adjacency-matrix view but never in edge lists.
     """
 
-    def __init__(self, num_vertices: int, edges, loop_vertices=()):
+    def __init__(self, num_vertices: int, edges):
         """edges: an (m, 2) array of distinct pairs of distinct vertices."""
         nv = int(num_vertices)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -203,7 +199,6 @@ class Graph:
         self.num_edges = len(edges)
         self.indices = arcs % nv
         self.indptr = np.searchsorted(arcs, np.arange(nv + 1) * nv)
-        self.loop_vertices = tuple(sorted(loop_vertices))
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -225,7 +220,6 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
         a[self.arc_sources(), self.indices] = 1
-        a[self.loop_vertices, self.loop_vertices] = 1
         return a
 
 
@@ -241,7 +235,6 @@ class SubsetGraph(Graph):
         self.num_edges = len(indices) // 2
         self.indptr = indptr
         self.indices = indices
-        self.loop_vertices = ()
         self.params = params
         self.v1_count = params.n1
 
@@ -301,29 +294,30 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     return SubsetGraph(params, indptr, indices)
 
 
-def build_johnson_graph(n: int, k: int, i: int) -> Graph:
-    """Construct the intersection-i relation graph on all k-subsets of an n-set.
-
-    For i = k the relation is the identity; the graph then has no edges and
-    one loop per vertex, matching the scheme's identity matrix.
-    """
-    if not (0 <= i <= k and 2 * k <= n):
-        raise ValueError(f"need 0 <= i <= k <= n/2, got n={n}, k={k}, i={i}")
+def _meets(n: int, k: int) -> np.ndarray:
+    """Intersection size |a & b| of every pair of k-subsets of an n-set, in
+    colex order: X X^T for the float64 0/1 incidence matrix X of k-subsets
+    against elements, exact since every partial sum is an integer in 0..k."""
     positions = subset_positions(n, k)
-    nv = len(positions)
-    incidence = np.zeros((nv, n), dtype=np.int64)
-    incidence[np.arange(nv)[:, None], positions] = 1
-    # entry (a, b) of X X^T is |a & b|
-    meets = incidence @ incidence.T
-    edges = np.column_stack(np.nonzero(np.triu(meets == i, 1)))
-    return Graph(nv, edges, loop_vertices=range(nv) if i == k else ())
+    incidence = np.zeros((len(positions), n))
+    incidence[np.arange(len(positions))[:, None], positions] = 1
+    return incidence @ incidence.T
+
+
+def build_johnson_graph(n: int, k: int, i: int) -> Graph:
+    """Construct the intersection-i relation graph on all k-subsets of an
+    n-set, for i < k.  Relation k, the identity, is no simple graph; the
+    scheme check reads it from the intersection sizes directly.
+    """
+    if not (0 <= i < k and 2 * k <= n):
+        raise ValueError(f"need 0 <= i < k <= n/2, got n={n}, k={k}, i={i}")
+    meets = _meets(n, k)
+    return Graph(len(meets), np.column_stack(np.nonzero(np.triu(meets == i, 1))))
 
 
 def build_line_graph(g: Graph) -> Graph:
     """Line graph of g: vertices are g's edges in sorted edge-list order,
     adjacent when the edges share an endpoint."""
-    if g.loop_vertices:
-        raise ValueError("line graph of a graph with loops is not supported")
     ends = g.edges()
     m = len(ends)
     # edge ids grouped by endpoint, vertex v's group at indptr[v]:indptr[v+1]
@@ -384,14 +378,11 @@ def export_graph(g: Graph, format: str) -> bytes:
     """Serialize g deterministically under the fixed vertex order.
 
     Supported formats: "edgelist" ("p <nv> <ne>" header then "u v" lines),
-    "graph6" (standard bit-packed encoding), "dot".  Loops are never written
-    to edge lists; graph6 cannot represent them at all.  The text formats are
+    "graph6" (standard bit-packed encoding), "dot".  The text formats are
     built in one buffer, so peak memory is about twice the output size plus
     one fixed block of rows.
     """
     if format == "graph6":
-        if g.loop_vertices:
-            raise ValueError("graph6 cannot encode loops")
         return _to_graph6(g)
     if format not in ("edgelist", "dot"):
         raise ValueError(f"unsupported format: {format!r}")
@@ -501,35 +492,30 @@ def parse_graph6(data: bytes) -> Graph:
 # Scheme identity checking (explicit matrices vs the product formula)
 
 
-def johnson_matrices(n: int, k: int) -> list[np.ndarray]:
-    """Adjacency matrices of all intersection relations i = 0..k on k-subsets."""
-    return [build_johnson_graph(n, k, i).adjacency_matrix() for i in range(k + 1)]
-
-
 def johnson_scheme_holds(n: int, k: int) -> bool:
-    """Entrywise check of the scheme identities on explicit matrices:
-    every A_s is a symmetric 0/1 matrix, sum_s A_s = all-ones, A_k = identity,
-    and for i != j, A_i A_j = A_j A_i = sum_s p^s_{ij} A_s = sum_s p^s_{ji} A_s.
+    """Entrywise check of the scheme identities on explicit matrices.
 
-    The products run in float64 (BLAS) and are exact: the factors are 0/1,
-    so every product entry and every partial sum of one is an integer in
-    0..C(n,k), and C(n,k) < 2**53.  Symmetry gives A_j A_i = (A_i A_j)^T, so
-    one product per pair i < j covers both orders.  Once the A_s are known to
-    partition all-ones, sum_s p_s A_s is the gather p[label], where label
-    holds the relation index of each entry.  It takes no cap (``scheme
-    --check`` refuses an oversized C(n,k) before building anything).
+    The relation index of every pair of k-subsets is its intersection size,
+    label = _meets(n, k), and A_s = (label == s).  Checked in order: label is
+    symmetric with every entry in 0..k, label == k is the identity, and for
+    i != j, A_i A_j = A_j A_i = sum_s p^s_{ij} A_s = sum_s p^s_{ji} A_s.
+    The A_s partition all-ones by construction, so each is a symmetric 0/1
+    matrix once label is, and sum_s p_s A_s is the gather p[label].
+
+    Both products run in float64 (BLAS) and are exact: the meets product's
+    entries and partial sums are integers in 0..k, and a relation product's,
+    with 0/1 factors, integers in 0..C(n,k) < 2**53.  Symmetry gives
+    A_j A_i = (A_i A_j)^T, so one product per pair i < j covers both orders.
+    It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
+    building anything).
     """
-    dim = comb(n, k)
-    mats = [
-        build_johnson_graph(n, k, s).adjacency_matrix().astype(np.float64)
-        for s in range(k + 1)
-    ]
-    for a in mats:
-        if not (np.array_equal(a, a.T) and np.isin(a, (0, 1)).all()):
-            return False
-    if not (sum(mats) == 1).all() or not np.array_equal(mats[k], np.eye(dim)):
+    label = _meets(n, k)
+    if not (np.array_equal(label, label.T) and np.isin(label, range(k + 1)).all()):
         return False
-    label = sum(s * a for s, a in enumerate(mats)).astype(np.intp)
+    if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
+        return False
+    label = label.astype(np.intp)
+    mats = [(label == s).astype(np.float64) for s in range(k + 1)]
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             prod = mats[i] @ mats[j]

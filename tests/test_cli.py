@@ -234,6 +234,15 @@ def test_export_to_text_only_stdout(fmt, tmp_path):
     assert out.getvalue() == target.read_text()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "export"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_out_is_a_usage_error(command, target, tmp_path, capsys):
+    path = tmp_path / "missing" / "x" if target == "missing-parent" else tmp_path
+    code, out, err = run([command, "4", "1", "2", "--out", str(path)], capsys)
+    assert code == 64 and out == ""
+    assert err.startswith("setincl: error: ") and err.count("\n") == 1
+
+
 def test_scheme_check(capsys):
     code, out, _ = run(["scheme", "6", "2", "--check"], capsys)
     assert code == 0

@@ -16,7 +16,6 @@ from setincl import (
     canonical_params_up_to,
     eigensolver_oracle,
     intersection_number,
-    johnson_matrices,
     multiplicities,
     radicands,
 )
@@ -55,7 +54,7 @@ def test_alpha_frozen_small_cases():
 
 @pytest.mark.parametrize(
     "n,k,i",
-    [(4, 1, 0), (5, 2, 0), (5, 2, 1), (6, 2, 1), (6, 3, 2), (7, 3, 1), (7, 3, 3)],
+    [(4, 1, 0), (5, 2, 0), (5, 2, 1), (6, 2, 1), (6, 3, 2), (7, 3, 1)],
 )
 def test_alpha_against_eigensolver(n, k, i):
     # oracle: dense eigensolver on the explicit relation graph
@@ -189,8 +188,10 @@ def test_intersection_number_matches_full_range_sum():
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 3)])
 def test_intersection_number_against_matrix_products(n, k):
-    # oracle: explicit matrix multiplication of the relation adjacencies
-    mats = johnson_matrices(n, k)
+    # oracle: explicit matrix multiplication of the relation adjacencies,
+    # with the identity for relation k
+    mats = [build_johnson_graph(n, k, i).adjacency_matrix() for i in range(k)]
+    mats.append(np.eye(comb(n, k), dtype=np.int64))
     for i in range(k + 1):
         for j in range(k + 1):
             if i == j:

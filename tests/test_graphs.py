@@ -2,7 +2,6 @@
 
 from itertools import combinations
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,17 +223,22 @@ def test_johnson_graph_cases():
     assert is_connected(petersen)
 
 
-def test_johnson_identity_relation():
-    g = build_johnson_graph(5, 2, 2)
-    assert g.num_edges == 0
-    assert np.array_equal(g.adjacency_matrix(), np.eye(10, dtype=np.int64))
-
-
 def test_johnson_bounds():
     with pytest.raises(ValueError):
         build_johnson_graph(5, 3, 0)  # k > n/2
     with pytest.raises(ValueError):
         build_johnson_graph(5, 2, 3)  # i > k
+    with pytest.raises(ValueError):
+        build_johnson_graph(5, 2, 2)  # the identity relation is no simple graph
+
+
+def test_meets_counts_common_elements():
+    # the scheme check's input against an independent path: mask popcounts
+    for n in range(1, 11):
+        for k in range(n // 2 + 1):
+            masks = enumerate_subsets(n, k)
+            expect = [[(a & b).bit_count() for b in masks] for a in masks]
+            assert np.array_equal(graphs_module._meets(n, k), expect), (n, k)
 
 
 # Negative controls for johnson_scheme_holds: each breaks one ingredient of
@@ -252,37 +256,34 @@ def _shift_intersection_number(monkeypatch, i, j, s):
     monkeypatch.setattr(graphs_module, "intersection_number", shifted)
 
 
-def _edit_relations(monkeypatch, edit):
-    """Let edit(s, a) change relation s's adjacency matrix a in place before
-    the scheme check sees it."""
-    build = graphs_module.build_johnson_graph
+def _edit_labels(monkeypatch, edit):
+    """Let edit(label) change the intersection-size matrix in place before
+    the scheme check reads it."""
+    meets = graphs_module._meets
 
-    def edited(n, k, s):
-        a = build(n, k, s).adjacency_matrix()
-        edit(s, a)
-        return SimpleNamespace(adjacency_matrix=lambda: a)
+    def edited(n, k):
+        label = meets(n, k)
+        edit(label)
+        return label
 
-    monkeypatch.setattr(graphs_module, "build_johnson_graph", edited)
-
-
-def _conjugate_relation_0(s, a):
-    # swap vertices {0,1,2} and {4,5,6}: not an automorphism of relation 0
-    if s == 0:
-        a[[0, -1]] = a[[-1, 0]]
-        a[:, [0, -1]] = a[:, [-1, 0]]
+    monkeypatch.setattr(graphs_module, "_meets", edited)
 
 
-def _drop_arc_direction(s, a):
-    # {0,1,2} -> {3,4,5} leaves relation 0, {3,4,5} -> {0,1,2} stays
-    if s == 0:
-        a[0, 19] = 0
+def _swap_labels_0_and_1(label):
+    # row and column 0: one 0-pair becomes 1 and one 1-pair becomes 0, so the
+    # labels stay symmetric and in range and only the products see it
+    b0, b1 = np.flatnonzero(label[0] == 0)[0], np.flatnonzero(label[0] == 1)[0]
+    label[[0, b0, 0, b1], [b0, 0, b1, 0]] = 1, 1, 0, 0
 
 
-def _move_arc_direction(s, a):
-    # as above, but the arc joins relation 1 so the relations still
-    # partition all-ones
-    if s in (0, 1):
-        a[0, 19] = s
+def _set_label(value, both_directions):
+    # the pair {0,1,2}, {3,4,5} (vertices 0 and 19) has label 0
+    def edit(label):
+        label[0, 19] = value
+        if both_directions:
+            label[19, 0] = value
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -290,9 +291,16 @@ def _move_arc_direction(s, a):
     [
         pytest.param(lambda mp: _shift_intersection_number(mp, 0, 1, 1), id="p_ij"),
         pytest.param(lambda mp: _shift_intersection_number(mp, 2, 1, 1), id="p_ji-only"),
-        pytest.param(lambda mp: _edit_relations(mp, _conjugate_relation_0), id="conjugated"),
-        pytest.param(lambda mp: _edit_relations(mp, _drop_arc_direction), id="arc-dropped"),
-        pytest.param(lambda mp: _edit_relations(mp, _move_arc_direction), id="arc-moved"),
+        pytest.param(lambda mp: _edit_labels(mp, _swap_labels_0_and_1), id="relabelled"),
+        # one direction of the pair moves from relation 0 to relation 1
+        pytest.param(lambda mp: _edit_labels(mp, _set_label(1, False)), id="arc-moved"),
+        pytest.param(lambda mp: _edit_labels(mp, _set_label(SCHEME_K + 1, True)), id="out-of-range"),
+        # the cast to indices truncates 0.5 to 0, so only the range check sees it
+        pytest.param(lambda mp: _edit_labels(mp, _set_label(0.5, True)), id="fractional"),
+        # every pair in relation k, as if every k-subset were the same one:
+        # p^k_ij = 0 for i != j, so every product holds and only the identity
+        # check sees it
+        pytest.param(lambda mp: _edit_labels(mp, lambda label: label.fill(SCHEME_K)), id="off-diagonal-k"),
     ],
 )
 def test_scheme_check_negative_controls(break_check, monkeypatch, capsys):
@@ -300,6 +308,14 @@ def test_scheme_check_negative_controls(break_check, monkeypatch, capsys):
     assert johnson_scheme_holds(SCHEME_N, SCHEME_K) is False
     assert main(["scheme", str(SCHEME_N), str(SCHEME_K), "--check"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_scheme_check_builds_no_graph(monkeypatch):
+    def never(*_):
+        raise AssertionError("the scheme check built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", never)
+    assert johnson_scheme_holds(SCHEME_N, SCHEME_K) is True
 
 
 def test_line_graph_cases():
@@ -321,11 +337,6 @@ def test_line_graph_regularity_sweep():
         assert lg.num_vertices == params.n1 * params.r1
         degree = params.r1 + params.r2 - 2
         assert all(lg.degree(v) == degree for v in range(lg.num_vertices))
-
-
-def test_line_graph_rejects_loops():
-    with pytest.raises(ValueError):
-        build_line_graph(build_johnson_graph(4, 2, 2))
 
 
 def test_edgelist_export():
@@ -404,8 +415,3 @@ def test_export_unknown_format():
     g = Graph(1, [])
     with pytest.raises(ValueError):
         export_graph(g, "gml")
-
-
-def test_graph6_rejects_loops():
-    with pytest.raises(ValueError):
-        export_graph(build_johnson_graph(4, 2, 2), "graph6")
