@@ -228,8 +228,14 @@ def test_johnson_bounds():
         build_johnson_graph(5, 3, 0)  # k > n/2
     with pytest.raises(ValueError):
         build_johnson_graph(5, 2, 3)  # i > k
+
+
+def test_johnson_identity_relation():
+    # relation k joins every k-subset to itself: loops only, no simple graph
     with pytest.raises(ValueError):
-        build_johnson_graph(5, 2, 2)  # the identity relation is no simple graph
+        build_johnson_graph(5, 2, 2)
+    with pytest.raises(ValueError):
+        Graph(10, [(v, v) for v in range(10)])
 
 
 def test_meets_counts_common_elements():
@@ -339,6 +345,14 @@ def test_line_graph_regularity_sweep():
         assert all(lg.degree(v) == degree for v in range(lg.num_vertices))
 
 
+def test_line_graph_rejects_loops():
+    # a loop never reaches build_line_graph: Graph refuses it at construction
+    with pytest.raises(ValueError):
+        build_line_graph(Graph(3, [(0, 1), (1, 1)]))
+    with pytest.raises(ValueError):
+        build_line_graph(build_johnson_graph(4, 2, 2))
+
+
 def test_edgelist_export():
     g = build_inclusion_graph(GraphParams(3, 1, 2))
     assert export_graph(g, "edgelist") == b"p 6 6\n0 3\n0 4\n1 3\n1 5\n2 4\n2 5\n"
@@ -415,3 +429,11 @@ def test_export_unknown_format():
     g = Graph(1, [])
     with pytest.raises(ValueError):
         export_graph(g, "gml")
+
+
+def test_graph6_rejects_loops():
+    # graph6 cannot encode a loop; Graph refuses one before export sees it
+    with pytest.raises(ValueError):
+        export_graph(Graph(3, [(0, 1), (2, 2)]), "graph6")
+    with pytest.raises(ValueError):
+        export_graph(build_johnson_graph(4, 2, 2), "graph6")
