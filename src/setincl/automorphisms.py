@@ -159,11 +159,11 @@ def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
 
 def _places(keys: np.ndarray, image_keys: np.ndarray):
     """Index of each image key among the sorted keys, or None unless the
-    image keys are the keys in some order.  For the keys of the edges (or
-    arcs) under a vertex permutation, which are distinct, a result that is
-    not None certifies an automorphism: a permutation maps edges into edges
-    iff it maps the edge set onto itself.  A stable sort, because image keys
-    mostly come in long ascending runs."""
+    image keys are the keys in some order.  For the keys of the edges under
+    a vertex permutation, which are distinct, a result that is not None
+    certifies an automorphism: a permutation maps edges into edges iff it
+    maps the edge set onto itself.  A stable sort, because image keys mostly
+    come in long ascending runs."""
     order = np.argsort(image_keys, kind="stable")
     if not np.array_equal(image_keys[order], keys):
         return None
@@ -270,16 +270,6 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _orbit_labels(nv: int, images: list[np.ndarray]) -> np.ndarray:
-    """Smallest member of each vertex's orbit under the group generated by
-    the given vertex maps.  The maps go in as one link: the graphs here are
-    small, so one call's overhead outweighs hooking them one by one."""
-    if not images:
-        return np.arange(nv)
-    points = np.tile(np.arange(nv), len(images))
-    return component_labels(nv, [(points, np.concatenate(images))])
-
-
 def brute_force_aut_order(g: Graph) -> int:
     """Exact automorphism-group order of g as a product of orbit sizes down
     a stabiliser chain, found by individualisation and refinement (McKay &
@@ -296,26 +286,27 @@ def brute_force_aut_order(g: Graph) -> int:
     the base individualises b_i, then follows the base's later choices with
     every vertex of the matching class, and cuts a branch as soon as its
     refinement trace differs from the base's.  It stops at the first leaf
-    whose vertex map sends every arc to an arc.  Orbits are merged under
-    all automorphisms found so far, so a candidate already joined to b_i or
-    to a rejected candidate is never searched.
+    whose vertex map sends every edge to an edge.  One orbit partition runs
+    through the search, joined with each automorphism as it is found, so a
+    candidate already joined to b_i or to a rejected candidate is never
+    searched.
 
     The order is exact whatever the refinement's hash does.  Refinement
     commutes with relabelling, so the branch that follows an automorphism
     reproduces the base's trace at every level and is never cut, and its
     leaf is that automorphism.  A hash collision only leaves classes
     unsplit, which grows the search; a leaf that is not an automorphism is
-    rejected by the check of its map against the arc keys, the one check
-    that every automorphism used passes.  Only indptr/indices are read, and
-    the search keeps its own stack, so graphs of any size run without
-    recursion.  It takes no cap: the caller bounds the graph (the ``aut``
+    rejected by the check of its map against the edge keys, the certificate
+    of is_automorphism and the one check that every automorphism used
+    passes.  Only indptr/indices are read, and the search keeps its own
+    stack, so graphs of any size run without recursion.  It takes no cap: the caller bounds the graph (the ``aut``
     command refuses an oversized one before building it).
     """
     nv = g.num_vertices
     if nv == 0:
         return 1
-    tails, heads = g.arc_sources(), g.indices
-    arc_keys = tails * nv + heads
+    ends = g.edges()
+    keys = _edge_keys(ends, nv)
     weights = _color_weights(nv)
     # chain[i]: the refined colouring (and its trace) with base[:i] individualised
     chain = [_refinement_colors(g, weights)]
@@ -345,7 +336,7 @@ def brute_force_aut_order(g: Graph) -> int:
                 vertex_of = np.empty(nv, dtype=np.int64)
                 vertex_of[colors] = np.arange(nv)
                 image = vertex_of[leaf]
-                if _places(arc_keys, image[tails] * nv + image[heads]) is not None:
+                if _places(keys, _edge_keys(image[ends], nv)) is not None:
                     return image
                 continue
             target = chain[d + 1][0][base[d + 1]]
@@ -353,13 +344,12 @@ def brute_force_aut_order(g: Graph) -> int:
         return None
 
     # bottom-up, so every automorphism already found fixes base[:depth]
-    found: list[np.ndarray] = []
+    orbit = np.arange(nv)
     order = 1
     for depth in reversed(range(len(base))):
         b = base[depth]
         colors = chain[depth][0]
         cell = np.flatnonzero(colors == colors[b])
-        orbit = _orbit_labels(nv, found)
         rejected: list[int] = []
         for c in cell:
             if orbit[c] == orbit[b] or orbit[c] in orbit[rejected]:
@@ -368,8 +358,8 @@ def brute_force_aut_order(g: Graph) -> int:
             if image is None:
                 rejected.append(int(c))
             else:
-                found.append(image)
-                orbit = _orbit_labels(nv, found)
+                points = np.arange(nv)
+                orbit = component_labels(nv, [(points, orbit), (points, image)])
         order *= int(np.count_nonzero(orbit[cell] == orbit[b]))
     return order
 

@@ -502,10 +502,11 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     The A_s partition all-ones by construction, so each is a symmetric 0/1
     matrix once label is, and sum_s p_s A_s is the gather p[label].
 
-    Both products run in float64 (BLAS) and are exact: the meets product's
-    entries and partial sums are integers in 0..k, and a relation product's,
-    with 0/1 factors, integers in 0..C(n,k) < 2**53.  Symmetry gives
-    A_j A_i = (A_i A_j)^T, so one product per pair i < j covers both orders.
+    Symmetry gives A_j A_i = (A_i A_j)^T, and p[label] is symmetric, so one
+    product per pair i < j, equal to both gathers, covers both orders.  The
+    identity check makes A_k = I, so the pairs (i, k) take A_i itself as
+    the product.  The others run in float64 (BLAS) and are exact: with 0/1
+    factors every entry and partial sum is an integer in 0..C(n,k) < 2**53.
     It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
     building anything).
     """
@@ -515,12 +516,10 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
         return False
     label = label.astype(np.intp)
-    mats = [(label == s).astype(np.float64) for s in range(k + 1)]
-    for i in range(k + 1):
+    mats = [(label == s).astype(np.float64) for s in range(k)]
+    for i in range(k):
         for j in range(i + 1, k + 1):
-            prod = mats[i] @ mats[j]
-            if not np.array_equal(prod, prod.T):
-                return False
+            prod = mats[i] @ mats[j] if j < k else mats[i]
             for a, b in ((i, j), (j, i)):
                 p = np.array([intersection_number(n, k, a, b, s) for s in range(k + 1)])
                 if not np.array_equal(prod, p[label]):

@@ -438,7 +438,7 @@ def eigensolver_oracle(matrix) -> list[float]:
     one triangle; symmetry is therefore checked here before the solve.  It
     takes no cap (``verify`` refuses an oversized graph before building it).
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
     if not np.array_equal(a, a.T):

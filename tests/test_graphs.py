@@ -297,6 +297,9 @@ def _set_label(value, both_directions):
     [
         pytest.param(lambda mp: _shift_intersection_number(mp, 0, 1, 1), id="p_ij"),
         pytest.param(lambda mp: _shift_intersection_number(mp, 2, 1, 1), id="p_ji-only"),
+        # the pairs (i, k), whose product is A_i itself
+        pytest.param(lambda mp: _shift_intersection_number(mp, 1, 3, 1), id="p_ik"),
+        pytest.param(lambda mp: _shift_intersection_number(mp, 3, 1, 1), id="p_ki-only"),
         pytest.param(lambda mp: _edit_labels(mp, _swap_labels_0_and_1), id="relabelled"),
         # one direction of the pair moves from relation 0 to relation 1
         pytest.param(lambda mp: _edit_labels(mp, _set_label(1, False)), id="arc-moved"),
