@@ -43,31 +43,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedAction:
     """A vertex permutation of an inclusion graph with known provenance
     ("sigma" for subset-wise base permutations, "tau" for complementation,
-    "composite" for products)."""
+    "composite" for products).  images is one read-only int64 array, the
+    image of each vertex; actions compare by identity."""
 
-    images: tuple[int, ...]
+    images: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+        images = np.array(self.images, dtype=np.int64)
+        # the second test refuses entries that the cast changed, such as 0.5
+        if not (
+            np.array_equal(np.sort(images), np.arange(len(images)))
+            and np.array_equal(images, self.images)
+        ):
             raise ValueError("image table is not a permutation of the vertex set")
+        images.flags.writeable = False
+        object.__setattr__(self, "images", images)
 
     def __call__(self, v: int) -> int:
-        return self.images[v]
+        return int(self.images[v])
 
     def compose(self, other: "InducedAction") -> "InducedAction":
         """Action applying other first, then self."""
-        return InducedAction(
-            tuple(self.images[w] for w in other.images), "composite"
-        )
+        return InducedAction(self.images[other.images], "composite")
 
     @property
     def is_identity(self) -> bool:
-        return all(w == v for v, w in enumerate(self.images))
+        return np.array_equal(self.images, np.arange(len(self.images)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ class GroupDescription(GroupShape):
 
 def _subset_rows(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
     """Element rows of the k-subsets and of the l-subsets, in vertex order;
-    aut_group computes them once for all its generators."""
+    aut_group computes them once for both sigma generators."""
     return subset_positions(params.n, params.k), subset_positions(params.n, params.l)
 
 
@@ -105,7 +111,7 @@ def _sigma(g: np.ndarray, params: GraphParams, rows) -> InducedAction:
     """induced_action of the image table g, given _subset_rows(params)."""
     images = [colex_ranks(np.sort(g[r], axis=1).T) for r in rows]
     images[1] += params.n1
-    return InducedAction(tuple(np.concatenate(images).tolist()), "sigma")
+    return InducedAction(np.concatenate(images), "sigma")
 
 
 def induced_action(g, params: GraphParams) -> InducedAction:
@@ -118,29 +124,17 @@ def induced_action(g, params: GraphParams) -> InducedAction:
     return _sigma(np.array(g, dtype=np.int64), params, _subset_rows(params))
 
 
-def _complement_positions(positions: np.ndarray, n: int) -> np.ndarray:
-    """Element rows of the complements in {0,...,n-1} of the given subsets."""
-    outside = np.ones((len(positions), n), dtype=bool)
-    outside[np.arange(len(positions))[:, None], positions] = False
-    return np.nonzero(outside)[1].reshape(len(positions), -1)
-
-
-def _tau(params: GraphParams, rows) -> InducedAction:
-    """tau_action, given _subset_rows(params)."""
-    images = [colex_ranks(_complement_positions(r, params.n).T) for r in rows]
-    images[0] += params.n1
-    return InducedAction(tuple(np.concatenate(images).tolist()), "tau")
-
-
 def tau_action(params: GraphParams) -> InducedAction:
     """Complementation v -> [n] \\ v as a vertex permutation; defined only
-    when k + l = n, where it swaps the two size classes and has order 2."""
+    when k + l = n, where it swaps the two size classes and has order 2.
+    It is the reversal v -> nv - 1 - v of the vertex order."""
     params.require_canonical()
     if params.k + params.l != params.n:
         raise ValueError(
             "complementation is a vertex permutation only when k + l = n"
         )
-    return _tau(params, _subset_rows(params))
+    # complementing reverses colex order, and n1 = n2 when k + l = n
+    return InducedAction(np.arange(params.n1 + params.n2)[::-1], "tau")
 
 
 def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
@@ -154,7 +148,7 @@ def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
         raise ValueError(
             f"action acts on {len(action.images)} vertices, graph has {g.num_vertices}"
         )
-    return np.array(action.images, dtype=np.int64)
+    return action.images
 
 
 def _places(keys: np.ndarray, image_keys: np.ndarray):
@@ -203,7 +197,7 @@ def aut_group(params: GraphParams) -> GroupDescription:
         _sigma(np.roll(np.arange(n), -1), params, rows),
     ]
     if shape.generator_count == 3:
-        gens.append(_tau(params, rows))
+        gens.append(tau_action(params))
     return GroupDescription(shape.kind, shape.order, shape.generator_count, tuple(gens))
 
 

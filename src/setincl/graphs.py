@@ -138,6 +138,8 @@ def subset_positions(n: int, size: int) -> np.ndarray:
 
 def subset_rank(mask: int) -> int:
     """Colexicographic rank of a bitmask among subsets of its own size."""
+    if mask < 0:
+        raise ValueError("mask must be nonnegative")
     r = 0
     j = 0
     while mask:
@@ -150,8 +152,8 @@ def subset_rank(mask: int) -> int:
 
 def subset_unrank(size: int, rank: int) -> int:
     """Mask of the given colex rank among size-subsets; inverse of subset_rank."""
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
+    if size < 0 or rank < 0:
+        raise ValueError("size and rank must be nonnegative")
     mask = 0
     r = rank
     for j in range(size, 0, -1):
@@ -296,10 +298,10 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
 
 def _meets(n: int, k: int) -> np.ndarray:
     """Intersection size |a & b| of every pair of k-subsets of an n-set, in
-    colex order: X X^T for the float64 0/1 incidence matrix X of k-subsets
+    colex order: X X^T for the float32 0/1 incidence matrix X of k-subsets
     against elements, exact since every partial sum is an integer in 0..k."""
     positions = subset_positions(n, k)
-    incidence = np.zeros((len(positions), n))
+    incidence = np.zeros((len(positions), n), dtype=np.float32)
     incidence[np.arange(len(positions))[:, None], positions] = 1
     return incidence @ incidence.T
 
@@ -505,8 +507,11 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     Symmetry gives A_j A_i = (A_i A_j)^T, and p[label] is symmetric, so one
     product per pair i < j, equal to both gathers, covers both orders.  The
     identity check makes A_k = I, so the pairs (i, k) take A_i itself as
-    the product.  The others run in float64 (BLAS) and are exact: with 0/1
-    factors every entry and partial sum is an integer in 0..C(n,k) < 2**53.
+    the product.  The others run in float32 (BLAS) and are exact: with 0/1
+    factors every entry and partial sum is an integer in 0..C(n,k).  float32
+    holds every integer up to 2**24 exactly, and a larger C(n,k) would need
+    dense C(n,k)^2 float32 matrices of more than 1 PiB each, so no input
+    that can run leaves that range.
     It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
     building anything).
     """
@@ -516,7 +521,7 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
         return False
     label = label.astype(np.intp)
-    mats = [(label == s).astype(np.float64) for s in range(k)]
+    mats = [(label == s).astype(np.float32) for s in range(k)]
     for i in range(k):
         for j in range(i + 1, k + 1):
             prod = mats[i] @ mats[j] if j < k else mats[i]

@@ -258,9 +258,6 @@ class Spectrum:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def distinct_values(self) -> list[Eigenvalue]:
-        return [ev for ev, _ in self.entries]
-
     def eigenvalue_at(self, index: int) -> Eigenvalue:
         """Entry index (from 0) of the expanded descending multiset."""
         if index >= 0:

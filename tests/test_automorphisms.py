@@ -39,15 +39,15 @@ def random_permutation(n, rng):
 def close_group(generators):
     """All elements of the group generated by the given actions."""
     identity = InducedAction(tuple(range(len(generators[0].images))), "composite")
-    seen = {identity.images: identity}
+    seen = {identity.images.tobytes(): identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for element in frontier:
             for gen in generators:
                 composed = gen.compose(element)
-                if composed.images not in seen:
-                    seen[composed.images] = composed
+                if composed.images.tobytes() not in seen:
+                    seen[composed.images.tobytes()] = composed
                     nxt.append(composed)
         frontier = nxt
     return list(seen.values())
@@ -91,7 +91,7 @@ def test_induced_action_respects_composition():
         composed_base = tuple(g1[g2[x]] for x in range(5))
         lhs = induced_action(composed_base, params)
         rhs = induced_action(g1, params).compose(induced_action(g2, params))
-        assert lhs.images == rhs.images
+        assert np.array_equal(lhs.images, rhs.images)
 
 
 def test_tau_action_cases():
@@ -108,6 +108,25 @@ def test_tau_action_cases():
     with pytest.raises(ValueError):
         tau_action(GraphParams(4, 1, 2))  # k + l != n
 
+    # the reversal of the vertex order against the definition of τ
+    for params in canonical_params_up_to(10):
+        if params.k + params.l == params.n:
+            g = build_inclusion_graph(params)
+            tau, full = tau_action(params), (1 << params.n) - 1
+            assert all(g.masks[tau(v)] == full ^ m for v, m in enumerate(g.masks)), params
+
+
+def test_induced_action_images():
+    for images in ((0, 0, 2), (0, 1, 3), (0.5, 1)):
+        with pytest.raises(ValueError):
+            InducedAction(images, "composite")
+    a = InducedAction((2, 0, 1, 3), "composite")
+    b = InducedAction((1, 3, 0, 2), "composite")
+    assert a.images.dtype == np.int64 and not a.images.flags.writeable
+    with pytest.raises(ValueError):
+        a.images[0] = 0
+    assert np.array_equal(a.compose(b).images, [a(b(v)) for v in range(4)])
+
 
 def test_tau_commutes_with_induced_actions():
     rng = random.Random(3)
@@ -115,7 +134,7 @@ def test_tau_commutes_with_induced_actions():
         tau = tau_action(params)
         for _ in range(20):
             sigma = induced_action(random_permutation(params.n, rng), params)
-            assert tau.compose(sigma).images == sigma.compose(tau).images
+            assert np.array_equal(tau.compose(sigma).images, sigma.compose(tau).images)
 
 
 def test_is_automorphism_negative_control():

@@ -102,6 +102,17 @@ def test_unrank_out_of_range():
         subset_unrank(2, -1)
 
 
+def test_rank_unrank_reject_negative_arguments():
+    # mask & -mask never clears a negative mask, so subset_rank(-1) would
+    # loop forever; SubsetGraph.rank_of_mask(-1) reaches it when k = 1
+    with pytest.raises(ValueError):
+        subset_rank(-1)
+    with pytest.raises(ValueError):
+        subset_unrank(-1, 0)
+    with pytest.raises(ValueError):
+        build_inclusion_graph(GraphParams(3, 1, 2)).rank_of_mask(-1)
+
+
 def test_inclusion_graph_small_case_against_direct_construction():
     g = build_inclusion_graph(GraphParams(4, 1, 2))
     assert g.num_vertices == 10
