@@ -60,6 +60,8 @@ MAX_VERTICES = 2000  # default cap of verify's solve and scheme's matrices
 # a 2-vCPU Xeon (BLAS symmetric rank-k update and eigvalsh)
 GRAM_WORK = 6
 BRUTE_CAP = 40  # default cap of aut --brute-force
+# Python 3.10.7 and later limit int <-> str conversion to 4300 digits
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -166,6 +168,10 @@ def _preflight(argv):
     env_max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     env_brute_cap = _env_cap("SETINCL_BRUTE_CAP", BRUTE_CAP)
     args = _PARSER.parse_args(argv)
+    # argv is read under the digit limit; what follows from it, such as
+    # C(n,k) in a cap message or n! in a report, may be longer
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
     if args.command == "scheme":
         n, k = args.n, args.k
         if not (0 <= k and 2 * k <= n):
@@ -317,6 +323,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0
     try:
         args = _preflight(argv)
         return _COMMANDS[args.command](args)
@@ -332,6 +339,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # OSError: an --out path that cannot be written
         sys.stderr.write(f"setincl: error: {exc}\n")
         return EX_USAGE
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(limit)  # _preflight lifted it
 
 
 if __name__ == "__main__":

@@ -511,7 +511,9 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     factors every entry and partial sum is an integer in 0..C(n,k).  float32
     holds every integer up to 2**24 exactly, and a larger C(n,k) would need
     dense C(n,k)^2 float32 matrices of more than 1 PiB each, so no input
-    that can run leaves that range.
+    that can run leaves that range.  The same holds for the gathered p^s_ij,
+    which are at most C(n,k).  label, at most k and so far below 255 at any
+    such C(n,k), is held in uint8.
     It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
     building anything).
     """
@@ -520,13 +522,14 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
         return False
     if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
         return False
-    label = label.astype(np.intp)
+    label = label.astype(np.uint8)
     mats = [(label == s).astype(np.float32) for s in range(k)]
     for i in range(k):
         for j in range(i + 1, k + 1):
             prod = mats[i] @ mats[j] if j < k else mats[i]
             for a, b in ((i, j), (j, i)):
-                p = np.array([intersection_number(n, k, a, b, s) for s in range(k + 1)])
+                p = [intersection_number(n, k, a, b, s) for s in range(k + 1)]
+                p = np.array(p, dtype=np.float32)
                 if not np.array_equal(prod, p[label]):
                     return False
     return True

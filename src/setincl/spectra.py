@@ -2,11 +2,12 @@
 graphs, plus a dense numeric eigensolver used as an independent cross-check.
 
 Every exact eigenvalue in these families is either sign*sqrt(m) for an
-integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  Both are normalized to
-the common form (a + e*sqrt(r))/2 with r not a perfect square, so equality,
-merging and ordering are decided in exact integer arithmetic; floating point
-only appears when a spectrum is expanded for comparison against the numeric
-solver.
+integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
+holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square;
+ExactEigenvalue and SurdEigenvalue are its two constructors.  Equality,
+merging, ordering and the power sums of any order are decided in exact
+integer arithmetic; floating point only appears when a spectrum is expanded
+for comparison against the numeric solver or written as CSV.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .combinatorics import beta, beta_middle, binom, multiplicities, radicands  
 from .graphs import GraphParams
 
 __all__ = [
+    "Eigenvalue",
     "ExactEigenvalue",
     "SurdEigenvalue",
     "Spectrum",
@@ -44,73 +46,55 @@ _FLOAT_BITS = 96  # fixed-point bits used when expanding radicals to floats
 
 
 @dataclass(frozen=True)
-class ExactEigenvalue:
-    """The exact value sign * sqrt(radicand), sign in {-1, 0, +1}."""
+class Eigenvalue:
+    """The exact value (a + e*sqrt(r))/2 in normal form: e in {-1, 0, 1}, r
+    = 0 exactly when e = 0, and otherwise r is not a perfect square.  So two
+    eigenvalues are equal as real numbers iff their fields are equal.  Build
+    one with ExactEigenvalue or SurdEigenvalue, which normalize."""
 
-    sign: int
-    radicand: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-        if self.radicand < 0:
-            raise ValueError(f"radicand must be nonnegative, got {self.radicand}")
-        if (self.sign == 0) != (self.radicand == 0):
-            raise ValueError("sign is 0 exactly when the radicand is 0")
+    a: int
+    e: int
+    r: int
 
     def __float__(self) -> float:
-        return _key_float(_normal_key(self))
+        """The value rounded to float64 once, via extended fixed point."""
+        if self.e == 0:
+            return float(Fraction(self.a, 2))
+        s = isqrt(self.r << (2 * _FLOAT_BITS))
+        return float(Fraction(self.a, 2) + self.e * Fraction(s, 1 << (_FLOAT_BITS + 1)))
 
     def __str__(self) -> str:
         return format_eigenvalue(self)
 
 
-@dataclass(frozen=True)
-class SurdEigenvalue:
-    """The exact value (p + branch * sqrt(d)) / 2, branch in {-1, +1}."""
-
-    p: int
-    d: int
-    branch: int
-
-    def __post_init__(self) -> None:
-        if self.branch not in (-1, 1):
-            raise ValueError(f"branch must be -1 or +1, got {self.branch}")
-        if self.d < 0:
-            raise ValueError(f"d must be nonnegative, got {self.d}")
-
-    @property
-    def is_rational(self) -> bool:
-        return _square_root(self.d) is not None
-
-    def __float__(self) -> float:
-        return _key_float(_normal_key(self))
-
-    def __str__(self) -> str:
-        return format_eigenvalue(self)
+def ExactEigenvalue(sign: int, radicand: int) -> Eigenvalue:
+    """The value sign * sqrt(radicand), sign in {-1, 0, +1}."""
+    if sign not in (-1, 0, 1):
+        raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
+    if radicand < 0:
+        raise ValueError(f"radicand must be nonnegative, got {radicand}")
+    if (sign == 0) != (radicand == 0):
+        raise ValueError("sign is 0 exactly when the radicand is 0")
+    return _normal(0, sign, 4 * radicand)
 
 
-Eigenvalue = ExactEigenvalue | SurdEigenvalue
+def SurdEigenvalue(p: int, d: int, branch: int) -> Eigenvalue:
+    """The value (p + branch * sqrt(d)) / 2, branch in {-1, +1}."""
+    if branch not in (-1, 1):
+        raise ValueError(f"branch must be -1 or +1, got {branch}")
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
+    return _normal(p, branch, d)
 
 
-def _normal_key(ev: Eigenvalue) -> tuple[int, int, int]:
-    """Canonical form (a, e, r) meaning (a + e*sqrt(r))/2.
-
-    Perfect-square radicands are folded into the rational part, so two
-    eigenvalues are equal as real numbers iff their keys are equal.
-    """
-    if isinstance(ev, ExactEigenvalue):
-        a, e, r = 0, ev.sign, 4 * ev.radicand
-    elif isinstance(ev, SurdEigenvalue):
-        a, e, r = ev.p, ev.branch, ev.d
-    else:
-        raise TypeError(f"not an exact eigenvalue: {ev!r}")
-    if e == 0 or r == 0:
-        return (a, 0, 0)
+def _normal(a: int, e: int, r: int) -> Eigenvalue:
+    """(a + e*sqrt(r))/2 with a perfect square r folded into a."""
     s = _square_root(r)
-    if s is not None:
-        return (a + e * s, 0, 0)
-    return (a, e, r)
+    return Eigenvalue(a, e, r) if s is None else Eigenvalue(a + e * s, 0, 0)
+
+
+def _int_eigenvalue(x: int) -> Eigenvalue:
+    return Eigenvalue(2 * x, 0, 0)
 
 
 # a square is a quadratic residue modulo every m; together these four moduli
@@ -132,18 +116,6 @@ def _square_root(r: int) -> int | None:
     return s if s * s == r else None
 
 
-def _key_to_eigenvalue(key: tuple[int, int, int]) -> Eigenvalue:
-    a, e, r = key
-    if e == 0:
-        if a % 2 == 0:
-            m = a // 2
-            return ExactEigenvalue(_sign(m), m * m)
-        return SurdEigenvalue(a, 0, 1)
-    if a == 0 and r % 4 == 0:
-        return ExactEigenvalue(e, r // 4)
-    return SurdEigenvalue(a, r, e)
-
-
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
@@ -157,28 +129,18 @@ def _sign_surd(p: int, q: int, r: int) -> int:
     return sp * _sign(p * p - q * q * r)
 
 
-def _cmp_keys(k1: tuple[int, int, int], k2: tuple[int, int, int]) -> int:
-    """Exact three-way comparison of two normalized eigenvalue keys: the sign
-    of x - e2*sqrt(r2) with x = a + e1*sqrt(r1), a = a1 - a2.  When x and
+def _cmp_keys(x: Eigenvalue, y: Eigenvalue) -> int:
+    """Exact three-way comparison of two eigenvalues: the sign of
+    z - e2*sqrt(r2) with z = a + e1*sqrt(r1), a = a1 - a2.  When z and
     e2*sqrt(r2) have one sign s and r1 != r2, one squaring gives
-    s * sign(x*x - r2) = s * sign((a*a + r1 - r2) + 2*a*e1*sqrt(r1))."""
-    (a1, e1, r1), (a2, e2, r2) = k1, k2
-    a = a1 - a2
+    s * sign(z*z - r2) = s * sign((a*a + r1 - r2) + 2*a*e1*sqrt(r1))."""
+    a, e1, r1, e2, r2 = x.a - y.a, x.e, x.r, y.e, y.r
     if r1 == r2 or not e2:
         return _sign_surd(a, e1 - e2, r1)
-    sx = _sign_surd(a, e1, r1)  # a rational key has e1 = r1 = 0
-    if sx != e2:
-        return sx or -e2
-    return sx * _sign_surd(a * a + r1 - r2, 2 * a * e1, r1)
-
-
-def _key_float(key: tuple[int, int, int]) -> float:
-    """Value of a key rounded to float64 once, via extended fixed point."""
-    a, e, r = key
-    if e == 0:
-        return float(Fraction(a, 2))
-    s = isqrt(r << (2 * _FLOAT_BITS))
-    return float(Fraction(a, 2) + e * Fraction(s, 1 << (_FLOAT_BITS + 1)))
+    sz = _sign_surd(a, e1, r1)  # a rational x has e1 = r1 = 0
+    if sz != e2:
+        return sz or -e2
+    return sz * _sign_surd(a * a + r1 - r2, 2 * a * e1, r1)
 
 
 # the primes below 1000: a composite's square cannot divide what is left
@@ -207,7 +169,7 @@ def _extract_square(r: int) -> tuple[int, int]:
 
 def format_eigenvalue(ev: Eigenvalue) -> str:
     """Symbolic rendering: integers plain, radicals as [m]√r, surds as (p±√d)/2."""
-    a, e, r = _normal_key(ev)
+    a, e, r = ev.a, ev.e, ev.r
     if e == 0:
         return str(a // 2) if a % 2 == 0 else f"{a}/2"
     if a == 0 and r % 4 == 0:
@@ -222,19 +184,16 @@ class Spectrum:
     merged by exact equality and sorted in descending value order."""
 
     def __init__(self, pairs):
-        merged: dict[tuple[int, int, int], int] = {}
+        merged: dict[Eigenvalue, int] = {}
         for ev, mult in pairs:
             mult = int(mult)
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult}")
-            if mult == 0:
-                continue
-            key = _normal_key(ev)
-            merged[key] = merged.get(key, 0) + mult
-        keys = sorted(merged, key=cmp_to_key(_cmp_keys), reverse=True)
-        self._keys = tuple(keys)
+            if mult:
+                merged[ev] = merged.get(ev, 0) + mult
+        order = sorted(merged, key=cmp_to_key(_cmp_keys), reverse=True)
         self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(
-            (_key_to_eigenvalue(k), merged[k]) for k in keys
+            (ev, merged[ev]) for ev in order
         )
 
     def __len__(self) -> int:
@@ -246,9 +205,7 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self._keys == other._keys and [m for _, m in self.entries] == [
-            m for _, m in other.entries
-        ]
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{format_eigenvalue(ev)}:{m}" for ev, m in self.entries)
@@ -270,42 +227,41 @@ class Spectrum:
     def to_floats(self) -> list[float]:
         """Expand to a descending float list, one entry per multiplicity."""
         out: list[float] = []
-        for key, (_, mult) in zip(self._keys, self.entries):
-            out.extend([_key_float(key)] * mult)
+        for ev, mult in self.entries:
+            out.extend([float(ev)] * mult)
         return out
 
-    def power_sum(self, power: int):
-        """Exact sum of mult * value**power for power 1 or 2.
+    def power_sum(self, j: int):
+        """Exact sum of mult * value**j, for any j >= 0.
 
         Returns (rational, irrational) where rational is a Fraction and
         irrational maps each radicand r to the Fraction coefficient of
-        sqrt(r); an integer-valued sum has an empty irrational dict.
+        sqrt(r); an integer-valued sum has an empty irrational dict.  Each
+        ((a + e*sqrt(r))/2)**j is (x + y*sqrt(r))/2**j, where (x, y) starts at
+        (1, 0) and every factor takes it to (x*a + y*e*r, x*e + y*a).
         """
-        if power not in (1, 2):
-            raise ValueError("only powers 1 and 2 are supported")
-        rational = Fraction(0)
-        irrational: dict[int, Fraction] = {}
-        for key, (_, mult) in zip(self._keys, self.entries):
-            a, e, r = key
-            if power == 1:
-                rational += Fraction(mult * a, 2)
-                if e != 0:
-                    irrational[r] = irrational.get(r, Fraction(0)) + Fraction(mult * e, 2)
-            else:
-                rational += Fraction(mult * (a * a + (r if e != 0 else 0)), 4)
-                if e != 0:
-                    irrational[r] = irrational.get(r, Fraction(0)) + Fraction(
-                        mult * a * e, 2
-                    )
-        irrational = {r: c for r, c in irrational.items() if c != 0}
-        return rational, irrational
+        if j < 0:
+            raise ValueError(f"power must be nonnegative, got {j}")
+        rational = 0
+        irrational: dict[int, int] = {}
+        for ev, mult in self.entries:
+            x, y = 1, 0
+            for _ in range(j):
+                x, y = x * ev.a + y * ev.e * ev.r, x * ev.e + y * ev.a
+            rational += mult * x
+            if y:
+                irrational[ev.r] = irrational.get(ev.r, 0) + mult * y
+        scale = 1 << j
+        return Fraction(rational, scale), {
+            r: Fraction(c, scale) for r, c in irrational.items() if c
+        }
 
     def to_json_obj(self) -> list[dict]:
         """Schema: [{"value": {"kind": ..., ...}, "multiplicity": "<decimal>"}]
         in descending value order."""
         out = []
-        for key, (_, mult) in zip(self._keys, self.entries):
-            a, e, r = key
+        for ev, mult in self.entries:
+            a, e, r = ev.a, ev.e, ev.r
             if e == 0 and a % 2 == 0:
                 value = {"kind": "int", "value": str(a // 2)}
             elif e != 0 and a == 0 and r % 4 == 0:
@@ -321,16 +277,16 @@ class Spectrum:
         return out
 
     def to_csv_text(self) -> str:
-        lines = ["value,multiplicity"]
-        for key, (_, mult) in zip(self._keys, self.entries):
-            lines.append(f"{_key_float(key):.17g},{mult}")
-        return "\n".join(lines) + "\n"
-
-
-def _int_eigenvalue(x: int) -> ExactEigenvalue:
-    if x == 0:
-        return ExactEigenvalue(0, 0)
-    return ExactEigenvalue(1 if x > 0 else -1, x * x)
+        """One "value,multiplicity" row per entry, the value as a float64;
+        a value beyond the float64 range raises ValueError."""
+        try:
+            rows = [f"{float(ev):.17g},{mult}" for ev, mult in self.entries]
+        except OverflowError:
+            raise ValueError(
+                "an eigenvalue is beyond the float64 range of the csv format; "
+                "use the table or json format"
+            ) from None
+        return "\n".join(["value,multiplicity", *rows]) + "\n"
 
 
 def spectrum_inclusion(params: GraphParams) -> Spectrum:
@@ -366,24 +322,23 @@ def spectrum_line_semiregular(
     """Line-graph spectrum of a connected semi-regular bipartite graph with
     parameters (n1, n2, r1, r2), from its n1 largest eigenvalues.
 
-    top_eigenvalues is a list of (ExactEigenvalue, multiplicity) pairs whose
-    multiplicities sum to n1 and whose largest member is sqrt(r1*r2).  Each
-    non-principal eigenvalue lam contributes the two roots of
-    (x - r1 + 2)(x - r2 + 2) = lam^2.
+    top_eigenvalues is a list of (Eigenvalue, multiplicity) pairs whose
+    multiplicities sum to n1, each value +-sqrt(m) for an integer m, and
+    whose largest member is sqrt(r1*r2).  Each non-principal eigenvalue lam
+    contributes the two roots of (x - r1 + 2)(x - r2 + 2) = lam^2.
     """
     if n1 > n2:
         raise ValueError(f"need n1 <= n2, got n1={n1}, n2={n2}")
-    tops: dict[tuple[int, int, int], tuple[int, int]] = {}
+    tops: dict[Eigenvalue, int] = {}
     for ev, mult in top_eigenvalues:
-        if not isinstance(ev, ExactEigenvalue):
-            raise TypeError("top eigenvalues must be ExactEigenvalue instances")
-        key = _normal_key(ev)
-        tops[key] = (ev.radicand, tops.get(key, (0, 0))[1] + int(mult))
-    if sum(m for _, m in tops.values()) != n1:
+        # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r
+        if ev.a * ev.e or (ev.a * ev.a + ev.r) % 4:
+            raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
+        tops[ev] = tops.get(ev, 0) + int(mult)
+    if sum(tops.values()) != n1:
         raise ValueError("top eigenvalue multiplicities must sum to n1")
-    principal = _normal_key(_int_eigenvalue(0) if r1 * r2 == 0 else ExactEigenvalue(1, r1 * r2))
-    largest = max(tops, key=cmp_to_key(_cmp_keys))
-    if largest != principal:
+    principal = ExactEigenvalue(_sign(r1 * r2), r1 * r2)
+    if max(tops, key=cmp_to_key(_cmp_keys)) != principal:
         raise ValueError("largest eigenvalue must be sqrt(r1*r2)")
 
     pairs: list[tuple[Eigenvalue, int]] = [(_int_eigenvalue(r1 + r2 - 2), 1)]
@@ -393,12 +348,12 @@ def spectrum_line_semiregular(
         raise ValueError("edge count below vertex count: graph is not connected")
     pairs.append((_int_eigenvalue(-2), cycle_rank))
     p = r1 + r2 - 4
-    for key, (lam_sq, mult) in tops.items():
-        if key == principal:
+    for ev, mult in tops.items():
+        if ev == principal:
             mult -= 1  # the single principal copy became r1 + r2 - 2
         if mult <= 0:
             continue
-        d = (r1 - r2) ** 2 + 4 * lam_sq
+        d = (r1 - r2) ** 2 + ev.a * ev.a + ev.r  # (r1 - r2)^2 + 4 lam^2
         pairs.append((SurdEigenvalue(p, d, 1), mult))
         pairs.append((SurdEigenvalue(p, d, -1), mult))
     return Spectrum(pairs)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import time
 from math import factorial
 
@@ -324,6 +325,37 @@ def test_unknown_subcommand(capsys):
 
 def test_bad_integer_argument(capsys):
     assert run(["spectrum", "four", "1", "2"], capsys)[0] == 64
+
+
+def test_numbers_past_the_int_digit_limit(capsys):
+    # Python 3.10.7 and later refuse int <-> str beyond 4300 digits by
+    # default.  1700! has 4756 digits, the top radicands of (15001,1,7501)
+    # over 4500 and C(20000,10000) in the cap message 6019; argv is still
+    # read under the limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    code, out, _ = run(["aut", "1700", "1", "2"], capsys)
+    assert code == 0
+    assert run(["spectrum", "15001", "1", "7501"], capsys)[0] == 0
+    assert run(["spectrum", "15001", "1", "7501", "--format", "json"], capsys)[0] == 0
+    assert run(["scheme", "20000", "10000", "--check"], capsys)[0] == 2
+    if limit:
+        assert run(["spectrum", "9" * (limit + 1), "1", "2"], capsys)[0] == 64
+        assert sys.get_int_max_str_digits() == limit  # restored by main
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out.splitlines()[1] == f"order: {factorial(1700)}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("line", [[], ["--line"]])
+def test_csv_refuses_values_past_float64(line, capsys):
+    # sqrt(C(3000,1500) * 1501) is about 10^452, past float64's 1.8e308
+    code, out, err = run(["spectrum", "3001", "1", "1501", "--format", "csv", *line], capsys)
+    assert (code, out) == (64, "")
+    assert err.count("\n") == 1
+    assert "csv format" in err and "table or json" in err
 
 
 @pytest.mark.parametrize(

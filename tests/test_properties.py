@@ -154,8 +154,14 @@ def test_component_labels_match_union_find(case):
     assert labels.tolist() == _union_find_labels(size, links)
 
 
+# an eigenvalue is drawn as its constructor and arguments, so that the
+# reference below evaluates the arguments and not the normalized value
 def _exact(sign, radicand):
-    return ExactEigenvalue(0, 0) if sign == 0 or radicand == 0 else ExactEigenvalue(sign, radicand)
+    return (ExactEigenvalue, (0, 0) if sign == 0 or radicand == 0 else (sign, radicand))
+
+
+def _surd(p, d, branch):
+    return (SurdEigenvalue, (p, d, branch))
 
 
 _SIGNS = st.sampled_from([-1, 0, 1])
@@ -164,18 +170,18 @@ _BRANCHES = st.sampled_from([-1, 1])
 _SMALL_RADICANDS = st.one_of(st.integers(0, 12), st.integers(0, 10).map(lambda t: t * t))
 _SMALL = st.one_of(
     st.builds(_exact, _SIGNS, _SMALL_RADICANDS),
-    st.builds(SurdEigenvalue, st.integers(-8, 8), _SMALL_RADICANDS, _BRANCHES),
+    st.builds(_surd, st.integers(-8, 8), _SMALL_RADICANDS, _BRANCHES),
 )
 # the integer m twice: as sign(m)*sqrt(m^2) and as ((2m + t) - sqrt(t^2))/2
 _RATIONAL_TWINS = st.builds(
-    lambda m, t: [_exact((m > 0) - (m < 0), m * m), SurdEigenvalue(2 * m + t, t * t, -1)],
+    lambda m, t: [_exact((m > 0) - (m < 0), m * m), _surd(2 * m + t, t * t, -1)],
     st.integers(-10, 10),
     st.integers(0, 10),
 )
 # sqrt(r) next to sqrt(4r + delta)/2: equal for delta = 0, and otherwise
 # closer together than float64 can tell
 _CLOSE_PAIRS = st.builds(
-    lambda r, delta, sign: [_exact(sign, r), SurdEigenvalue(0, 4 * r + delta, sign)],
+    lambda r, delta, sign: [_exact(sign, r), _surd(0, 4 * r + delta, sign)],
     st.integers(10**17, 10**20),
     st.integers(-1, 1),
     _BRANCHES,
@@ -191,22 +197,27 @@ _EIGENVALUES = st.lists(
 def test_spectrum_merge_and_order_match_sympy(data):
     sympy = pytest.importorskip("sympy")
 
-    def value(ev):
-        if isinstance(ev, ExactEigenvalue):
-            return ev.sign * sympy.sqrt(sympy.Integer(ev.radicand))
-        return (ev.p + ev.branch * sympy.sqrt(sympy.Integer(ev.d))) / sympy.Integer(2)
+    def value(ctor, args):
+        """The number that a constructor's arguments name."""
+        if ctor is ExactEigenvalue:
+            sign, radicand = args
+            return sign * sympy.sqrt(sympy.Integer(radicand))
+        p, d, branch = args
+        return (p + branch * sympy.sqrt(sympy.Integer(d))) / sympy.Integer(2)
 
     evs = data.draw(_EIGENVALUES, label="eigenvalues")
     mults = data.draw(st.lists(st.integers(0, 3), min_size=len(evs), max_size=len(evs)), label="mults")
     pairs = list(zip(evs, mults))
-    spec = Spectrum(pairs)
-    values = [value(ev) for ev, _ in spec.entries]
+    spec = Spectrum((ctor(*args), mult) for (ctor, args), mult in pairs)
+    values = [
+        (ev.a + ev.e * sympy.sqrt(sympy.Integer(ev.r))) / sympy.Integer(2) for ev, _ in spec.entries
+    ]
     # strictly descending, so no two entries are equal
     for hi, lo in zip(values, values[1:]):
         assert (hi - lo).is_positive is True
     counted = [0] * len(values)
-    for ev, mult in pairs:
-        x = value(ev)
+    for (ctor, args), mult in pairs:
+        x = value(ctor, args)
         # a structural match proves equality; otherwise ask sympy
         matches = [i for i, v in enumerate(values) if v == x]
         matches = matches or [i for i, v in enumerate(values) if (v - x).is_zero]

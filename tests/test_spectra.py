@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from setincl import (
+    Eigenvalue,
     ExactEigenvalue,
     GraphParams,
     Spectrum,
@@ -68,8 +69,8 @@ def test_surd_eigenvalue_validation():
         SurdEigenvalue(1, 21, 0)
     with pytest.raises(ValueError):
         SurdEigenvalue(1, -3, 1)
-    assert SurdEigenvalue(5, 25, 1).is_rational
-    assert not SurdEigenvalue(5, 21, 1).is_rational
+    assert SurdEigenvalue(5, 25, 1) == Eigenvalue(10, 0, 0)  # (5 + 5)/2
+    assert SurdEigenvalue(5, 21, 1) == Eigenvalue(5, 1, 21)
 
 
 def test_eigenvalue_rendering():
@@ -142,17 +143,18 @@ def test_key_comparison_matches_decimal_on_small_keys():
     for k1 in keys:
         for k2 in keys:
             expect = (value[k1] > value[k2]) - (value[k1] < value[k2])
-            assert _cmp_keys(k1, k2) == expect, (k1, k2)
+            assert _cmp_keys(Eigenvalue(*k1), Eigenvalue(*k2)) == expect, (k1, k2)
 
 
 def test_key_comparison_needs_no_working_precision():
     # sqrt(N^2 + 1) - N is below 1/(2N) = 2**-(2**20 + 9), past any fixed
     # precision; the sign test settles it with one squaring
     n = 1 << ((1 << 20) + 8)
-    key = (-2 * n, 1, 4 * n * n + 4)  # (-2N + sqrt(4N^2 + 4))/2
-    assert _cmp_keys(key, (0, 0, 0)) == 1
-    assert _cmp_keys((0, 0, 0), key) == -1
-    assert _cmp_keys(key, (-2 * n, 1, 4 * n * n + 5)) == -1
+    key = Eigenvalue(-2 * n, 1, 4 * n * n + 4)  # (-2N + sqrt(4N^2 + 4))/2
+    zero = Eigenvalue(0, 0, 0)
+    assert _cmp_keys(key, zero) == 1
+    assert _cmp_keys(zero, key) == -1
+    assert _cmp_keys(key, Eigenvalue(-2 * n, 1, 4 * n * n + 5)) == -1
 
 
 def test_huge_surd_pair_merges_without_a_square_root(monkeypatch):
@@ -166,8 +168,8 @@ def test_huge_surd_pair_merges_without_a_square_root(monkeypatch):
 
     monkeypatch.setattr(spectra_module, "isqrt", no_root)
     spec = Spectrum([(SurdEigenvalue(-2 * n, d, 1), 1), (SurdEigenvalue(-2 * n, d, -1), 2)])
-    assert [(ev.branch, m) for ev, m in spec.entries] == [(1, 1), (-1, 2)]
-    assert not spec.entries[0][0].is_rational
+    assert [(ev.e, m) for ev, m in spec.entries] == [(1, 1), (-1, 2)]
+    assert spec.entries[0][0].r == d
 
 
 def test_square_root_agrees_with_isqrt():
@@ -241,9 +243,7 @@ def test_spectrum_inclusion_largest_eigenvalue():
     for params in canonical_params_up_to(9):
         spec = spectrum_inclusion(params)
         top, mult = spec.entries[0]
-        assert isinstance(top, ExactEigenvalue)
-        assert top.sign == 1
-        assert top.radicand == params.r1 * params.r2
+        assert top == ExactEigenvalue(1, params.r1 * params.r2)
         assert mult >= 1
 
 
@@ -262,6 +262,33 @@ def test_spectrum_inclusion_trace_identities():
         assert rational == 2 * params.n1 * params.r1
 
 
+def test_power_sums_match_traces_of_adjacency_powers():
+    # the sum of mult * value**j over a spectrum is trace(A^j)
+    cases = []
+    for params in canonical_params_up_to(7):
+        graph = build_inclusion_graph(params)
+        cases.append((spectrum_inclusion(params), graph.adjacency_matrix()))
+        if params.n <= 6:
+            line = build_line_graph(graph).adjacency_matrix()
+            cases.append((spectrum_line_inclusion(params), line))
+    for spec, a in cases:
+        power = np.eye(len(a), dtype=np.int64)
+        for j in range(7):
+            assert spec.power_sum(j) == (int(np.trace(power)), {}), (spec, j)
+            power = power @ a
+
+
+def test_power_sum_keeps_irrational_parts():
+    # phi = (5+√21)/2 has phi^2 = 5 phi - 1, so phi^3 = 55 + 12√21; √2 is
+    # held as √8/2, and its cube 2√2 is √8
+    spec = Spectrum([(SurdEigenvalue(5, 21, 1), 2), (ExactEigenvalue(1, 2), 1)])
+    assert spec.power_sum(0) == (3, {})
+    assert spec.power_sum(1) == (5, {21: 1, 8: Fraction(1, 2)})
+    assert spec.power_sum(3) == (110, {21: 24, 8: 1})
+    with pytest.raises(ValueError):
+        spec.power_sum(-1)
+
+
 @pytest.mark.parametrize("n,k,l", [(301, 20, 41), (300, 20, 280), (300, 20, 41)])
 def test_spectra_match_beta_sum_reference(n, k, l):
     # reference: radicands from the paper's sum, multiplicities from binom
@@ -270,7 +297,7 @@ def test_spectra_match_beta_sum_reference(n, k, l):
         (ExactEigenvalue(1, beta(params, s)), binom(n, s) - binom(n, s - 1))
         for s in range(k + 1)
     ]
-    negated = [(ExactEigenvalue(-1, ev.radicand), mult) for ev, mult in top]
+    negated = [(Eigenvalue(-ev.a, -ev.e, ev.r), mult) for ev, mult in top]
     zero = [(ExactEigenvalue(0, 0), binom(n, l) - binom(n, k))]
     assert spectrum_inclusion(params) == Spectrum(top + negated + zero)
     assert spectrum_line_inclusion(params) == spectrum_line_semiregular(
@@ -320,6 +347,18 @@ def test_spectrum_line_semiregular_validation():
     bad_top = [(ExactEigenvalue(1, 5), 1), (ExactEigenvalue(1, 1), 2)]
     with pytest.raises(ValueError):
         spectrum_line_semiregular(3, 3, 2, 2, bad_top)  # principal != sqrt(r1 r2)
+    # (1+√5)/2, 1/2 and √2/2 are no +-sqrt(m) for an integer m
+    for odd in (SurdEigenvalue(1, 5, 1), SurdEigenvalue(1, 0, 1), SurdEigenvalue(0, 2, 1)):
+        with pytest.raises(ValueError, match=r"sqrt\(m\)"):
+            spectrum_line_semiregular(3, 3, 2, 2, [(ExactEigenvalue(1, 4), 1), (odd, 2)])
+
+
+def test_spectrum_line_semiregular_reads_values_not_forms():
+    # √6 and √2 given as the surds (0 + √24)/2 and (0 + √8)/2
+    params = GraphParams(4, 1, 2)
+    top = [(SurdEigenvalue(0, 24, 1), 1), (SurdEigenvalue(0, 8, 1), 3)]
+    spec = spectrum_line_semiregular(params.n1, params.n2, params.r1, params.r2, top)
+    assert spec == spectrum_line_inclusion(params)
 
 
 def test_spectrum_line_inclusion_frozen_412():
