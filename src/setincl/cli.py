@@ -160,6 +160,13 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _size(x: int) -> str:
+    """x in full up to 30 digits, else its digit count, so that a cap
+    message stays one short line however large the parameters are."""
+    text = str(x)
+    return text if len(text) <= 30 else f"a {len(text)}-digit number"
+
+
 def _preflight(argv):
     """Parse argv and validate the parameters (canonicalizing any (n,k,l),
     with a note), then refuse a capped command whose size, computed from
@@ -179,7 +186,7 @@ def _preflight(argv):
         if args.check:
             dim, cap = math.comb(n, k), args.max_dim or env_max_vertices
             if dim > cap:
-                raise CapExceededError(f"matrix dimension {dim} exceeds cap {cap}")
+                raise CapExceededError(f"matrix dimension {_size(dim)} exceeds cap {_size(cap)}")
         return args
     p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
     if complemented:
@@ -192,21 +199,22 @@ def _preflight(argv):
         cap = args.max_vertices or env_max_vertices
         dim = p.n1 + p.n2 if args.line else p.n1
         if dim > cap:
-            raise CapExceededError(f"verify solves dimension {dim}, cap is {cap}")
+            raise CapExceededError(f"verify solves dimension {_size(dim)}, cap is {_size(cap)}")
         if p.n2 * p.r2 > cap**2:
             raise CapExceededError(
-                f"rank array has {p.n2 * p.r2} entries, cap is {cap}^2 = {cap**2}"
+                f"rank array has {_size(p.n2 * p.r2)} entries, "
+                f"cap is {_size(cap)}^2 = {_size(cap**2)}"
             )
         work = 0 if args.line else p.n1**2 * p.n2
         if work > GRAM_WORK * cap**3:
             raise CapExceededError(
-                f"Gram matrix takes {work} multiply-adds, "
-                f"cap is {GRAM_WORK}*{cap}^3 = {GRAM_WORK * cap**3}"
+                f"Gram matrix takes {_size(work)} multiply-adds, "
+                f"cap is {GRAM_WORK}*{_size(cap)}^3 = {_size(GRAM_WORK * cap**3)}"
             )
     elif args.command == "aut" and args.brute_force:
         size, cap = p.n1 + p.n2, args.max_vertices or env_brute_cap
         if size > cap:
-            raise CapExceededError(f"graph has {size} vertices, cap is {cap}")
+            raise CapExceededError(f"graph has {_size(size)} vertices, cap is {_size(cap)}")
     return args
 
 

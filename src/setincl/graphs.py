@@ -505,7 +505,9 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     matrix once label is, and sum_s p_s A_s is the gather p[label].
 
     Symmetry gives A_j A_i = (A_i A_j)^T, and p[label] is symmetric, so one
-    product per pair i < j, equal to both gathers, covers both orders.  The
+    product per pair i < j covers both orders.  Once it equals p_ij[label],
+    it equals p_ji[label] exactly when p_ij and p_ji agree on every relation
+    that occurs in label, one comparison of two short vectors.  The
     identity check makes A_k = I, so the pairs (i, k) take A_i itself as
     the product.  The others run in float32 (BLAS) and are exact: with 0/1
     factors every entry and partial sum is an integer in 0..C(n,k).  float32
@@ -523,13 +525,17 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
         return False
     label = label.astype(np.uint8)
+    present = np.bincount(label.ravel(), minlength=k + 1) > 0
     mats = [(label == s).astype(np.float32) for s in range(k)]
     for i in range(k):
         for j in range(i + 1, k + 1):
             prod = mats[i] @ mats[j] if j < k else mats[i]
-            for a, b in ((i, j), (j, i)):
-                p = [intersection_number(n, k, a, b, s) for s in range(k + 1)]
-                p = np.array(p, dtype=np.float32)
-                if not np.array_equal(prod, p[label]):
-                    return False
+            p_ij, p_ji = [
+                np.array([intersection_number(n, k, a, b, s) for s in range(k + 1)], np.float32)
+                for a, b in ((i, j), (j, i))
+            ]
+            if not np.array_equal(prod, p_ij[label]):
+                return False
+            if not np.array_equal(p_ij[present], p_ji[present]):
+                return False
     return True

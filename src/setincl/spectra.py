@@ -6,8 +6,11 @@ integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
 holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square;
 ExactEigenvalue and SurdEigenvalue are its two constructors.  Equality,
 merging, ordering and the power sums of any order are decided in exact
-integer arithmetic; floating point only appears when a spectrum is expanded
-for comparison against the numeric solver or written as CSV.
+integer arithmetic.  Floating point appears in two places only.  A float
+estimate of each value proposes the order of a Spectrum, which n - 1 exact
+comparisons then certify (an exact sort repairs an order that fails).  And
+a spectrum is expanded to floats for comparison against the numeric solver
+or to be written as CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import isqrt
+from math import inf, isqrt, sqrt
 
 import numpy as np
 
@@ -57,11 +60,13 @@ class Eigenvalue:
     r: int
 
     def __float__(self) -> float:
-        """The value rounded to float64 once, via extended fixed point."""
+        """The value rounded to float64 once, via extended fixed point: one
+        int / int true division, which Python rounds correctly.  A value
+        beyond the float64 range raises OverflowError."""
         if self.e == 0:
-            return float(Fraction(self.a, 2))
+            return self.a / 2
         s = isqrt(self.r << (2 * _FLOAT_BITS))
-        return float(Fraction(self.a, 2) + self.e * Fraction(s, 1 << (_FLOAT_BITS + 1)))
+        return ((self.a << _FLOAT_BITS) + self.e * s) / (1 << (_FLOAT_BITS + 1))
 
     def __str__(self) -> str:
         return format_eigenvalue(self)
@@ -143,6 +148,21 @@ def _cmp_keys(x: Eigenvalue, y: Eigenvalue) -> int:
     return sz * _sign_surd(a * a + r1 - r2, 2 * a * e1, r1)
 
 
+def _estimate(ev: Eigenvalue) -> float:
+    """A float near 2*ev, a + e*sqrt(r), that only proposes an order; beyond
+    the float64 range it is +-inf, with the exact sign and no square root."""
+    try:
+        return ev.a + ev.e * sqrt(ev.r)
+    except OverflowError:
+        return _sign_surd(ev.a, ev.e, ev.r) * inf
+
+
+def _strictly_descending(order: list[Eigenvalue]) -> bool:
+    """Exact certificate of an order: every adjacent pair is decided by
+    _cmp_keys, so n - 1 comparisons settle a list of n values."""
+    return all(_cmp_keys(x, y) > 0 for x, y in zip(order, order[1:]))
+
+
 # the primes below 1000: a composite's square cannot divide what is left
 # once the squares of its prime factors are divided out
 _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
@@ -181,7 +201,9 @@ def format_eigenvalue(ev: Eigenvalue) -> str:
 
 class Spectrum:
     """Canonical multiset of exact eigenvalues with positive multiplicities,
-    merged by exact equality and sorted in descending value order."""
+    merged by exact equality and sorted in descending value order.  Two
+    entries equal as numbers but not as fields, possible only when an
+    Eigenvalue built directly is not in normal form, raise ValueError."""
 
     def __init__(self, pairs):
         merged: dict[Eigenvalue, int] = {}
@@ -191,7 +213,13 @@ class Spectrum:
                 raise ValueError(f"negative multiplicity {mult}")
             if mult:
                 merged[ev] = merged.get(ev, 0) + mult
-        order = sorted(merged, key=cmp_to_key(_cmp_keys), reverse=True)
+        order = sorted(merged, key=_estimate, reverse=True)
+        if not _strictly_descending(order):
+            order = sorted(order, key=cmp_to_key(_cmp_keys), reverse=True)
+            if not _strictly_descending(order):
+                raise ValueError(
+                    "two entries are equal as numbers: an Eigenvalue is not in normal form"
+                )
         self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(
             (ev, merged[ev]) for ev in order
         )

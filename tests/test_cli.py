@@ -435,6 +435,18 @@ def test_verify_construction_bounds_refuse_from_parameters(args, bound, monkeypa
     assert out == "" and err.startswith(f"setincl: cap exceeded: {bound}, cap is ")
 
 
+@pytest.mark.parametrize(
+    "args", [["scheme", "20000", "10000", "--check"], ["verify", "20000", "10000", "10001"]]
+)
+def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
+    # C(20000,10000) has 6019 digits; the message gives the count instead
+    start = time.perf_counter()
+    code, out, err = run(args, capsys)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert out == "" and "a 6019-digit number" in err
+    assert max(len(line.encode()) for line in err.splitlines()) <= 200
+
+
 def test_verify_dense_gram_at_the_cap(capsys):
     # n1 = n2 = 1953 and r2 = 1830: the largest rank array under cap^2
     start = time.perf_counter()

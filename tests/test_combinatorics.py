@@ -154,6 +154,8 @@ def test_intersection_number_bounds():
         intersection_number(5, 3, 0, 1, 0)  # k > n/2
     with pytest.raises(ValueError):
         intersection_number(6, 2, 0, 3, 0)  # j > k
+    with pytest.raises(ValueError):
+        intersection_number(6, 2, 0, 1, 3)  # s > k
 
 
 def test_intersection_number_vanishes_on_diagonal_coefficient():

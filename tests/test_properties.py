@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
 vectorised colex rank, the union of link arrays, the exact merge and order
-of `Spectrum`, the automorphism-order oracle and the command line's exit
-codes."""
+of `Spectrum` (also where float estimates tie, invert or overflow), the
+automorphism-order oracle and the command line's exit codes."""
 
 import contextlib
 import io
 import os
+from functools import cmp_to_key
 from itertools import combinations
 from math import factorial
 from unittest import mock
@@ -33,6 +34,7 @@ from setincl import (  # noqa: E402
 )
 from setincl.automorphisms import _color_weights, _refinement_colors  # noqa: E402
 from setincl.cli import main  # noqa: E402
+from setincl.spectra import _cmp_keys  # noqa: E402
 from setincl.graphs import colex_ranks, component_labels  # noqa: E402
 
 
@@ -227,6 +229,39 @@ def test_spectrum_merge_and_order_match_sympy(data):
         counted[matches[0]] += mult
     assert counted == [mult for _, mult in spec.entries]
     assert all(mult > 0 for _, mult in spec.entries)
+
+
+# values whose float estimates tie or come out in the wrong order: sqrt(R)
+# against sqrt(R + delta) near R = 10^40, and (p +- sqrt(p^2 + delta))/2,
+# whose estimate cancels; and values past 10^400, whose estimates are +-inf
+def _near_square_surd(p, delta, branch):
+    return SurdEigenvalue(p, max(p * p + delta, 0), branch)
+
+
+_NEAR_TIES = st.one_of(
+    st.builds(ExactEigenvalue, _BRANCHES, st.integers(10**40 - 4, 10**40 + 4)),
+    st.builds(_near_square_surd, st.integers(-(10**25), 10**25), st.integers(-4, 4), _BRANCHES),
+    st.builds(ExactEigenvalue, _BRANCHES, st.integers(10**800 - 4, 10**800 + 4)),
+    st.builds(
+        _near_square_surd,
+        st.sampled_from([-1, 1]).map(lambda sign: sign * 10**400) | st.integers(-3, 3),
+        st.integers(-4, 4),
+        _BRANCHES,
+    ),
+)
+_ORDER_VALUES = st.one_of(_SMALL.map(lambda ev: ev[0](*ev[1])), _NEAR_TIES)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_ORDER_VALUES, max_size=12).flatmap(st.permutations))
+@example([ExactEigenvalue(1, 10**40), ExactEigenvalue(1, 10**40 + 1)])
+@example([_near_square_surd(10**20, 2, -1), _near_square_surd(10**20, 1, -1)])
+@example([ExactEigenvalue(1, 10**800 + 1), ExactEigenvalue(1, 10**800 + 2), ExactEigenvalue(1, 3)])
+@example([_near_square_surd(10**400, 1, -1), ExactEigenvalue(0, 0), ExactEigenvalue(-1, 2)])
+def test_spectrum_order_is_the_exact_sort(values):
+    spec = Spectrum((ev, 1) for ev in values)
+    expect = sorted(set(values), key=cmp_to_key(_cmp_keys), reverse=True)
+    assert [ev for ev, _ in spec.entries] == expect
 
 
 @st.composite

@@ -91,6 +91,32 @@ def test_eigenvalue_floats():
     )
 
 
+def test_eigenvalue_float_is_one_rounding_of_the_fixed_point_value():
+    # reference: the fixed-point sum as a Fraction, which float() rounds once
+    bits = spectra_module._FLOAT_BITS
+
+    def by_fraction(ev):
+        s = isqrt(ev.r << (2 * bits))
+        return float(Fraction(ev.a, 2) + ev.e * Fraction(s, 1 << (bits + 1)))
+
+    rng = random.Random(59)
+    cases = []
+    for _ in range(3000):
+        p = rng.randrange(-(10 ** rng.randint(0, 60)), 10 ** rng.randint(0, 60) + 1)
+        d = rng.randrange(10 ** rng.randint(0, 60) + 1)
+        cases.append(SurdEigenvalue(p, d, rng.choice((-1, 1))))
+        cases.append(ExactEigenvalue(rng.choice((-1, 1)), d + 1))
+        cases.append(SurdEigenvalue(p, p * p + rng.randint(0, 5), 1))  # p^2 near d
+    assert [ev for ev in cases if float(ev) != by_fraction(ev)] == []
+    for ev in (
+        SurdEigenvalue(10**400, 7, -1),
+        ExactEigenvalue(-1, 10**700 + 1),
+        SurdEigenvalue(2 * 10**400, 0, 1),  # rational: e = 0
+    ):
+        with pytest.raises(OverflowError):
+            float(ev)
+
+
 def test_spectrum_merges_equal_values_across_kinds():
     # sqrt(8) and (0 + sqrt(32))/2 are the same real number
     spec = Spectrum([(ExactEigenvalue(1, 8), 1), (SurdEigenvalue(0, 32, 1), 2)])
@@ -129,6 +155,15 @@ def test_spectrum_distinguishes_close_values():
     assert len(spec) == 2
     assert spec.entries[0][0] == b
     assert spec.entries[1][0] == a
+
+
+def test_spectrum_refuses_values_not_in_normal_form():
+    # Eigenvalue(0, 1, 16) is (0 + sqrt(16))/2 = 2, which ExactEigenvalue
+    # holds as Eigenvalue(4, 0, 0): one number in two entries
+    with pytest.raises(ValueError, match="normal form"):
+        Spectrum([(Eigenvalue(0, 1, 16), 1), (ExactEigenvalue(1, 4), 1)])
+    with pytest.raises(ValueError, match="normal form"):
+        Spectrum([(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(-1, 3), 1), (Eigenvalue(0, 1, 16), 2)])
 
 
 def test_key_comparison_matches_decimal_on_small_keys():
