@@ -22,7 +22,6 @@ from .graphs import (
     GraphParams,
     SubsetGraph,
     colex_ranks,
-    component_count,
     component_labels,
     subset_positions,
 )
@@ -353,7 +352,7 @@ def brute_force_aut_order(g: Graph) -> int:
                 rejected.append(int(c))
             else:
                 points = np.arange(nv)
-                orbit = component_labels(nv, [(points, orbit), (points, image)])
+                orbit = component_labels(nv, [(points, orbit), (points, image)])[0]
         order *= int(np.count_nonzero(orbit[cell] == orbit[b]))
     return order
 
@@ -384,36 +383,52 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     """Number of orbits of the group generated by verified automorphisms on
     the chosen object set ("vertices", "edges" or "arcs"): the classes of
-    the pairs (x, generator(x)), counted by component_count with one link
+    the pairs (x, generator(x)), counted by component_labels with one link
     per generator.
 
-    Edges are numbered by their place in g.edges(), and arc e + d*m is edge
-    e read from its larger end when d = 1.  Each generator is verified by
-    the search that maps the edges: every image of an edge key must be a
-    key.  A generator sends arc e + d*m to arc places[e] + d'*m, where d'
-    flips d exactly when the generator reverses edge e."""
+    Edges are numbered by their place in g.edges(), and an arc is an edge
+    with a direction.  Each generator is verified by the search that maps
+    the edges (every image of an edge key must be a key), and its link is
+    built and joined before the next generator is read.  On the arcs the
+    classes are those of the edges with a flip on each edge the generator
+    reverses: an edge class in which some chain of links reverses an edge
+    holds one arc orbit, every other edge class two."""
     nv, m = g.num_vertices, g.num_edges
-    sizes = {"vertices": nv, "edges": m, "arcs": 2 * m}
+    sizes = {"vertices": nv, "edges": m, "arcs": m}
     if on not in sizes:
         raise ValueError(f"unknown object set: {on!r}")
-    objects = np.arange(sizes[on])
+    labels, odd = component_labels(sizes[on], _orbit_links(g, generators, on))
+    classes = int(np.count_nonzero(labels == np.arange(sizes[on])))
+    return 2 * classes - len(odd) if on == "arcs" else classes
+
+
+def _orbit_links(g: Graph, generators, on: str):
+    """orbit_count's link of each generator, verified and built only when
+    the union-find asks for it.  No array a check makes is bound in this
+    frame, so nothing of one generator outlives its link."""
     ends = g.edges()
-    keys = _edge_keys(ends, nv)
-    links = []
+    keys = _edge_keys(ends, g.num_vertices)
+    objects = np.arange(g.num_vertices if on == "vertices" else len(ends))
     for action in generators:
         images = _image_table(g, action)
-        image_ends = images[ends]
-        places = _places(keys, _edge_keys(image_ends, nv))
-        if places is None:
-            raise ValueError("generator is not an automorphism of the graph")
         if on == "vertices":
-            target = images
+            _edge_places(images, ends, keys)  # the check alone
+            yield objects, images
         elif on == "edges":
-            target = places
+            yield objects, _edge_places(images, ends, keys)[0]
         else:
-            target = np.concatenate((places, places))
-            flip = (image_ends[:, 0] > image_ends[:, 1]) * m
-            target[:m] += flip
-            target[m:] += m - flip
-        links.append((objects, target))
-    return component_count(len(objects), links)
+            yield objects, *_edge_places(images, ends, keys)
+
+
+def _edge_places(images: np.ndarray, ends: np.ndarray, keys: np.ndarray):
+    """Place among the edges of each edge's image under the vertex map
+    images, and whether the map reverses the edge (its tail's image above
+    its head's); ValueError unless the images are the edges in some order."""
+    image_ends = images[ends]
+    reverses = image_ends[:, 0] > image_ends[:, 1]
+    image_keys = _edge_keys(image_ends, len(images))
+    del image_ends  # not alive during the sort
+    places = _places(keys, image_keys)
+    if places is None:
+        raise ValueError("generator is not an automorphism of the graph")
+    return places, reverses

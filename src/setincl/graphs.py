@@ -2,10 +2,12 @@
 intersection-relation graphs on k-subsets, line graphs, and interchange
 formats (edge list, graph6, dot).
 
-Vertices are subsets of {0, ..., n-1} stored as bitmasks.  Within each size
-class masks are ranked colexicographically (equivalently: by numeric value),
-k-subsets first; the fixed order makes every export and eigensolver input
-reproducible.
+Vertices are the k- and l-subsets of {0, ..., n-1}, numbered k-subsets
+first and colexicographically within each size class; the fixed order makes
+every export and eigensolver input reproducible.  Subsets are handled as
+rows of their ascending elements (subset_positions) and numbered by
+colex_ranks; bitmasks (enumerate_subsets, subset_rank, SubsetGraph.masks)
+are made only on request.
 """
 
 from __future__ import annotations
@@ -257,13 +259,14 @@ class SubsetGraph(Graph):
 
 def inclusion_ranks(params: GraphParams) -> np.ndarray:
     """Biadjacency of the inclusion graph, for canonical parameters, as an
-    (n2, r2) int64 array: row i holds the colex ranks of the k-subsets
-    inside the l-subset of colex rank i (in the order of
-    itertools.combinations over its sorted elements)."""
+    (n2, r2) int64 array: row i holds, ascending, the colex ranks of the
+    k-subsets inside the l-subset of colex rank i.  The column choices run
+    in colex order over the ascending element row, and a monotone map of
+    positions to elements keeps colex order, so each row ascends."""
     params.require_canonical()
     large = subset_positions(params.n, params.l)
     # the k-subsets of an l-subset, as column choices from its element row
-    inside = np.array(list(combinations(range(params.l), params.k)), dtype=np.int64)
+    inside = subset_positions(params.l, params.k)
     return colex_ranks(large[:, cols] for cols in inside.T)
 
 
@@ -271,7 +274,7 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters.
 
     The CSR rows come straight from inclusion_ranks: l-subset i's row is its
-    sorted rank row, and the k-side rows are one sort of the codes
+    rank row, which ascends, and the k-side rows are one sort of the codes
     rank * n2 + i, which lists each k-subset's l-supersets in ascending
     order.  Checked on the way: every rank row strictly increases (so no
     edge repeats), and every k-degree is r1 (every l-degree is r2 by shape).
@@ -279,7 +282,6 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     ranks = inclusion_ranks(params)
     n1, n2, r1, r2 = params.n1, params.n2, params.r1, params.r2
     m = n2 * r2
-    ranks.sort(axis=1)
     assert (ranks[:, 1:] > ranks[:, :-1]).all()
     indices = np.empty(2 * m, dtype=np.int64)
     codes = indices[:m]
@@ -334,36 +336,84 @@ def build_line_graph(g: Graph) -> Graph:
     return Graph(m, np.concatenate(pairs))
 
 
-def component_labels(size: int, links) -> np.ndarray:
-    """Smallest member of each element's class in the equivalence on
-    0..size-1 generated by a[i] ~ b[i] for every (a, b) in links, by
+def component_labels(size: int, links) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the equivalence on 0..size-1 generated by the links, by
     min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
 
-    The links are hooked one (a, b) pair of arrays at a time, and each
-    hooking round keeps only the pairs whose labels still differ."""
+    A link (a, b) joins a[i] with b[i].  A link (a, b, flip), flip a boolean
+    array, joins (a[i], d) with (b[i], d ^ flip[i]) in the double cover of
+    pairs (x, d), d in {0, 1}.  From the first such link on, each element
+    keeps its parity against its label: a root hooked under another takes
+    the parity between them, and pointer jumping composes the parities on
+    the way up.  A pair whose ends share a root at different parities closes
+    an odd cycle; such a class is one class of the cover, every other class
+    two.  Without flips no parity is kept.
+
+    Returns the smallest member of each element's class, and, ascending,
+    that of every class closed with odd parity (empty without flips).  The
+    links are taken from the iterable one at a time, and each hooking round
+    keeps only the pairs whose roots still differ."""
     label = np.arange(size)  # every label is a root at the top of the loop
-    for a, b in links:
-        # the roots of each pair's ends; a root's label is its new root
-        la, lb = label[a], label[b]
+    par = odd = None  # with flips: parities, and the roots odd cycles closed on
+    for a, b, *flip in links:
+        if flip and par is None:
+            par, odd = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        # the roots of each pair's ends, and the parity q between the two
+        # roots that the pair joins; a root's label is its new root
+        la, lb, q = label[a], label[b], None
+        if par is not None:
+            q = par[a] ^ par[b]
+            if flip:
+                q ^= flip[0]
+        # the link is not read again: drop it, so that a link made on
+        # demand is freed before the next one is made
+        del a, b, flip
         while True:
-            keep = np.flatnonzero(la != lb)
-            if not len(keep):
+            keep = la != lb
+            if par is not None:
+                odd[la[q & ~keep]] = True
+                q = q[keep]
+            la = la[keep]
+            lb = lb[keep]
+            if not len(la):
                 break
-            la, lb = la[keep], lb[keep]
-            # hook each larger root under the smallest root paired with it,
-            # then point every element straight at its root
-            np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-            up = label[label]
-            while not np.array_equal(up, label):
-                label, up = up, up[up]
+            _hook(label, par, la, lb, q)
+            label = _jump(label, par)
+            if par is not None:
+                q ^= par[la] ^ par[lb]
             la, lb = label[la], label[lb]
+    if odd is None:
+        return label, np.empty(0, dtype=np.int64)
+    return label, np.unique(label[np.flatnonzero(odd)])
+
+
+def _hook(label: np.ndarray, par, la: np.ndarray, lb: np.ndarray, q) -> None:
+    """Hook each larger root of the pairs (la, lb) under the smallest root
+    paired with it; with parities, at the parity q of one pair that joins
+    the two (any one: a pair left at another parity closes an odd cycle in
+    the next round)."""
+    hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+    np.minimum.at(label, hi, lo)
+    if par is not None:
+        won = label[hi] == lo
+        par[hi[won]] = q[won]
+
+
+def _jump(label: np.ndarray, par) -> np.ndarray:
+    """Point every element straight at its root, composing each parity with
+    its label's before every jump."""
+    up = label[label]
+    while not np.array_equal(up, label):
+        if par is not None:
+            par ^= par[label]
+        label, up = up, up[up]
     return label
 
 
 def component_count(size: int, links) -> int:
     """Number of classes of the equivalence on 0..size-1 generated by the
     (a, b) link arrays (see component_labels)."""
-    return int(np.count_nonzero(component_labels(size, links) == np.arange(size)))
+    return int(np.count_nonzero(component_labels(size, links)[0] == np.arange(size)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -157,10 +157,11 @@ def _estimate(ev: Eigenvalue) -> float:
         return _sign_surd(ev.a, ev.e, ev.r) * inf
 
 
-def _strictly_descending(order: list[Eigenvalue]) -> bool:
-    """Exact certificate of an order: every adjacent pair is decided by
-    _cmp_keys, so n - 1 comparisons settle a list of n values."""
-    return all(_cmp_keys(x, y) > 0 for x, y in zip(order, order[1:]))
+def _strictly_descending(entries: list[tuple[Eigenvalue, int]]) -> bool:
+    """Exact certificate of an order of (value, multiplicity) entries: every
+    adjacent pair of values is decided by _cmp_keys, so n - 1 comparisons
+    settle a list of n entries."""
+    return all(_cmp_keys(x, y) > 0 for (x, _), (y, _) in zip(entries, entries[1:]))
 
 
 # the primes below 1000: a composite's square cannot divide what is left
@@ -213,16 +214,16 @@ class Spectrum:
                 raise ValueError(f"negative multiplicity {mult}")
             if mult:
                 merged[ev] = merged.get(ev, 0) + mult
-        order = sorted(merged, key=_estimate, reverse=True)
-        if not _strictly_descending(order):
-            order = sorted(order, key=cmp_to_key(_cmp_keys), reverse=True)
-            if not _strictly_descending(order):
+        # the items carry their multiplicities, so no value is hashed again
+        entries = sorted(merged.items(), key=lambda item: _estimate(item[0]), reverse=True)
+        if not _strictly_descending(entries):
+            exact = cmp_to_key(_cmp_keys)
+            entries.sort(key=lambda item: exact(item[0]), reverse=True)
+            if not _strictly_descending(entries):
                 raise ValueError(
                     "two entries are equal as numbers: an Eigenvalue is not in normal form"
                 )
-        self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(
-            (ev, merged[ev]) for ev in order
-        )
+        self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -4,6 +4,7 @@ and the orbit-stabiliser automorphism oracle."""
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -426,6 +427,30 @@ def test_orbit_count_matches_pure_python_closure():
     # inner edges; the spokes' two directions stay apart
     g, gens = petersen()
     assert [orbit_count(g, gens, on=on) for on in ("vertices", "edges", "arcs")] == [2, 3, 4]
+    # D12 on C12: neither the rotation nor the reflection v -> -v maps an
+    # edge onto itself, but their product v -> 1 - v reverses the edge
+    # {0, 1}, so only a chain of two links closes an odd cycle
+    g, gens = cycle(12)
+    assert [orbit_count(g, gens, on=on) for on in ("vertices", "edges", "arcs")] == [1, 1, 1]
+    assert orbit_count(g, gens[:1], on="arcs") == 2
+
+
+@pytest.mark.parametrize("nkl", [(13, 5, 8), (15, 4, 6)])
+def test_orbit_count_on_arcs_costs_about_what_edges_cost(nkl):
+    # arcs are the edges with a direction parity, not 2m objects of their
+    # own; traced numpy allocations, peak of one call on each object set
+    params = GraphParams(*nkl)
+    g = build_inclusion_graph(params)
+    gens = aut_group(params).generators
+    peaks = {}
+    for on in ("edges", "arcs"):
+        tracemalloc.start()
+        try:
+            orbit_count(g, gens, on=on)
+            peaks[on] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["arcs"] <= 1.3 * peaks["edges"], peaks
 
 
 def test_orbit_count_on_a_long_cycle_is_not_a_frontier_search():

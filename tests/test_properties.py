@@ -115,27 +115,36 @@ def test_colex_ranks_match_subset_rank(data):
         assert subset_unrank(size, rank) == mask
 
 
-def _union_find_labels(size, links):
-    """Smallest member of each element's class, by a plain union-find that
-    always keeps the smaller root."""
-    parent = list(range(size))
+def _union_find_classes(size, links):
+    """Smallest member of each element's class, and, ascending, that of
+    every class some chain of links closes with odd parity, by a plain
+    union-find on the double cover: (x, d) is element 2x + d, and a link
+    (a, b, flip) joins (a[i], d) with (b[i], d ^ flip[i]) (flip 0 without
+    flips).  Keeping the smaller root, the root of (x, 0) is 2y + d for the
+    smallest member y of x's class."""
+    parent = list(range(2 * size))
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    for a, b in links:
-        for x, y in zip(a, b):
-            rx, ry = find(x), find(y)
-            parent[max(rx, ry)] = min(rx, ry)
-    return [find(x) for x in range(size)]
+    for a, b, *flip in links:
+        flips = flip[0] if flip else [0] * len(a)
+        for x, y, f in zip(a, b, flips):
+            for d in (0, 1):
+                rx, ry = find(2 * x + d), find(2 * y + (d ^ f))
+                parent[max(rx, ry)] = min(rx, ry)
+    labels = [find(2 * x) // 2 for x in range(size)]
+    odd = sorted({labels[x] for x in range(size) if find(2 * x) == find(2 * x + 1)})
+    return labels, odd
 
 
 @st.composite
 def _link_lists(draw):
     """A size and up to five links on 0..size-1, each random pairs or the
-    pairs (x, p(x)) of a random permutation p."""
+    pairs (x, p(x)) of a random permutation p, and each with or without a
+    random flip per pair."""
     size = draw(st.integers(1, 60), label="size")
     links = []
     for _ in range(draw(st.integers(0, 5), label="links")):
@@ -144,16 +153,30 @@ def _link_lists(draw):
         else:
             pairs = draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * 2), max_size=80))
             a, b = [x for x, _ in pairs], [y for _, y in pairs]
-        links.append((np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)))
+        link = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        if draw(st.booleans(), label="flips"):
+            flip = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+            link += (np.array(flip, dtype=bool),)
+        links.append(link)
     return size, links
+
+
+def _link(a, b, flip=None):
+    arrays = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    return arrays if flip is None else (*arrays, np.array(flip, dtype=bool))
 
 
 @settings(deadline=None)
 @given(_link_lists())
+# two flips chained in one hooking round compose to parity 0, so the last
+# link closes no odd cycle
+@example((3, [_link([2, 1], [1, 0], [1, 1]), _link([2], [0], [0])]))
+# an odd cycle closes on root 1, which is then hooked under 0
+@example((3, [_link([2], [1], [1]), _link([2], [1], [0]), _link([1], [0])]))
 def test_component_labels_match_union_find(case):
     size, links = case
-    labels = component_labels(size, links)
-    assert labels.tolist() == _union_find_labels(size, links)
+    labels, odd = component_labels(size, links)
+    assert (labels.tolist(), odd.tolist()) == _union_find_classes(size, links)
 
 
 # an eigenvalue is drawn as its constructor and arguments, so that the
