@@ -108,7 +108,7 @@ def _subset_rows(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _sigma(g: np.ndarray, params: GraphParams, rows) -> InducedAction:
     """induced_action of the image table g, given _subset_rows(params)."""
-    images = [colex_ranks(np.sort(g[r], axis=1).T) for r in rows]
+    images = [colex_ranks(np.sort(g[r], axis=1).T, params.n) for r in rows]
     images[1] += params.n1
     return InducedAction(np.concatenate(images), "sigma")
 

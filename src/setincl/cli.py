@@ -13,7 +13,10 @@ of the matrix that is diagonalised: scheme --check C(n,k), and verify n1
 same cap bounds what verify builds to get there: the rank array, n2*r2
 entries, at most cap^2, and without --line the Gram products, n1^2*n2
 multiply-adds, at most 6*cap^3 (GRAM_WORK).  SETINCL_BRUTE_CAP (default 40) caps
-aut --brute-force at n1+n2 vertices.  The environment is read on every call.
+aut --brute-force at n1+n2 vertices.  orbits and export are refused when
+the l-subsets' element rows (n2*l entries) or the arcs (2*n2*r2) would not
+fit one numpy array (np.iinfo(np.intp).max entries); the ground set has no
+other limit.  The environment is read on every call.
 A cap, from a flag or the environment, must be a positive integer and --tol
 a finite nonnegative number; anything else is a usage error.
 """
@@ -25,6 +28,8 @@ import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .automorphisms import aut_group, brute_force_aut_order, group_shape, orbit_count
 from .errors import CapExceededError
@@ -215,6 +220,13 @@ def _preflight(argv):
         size, cap = p.n1 + p.n2, args.max_vertices or env_brute_cap
         if size > cap:
             raise CapExceededError(f"graph has {_size(size)} vertices, cap is {_size(cap)}")
+    elif args.command in ("orbits", "export"):
+        limit = np.iinfo(np.intp).max  # numpy's, on the entries of one array
+        for size, what in ((p.n2 * p.l, "l-subset row entries"), (2 * p.n2 * p.r2, "arcs")):
+            if size > limit:
+                raise CapExceededError(
+                    f"graph needs {_size(size)} {what}, numpy's array limit is {_size(limit)}"
+                )
     return args
 
 

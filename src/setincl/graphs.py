@@ -4,24 +4,21 @@ formats (edge list, graph6, dot).
 
 Vertices are the k- and l-subsets of {0, ..., n-1}, numbered k-subsets
 first and colexicographically within each size class; the fixed order makes
-every export and eigensolver input reproducible.  Subsets are handled as
-rows of their ascending elements (subset_positions) and numbered by
-colex_ranks; bitmasks (enumerate_subsets, subset_rank, SubsetGraph.masks)
-are made only on request.
+every export and eigensolver input reproducible.  A subset is a row of its
+ascending elements (subset_positions), numbered within its size class by
+colex_ranks; this is the one representation, for every n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 
 import numpy as np
 
-from .combinatorics import binom, intersection_number
+from .combinatorics import intersection_number
 
-MAX_GROUND_SET = 64  # subsets are kept inside one machine word's worth of bits
 _GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
 
 __all__ = [
@@ -30,9 +27,8 @@ __all__ = [
     "SubsetGraph",
     "canonicalize",
     "canonical_params_up_to",
-    "enumerate_subsets",
-    "subset_rank",
-    "subset_unrank",
+    "subset_positions",
+    "colex_ranks",
     "inclusion_ranks",
     "build_inclusion_graph",
     "build_johnson_graph",
@@ -111,24 +107,11 @@ def canonical_params_up_to(max_n: int, min_n: int = 3):
                 yield GraphParams(n, k, l)
 
 
-def enumerate_subsets(n: int, size: int) -> list[int]:
-    """All size-subsets of {0,...,n-1} as bitmasks in colexicographic order.
-
-    For a fixed size, colex order coincides with numeric order of the masks.
-    """
-    # uint64 throughout: bit 63 does not fit int64, and mixing the two
-    # promotes to float64
-    bits = np.left_shift(np.uint64(1), subset_positions(n, size).astype(np.uint64))
-    return bits.sum(axis=1, dtype=np.uint64).tolist()
-
-
 def subset_positions(n: int, size: int) -> np.ndarray:
     """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
     per subset, rows in colexicographic order."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
-    if n > MAX_GROUND_SET:
-        raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
     # lex order of descending tuples drawn from n-1, ..., 0 is reverse colex
     flat = np.fromiter(
         chain.from_iterable(combinations(range(n - 1, -1, -1), size)),
@@ -138,49 +121,26 @@ def subset_positions(n: int, size: int) -> np.ndarray:
     return flat.reshape(comb(n, size), size)[::-1, ::-1]
 
 
-def subset_rank(mask: int) -> int:
-    """Colexicographic rank of a bitmask among subsets of its own size."""
-    if mask < 0:
-        raise ValueError("mask must be nonnegative")
-    r = 0
-    j = 0
-    while mask:
-        low = mask & -mask
-        j += 1
-        r += comb(low.bit_length() - 1, j)
-        mask ^= low
-    return r
+def colex_ranks(columns, n: int) -> np.ndarray:
+    """Colex rank of each of a batch of subsets of {0,...,n-1} among the
+    subsets of its size.  columns[j-1] holds the j-th smallest element of
+    every subset (for element rows p, as from subset_positions, pass p.T);
+    the rank is the sum over j of C(columns[j-1], j).
 
-
-def subset_unrank(size: int, rank: int) -> int:
-    """Mask of the given colex rank among size-subsets; inverse of subset_rank."""
-    if size < 0 or rank < 0:
-        raise ValueError("size and rank must be nonnegative")
-    mask = 0
-    r = rank
-    for j in range(size, 0, -1):
-        e = j - 1
-        while comb(e + 1, j) <= r:
-            e += 1
-        r -= comb(e, j)
-        mask |= 1 << e
-    if r != 0:
-        raise ValueError(f"rank {rank} out of range for size {size}")
-    return mask
-
-
-# _BINOM[p, j] = C(p, j) for element positions p < 64; C(63, 31) < 2**63
-_BINOM = np.array(
-    [[comb(p, j) for j in range(MAX_GROUND_SET + 1)] for p in range(MAX_GROUND_SET)],
-    dtype=np.int64,
-)
-
-
-def colex_ranks(columns) -> np.ndarray:
-    """Vectorised subset_rank.  columns[j] holds the (j+1)-th smallest
-    element of every subset (for a positions array p, pass p.T); the rank is
-    the sum of C(columns[j], j+1)."""
-    return sum(_BINOM[col, j] for j, col in enumerate(columns, 1))
+    One int64 column of C(p, j), p < n, is carried from j to j+1 by
+    Pascal's rule C(p, j+1) = sum of C(q, j) over q < p.  Entries past
+    2**63 - 1 wrap, but int64 sums are exact modulo 2**64, so every entry
+    below 2**63 is exact; each entry read is at most the subset's rank, so
+    none that wrapped is read while the ranks fit int64."""
+    binom = np.zeros(n + 1, dtype=np.int64)
+    below, at = binom[:-1], binom[1:]  # at[p] = C(p, j), below[p] = C(p-1, j)
+    at[:] = 1  # j = 0
+    ranks = 0
+    for col in columns:
+        # np.add.accumulate, not np.cumsum: a third of the cost on short columns
+        at[:] = np.add.accumulate(below)
+        ranks = ranks + at[col]
+    return ranks
 
 
 class Graph:
@@ -242,20 +202,6 @@ class SubsetGraph(Graph):
         self.params = params
         self.v1_count = params.n1
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Bitmask of every vertex, in vertex order; computed on first access."""
-        n, k, l = self.params.n, self.params.k, self.params.l
-        return tuple(enumerate_subsets(n, k) + enumerate_subsets(n, l))
-
-    def rank_of_mask(self, mask: int) -> int:
-        """Vertex index of a subset mask (k-subsets first, colex within class)."""
-        if mask.bit_count() == self.params.k:
-            return subset_rank(mask)
-        if mask.bit_count() == self.params.l:
-            return self.v1_count + subset_rank(mask)
-        raise ValueError(f"mask {mask:#x} is not a k- or l-subset")
-
 
 def inclusion_ranks(params: GraphParams) -> np.ndarray:
     """Biadjacency of the inclusion graph, for canonical parameters, as an
@@ -267,7 +213,7 @@ def inclusion_ranks(params: GraphParams) -> np.ndarray:
     large = subset_positions(params.n, params.l)
     # the k-subsets of an l-subset, as column choices from its element row
     inside = subset_positions(params.l, params.k)
-    return colex_ranks(large[:, cols] for cols in inside.T)
+    return colex_ranks((large[:, cols] for cols in inside.T), params.n)
 
 
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:

@@ -27,6 +27,8 @@ from setincl import (
     spectrum_line_middle,
 )
 
+from reference_ranks import vertex_sets
+
 TOL = 1e-8
 
 
@@ -146,9 +148,10 @@ def test_criterion_09_fingerprint_determines_intersection():
             failures.append((params, "fingerprint map not injective"))
             continue
         inverse = {fp: i for i, fp in formula.items()}
+        sets = vertex_sets(params)
         for u in range(g.v1_count):
             for v in range(u + 1, g.v1_count):
-                i = (g.masks[u] & g.masks[v]).bit_count()
+                i = len(sets[u] & sets[v])
                 fp = common_neighbor_fingerprint(g, u, v)
                 ok = fp == formula[i] and inverse[fp] == i if i in formula else fp == 0
                 if not ok:

@@ -30,6 +30,8 @@ from setincl import (
 )
 from setincl import automorphisms
 
+from reference_ranks import mask_of, subset_rank, vertex_sets
+
 
 def random_permutation(n, rng):
     perm = list(range(n))
@@ -63,10 +65,10 @@ def test_induced_action_identity():
 def test_induced_action_small_example():
     # swapping ground elements 0 and 1 sends {0} to {1} and {0,2} to {1,2}
     params = GraphParams(3, 1, 2)
-    g = build_inclusion_graph(params)
+    sets = vertex_sets(params)
     action = induced_action((1, 0, 2), params)
-    assert g.masks[action(g.rank_of_mask(0b001))] == 0b010
-    assert g.masks[action(g.rank_of_mask(0b101))] == 0b110
+    assert sets[action(sets.index({0}))] == {1}
+    assert sets[action(sets.index({0, 2}))] == {1, 2}
 
 
 def test_induced_action_rejects_non_bijection():
@@ -98,8 +100,9 @@ def test_induced_action_respects_composition():
 def test_tau_action_cases():
     params = GraphParams(4, 1, 3)
     g = build_inclusion_graph(params)
+    sets = vertex_sets(params)
     tau = tau_action(params)
-    assert g.masks[tau(g.rank_of_mask(0b0001))] == 0b1110
+    assert sets[tau(sets.index({0}))] == {1, 2, 3}
     assert is_automorphism(g, tau)
     assert tau.compose(tau).is_identity
 
@@ -112,9 +115,9 @@ def test_tau_action_cases():
     # the reversal of the vertex order against the definition of τ
     for params in canonical_params_up_to(10):
         if params.k + params.l == params.n:
-            g = build_inclusion_graph(params)
-            tau, full = tau_action(params), (1 << params.n) - 1
-            assert all(g.masks[tau(v)] == full ^ m for v, m in enumerate(g.masks)), params
+            sets = vertex_sets(params)
+            tau, full = tau_action(params), frozenset(range(params.n))
+            assert all(sets[tau(v)] == full - s for v, s in enumerate(sets)), params
 
 
 def test_induced_action_images():
@@ -299,9 +302,9 @@ def test_pointwise_stabilizer_trivial(n, k, l):
 
 def test_fingerprint_values():
     g = build_inclusion_graph(GraphParams(5, 2, 3))
-    masks = g.masks
-    pair01 = [(u, v) for u in range(10) for v in range(10) if (masks[u] & masks[v]).bit_count() == 1]
-    pair00 = [(u, v) for u in range(10) for v in range(10) if u != v and (masks[u] & masks[v]).bit_count() == 0]
+    sets = vertex_sets(g.params)
+    pair01 = [(u, v) for u in range(10) for v in range(10) if len(sets[u] & sets[v]) == 1]
+    pair00 = [(u, v) for u in range(10) for v in range(10) if u != v and not sets[u] & sets[v]]
     assert all(common_neighbor_fingerprint(g, u, v) == 1 for u, v in pair01)
     assert all(common_neighbor_fingerprint(g, u, v) == 0 for u, v in pair00)
     assert common_neighbor_fingerprint(g, 3, 3) == 3  # degree on the k-side
@@ -320,9 +323,10 @@ def test_fingerprint_determines_intersection_size():
         lo = max(2 * k - l, 0)
         formula = {i: binom(n - 2 * k + i, l - 2 * k + i) for i in range(lo, k)}
         assert len(set(formula.values())) == len(formula)  # injective per instance
+        sets = vertex_sets(params)
         for u in range(g.v1_count):
             for v in range(u + 1, g.v1_count):
-                i = (g.masks[u] & g.masks[v]).bit_count()
+                i = len(sets[u] & sets[v])
                 fp = common_neighbor_fingerprint(g, u, v)
                 assert fp == formula.get(i, 0)
 
@@ -478,18 +482,24 @@ def test_johnson_graph_aut_orders(n, k, expect):
 
 
 def test_full_64_element_ground_set():
-    # the last masks have bit 63 set; τ pairs each subset of G(64,1,63) with
-    # its complement in the full 64-bit mask
-    full = (1 << 64) - 1
-    for (n, k, l), expect in [((64, 1, 2), (2, 1, 2)), ((64, 1, 63), (1, 1, 1))]:
+    # the last vertex holds element n - 1 (bit 63 of a mask at n = 64, past
+    # any 64-bit word at n = 65); τ pairs each subset of G(n,1,n-1) with its
+    # complement in the ground set
+    cases = [
+        ((64, 1, 2), (2, 1, 2)), ((64, 1, 63), (1, 1, 1)),
+        ((65, 1, 2), (2, 1, 2)), ((65, 1, 64), (1, 1, 1)),
+    ]
+    for (n, k, l), expect in cases:
         params = GraphParams(n, k, l)
         g = build_inclusion_graph(params)
-        assert g.masks[-1] >> 63 == 1
-        assert all(g.rank_of_mask(m) == v for v, m in enumerate(g.masks))
+        sets = vertex_sets(params)
+        assert max(sets[-1]) == n - 1
+        firsts = (0, params.n1)  # each class is numbered by colex rank
+        assert all(subset_rank(mask_of(s)) == v - firsts[len(s) == l] for v, s in enumerate(sets))
         gens = aut_group(params).generators
         counts = tuple(orbit_count(g, gens, on=on) for on in ("vertices", "edges", "arcs"))
         assert counts == expect
         if k + l == n:
-            tau = tau_action(params)
+            tau, full = tau_action(params), frozenset(range(n))
             assert is_automorphism(g, tau)
-            assert all(g.masks[tau(v)] == full ^ m for v, m in enumerate(g.masks))
+            assert all(sets[tau(v)] == full - s for v, s in enumerate(sets))

@@ -7,12 +7,18 @@ import json
 import re
 import sys
 import time
+from itertools import combinations
 from math import factorial
 
+import numpy as np
 import pytest
 
 import setincl.cli as cli
+from setincl import Graph
 from setincl.cli import main
+
+from reference_export import reference_export
+from reference_ranks import mask_of
 
 
 def run(args, capsys):
@@ -490,3 +496,65 @@ def test_memory_error_exits_2(args, exc, detail, monkeypatch, capsys):
     code, out, err = run(args, capsys)
     assert code == 2 and out == ""
     assert err == f"setincl: out of memory: {detail}\n"
+
+
+# Past 64 elements: the ground set has no limit of its own
+
+
+@pytest.mark.parametrize(
+    "args,expect",
+    [
+        (["orbits", "65", "1", "2", "--on", "edges"], "orbits on edges: 1\n"),
+        (["orbits", "65", "1", "2", "--on", "arcs"], "orbits on arcs: 2\n"),
+        (["orbits", "70", "1", "69", "--on", "vertices"], "orbits on vertices: 1\n"),
+    ],
+)
+def test_orbits_past_64_elements(args, expect, capsys):
+    assert run(args, capsys) == (0, expect, "")
+
+
+def test_export_past_64_elements_matches_reference(tmp_path, capsys):
+    # G(65,1,2) built from the subsets as sets, numbered by the numeric
+    # order of their masks (colex), through the per-edge text reference
+    n = 65
+    pairs = sorted(map(frozenset, combinations(range(n), 2)), key=mask_of)
+    edges = [(e, n + j) for j, pair in enumerate(pairs) for e in sorted(pair)]
+    expect = reference_export(Graph(n + len(pairs), edges), "edgelist")
+    target = tmp_path / "g.edges"
+    assert run(["export", "65", "1", "2", "--out", str(target)], capsys) == (0, "", "")
+    assert target.read_bytes() == expect
+
+
+@pytest.mark.parametrize("n", ["65", "300"])
+def test_verify_past_64_elements(n, capsys):
+    code, out, _ = run(["verify", n, "1", "2"], capsys)
+    assert code == 0
+    assert out.startswith(f"verify ({n},1,2) graph: ") and out.endswith("-> PASS\n")
+
+
+def test_aut_brute_force_past_64_elements(capsys):
+    code, out, _ = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "200"], capsys)
+    assert code == 0
+    assert f"brute-force order: {2 * factorial(65)} (agree)\n" in out
+
+
+@pytest.mark.parametrize(
+    "args,bound",
+    [
+        # C(64,32) l-subsets of 32 elements each: more than 2**63 - 1 entries
+        (["orbits", "64", "3", "32", "--on", "vertices"], "58643972510162897088 l-subset row entries"),
+        (["export", "64", "2", "40"], "10025964218786644800 l-subset row entries"),
+        (["orbits", "72", "2", "36", "--on", "vertices"], "15930451449966124051344 l-subset row entries"),
+        # 3.9e17 row entries fit, but each l-subset holds C(20,10) k-subsets
+        (["export", "64", "10", "20"], "7249724113398980653440 arcs"),
+    ],
+)
+def test_builds_past_numpy_array_limit_are_refused(args, bound, monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run(args, capsys)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert out == "" and err == (
+        f"setincl: cap exceeded: graph needs {bound}, "
+        f"numpy's array limit is {np.iinfo(np.intp).max}\n"
+    )

@@ -15,18 +15,18 @@ from setincl import (
     build_line_graph,
     canonical_params_up_to,
     canonicalize,
-    enumerate_subsets,
+    colex_ranks,
     export_graph,
     inclusion_ranks,
     is_connected,
     johnson_scheme_holds,
     parse_graph6,
-    subset_rank,
-    subset_unrank,
+    subset_positions,
 )
 from setincl.cli import main
 
 from reference_export import reference_export
+from reference_ranks import mask_of, subset_rank, subset_unrank, vertex_sets
 
 
 def test_params_validation():
@@ -52,65 +52,64 @@ def test_canonicalize():
 
 
 def test_enumerate_subsets_order():
-    assert enumerate_subsets(3, 1) == [0b001, 0b010, 0b100]
-    masks = enumerate_subsets(4, 2)
-    assert len(masks) == 6
-    assert masks[0] == 0b0011 and masks[-1] == 0b1100
-    assert masks == sorted(masks)  # colex = numeric order at fixed popcount
-    assert enumerate_subsets(5, 0) == [0]
+    assert subset_positions(3, 1).tolist() == [[0], [1], [2]]
+    rows = subset_positions(4, 2)
+    assert rows.dtype == np.int64 and rows.shape == (6, 2)
+    assert rows[0].tolist() == [0, 1] and rows[-1].tolist() == [2, 3]
+    assert (rows[:, 1:] > rows[:, :-1]).all()  # each row ascends
+    masks = [mask_of(row) for row in rows.tolist()]
+    assert masks == sorted(masks)  # colex = numeric order of masks at fixed size
+    assert subset_positions(5, 0).shape == (1, 0)
 
 
 def test_enumerate_subsets_counts():
     for n in range(11):
         for size in range(n + 1):
-            assert len(enumerate_subsets(n, size)) == comb(n, size)
+            rows = subset_positions(n, size).tolist()
+            assert len(rows) == len(set(map(tuple, rows))) == comb(n, size)
 
 
 def test_enumerate_subsets_bounds():
     with pytest.raises(ValueError):
-        enumerate_subsets(3, 4)
+        subset_positions(3, 4)
     with pytest.raises(ValueError):
-        enumerate_subsets(3, -1)
-    with pytest.raises(ValueError):
-        enumerate_subsets(65, 1)
+        subset_positions(3, -1)
+    # no bound on the ground set: 65 and more elements are rows like any others
+    assert subset_positions(65, 1).tolist() == [[e] for e in range(65)]
+    wide = subset_positions(130, 129)
+    assert wide[0].tolist() == list(range(129)) and wide[-1].tolist() == list(range(1, 130))
 
 
 def test_rank_unrank_roundtrip_exhaustive():
     for n in (8, 12, 14):
         for size in range(n + 1):
-            for rank, mask in enumerate(enumerate_subsets(n, size)):
-                assert subset_rank(mask) == rank
-                assert subset_unrank(size, rank) == mask
+            rows = subset_positions(n, size)
+            if size:
+                assert np.array_equal(colex_ranks(rows.T, n), np.arange(len(rows)))
+            for rank, row in enumerate(rows.tolist()):
+                assert subset_rank(mask_of(row)) == rank
+                assert subset_unrank(size, rank) == mask_of(row)
 
 
 def test_rank_unrank_roundtrip_large_ground_set():
-    # sizes up to n = 20, sampled ranks including both ends of each class
-    for n in (17, 20):
+    # sampled ranks including both ends of each class whose ranks fit int64.
+    # The last 15-subset of a 124-set reads C(123, 15), between 2**62 and
+    # 2**63; at n = 130 the Pascal column that colex_ranks carries holds
+    # entries past 2**63 from C(129, 15) on, so the classes of 116 to 129
+    # elements go through columns whose larger entries wrapped
+    for n, samples in ((17, 97), (20, 97), (65, 13), (124, 13), (130, 13)):
         for size in range(n + 1):
             count = comb(n, size)
-            step = max(1, count // 97)
-            ranks = set(range(0, count, step)) | {0, count - 1}
-            for rank in ranks:
-                mask = subset_unrank(size, rank)
-                assert mask.bit_count() == size
-                assert mask < (1 << n)
-                assert subset_rank(mask) == rank
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        subset_unrank(2, -1)
-
-
-def test_rank_unrank_reject_negative_arguments():
-    # mask & -mask never clears a negative mask, so subset_rank(-1) would
-    # loop forever; SubsetGraph.rank_of_mask(-1) reaches it when k = 1
-    with pytest.raises(ValueError):
-        subset_rank(-1)
-    with pytest.raises(ValueError):
-        subset_unrank(-1, 0)
-    with pytest.raises(ValueError):
-        build_inclusion_graph(GraphParams(3, 1, 2)).rank_of_mask(-1)
+            if count > 2**63:
+                continue
+            step = max(1, count // samples)
+            ranks = sorted(set(range(0, count, step)) | {0, count - 1})
+            masks = [subset_unrank(size, rank) for rank in ranks]
+            assert all(m.bit_count() == size and m < (1 << n) for m in masks)
+            assert [subset_rank(m) for m in masks] == ranks
+            if size:
+                rows = np.array([[e for e in range(n) if m >> e & 1] for m in masks])
+                assert np.array_equal(colex_ranks(rows.T, n), ranks), (n, size)
 
 
 def test_inclusion_graph_small_case_against_direct_construction():
@@ -128,10 +127,9 @@ def test_inclusion_graph_small_case_against_direct_construction():
             if a < b:
                 expect.add((a, b))
     got = set()
+    sets = vertex_sets(g.params)
     for u, v in g.edges():
-        a = frozenset(i for i in range(4) if g.masks[u] >> i & 1)
-        b = frozenset(i for i in range(4) if g.masks[v] >> i & 1)
-        got.add((a, b))
+        got.add((sets[u], sets[v]))
     assert got == expect
 
 
@@ -146,15 +144,10 @@ def test_inclusion_graph_semiregular_audit():
         assert is_connected(g)
 
 
-def test_inclusion_graph_csr_matches_generic_build(monkeypatch):
+def test_inclusion_graph_csr_matches_generic_build():
     # the direct CSR against Graph(n1+n2, edges) from the same rank array
-    calls = []
-    enumerate_once = graphs_module.enumerate_subsets
-    monkeypatch.setattr(
-        graphs_module, "enumerate_subsets", lambda *a: calls.append(a) or enumerate_once(*a)
-    )
     for params in canonical_params_up_to(9):
-        n, k, l, n1, n2, r2 = params.n, params.k, params.l, params.n1, params.n2, params.r2
+        n1, n2, r2 = params.n1, params.n2, params.r2
         edges = np.column_stack(
             (inclusion_ranks(params).ravel(), np.repeat(np.arange(n1, n1 + n2), r2))
         )
@@ -164,11 +157,6 @@ def test_inclusion_graph_csr_matches_generic_build(monkeypatch):
         assert np.array_equal(g.indices, generic.indices), params
         assert g.num_edges == generic.num_edges
         assert g.indptr.dtype == g.indices.dtype == np.int64
-        assert calls == []  # building makes no masks
-        assert g.masks == tuple(enumerate_once(n, k) + enumerate_once(n, l))
-        assert g.masks is g.masks
-        assert calls == [(n, k), (n, l)]
-        calls.clear()
 
 
 def test_inclusion_graph_rejects_noncanonical():
@@ -187,18 +175,20 @@ def test_inclusion_ranks_are_the_k_side_neighbours():
         ranks = inclusion_ranks(params)
         assert ranks.dtype == np.int64 and ranks.shape == (params.n2, params.r2)
         g = build_inclusion_graph(params)
+        sets = vertex_sets(params)
         for i, row in enumerate(ranks):
             assert np.array_equal(row, g.neighbors(params.n1 + i)), (params, i)
-            mask = g.masks[params.n1 + i]
-            assert all(g.masks[r] & ~mask == 0 for r in row)
+            assert all(sets[r] <= sets[params.n1 + i] for r in row)
 
 
-def test_rank_of_mask():
-    g = build_inclusion_graph(GraphParams(5, 2, 3))
-    for idx, mask in enumerate(g.masks):
-        assert g.rank_of_mask(mask) == idx
-    with pytest.raises(ValueError):
-        g.rank_of_mask(0b1)  # singleton is not a vertex here
+def test_colex_ranks_number_the_vertices():
+    # a vertex's index from its subset alone: the colex rank of its sorted
+    # elements, after the n1 k-subsets when it is an l-subset
+    params = GraphParams(5, 2, 3)
+    for idx, subset in enumerate(vertex_sets(params)):
+        rank = int(colex_ranks(np.array([sorted(subset)]).T, params.n)[0])
+        assert (rank if len(subset) == params.k else params.n1 + rank) == idx
+        assert subset_rank(mask_of(subset)) == rank
 
 
 def test_complement_bijection_preserves_adjacency():
@@ -208,9 +198,10 @@ def test_complement_bijection_preserves_adjacency():
         g = build_inclusion_graph(params)
         n = params.n
         full = (1 << n) - 1
+        masks = [mask_of(s) for s in vertex_sets(params)]
         comp_edges = set()
         for u, v in g.edges():
-            a, b = full ^ g.masks[u], full ^ g.masks[v]
+            a, b = full ^ masks[u], full ^ masks[v]
             comp_edges.add((min(a, b), max(a, b)))
         expect = set()
         small = [sum(1 << i for i in c) for c in combinations(range(n), n - params.l)]
@@ -250,11 +241,12 @@ def test_johnson_identity_relation():
 
 
 def test_meets_counts_common_elements():
-    # the scheme check's input against an independent path: mask popcounts
+    # the scheme check's input against an independent path: the k-subsets
+    # as sets, in colex order (the numeric order of their masks)
     for n in range(1, 11):
         for k in range(n // 2 + 1):
-            masks = enumerate_subsets(n, k)
-            expect = [[(a & b).bit_count() for b in masks] for a in masks]
+            sets = sorted(map(frozenset, combinations(range(n), k)), key=mask_of)
+            expect = [[len(a & b) for b in sets] for a in sets]
             assert np.array_equal(graphs_module._meets(n, k), expect), (n, k)
 
 
