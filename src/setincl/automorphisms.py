@@ -410,25 +410,25 @@ def _orbit_links(g: Graph, generators, on: str):
     keys = _edge_keys(ends, g.num_vertices)
     objects = np.arange(g.num_vertices if on == "vertices" else len(ends))
     for action in generators:
-        images = _image_table(g, action)
-        if on == "vertices":
-            _edge_places(images, ends, keys)  # the check alone
-            yield objects, images
-        elif on == "edges":
-            yield objects, _edge_places(images, ends, keys)[0]
-        else:
-            yield objects, *_edge_places(images, ends, keys)
+        yield objects, *_edge_link(_image_table(g, action), ends, keys, on)
 
 
-def _edge_places(images: np.ndarray, ends: np.ndarray, keys: np.ndarray):
-    """Place among the edges of each edge's image under the vertex map
-    images, and whether the map reverses the edge (its tail's image above
-    its head's); ValueError unless the images are the edges in some order."""
+def _edge_link(images: np.ndarray, ends: np.ndarray, keys: np.ndarray, on: str) -> tuple:
+    """The link of one generator after the check that its vertex map
+    images sends the edges onto the edges (ValueError if not): on the
+    vertices the images themselves, checked by one sort of the image keys;
+    on the edges each edge's place among the edges; on the arcs also a flip
+    on each edge the map reverses (its tail's image above its head's)."""
     image_ends = images[ends]
-    reverses = image_ends[:, 0] > image_ends[:, 1]
+    reverses = image_ends[:, 0] > image_ends[:, 1] if on == "arcs" else None
     image_keys = _edge_keys(image_ends, len(images))
     del image_ends  # not alive during the sort
-    places = _places(keys, image_keys)
-    if places is None:
+    if on == "vertices":
+        # stable, as in _places, for the long ascending runs
+        sorted_keys = np.sort(image_keys, kind="stable")
+        link = images if np.array_equal(sorted_keys, keys) else None
+    else:
+        link = _places(keys, image_keys)
+    if link is None:
         raise ValueError("generator is not an automorphism of the graph")
-    return places, reverses
+    return (link,) if reverses is None else (link, reverses)

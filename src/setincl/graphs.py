@@ -12,7 +12,7 @@ colex_ranks; this is the one representation, for every n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .combinatorics import intersection_number
 
 _GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
+_ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the entries of one array
 
 __all__ = [
     "GraphParams",
@@ -112,33 +113,45 @@ def subset_positions(n: int, size: int) -> np.ndarray:
     per subset, rows in colexicographic order."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
+    count = comb(n, size)
+    if count * size > _ARRAY_MAX:
+        raise ValueError(
+            f"the {size}-subsets of {n} elements need {count} rows of {size}"
+            " entries, past numpy's array limit"
+        )
     # lex order of descending tuples drawn from n-1, ..., 0 is reverse colex
     flat = np.fromiter(
         chain.from_iterable(combinations(range(n - 1, -1, -1), size)),
         dtype=np.int64,
-        count=comb(n, size) * size,
+        count=count * size,
     )
-    return flat.reshape(comb(n, size), size)[::-1, ::-1]
+    return flat.reshape(count, size)[::-1, ::-1]
+
+
+def _binomial_columns(n: int):
+    """C(p, j) for p < n, as one int64 array for j = 1, 2, ... in turn (the
+    same array, overwritten for each j).  Each column is carried from the
+    last by Pascal's rule C(p, j+1) = sum of C(q, j) over q < p.  Entries
+    past 2**63 - 1 wrap, but int64 sums are exact modulo 2**64, so every
+    entry below 2**63 is exact."""
+    binom = np.zeros(n + 1, dtype=np.int64)
+    below, at = binom[:-1], binom[1:]  # at[p] = C(p, j), below[p] = C(p-1, j)
+    at[:] = 1  # j = 0
+    while True:
+        # np.add.accumulate, not np.cumsum: a third of the cost on short columns
+        at[:] = np.add.accumulate(below)
+        yield at
 
 
 def colex_ranks(columns, n: int) -> np.ndarray:
     """Colex rank of each of a batch of subsets of {0,...,n-1} among the
     subsets of its size.  columns[j-1] holds the j-th smallest element of
     every subset (for element rows p, as from subset_positions, pass p.T);
-    the rank is the sum over j of C(columns[j-1], j).
-
-    One int64 column of C(p, j), p < n, is carried from j to j+1 by
-    Pascal's rule C(p, j+1) = sum of C(q, j) over q < p.  Entries past
-    2**63 - 1 wrap, but int64 sums are exact modulo 2**64, so every entry
-    below 2**63 is exact; each entry read is at most the subset's rank, so
+    the rank is the sum over j of C(columns[j-1], j), read from
+    _binomial_columns.  Each entry read is at most the subset's rank, so
     none that wrapped is read while the ranks fit int64."""
-    binom = np.zeros(n + 1, dtype=np.int64)
-    below, at = binom[:-1], binom[1:]  # at[p] = C(p, j), below[p] = C(p-1, j)
-    at[:] = 1  # j = 0
     ranks = 0
-    for col in columns:
-        # np.add.accumulate, not np.cumsum: a third of the cost on short columns
-        at[:] = np.add.accumulate(below)
+    for col, at in zip(columns, _binomial_columns(n)):
         ranks = ranks + at[col]
     return ranks
 
@@ -202,18 +215,40 @@ class SubsetGraph(Graph):
         self.params = params
         self.v1_count = params.n1
 
+    def edges(self) -> np.ndarray:
+        """Graph.edges, read off the k-side rows: every k-vertex precedes
+        every l-vertex, so the first m arcs are the edges in order."""
+        tails = np.repeat(np.arange(self.v1_count), self.params.r1)
+        return np.column_stack((tails, self.indices[: self.num_edges]))
+
 
 def inclusion_ranks(params: GraphParams) -> np.ndarray:
     """Biadjacency of the inclusion graph, for canonical parameters, as an
     (n2, r2) int64 array: row i holds, ascending, the colex ranks of the
-    k-subsets inside the l-subset of colex rank i.  The column choices run
-    in colex order over the ascending element row, and a monotone map of
-    positions to elements keeps colex order, so each row ascends."""
+    k-subsets inside the l-subset of colex rank i.
+
+    Column c is the c-th choice of k positions from the l-subsets' element
+    rows, in colex order, which a monotone map of positions to elements
+    keeps, so each row ascends.  Level s holds the choices of size s that
+    can still grow to size k (largest position q <= l-k+s-1); those ending
+    at q are the first C(q, s-1) of level s-1 plus the gathered
+    C(element q, s), so level k is all C(l, k) = r2 of them."""
     params.require_canonical()
-    large = subset_positions(params.n, params.l)
-    # the k-subsets of an l-subset, as column choices from its element row
-    inside = subset_positions(params.l, params.k)
-    return colex_ranks((large[:, cols] for cols in inside.T), params.n)
+    n, k, l = params.n, params.k, params.l
+    # row q: the (q+1)-th smallest element of every l-subset
+    large = np.ascontiguousarray(subset_positions(n, l).T)
+    span = l - k + 1  # how many positions q can end a choice, at each level
+    sums = large[:span]  # level 1: C(p, 1) = p
+    for s, at in zip(range(2, k + 1), islice(_binomial_columns(n), 1, None)):
+        tops = at[large[s - 1 : s - 1 + span]]  # C(element q, s), one row per q
+        level = np.empty((comb(span - 1 + s, s), large.shape[1]), dtype=np.int64)
+        start = 0
+        for q, top in enumerate(tops, s - 1):
+            stop = start + comb(q, s - 1)
+            np.add(sums[: stop - start], top, out=level[start:stop])
+            start = stop
+        sums = level
+    return np.ascontiguousarray(sums.T)
 
 
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
@@ -288,21 +323,23 @@ def component_labels(size: int, links) -> tuple[np.ndarray, np.ndarray]:
 
     A link (a, b) joins a[i] with b[i].  A link (a, b, flip), flip a boolean
     array, joins (a[i], d) with (b[i], d ^ flip[i]) in the double cover of
-    pairs (x, d), d in {0, 1}.  From the first such link on, each element
-    keeps its parity against its label: a root hooked under another takes
-    the parity between them, and pointer jumping composes the parities on
-    the way up.  A pair whose ends share a root at different parities closes
-    an odd cycle; such a class is one class of the cover, every other class
-    two.  Without flips no parity is kept.
+    pairs (x, d), d in {0, 1}.  From the first link whose flips contain a
+    True on, each element keeps its parity against its label: a root hooked
+    under another takes the parity between them, and pointer jumping
+    composes the parities on the way up.  (Before that link every parity is
+    0, and a link whose flips are all False joins what a link without flips
+    joins.)  A pair whose ends share a root at different parities closes an
+    odd cycle; such a class is one class of the cover, every other class
+    two.
 
     Returns the smallest member of each element's class, and, ascending,
-    that of every class closed with odd parity (empty without flips).  The
-    links are taken from the iterable one at a time, and each hooking round
-    keeps only the pairs whose roots still differ."""
+    that of every class closed with odd parity (empty while no flip is
+    True).  The links are taken from the iterable one at a time, and each
+    hooking round keeps only the pairs whose roots still differ."""
     label = np.arange(size)  # every label is a root at the top of the loop
-    par = odd = None  # with flips: parities, and the roots odd cycles closed on
+    par = odd = None  # once a flip is True: parities, and roots closing odd cycles
     for a, b, *flip in links:
-        if flip and par is None:
+        if flip and par is None and flip[0].any():
             par, odd = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
         # the roots of each pair's ends, and the parity q between the two
         # roots that the pair joins; a root's label is its new root

@@ -364,6 +364,27 @@ def test_orbit_count_rejects_non_automorphism():
         orbit_count(g, gens, on="faces")
 
 
+def test_arc_orbits_do_not_depend_on_where_tau_sits():
+    for params in canonical_params_up_to(8):
+        g = build_inclusion_graph(params)
+        sigmas = aut_group(params).generators[:2]
+        # sigma keeps the k-vertices before the l-vertices, so it reverses
+        # no edge and every edge class holds two arc orbits
+        assert orbit_count(g, sigmas, on="arcs") == 2 * orbit_count(g, sigmas, on="edges")
+        if params.k + params.l == params.n:
+            # tau reverses every edge: one arc orbit wherever it sits
+            tau = tau_action(params)
+            for gens in ([tau, *sigmas], [sigmas[0], tau, sigmas[1]], [*sigmas, tau]):
+                assert orbit_count(g, gens, on="arcs") == 1, params
+        else:
+            # tau's vertex reversal, where n1 < n2: it maps the first
+            # l-vertex and its k-neighbours into the l-side
+            reversal = InducedAction(np.arange(g.num_vertices)[::-1], "composite")
+            for gens in ([reversal, *sigmas], [*sigmas, reversal]):
+                with pytest.raises(ValueError, match="not an automorphism"):
+                    orbit_count(g, gens, on="vertices")
+
+
 def closure_orbit_count(g, generators, on):
     """Orbits counted in pure Python: vertices as 1-tuples, edges as sorted
     pairs, arcs as ordered pairs, each orbit grown by applying every

@@ -78,6 +78,12 @@ def test_enumerate_subsets_bounds():
     assert subset_positions(65, 1).tolist() == [[e] for e in range(65)]
     wide = subset_positions(130, 129)
     assert wide[0].tolist() == list(range(129)) and wide[-1].tolist() == list(range(1, 130))
+    # C(64, 32) rows of 32 entries are past numpy's array limit: a ValueError
+    # that names the size, from the library as from the CLI's preflight
+    with pytest.raises(ValueError, match="32-subsets of 64 elements"):
+        subset_positions(64, 32)
+    with pytest.raises(ValueError, match="32-subsets of 64 elements"):
+        build_inclusion_graph(GraphParams(64, 2, 32))
 
 
 def test_rank_unrank_roundtrip_exhaustive():
@@ -159,6 +165,16 @@ def test_inclusion_graph_csr_matches_generic_build():
         assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
+def test_subset_graph_edges_are_the_generic_edges():
+    # SubsetGraph.edges reads the k-side rows; Graph.edges filters all arcs
+    cases = [*canonical_params_up_to(9), *map(GraphParams, (65, 65, 65), (1, 1, 2), (2, 64, 3))]
+    for params in cases:
+        g = build_inclusion_graph(params)
+        edges = g.edges()
+        assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2), params
+        assert np.array_equal(edges, Graph.edges(g)), params
+
+
 def test_inclusion_graph_rejects_noncanonical():
     with pytest.raises(ValueError, match=r"\(5,2,4\)"):
         build_inclusion_graph(GraphParams(5, 2, 4))
@@ -179,6 +195,27 @@ def test_inclusion_ranks_are_the_k_side_neighbours():
         for i, row in enumerate(ranks):
             assert np.array_equal(row, g.neighbors(params.n1 + i)), (params, i)
             assert all(sets[r] <= sets[params.n1 + i] for r in row)
+
+
+def reference_rank_row(params, i):
+    """Row i of inclusion_ranks, one subset at a time: the colex ranks of
+    the k-subsets inside the l-subset of rank i, ascending."""
+    mask = subset_unrank(params.l, i)
+    elements = [e for e in range(params.n) if mask >> e & 1]
+    return sorted(subset_rank(mask_of(c)) for c in combinations(elements, params.k))
+
+
+def test_inclusion_ranks_match_the_reference():
+    for params in canonical_params_up_to(10):
+        expect = [reference_rank_row(params, i) for i in range(params.n2)]
+        assert inclusion_ranks(params).tolist() == expect, params
+    # elements past bit 63 of a mask; (66, 2, 64) has 63 blocks at level 2
+    # and (65, 3, 4) three levels.  Sampled rows, both ends included
+    for params in map(GraphParams, (66, 65), (2, 3), (64, 4)):
+        ranks = inclusion_ranks(params)
+        assert ranks.shape == (params.n2, params.r2)
+        for i in sorted({*range(0, params.n2, params.n2 // 13), params.n2 - 1}):
+            assert ranks[i].tolist() == reference_rank_row(params, i), (params, i)
 
 
 def test_colex_ranks_number_the_vertices():

@@ -175,6 +175,10 @@ def _link(a, b, flip=None):
 @example((3, [_link([2, 1], [1, 0], [1, 1]), _link([2], [0], [0])]))
 # an odd cycle closes on root 1, which is then hooked under 0
 @example((3, [_link([2], [1], [1]), _link([2], [1], [0]), _link([1], [0])]))
+# parities start at the first flip that is True: all-False flips join as
+# plain links first, then a reversing link closes an odd cycle, or not
+@example((3, [_link([0, 1], [1, 2], [0, 0]), _link([2], [0], [1])]))
+@example((4, [_link([0], [1], [0]), _link([2], [3], [1]), _link([1], [2], [0])]))
 def test_component_labels_match_union_find(case):
     size, links = case
     labels, odd = component_labels(size, links)
