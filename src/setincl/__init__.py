@@ -1,114 +1,17 @@
 """Exact spectra, explicit constructions and automorphism-group tools for
 set-inclusion graphs and the intersection-relation families on k-subsets."""
 
-from .combinatorics import (
-    alpha,
-    beta,
-    beta_middle,
-    binom,
-    intersection_number,
-    multiplicities,
-    radicands,
-)
+from . import automorphisms, combinatorics, graphs, spectra
+from .automorphisms import *  # noqa: F403
+from .combinatorics import *  # noqa: F403
 from .errors import CapExceededError
-from .graphs import (
-    Graph,
-    GraphParams,
-    SubsetGraph,
-    build_inclusion_graph,
-    build_johnson_graph,
-    build_line_graph,
-    canonical_params_up_to,
-    canonicalize,
-    colex_ranks,
-    export_graph,
-    inclusion_ranks,
-    is_connected,
-    johnson_scheme_holds,
-    parse_graph6,
-    subset_positions,
-)
-from .spectra import (
-    Eigenvalue,
-    ExactEigenvalue,
-    Spectrum,
-    SpectrumComparison,
-    SurdEigenvalue,
-    compare_spectra,
-    eigensolver_oracle,
-    expand_reduced,
-    format_eigenvalue,
-    reduced_matrix,
-    spectrum_inclusion,
-    spectrum_line_inclusion,
-    spectrum_line_middle,
-    spectrum_line_semiregular,
-    spectrum_middle,
-)
-from .automorphisms import (
-    GroupDescription,
-    GroupShape,
-    InducedAction,
-    aut_group,
-    brute_force_aut_order,
-    common_neighbor_fingerprint,
-    group_shape,
-    induced_action,
-    is_automorphism,
-    orbit_count,
-    pointwise_stabilizer_trivial,
-    tau_action,
-)
+from .graphs import *  # noqa: F403
+from .spectra import *  # noqa: F403
 
 __all__ = [
     "CapExceededError",
-    "binom",
-    "alpha",
-    "beta",
-    "radicands",
-    "multiplicities",
-    "beta_middle",
-    "intersection_number",
-    "GraphParams",
-    "Graph",
-    "SubsetGraph",
-    "canonicalize",
-    "canonical_params_up_to",
-    "subset_positions",
-    "colex_ranks",
-    "inclusion_ranks",
-    "build_inclusion_graph",
-    "build_johnson_graph",
-    "build_line_graph",
-    "export_graph",
-    "parse_graph6",
-    "is_connected",
-    "johnson_scheme_holds",
-    "Eigenvalue",
-    "ExactEigenvalue",
-    "SurdEigenvalue",
-    "Spectrum",
-    "SpectrumComparison",
-    "format_eigenvalue",
-    "spectrum_inclusion",
-    "spectrum_middle",
-    "spectrum_line_semiregular",
-    "spectrum_line_inclusion",
-    "spectrum_line_middle",
-    "eigensolver_oracle",
-    "reduced_matrix",
-    "expand_reduced",
-    "compare_spectra",
-    "InducedAction",
-    "GroupDescription",
-    "GroupShape",
-    "induced_action",
-    "tau_action",
-    "is_automorphism",
-    "aut_group",
-    "group_shape",
-    "brute_force_aut_order",
-    "pointwise_stabilizer_trivial",
-    "common_neighbor_fingerprint",
-    "orbit_count",
+    *combinatorics.__all__,
+    *graphs.__all__,
+    *spectra.__all__,
+    *automorphisms.__all__,
 ]

@@ -11,7 +11,7 @@ graph built from the same parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 from math import factorial
 
@@ -29,7 +29,6 @@ from .graphs import (
 __all__ = [
     "InducedAction",
     "GroupShape",
-    "GroupDescription",
     "induced_action",
     "tau_action",
     "is_automorphism",
@@ -44,13 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class InducedAction:
-    """A vertex permutation of an inclusion graph with known provenance
-    ("sigma" for subset-wise base permutations, "tau" for complementation,
-    "composite" for products).  images is one read-only int64 array, the
-    image of each vertex; actions compare by identity."""
+    """A vertex permutation of an inclusion graph: images is one read-only
+    int64 array, the image of each vertex, checked to be a permutation when
+    the action is built.  Actions compare by identity."""
 
     images: np.ndarray
-    provenance: str
 
     def __post_init__(self) -> None:
         images = np.array(self.images, dtype=np.int64)
@@ -63,26 +60,17 @@ class InducedAction:
         images.flags.writeable = False
         object.__setattr__(self, "images", images)
 
-    def __call__(self, v: int) -> int:
-        return int(self.images[v])
-
-    def compose(self, other: "InducedAction") -> "InducedAction":
-        """Action applying other first, then self."""
-        return InducedAction(self.images[other.images], "composite")
-
-    @property
-    def is_identity(self) -> bool:
-        return np.array_equal(self.images, np.arange(len(self.images)))
-
 
 @dataclass(frozen=True)
 class GroupShape:
     """Kind, order and generator count of the automorphism group of an
-    inclusion graph."""
+    inclusion graph, and the generators as vertex permutations: aut_group
+    builds them, group_shape leaves them empty."""
 
     kind: str  # "Sym(n)" or "Sym(n)xZ2"
     order: int
     generator_count: int
+    generators: tuple[InducedAction, ...] = ()
 
     def to_json_dict(self, verified_brute_force=None) -> dict:
         return {
@@ -91,13 +79,6 @@ class GroupShape:
             "generators": self.generator_count,
             "verified_brute_force": verified_brute_force,
         }
-
-
-@dataclass(frozen=True)
-class GroupDescription(GroupShape):
-    """Automorphism group of an inclusion graph with generators."""
-
-    generators: tuple[InducedAction, ...]
 
 
 def _subset_rows(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +91,7 @@ def _sigma(g: np.ndarray, params: GraphParams, rows) -> InducedAction:
     """induced_action of the image table g, given _subset_rows(params)."""
     images = [colex_ranks(np.sort(g[r], axis=1).T, params.n) for r in rows]
     images[1] += params.n1
-    return InducedAction(np.concatenate(images), "sigma")
+    return InducedAction(np.concatenate(images))
 
 
 def induced_action(g, params: GraphParams) -> InducedAction:
@@ -133,7 +114,7 @@ def tau_action(params: GraphParams) -> InducedAction:
             "complementation is a vertex permutation only when k + l = n"
         )
     # complementing reverses colex order, and n1 = n2 when k + l = n
-    return InducedAction(np.arange(params.n1 + params.n2)[::-1], "tau")
+    return InducedAction(np.arange(params.n1 + params.n2)[::-1])
 
 
 def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
@@ -185,7 +166,7 @@ def group_shape(params: GraphParams) -> GroupShape:
     return GroupShape(f"Sym({n})", factorial(n), 2)
 
 
-def aut_group(params: GraphParams) -> GroupDescription:
+def aut_group(params: GraphParams) -> GroupShape:
     """Automorphism group of the inclusion graph with its generators (see
     group_shape) built as vertex permutations."""
     shape = group_shape(params)
@@ -197,7 +178,7 @@ def aut_group(params: GraphParams) -> GroupDescription:
     ]
     if shape.generator_count == 3:
         gens.append(tau_action(params))
-    return GroupDescription(shape.kind, shape.order, shape.generator_count, tuple(gens))
+    return replace(shape, generators=tuple(gens))
 
 
 def _color_weights(size: int) -> np.ndarray:

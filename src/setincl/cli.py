@@ -241,7 +241,7 @@ def _cmd_spectrum(args) -> int:
         values = [format_eigenvalue(ev) for ev, _ in spec.entries]
         width = max(map(len, values))
         text = "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, spec.entries))
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -306,7 +306,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_export(args) -> int:
     graph = build_inclusion_graph(args.params)
     data = export_graph(graph, args.format)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "wb") as fh:
             fh.write(data)
     elif hasattr(sys.stdout, "buffer"):

@@ -27,7 +27,6 @@ __all__ = [
     "Graph",
     "SubsetGraph",
     "canonicalize",
-    "canonical_params_up_to",
     "subset_positions",
     "colex_ranks",
     "inclusion_ranks",
@@ -36,7 +35,6 @@ __all__ = [
     "build_line_graph",
     "export_graph",
     "parse_graph6",
-    "is_connected",
     "johnson_scheme_holds",
 ]
 
@@ -98,14 +96,6 @@ def canonicalize(params: GraphParams) -> tuple[GraphParams, bool]:
     if params.is_canonical:
         return params, False
     return GraphParams(params.n, params.n - params.l, params.n - params.k), True
-
-
-def canonical_params_up_to(max_n: int, min_n: int = 3):
-    """Yield every canonical GraphParams with min_n <= n <= max_n."""
-    for n in range(min_n, max_n + 1):
-        for k in range(1, n // 2 + 1):
-            for l in range(k + 1, min(n - k, n - 1) + 1):
-                yield GraphParams(n, k, l)
 
 
 def subset_positions(n: int, size: int) -> np.ndarray:
@@ -326,7 +316,7 @@ def component_labels(size: int, links) -> tuple[np.ndarray, np.ndarray]:
     pairs (x, d), d in {0, 1}.  From the first link whose flips contain a
     True on, each element keeps its parity against its label: a root hooked
     under another takes the parity between them, and pointer jumping
-    composes the parities on the way up.  (Before that link every parity is
+    adds the parities mod 2 on the way up.  (Before that link every parity is
     0, and a link whose flips are all False joins what a link without flips
     joins.)  A pair whose ends share a root at different parities closes an
     odd cycle; such a class is one class of the cover, every other class
@@ -391,18 +381,6 @@ def _jump(label: np.ndarray, par) -> np.ndarray:
             par ^= par[label]
         label, up = up, up[up]
     return label
-
-
-def component_count(size: int, links) -> int:
-    """Number of classes of the equivalence on 0..size-1 generated by the
-    (a, b) link arrays (see component_labels)."""
-    return int(np.count_nonzero(component_labels(size, links)[0] == np.arange(size)))
-
-
-def is_connected(g: Graph) -> bool:
-    """True when g has a single connected component (empty graph counts as
-    connected only if it has at most one vertex)."""
-    return g.num_vertices <= 1 or component_count(g.num_vertices, [g.edges().T]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from setincl import (
     brute_force_aut_order,
     build_inclusion_graph,
     build_line_graph,
-    canonical_params_up_to,
     common_neighbor_fingerprint,
     compare_spectra,
     eigensolver_oracle,
@@ -27,6 +26,7 @@ from setincl import (
     spectrum_line_middle,
 )
 
+from reference_helpers import canonical_params_up_to
 from reference_ranks import vertex_sets
 
 TOL = 1e-8

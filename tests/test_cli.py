@@ -7,12 +7,14 @@ import json
 import re
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setincl
 import setincl.cli as cli
 from setincl import Graph
 from setincl.cli import main
@@ -242,12 +244,24 @@ def test_export_to_text_only_stdout(fmt, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "export"])
-@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory", "empty"])
 def test_unwritable_out_is_a_usage_error(command, target, tmp_path, capsys):
-    path = tmp_path / "missing" / "x" if target == "missing-parent" else tmp_path
-    code, out, err = run([command, "4", "1", "2", "--out", str(path)], capsys)
+    # an empty path is a path that cannot be opened, not a missing --out
+    paths = {"missing-parent": tmp_path / "missing" / "x", "directory": tmp_path, "empty": ""}
+    code, out, err = run([command, "4", "1", "2", "--out", str(paths[target])], capsys)
     assert code == 64 and out == ""
     assert err.startswith("setincl: error: ") and err.count("\n") == 1
+
+
+def test_readme_api_table_lists_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Library overview\n", 1)[1].lstrip("\n").splitlines()
+    table = "\n".join(takewhile(lambda line: line.startswith("|"), lines))
+    # a name in backticks, alone or with its call signature
+    named = set(re.findall(r"`(\w+)(?:\([^`]*\))?`", table))
+    assert [name for name in setincl.__all__ if name not in named] == []
+    # and each name is declared in one module's __all__ only
+    assert len(set(setincl.__all__)) == len(setincl.__all__)
 
 
 def test_scheme_check(capsys):

@@ -13,12 +13,13 @@ from setincl import (
     beta_middle,
     binom,
     build_johnson_graph,
-    canonical_params_up_to,
     eigensolver_oracle,
     intersection_number,
     multiplicities,
     radicands,
 )
+
+from reference_helpers import canonical_params_up_to
 
 
 def test_binom_conventions():

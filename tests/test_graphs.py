@@ -13,12 +13,10 @@ from setincl import (
     build_inclusion_graph,
     build_johnson_graph,
     build_line_graph,
-    canonical_params_up_to,
     canonicalize,
     colex_ranks,
     export_graph,
     inclusion_ranks,
-    is_connected,
     johnson_scheme_holds,
     parse_graph6,
     subset_positions,
@@ -26,6 +24,7 @@ from setincl import (
 from setincl.cli import main
 
 from reference_export import reference_export
+from reference_helpers import canonical_params_up_to, is_connected
 from reference_ranks import mask_of, subset_rank, subset_unrank, vertex_sets
 
 

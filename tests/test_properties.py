@@ -19,6 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reference_export import reference_export  # noqa: E402
+from reference_helpers import canonical_params_up_to  # noqa: E402
 from reference_ranks import mask_of, subset_rank, subset_unrank  # noqa: E402
 from setincl import (  # noqa: E402
     ExactEigenvalue,
@@ -27,7 +28,6 @@ from setincl import (  # noqa: E402
     SurdEigenvalue,
     brute_force_aut_order,
     build_inclusion_graph,
-    canonical_params_up_to,
     export_graph,
     parse_graph6,
 )

@@ -19,7 +19,6 @@ from setincl import (
     binom,
     build_inclusion_graph,
     build_line_graph,
-    canonical_params_up_to,
     compare_spectra,
     eigensolver_oracle,
     expand_reduced,
@@ -36,6 +35,8 @@ from setincl import (
 )
 import setincl.spectra as spectra_module
 from setincl.spectra import _cmp_keys, _square_root
+
+from reference_helpers import canonical_params_up_to
 
 
 def as_rational_int(ev):
