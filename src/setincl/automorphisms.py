@@ -1,7 +1,9 @@
 """Symmetries of inclusion graphs: induced vertex actions from base
-permutations, the complementation involution, orbit computation, and an
+permutations, the complementation involution, orbit computation, an
 independent oracle for the automorphism-group order of any graph, an
-orbit-stabiliser search by individualisation and refinement.
+orbit-stabiliser search by individualisation and refinement, and a
+certificate of the order of an inclusion graph by an upper and a lower
+bound that meet.
 
 The ground set is {0, ..., n-1}; a base permutation is its image table.
 Vertex indices follow the construction order (k-subsets first, colex within
@@ -35,6 +37,7 @@ __all__ = [
     "group_shape",
     "aut_group",
     "brute_force_aut_order",
+    "certified_aut_order",
     "pointwise_stabilizer_trivial",
     "common_neighbor_fingerprint",
     "orbit_count",
@@ -146,12 +149,17 @@ def _places(keys: np.ndarray, image_keys: np.ndarray):
     return places
 
 
+def _preserves_edges(images: np.ndarray, ends: np.ndarray, keys: np.ndarray) -> bool:
+    """True iff the vertex map images sends the edges ends, whose sorted
+    keys are keys, onto themselves (see _places)."""
+    return _places(keys, _edge_keys(images[ends], len(images))) is not None
+
+
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
     """True iff the action maps every edge of g onto an edge of g."""
     images = _image_table(g, action)
     edges = g.edges()
-    nv = g.num_vertices
-    return _places(_edge_keys(edges, nv), _edge_keys(images[edges], nv)) is not None
+    return _preserves_edges(images, edges, _edge_keys(edges, g.num_vertices))
 
 
 def group_shape(params: GraphParams) -> GroupShape:
@@ -244,26 +252,46 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
+def _base_chain(g: Graph, weights: np.ndarray):
+    """The refined colourings down the base chain of brute_force_aut_order,
+    as (colours, trace, b): the refinement of the colouring with the base
+    so far individualised, its trace, and the next base vertex b, None at
+    the last colouring, which is discrete.  b is the first vertex of the
+    target cell: the smallest non-singleton class, the lowest colour among
+    equal sizes (a rule on colour numbers, so it is as label-free as the
+    refinement).  A generator, so a caller that needs only the current
+    colouring holds one level at a time."""
+    nv = g.num_vertices
+    colors, trace = _refinement_colors(g, weights)
+    while True:
+        sizes = np.bincount(colors)
+        if len(sizes) == nv:
+            yield colors, trace, None
+            return
+        target = np.argmin(np.where(sizes > 1, sizes, nv + 1))
+        b = int(np.flatnonzero(colors == target)[0])
+        yield colors, trace, b
+        colors, trace = _refinement_colors(g, weights, _individualize(colors, b))
+
+
 def brute_force_aut_order(g: Graph) -> int:
     """Exact automorphism-group order of g as a product of orbit sizes down
     a stabiliser chain, found by individualisation and refinement (McKay &
     Piperno, "Practical graph isomorphism, II", 2014; Seress, "Permutation
     Group Algorithms", ch. 4).
 
-    The base b_1, b_2, ... takes each b_i from the target cell of the
-    refined colouring with b_1..b_{i-1} individualised, until that colouring
-    is discrete: the smallest non-singleton class, the lowest colour among
-    equal sizes (a rule on colour numbers, so it is as label-free as the
-    refinement).  The order is the product over i of the size of b_i's
-    orbit under the pointwise stabiliser of b_1..b_{i-1}.  For each
-    candidate c in b_i's class, a depth-first search individualises c where
-    the base individualises b_i, then follows the base's later choices with
-    every vertex of the matching class, and cuts a branch as soon as its
-    refinement trace differs from the base's.  It stops at the first leaf
-    whose vertex map sends every edge to an edge.  One orbit partition runs
-    through the search, joined with each automorphism as it is found, so a
-    candidate already joined to b_i or to a rejected candidate is never
-    searched.
+    The base b_1, b_2, ... is _base_chain's: each b_i comes from the target
+    cell of the refined colouring with b_1..b_{i-1} individualised, until
+    that colouring is discrete.  The order is the product over i of the
+    size of b_i's orbit under the pointwise stabiliser of b_1..b_{i-1}.  For
+    each candidate c in b_i's class, a depth-first search individualises c
+    where the base individualises b_i, then follows the base's later
+    choices with every vertex of the matching class, and cuts a branch as
+    soon as its refinement trace differs from the base's.  It stops at the
+    first leaf whose vertex map sends every edge to an edge.  One orbit
+    partition runs through the search, joined with each automorphism as it
+    is found, so a candidate already joined to b_i or to a rejected
+    candidate is never searched.
 
     The order is exact whatever the refinement's hash does.  Refinement
     commutes with relabelling, so the branch that follows an automorphism
@@ -273,8 +301,9 @@ def brute_force_aut_order(g: Graph) -> int:
     rejected by the check of its map against the edge keys, the certificate
     of is_automorphism and the one check that every automorphism used
     passes.  Only indptr/indices are read, and the search keeps its own
-    stack, so graphs of any size run without recursion.  It takes no cap: the caller bounds the graph (the ``aut``
-    command refuses an oversized one before building it).
+    stack, so graphs of any size run without recursion.  It takes no cap:
+    the caller bounds the graph (the ``aut`` command refuses an oversized
+    one before building it).
     """
     nv = g.num_vertices
     if nv == 0:
@@ -283,14 +312,8 @@ def brute_force_aut_order(g: Graph) -> int:
     keys = _edge_keys(ends, nv)
     weights = _color_weights(nv)
     # chain[i]: the refined colouring (and its trace) with base[:i] individualised
-    chain = [_refinement_colors(g, weights)]
-    base: list[int] = []
-    while chain[-1][0].max() + 1 < nv:
-        colors = chain[-1][0]
-        sizes = np.bincount(colors)
-        target = np.argmin(np.where(sizes > 1, sizes, nv + 1))
-        base.append(int(np.flatnonzero(colors == target)[0]))
-        chain.append(_refinement_colors(g, weights, _individualize(colors, base[-1])))
+    chain = list(_base_chain(g, weights))
+    base = [b for _, _, b in chain[:-1]]
     leaf = chain[-1][0]
 
     def extension(depth: int, c: int):
@@ -310,7 +333,7 @@ def brute_force_aut_order(g: Graph) -> int:
                 vertex_of = np.empty(nv, dtype=np.int64)
                 vertex_of[colors] = np.arange(nv)
                 image = vertex_of[leaf]
-                if _places(keys, _edge_keys(image[ends], nv)) is not None:
+                if _preserves_edges(image, ends, keys):
                     return image
                 continue
             target = chain[d + 1][0][base[d + 1]]
@@ -336,6 +359,103 @@ def brute_force_aut_order(g: Graph) -> int:
                 orbit = component_labels(nv, [(points, orbit), (points, image)])[0]
         order *= int(np.count_nonzero(orbit[cell] == orbit[b]))
     return order
+
+
+def certified_aut_order(g: SubsetGraph) -> int | None:
+    """|Aut(g)| of an inclusion graph, certified by an upper bound
+    (_chain_bound) and a lower bound (_generated_order of aut_group's
+    generators, checked against g's edges) that meet, or None when they do
+    not; brute_force_aut_order then decides.  The lower bound is 1 when
+    n < 5, and the chain is refined only when it proves more than that."""
+    lower = _generated_order(g, *aut_group(g.params).generators)
+    if lower == 1 or _chain_bound(g) != lower:
+        return None
+    return lower
+
+
+def _chain_bound(g: Graph) -> int:
+    """An upper bound on |Aut(g)|: the product of the target-cell sizes down
+    brute_force_aut_order's base chain, with no branch.  An automorphism
+    that fixes b_1..b_{i-1} preserves the refined colouring with them
+    individualised, since refinement commutes with relabelling, so b_i's
+    orbit under that pointwise stabiliser lies in b_i's cell; the order, the
+    product of those orbit sizes, is at most this.  A hash collision only
+    leaves a cell larger."""
+    bound = 1
+    for colors, _, b in _base_chain(g, _color_weights(g.num_vertices)):
+        if b is not None:
+            bound *= int(np.count_nonzero(colors == colors[b]))
+    return bound
+
+
+def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=None) -> int:
+    """A lower bound on |Aut(g)| from vertex permutations meant to be the
+    transposition t = sigma(0 1), the n-cycle s = sigma(0 1 ... n-1) and,
+    when k + l = n, complementation tau.
+
+    n! when n >= 5, t and s map g's edges onto its edges, satisfy Moore's
+    presentation of Sym(n) (_moore_relations) and do not commute: the
+    relations make <t, s> a quotient of Sym(n), and for n >= 5 the only
+    quotients are 1, Z2 and Sym(n), of which only Sym(n) is not abelian.
+    Twice that when tau is an automorphism too, t and s map the k-subset
+    vertices 0..n1-1 among themselves and tau does not: every element of
+    <t, s> keeps the sides, so tau lies outside it.  Otherwise 1, the
+    identity alone."""
+    n, n1 = g.params.n, g.params.n1
+    if n < 5:
+        return 1
+    ends = g.edges()
+    keys = _edge_keys(ends, g.num_vertices)
+
+    def keeps_sides(images: np.ndarray) -> bool:
+        return bool((images[:n1] < n1).all())
+
+    t, s = t.images, s.images
+    if not (
+        _preserves_edges(t, ends, keys)
+        and _preserves_edges(s, ends, keys)
+        and _moore_relations(t, s, n)
+    ):
+        return 1
+    if (
+        tau is not None
+        and keeps_sides(t)
+        and keeps_sides(s)
+        and not keeps_sides(tau.images)
+        and _preserves_edges(tau.images, ends, keys)
+    ):
+        return 2 * factorial(n)
+    return factorial(n)
+
+
+def _moore_relations(t: np.ndarray, s: np.ndarray, n: int) -> bool:
+    """True iff the permutations t and s (image arrays) satisfy
+    s^n = t^2 = (ts)^(n-1) = (t s^-1 t s)^3 = (t s^-j t s^j)^2 = 1 for
+    2 <= j <= n-2, Moore's presentation of Sym(n) on a transposition and an
+    n-cycle (Moore 1897; Coxeter & Moser, "Generators and Relations for
+    Discrete Groups", section 6.2), and ts != st.  A word is applied left
+    to right, so "t then s" is s[t]; read right to left, each relator would
+    be its reverse, a conjugate of it, so the relations do not depend on the
+    convention."""
+    one = np.arange(len(t))
+
+    def is_one(p: np.ndarray, power: int) -> bool:
+        q = p
+        for _ in range(power - 1):
+            q = p[q]
+        return np.array_equal(q, one)
+
+    s_inv = np.argsort(s)
+    if not (is_one(t, 2) and is_one(s, n) and is_one(s[t], n - 1)):
+        return False
+    if not is_one(s[t[s_inv[t]]], 3) or np.array_equal(s[t], t[s]):
+        return False
+    s_j, s_inv_j = s[s], s_inv[s_inv]
+    for _ in range(2, n - 1):
+        if not is_one(s_j[t[s_inv_j[t]]], 2):
+            return False
+        s_j, s_inv_j = s[s_j], s_inv[s_inv_j]
+    return True
 
 
 def pointwise_stabilizer_trivial(g: SubsetGraph) -> bool:

@@ -12,7 +12,7 @@ colex_ranks; this is the one representation, for every n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -100,7 +100,9 @@ def canonicalize(params: GraphParams) -> tuple[GraphParams, bool]:
 
 def subset_positions(n: int, size: int) -> np.ndarray:
     """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
-    per subset, rows in colexicographic order."""
+    per subset, rows in colexicographic order.  The array is the transpose
+    of a C-contiguous one, so its .T, one column per element place, costs
+    no copy."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
     count = comb(n, size)
@@ -109,13 +111,22 @@ def subset_positions(n: int, size: int) -> np.ndarray:
             f"the {size}-subsets of {n} elements need {count} rows of {size}"
             " entries, past numpy's array limit"
         )
-    # lex order of descending tuples drawn from n-1, ..., 0 is reverse colex
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n - 1, -1, -1), size)),
-        dtype=np.int64,
-        count=count * size,
-    )
-    return flat.reshape(count, size)[::-1, ::-1]
+    # columns[:s, :C(span + s, s)] holds level s: the s-subsets that can
+    # still grow to size-subsets, those with largest element q <= span + s - 1.
+    # In colex order, the level-s subsets that end at q are the first
+    # C(q, s-1) of level s-1, each with q added.  Each level is written over
+    # the last from the back: block q starts at place C(q, s), past every
+    # place that a smaller q still reads
+    span = n - size
+    columns = np.empty((size, count), dtype=np.int64)
+    for s in range(1, size + 1):
+        stop = comb(span + s, s)
+        for q in range(span + s - 1, s - 2, -1):
+            rows = comb(q, s - 1)
+            columns[: s - 1, stop - rows : stop] = columns[: s - 1, :rows]
+            columns[s - 1, stop - rows : stop] = q
+            stop -= rows
+    return columns.T
 
 
 def _binomial_columns(n: int):
@@ -492,8 +503,10 @@ def parse_graph6(data: bytes) -> Graph:
     values = np.frombuffer(buf, dtype=np.uint8)[pos:] - np.uint8(63)
     if (values > 63).any():
         raise ValueError("invalid graph6 byte")
-    set_bits = np.flatnonzero(np.unpackbits(values))
-    bit = set_bits // 8 * 6 + set_bits % 8 - 2
+    # unpack only the bytes that carry an edge; most carry none
+    nonzero = np.flatnonzero(values)
+    set_bits = np.flatnonzero(np.unpackbits(values[nonzero]))
+    bit = nonzero[set_bits // 8] * 6 + set_bits % 8 - 2
     bit = bit[bit < nbits]
     # column j holds bits j(j-1)/2 .. j(j+1)/2 - 1
     starts = np.arange(n) * (np.arange(n) - 1) // 2

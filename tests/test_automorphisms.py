@@ -20,6 +20,7 @@ from setincl import (
     brute_force_aut_order,
     build_inclusion_graph,
     build_johnson_graph,
+    certified_aut_order,
     common_neighbor_fingerprint,
     group_shape,
     induced_action,
@@ -285,6 +286,82 @@ def test_brute_force_is_exact_when_every_colour_weighs_the_same(monkeypatch, nv,
     matcher = nx.algorithms.isomorphism.GraphMatcher(reference, reference)
     expect = sum(1 for _ in matcher.isomorphisms_iter())
     assert brute_force_aut_order(Graph(nv, edges)) == expect
+
+
+def test_certificate_bounds_meet_at_the_order():
+    # U from the base chain, L from the verified generators, and the order
+    # read off (n,k,l) agree; the search agrees too where it is cheap
+    for params in canonical_params_up_to(11, min_n=5):
+        g = build_inclusion_graph(params)
+        order = group_shape(params).order
+        lower = automorphisms._generated_order(g, *aut_group(params).generators)
+        assert automorphisms._chain_bound(g) == lower == order, params
+        assert certified_aut_order(g) == order, params
+        if params.n <= 9:
+            assert brute_force_aut_order(g) == order, params
+
+
+def test_certificate_refuses_below_five_points():
+    # Sym(4) has the non-abelian quotient Sym(3), so the relations prove
+    # nothing there, and the search decides
+    for params in canonical_params_up_to(4):
+        g = build_inclusion_graph(params)
+        assert automorphisms._generated_order(g, *aut_group(params).generators) == 1
+        assert certified_aut_order(g) is None
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_moore_relations_on_the_ground_set(n):
+    t = np.array((1, 0) + tuple(range(2, n)))
+    s = np.roll(np.arange(n), -1)
+    assert automorphisms._moore_relations(t, s, n)
+    three_cycle = np.array((1, 2, 0) + tuple(range(3, n)))
+    zero_two = np.array((2, 1, 0) + tuple(range(3, n)))
+    for bad_t, bad_s in ((t, s[s]), (three_cycle, s), (zero_two, s), (t, np.arange(n))):
+        assert not automorphisms._moore_relations(bad_t, bad_s, n)
+    # on two more points, s also swaps them and t fixes them: only s^n
+    # fails for odd n, and only (ts)^(n-1) for even n
+    fixed, swap = np.array([n, n + 1]), np.array([n + 1, n])
+    assert not automorphisms._moore_relations(
+        np.concatenate((t, fixed)), np.concatenate((s, swap)), n
+    )
+
+
+@pytest.mark.parametrize("n,k,l", [(6, 2, 3), (7, 2, 5), (8, 3, 4)])
+def test_lower_bound_refuses_wrong_generators(n, k, l):
+    # each control is a pair of vertex permutations; the first three are
+    # automorphisms that fail a relation, the last satisfies every relation
+    # but is no automorphism, so only the edge check refuses it
+    params = GraphParams(n, k, l)
+    g = build_inclusion_graph(params)
+    t, s, *tau = aut_group(params).generators
+    rest = tuple(range(3, n))
+    # t and s conjugated by a vertex permutation p: p t p^-1 sends p(v) to p(t(v))
+    p = np.random.default_rng(0).permutation(g.num_vertices)
+    moved_t, moved_s = (InducedAction(p[x.images][np.argsort(p)]) for x in (t, s))
+    assert not is_automorphism(g, moved_t)
+    controls = [
+        (t, InducedAction(s.images[s.images])),
+        (induced_action((1, 2, 0) + rest, params), s),
+        (induced_action((2, 1, 0) + rest, params), s),
+        (moved_t, moved_s),
+    ]
+    assert automorphisms._moore_relations(moved_t.images, moved_s.images, n)
+    for control in controls:
+        assert automorphisms._generated_order(g, *control, *tau) == 1
+
+
+def test_lower_bound_needs_a_tau_that_swaps_the_sides():
+    params = GraphParams(7, 3, 4)
+    g = build_inclusion_graph(params)
+    t, s, tau = aut_group(params).generators
+    assert automorphisms._generated_order(g, t, s, tau) == 2 * factorial(7)
+    # a side-keeping automorphism in place of tau proves Sym(n) only
+    assert automorphisms._generated_order(g, t, s, t) == factorial(7)
+    # so does a permutation that swaps the sides but is no automorphism
+    images = tau.images.copy()
+    images[[0, 1]] = images[[1, 0]]
+    assert automorphisms._generated_order(g, t, s, InducedAction(images)) == factorial(7)
 
 
 def test_bipartition_behavior_of_full_group():

@@ -204,6 +204,48 @@ def test_aut_brute_force_cap(capsys):
         assert "cap" in err
 
 
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = cli.brute_force_aut_order
+
+    def counted(g):
+        calls.append(g.num_vertices)
+        return search(g)
+
+    monkeypatch.setattr(cli, "brute_force_aut_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args,searched",
+    [
+        (["3", "1", "2"], True),
+        (["4", "1", "3"], True),
+        (["5", "2", "3"], False),
+        (["6", "1", "4"], False),
+    ],
+)
+def test_aut_brute_force_searches_only_below_five_points(args, searched, monkeypatch, capsys):
+    calls = _count_searches(monkeypatch)
+    code, out, _ = run(["aut", *args, "--brute-force"], capsys)
+    assert code == 0 and out.endswith(" (agree)\n")
+    assert bool(calls) == searched
+
+
+def test_aut_brute_force_falls_back_when_the_bounds_differ(monkeypatch, capsys):
+    # a tau that keeps the sides proves only Sym(5), below the chain's
+    # bound of 2 * 5!, so the search decides, and still agrees
+    from setincl import automorphisms, induced_action
+
+    monkeypatch.setattr(
+        automorphisms, "tau_action", lambda params: induced_action((1, 0, 2, 3, 4), params)
+    )
+    calls = _count_searches(monkeypatch)
+    code, out, _ = run(["aut", "5", "2", "3", "--brute-force"], capsys)
+    assert code == 0 and calls == [20]
+    assert out.endswith(f"brute-force order: {2 * factorial(5)} (agree)\n")
+
+
 def test_orbits(capsys):
     assert run(["orbits", "4", "1", "2", "--on", "edges"], capsys)[:2] == (
         0,

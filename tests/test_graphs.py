@@ -62,10 +62,13 @@ def test_enumerate_subsets_order():
 
 
 def test_enumerate_subsets_counts():
+    # the reference is itertools' enumeration, put in colex order
     for n in range(11):
         for size in range(n + 1):
             rows = subset_positions(n, size).tolist()
             assert len(rows) == len(set(map(tuple, rows))) == comb(n, size)
+            expect = sorted(combinations(range(n), size), key=lambda c: c[::-1])
+            assert rows == [list(c) for c in expect]
 
 
 def test_enumerate_subsets_bounds():
