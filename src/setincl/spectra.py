@@ -3,14 +3,15 @@ graphs, plus a dense numeric eigensolver used as an independent cross-check.
 
 Every exact eigenvalue in these families is either sign*sqrt(m) for an
 integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
-holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square;
-ExactEigenvalue and SurdEigenvalue are its two constructors.  Equality,
-merging, ordering and the power sums of any order are decided in exact
-integer arithmetic.  Floating point appears in two places only.  A float
-estimate of each value proposes the order of a Spectrum, which n - 1 exact
-comparisons then certify (an exact sort repairs an order that fails).  And
-a spectrum is expanded to floats for comparison against the numeric solver
-or to be written as CSV.
+holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square:
+Eigenvalue(a, e, r) folds a square r into a and refuses fields that are no
+value, and ExactEigenvalue and SurdEigenvalue build it from the paper's two
+shapes.  Equality, merging, ordering and the power sums of any order are
+decided in exact integer arithmetic.  Floating point appears in two places
+only.  A float estimate of each value proposes the order of a Spectrum,
+which n - 1 exact comparisons then certify (an exact sort repairs an order
+that fails).  And a spectrum is expanded to floats for comparison against
+the numeric solver or to be written as CSV.
 """
 
 from __future__ import annotations
@@ -52,12 +53,26 @@ _FLOAT_BITS = 96  # fixed-point bits used when expanding radicals to floats
 class Eigenvalue:
     """The exact value (a + e*sqrt(r))/2 in normal form: e in {-1, 0, 1}, r
     = 0 exactly when e = 0, and otherwise r is not a perfect square.  So two
-    eigenvalues are equal as real numbers iff their fields are equal.  Build
-    one with ExactEigenvalue or SurdEigenvalue, which normalize."""
+    eigenvalues are equal as real numbers iff their fields are equal.  A
+    perfect square r is folded into a; fields that are no value (e outside
+    {-1, 0, 1}, r < 0, or e = 0 with r != 0) raise ValueError."""
 
     a: int
     e: int
     r: int
+
+    def __post_init__(self) -> None:
+        a, e, r = self.a, self.e, self.r
+        if e not in (-1, 0, 1) or r < 0 or (e == 0 and r != 0):
+            raise ValueError(
+                f"({a} + {e}*sqrt({r}))/2 is no eigenvalue: need e in {{-1, 0, 1}}, "
+                "r >= 0, and r = 0 when e = 0"
+            )
+        s = _square_root(r) if e else None
+        if s is not None:
+            object.__setattr__(self, "a", a + e * s)
+            object.__setattr__(self, "e", 0)
+            object.__setattr__(self, "r", 0)
 
     def __float__(self) -> float:
         """The value rounded to float64 once, via extended fixed point: one
@@ -74,28 +89,16 @@ class Eigenvalue:
 
 def ExactEigenvalue(sign: int, radicand: int) -> Eigenvalue:
     """The value sign * sqrt(radicand), sign in {-1, 0, +1}."""
-    if sign not in (-1, 0, 1):
-        raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
-    if radicand < 0:
-        raise ValueError(f"radicand must be nonnegative, got {radicand}")
     if (sign == 0) != (radicand == 0):
         raise ValueError("sign is 0 exactly when the radicand is 0")
-    return _normal(0, sign, 4 * radicand)
+    return Eigenvalue(0, sign, 4 * radicand)
 
 
 def SurdEigenvalue(p: int, d: int, branch: int) -> Eigenvalue:
     """The value (p + branch * sqrt(d)) / 2, branch in {-1, +1}."""
     if branch not in (-1, 1):
         raise ValueError(f"branch must be -1 or +1, got {branch}")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    return _normal(p, branch, d)
-
-
-def _normal(a: int, e: int, r: int) -> Eigenvalue:
-    """(a + e*sqrt(r))/2 with a perfect square r folded into a."""
-    s = _square_root(r)
-    return Eigenvalue(a, e, r) if s is None else Eigenvalue(a + e * s, 0, 0)
+    return Eigenvalue(p, branch, d)
 
 
 def _int_eigenvalue(x: int) -> Eigenvalue:
@@ -170,11 +173,8 @@ _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(
 
 
 def _extract_square(r: int) -> tuple[int, int]:
-    """Best-effort split r = f*f*d used only for display (exact for perfect
-    squares and small factors)."""
-    s = _square_root(r)
-    if s is not None:
-        return s, 1
+    """Best-effort split r = f*f*d of a non-square r, used only for display
+    (exact for small factors)."""
     f, d = 1, r
     for p in _SMALL_PRIMES:
         if p * p > d:
@@ -182,9 +182,6 @@ def _extract_square(r: int) -> tuple[int, int]:
         while d % (p * p) == 0:
             d //= p * p
             f *= p
-    s = _square_root(d)
-    if s is not None:
-        return f * s, 1
     return f, d
 
 
@@ -202,9 +199,9 @@ def format_eigenvalue(ev: Eigenvalue) -> str:
 
 class Spectrum:
     """Canonical multiset of exact eigenvalues with positive multiplicities,
-    merged by exact equality and sorted in descending value order.  Two
-    entries equal as numbers but not as fields, possible only when an
-    Eigenvalue built directly is not in normal form, raise ValueError."""
+    merged by exact equality and sorted in descending value order.  Every
+    Eigenvalue is in normal form, so values equal as numbers are equal keys
+    and merge."""
 
     def __init__(self, pairs):
         merged: dict[Eigenvalue, int] = {}
@@ -219,10 +216,6 @@ class Spectrum:
         if not _strictly_descending(entries):
             exact = cmp_to_key(_cmp_keys)
             entries.sort(key=lambda item: exact(item[0]), reverse=True)
-            if not _strictly_descending(entries):
-                raise ValueError(
-                    "two entries are equal as numbers: an Eigenvalue is not in normal form"
-                )
         self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(entries)
 
     def __len__(self) -> int:
@@ -351,13 +344,16 @@ def spectrum_line_semiregular(
     """Line-graph spectrum of a connected semi-regular bipartite graph with
     parameters (n1, n2, r1, r2), from its n1 largest eigenvalues.
 
-    top_eigenvalues is a list of (Eigenvalue, multiplicity) pairs whose
-    multiplicities sum to n1, each value +-sqrt(m) for an integer m, and
-    whose largest member is sqrt(r1*r2).  Each non-principal eigenvalue lam
-    contributes the two roots of (x - r1 + 2)(x - r2 + 2) = lam^2.
+    The edges number n1*r1 = n2*r2.  top_eigenvalues is a list of
+    (Eigenvalue, multiplicity) pairs whose multiplicities sum to n1, each
+    value +-sqrt(m) for an integer m, and whose largest member is
+    sqrt(r1*r2).  Each non-principal eigenvalue lam contributes the two roots
+    of (x - r1 + 2)(x - r2 + 2) = lam^2.
     """
     if n1 > n2:
         raise ValueError(f"need n1 <= n2, got n1={n1}, n2={n2}")
+    if n1 * r1 != n2 * r2:
+        raise ValueError(f"need n1*r1 = n2*r2, the edge count, got {n1 * r1} and {n2 * r2}")
     tops: dict[Eigenvalue, int] = {}
     for ev, mult in top_eigenvalues:
         # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r

@@ -246,6 +246,17 @@ def test_aut_brute_force_falls_back_when_the_bounds_differ(monkeypatch, capsys):
     assert out.endswith(f"brute-force order: {2 * factorial(5)} (agree)\n")
 
 
+def test_aut_brute_force_disagreement_exits_1(monkeypatch, capsys):
+    # the bounds do not meet and the search returns one more than the order
+    monkeypatch.setattr(cli, "certified_aut_order", lambda g: None)
+    monkeypatch.setattr(cli, "brute_force_aut_order", lambda g: 2 * factorial(5) + 1)
+    code, out, _ = run(["aut", "5", "2", "3", "--brute-force"], capsys)
+    assert code == 1
+    assert out.endswith(f"brute-force order: {2 * factorial(5) + 1} (DISAGREE)\n")
+    code, out, _ = run(["aut", "5", "2", "3", "--brute-force", "--format", "json"], capsys)
+    assert code == 1 and json.loads(out)["verified_brute_force"] is False
+
+
 def test_orbits(capsys):
     assert run(["orbits", "4", "1", "2", "--on", "edges"], capsys)[:2] == (
         0,

@@ -390,6 +390,12 @@ def test_line_graph_regularity_sweep():
         assert all(lg.degree(v) == degree for v in range(lg.num_vertices))
 
 
+def test_graph_refuses_repeated_edges():
+    # (1, 0) is the edge (0, 1) again
+    with pytest.raises(ValueError, match="repeated edge"):
+        Graph(3, [(0, 1), (1, 0)])
+
+
 def test_line_graph_rejects_loops():
     # a loop never reaches build_line_graph: Graph refuses it at construction
     with pytest.raises(ValueError):
@@ -457,6 +463,23 @@ def test_graph6_cross_check_against_networkx():
         h.add_edges_from(g.edges())
         theirs = nx.to_graph6_bytes(h, header=False).strip()
         assert export_graph(g, "graph6") == theirs
+
+
+def test_graph6_vertex_count_encoding():
+    # n + 63 up to 62; then "~" and three 6-bit groups up to 258047; then
+    # "~~" and six 6-bit groups up to 2**36 - 1, each group plus 63
+    def by_definition(n):
+        if n <= 62:
+            return bytes([n + 63])
+        width, prefix = (3, b"~") if n <= 258047 else (6, b"~~")
+        return prefix + bytes((n >> (6 * s)) % 64 + 63 for s in reversed(range(width)))
+
+    for n in (0, 62, 63, 258047, 258048, 2**36 - 1):
+        assert graphs_module._graph6_encode_count(n) == by_definition(n), n
+    assert graphs_module._graph6_encode_count(2**36 - 1) == b"~~" + b"~" * 6
+    for n in (-1, 2**36):
+        with pytest.raises(ValueError, match="graph6 limits"):
+            graphs_module._graph6_encode_count(n)
 
 
 def test_graph6_parse_errors():

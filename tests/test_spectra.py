@@ -158,13 +158,19 @@ def test_spectrum_distinguishes_close_values():
     assert spec.entries[1][0] == a
 
 
-def test_spectrum_refuses_values_not_in_normal_form():
-    # Eigenvalue(0, 1, 16) is (0 + sqrt(16))/2 = 2, which ExactEigenvalue
-    # holds as Eigenvalue(4, 0, 0): one number in two entries
-    with pytest.raises(ValueError, match="normal form"):
-        Spectrum([(Eigenvalue(0, 1, 16), 1), (ExactEigenvalue(1, 4), 1)])
-    with pytest.raises(ValueError, match="normal form"):
-        Spectrum([(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(-1, 3), 1), (Eigenvalue(0, 1, 16), 2)])
+def test_eigenvalue_keeps_its_normal_form():
+    # Eigenvalue(0, 1, 16) is (0 + sqrt(16))/2 = 2, which it folds into
+    # Eigenvalue(4, 0, 0), the fields ExactEigenvalue(1, 4) has
+    assert Eigenvalue(0, 1, 16) == ExactEigenvalue(1, 4)
+    assert str(Eigenvalue(0, 1, 16)) == "2"
+    spec = Spectrum([(Eigenvalue(0, 1, 16), 1), (ExactEigenvalue(1, 4), 1)])
+    assert spectrum_as_multiset(spec) == {"2": 2}
+    spec = Spectrum([(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(-1, 3), 1), (Eigenvalue(0, 1, 16), 2)])
+    assert spectrum_as_multiset(spec) == {"2": 3, "-√3": 1}
+    # e outside {-1, 0, 1}, a negative radicand, and e = 0 with r != 0
+    for fields in ((0, 2, 5), (0, 1, -4), (1, 0, 5)):
+        with pytest.raises(ValueError, match="no eigenvalue"):
+            Eigenvalue(*fields)
 
 
 def test_key_comparison_matches_decimal_on_small_keys():
@@ -365,6 +371,8 @@ def test_spectrum_middle_equals_inclusion():
             assert spectrum_middle(n, k) == spectrum_inclusion(GraphParams(n, k, k + 1))
     with pytest.raises(ValueError):
         spectrum_middle(4, 2)
+    with pytest.raises(ValueError):
+        spectrum_line_middle(4, 2)
 
 
 def test_spectrum_line_semiregular_regular_bipartite_case():
@@ -383,6 +391,9 @@ def test_spectrum_line_semiregular_validation():
     bad_top = [(ExactEigenvalue(1, 5), 1), (ExactEigenvalue(1, 1), 2)]
     with pytest.raises(ValueError):
         spectrum_line_semiregular(3, 3, 2, 2, bad_top)  # principal != sqrt(r1 r2)
+    with pytest.raises(ValueError, match=r"n1\*r1 = n2\*r2"):
+        # 2*3 != 4*2: no bipartite graph has these degrees
+        spectrum_line_semiregular(2, 4, 3, 2, [(ExactEigenvalue(1, 6), 1), (ExactEigenvalue(-1, 6), 1)])
     # (1+√5)/2, 1/2 and √2/2 are no +-sqrt(m) for an integer m
     for odd in (SurdEigenvalue(1, 5, 1), SurdEigenvalue(1, 0, 1), SurdEigenvalue(0, 2, 1)):
         with pytest.raises(ValueError, match=r"sqrt\(m\)"):
@@ -395,6 +406,10 @@ def test_spectrum_line_semiregular_reads_values_not_forms():
     top = [(SurdEigenvalue(0, 24, 1), 1), (SurdEigenvalue(0, 8, 1), 3)]
     spec = spectrum_line_semiregular(params.n1, params.n2, params.r1, params.r2, top)
     assert spec == spectrum_line_inclusion(params)
+    # the 4-cycle, its top value 2 given by the raw fields of (0 + sqrt(16))/2
+    top = [(Eigenvalue(0, 1, 16), 1), (Eigenvalue(0, 0, 0), 1)]
+    spec = spectrum_line_semiregular(2, 2, 2, 2, top)
+    assert spectrum_as_multiset(spec) == {"2": 1, "0": 2, "-2": 1}
 
 
 def test_spectrum_line_inclusion_frozen_412():
