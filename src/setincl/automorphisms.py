@@ -136,11 +136,7 @@ def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
 
 def _places(keys: np.ndarray, image_keys: np.ndarray):
     """Index of each image key among the sorted keys, or None unless the
-    image keys are the keys in some order.  For the keys of the edges under
-    a vertex permutation, which are distinct, a result that is not None
-    certifies an automorphism: a permutation maps edges into edges iff it
-    maps the edge set onto itself.  A stable sort, because image keys mostly
-    come in long ascending runs."""
+    image keys are the keys in some order (as in _preserves_edges)."""
     order = np.argsort(image_keys, kind="stable")
     if not np.array_equal(image_keys[order], keys):
         return None
@@ -151,8 +147,11 @@ def _places(keys: np.ndarray, image_keys: np.ndarray):
 
 def _preserves_edges(images: np.ndarray, ends: np.ndarray, keys: np.ndarray) -> bool:
     """True iff the vertex map images sends the edges ends, whose sorted
-    keys are keys, onto themselves (see _places)."""
-    return _places(keys, _edge_keys(images[ends], len(images))) is not None
+    keys are keys, onto themselves, by one stable sort of the image keys
+    (they come in long ascending runs).  For a permutation that certifies an
+    automorphism: it maps edges into edges iff it maps the edge set onto itself."""
+    image_keys = _edge_keys(images[ends], len(images))
+    return np.array_equal(np.sort(image_keys, kind="stable"), keys)
 
 
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
@@ -520,16 +519,14 @@ def _edge_link(images: np.ndarray, ends: np.ndarray, keys: np.ndarray, on: str) 
     vertices the images themselves, checked by one sort of the image keys;
     on the edges each edge's place among the edges; on the arcs also a flip
     on each edge the map reverses (its tail's image above its head's)."""
-    image_ends = images[ends]
-    reverses = image_ends[:, 0] > image_ends[:, 1] if on == "arcs" else None
-    image_keys = _edge_keys(image_ends, len(images))
-    del image_ends  # not alive during the sort
     if on == "vertices":
-        # stable, as in _places, for the long ascending runs
-        sorted_keys = np.sort(image_keys, kind="stable")
-        link = images if np.array_equal(sorted_keys, keys) else None
+        link = images if _preserves_edges(images, ends, keys) else None
     else:
+        image_ends = images[ends]
+        reverses = image_ends[:, 0] > image_ends[:, 1] if on == "arcs" else None
+        image_keys = _edge_keys(image_ends, len(images))
+        del image_ends  # not alive during the sort
         link = _places(keys, image_keys)
     if link is None:
         raise ValueError("generator is not an automorphism of the graph")
-    return (link,) if reverses is None else (link, reverses)
+    return (link, reverses) if on == "arcs" else (link,)

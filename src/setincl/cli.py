@@ -5,18 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded or
 out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
 to stderr.
 
-Caps are checked here only, before anything is built, on sizes computed
-from the parameters.  SETINCL_MAX_VERTICES (default 2000) caps the dimension
-of the matrix that is diagonalised: scheme --check C(n,k), and verify n1
-(n1+n2 with --line), which solves the Gram matrix B B^T of the biadjacency
-(the signless Laplacian D + A with --line) instead of the whole graph.  The
-same cap bounds what verify builds to get there: the rank array, n2*r2
-entries, at most cap^2, and without --line the Gram products, n1^2*n2
-multiply-adds, at most 6*cap^3 (GRAM_WORK).  SETINCL_BRUTE_CAP (default 40) caps
-aut --brute-force at n1+n2 vertices.  orbits and export are refused when
-the l-subsets' element rows (n2*l entries) or the arcs (2*n2*r2) would not
-fit one numpy array (np.iinfo(np.intp).max entries); the ground set has no
-other limit.  The environment is read on every call.
+Caps are checked here only, by arithmetic on the parameters before
+anything is built (see _bounds): SETINCL_MAX_VERTICES (default 2000) for
+verify and scheme --check, SETINCL_BRUTE_CAP (default 40) for aut
+--brute-force, both read on every call, and numpy's array limit for all.
 A cap, from a flag or the environment, must be a positive integer and --tol
 a finite nonnegative number; anything else is a usage error.
 """
@@ -28,8 +20,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 # brute_force_aut_order is called through this module's binding, which
 # perfbench/spans.py looks up to trace the search
@@ -44,6 +34,7 @@ from .errors import CapExceededError
 # build_line_graph is not called here; the name stays bound because
 # perfbench/spans.py looks it up in this module to trace it
 from .graphs import (  # noqa: F401
+    _ARRAY_MAX,
     GraphParams,
     build_inclusion_graph,
     build_line_graph,
@@ -75,6 +66,7 @@ GRAM_WORK = 6
 BRUTE_CAP = 40  # default cap of aut --brute-force
 # Python 3.10.7 and later limit int <-> str conversion to 4300 digits
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+_LIMIT_TEXT = f"numpy's array limit is {_ARRAY_MAX}"
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -185,61 +177,66 @@ def _size(x: int) -> str:
     return text if len(text) <= 30 else f"a {len(text)}-digit number"
 
 
+def _bounds(args, max_vertices: int, brute_cap: int):
+    """Yield the (size, cap, message) rows of the command in args, in order,
+    each from (n,k,l) and the flags alone, and each only once the rows before
+    it pass: the command's caps, then numpy's array limit on what it builds."""
+    cmd, arrays = args.command, []
+    if cmd == "scheme" and args.check:
+        n, n1, cap = args.n, math.comb(args.n, args.k), args.max_dim or max_vertices
+        yield n1, cap, f"matrix dimension {_size(n1)} exceeds cap {_size(cap)}"
+        # float32: the incidence matrix (n1 x n) and the n1 x n1 products
+        arrays = [(4 * n1 * max(n, n1), "k-subset matrices")]
+    elif cmd in ("verify", "orbits", "export") or cmd == "aut" and args.brute_force:
+        p = args.params
+        if cmd == "verify":
+            cap, dim = args.max_vertices or max_vertices, p.n1 + p.n2 if args.line else p.n1
+            c = _size(cap)
+            yield dim, cap, f"verify solves dimension {_size(dim)}, cap is {c}"
+            yield (p.n2 * p.r2, cap**2, f"rank array has {_size(p.n2 * p.r2)} entries, "
+                   f"cap is {c}^2 = {_size(cap**2)}")
+            work = 0 if args.line else p.n1**2 * p.n2
+            yield (work, GRAM_WORK * cap**3, f"Gram matrix takes {_size(work)} multiply-adds, "
+                   f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
+        elif cmd == "aut":
+            cap = args.max_vertices or brute_cap
+            yield p.n1 + p.n2, cap, f"graph has {_size(p.n1 + p.n2)} vertices, cap is {_size(cap)}"
+        else:  # entry counts first: the refusals orbits and export have always given
+            for size, what in ((p.n2 * p.l, "l-subset row entries"), (2 * p.n2 * p.r2, "arcs")):
+                yield size, _ARRAY_MAX, f"graph needs {_size(size)} {what}, {_LIMIT_TEXT}"
+        # int64 l-subset rows and arcs; verify's rank array is half the arcs
+        arrays = [(8 * p.n2 * p.l, "l-subset rows"), (16 * p.n2 * p.r2, "arcs")]
+        if cmd == "verify":
+            arrays.append((8 * dim**2, "dense matrix"))  # float64
+    for size, what in arrays:
+        yield size, _ARRAY_MAX, f"byte count of the {what} is {_size(size)}, {_LIMIT_TEXT}"
+
+
 def _preflight(argv):
     """Parse argv and validate the parameters (canonicalizing any (n,k,l),
-    with a note), then refuse a capped command whose size, computed from
-    them alone, exceeds its cap.  Both environment caps are read, and so
-    validated, first and whatever the command."""
-    env_max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
-    env_brute_cap = _env_cap("SETINCL_BRUTE_CAP", BRUTE_CAP)
+    with a note), then refuse the command at the first row of _bounds past
+    its cap.  Both environment caps are read, and so validated, first."""
+    max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
+    brute_cap = _env_cap("SETINCL_BRUTE_CAP", BRUTE_CAP)
     args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
     # C(n,k) in a cap message or n! in a report, may be longer
     if _DIGIT_LIMIT:
         sys.set_int_max_str_digits(0)
     if args.command == "scheme":
-        n, k = args.n, args.k
-        if not (0 <= k and 2 * k <= n):
-            raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
-        if args.check:
-            dim, cap = math.comb(n, k), args.max_dim or env_max_vertices
-            if dim > cap:
-                raise CapExceededError(f"matrix dimension {_size(dim)} exceeds cap {_size(cap)}")
-        return args
-    p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
-    if complemented:
-        sys.stderr.write(
-            f"note: ({args.n},{args.k},{args.l}) canonicalized to "
-            f"({p.n},{p.k},{p.l}) via complementation\n"
-        )
-    args.params = p
-    if args.command == "verify":
-        cap = args.max_vertices or env_max_vertices
-        dim = p.n1 + p.n2 if args.line else p.n1
-        if dim > cap:
-            raise CapExceededError(f"verify solves dimension {_size(dim)}, cap is {_size(cap)}")
-        if p.n2 * p.r2 > cap**2:
-            raise CapExceededError(
-                f"rank array has {_size(p.n2 * p.r2)} entries, "
-                f"cap is {_size(cap)}^2 = {_size(cap**2)}"
+        if not (0 <= args.k and 2 * args.k <= args.n):
+            raise ValueError(f"need 0 <= k <= n/2, got n={args.n}, k={args.k}")
+    else:
+        p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
+        if complemented:
+            sys.stderr.write(
+                f"note: ({args.n},{args.k},{args.l}) canonicalized to "
+                f"({p.n},{p.k},{p.l}) via complementation\n"
             )
-        work = 0 if args.line else p.n1**2 * p.n2
-        if work > GRAM_WORK * cap**3:
-            raise CapExceededError(
-                f"Gram matrix takes {_size(work)} multiply-adds, "
-                f"cap is {GRAM_WORK}*{_size(cap)}^3 = {_size(GRAM_WORK * cap**3)}"
-            )
-    elif args.command == "aut" and args.brute_force:
-        size, cap = p.n1 + p.n2, args.max_vertices or env_brute_cap
+        args.params = p
+    for size, cap, message in _bounds(args, max_vertices, brute_cap):
         if size > cap:
-            raise CapExceededError(f"graph has {_size(size)} vertices, cap is {_size(cap)}")
-    elif args.command in ("orbits", "export"):
-        limit = np.iinfo(np.intp).max  # numpy's, on the entries of one array
-        for size, what in ((p.n2 * p.l, "l-subset row entries"), (2 * p.n2 * p.r2, "arcs")):
-            if size > limit:
-                raise CapExceededError(
-                    f"graph needs {_size(size)} {what}, numpy's array limit is {_size(limit)}"
-                )
+            raise CapExceededError(message)
     return args
 
 

@@ -11,7 +11,9 @@ colex_ranks; this is the one representation, for every n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice
 from math import comb
 
@@ -20,7 +22,7 @@ import numpy as np
 from .combinatorics import intersection_number
 
 _GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
-_ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the entries of one array
+_ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
 
 __all__ = [
     "GraphParams",
@@ -41,13 +43,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphParams:
-    """Validated (n, k, l) triple for the inclusion graph on k- and l-subsets."""
+    """Validated (n, k, l) triple for the inclusion graph on k- and l-subsets;
+    each of its sizes n1, n2, r1 and r2 is computed once, when first read."""
 
     n: int
     k: int
     l: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "l"):  # refuses 6.5 and "6", stores numpy ints as int
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not (1 <= self.k < self.l <= self.n - 1):
             raise ValueError(
                 f"need 1 <= k < l <= n-1, got (n,k,l)=({self.n},{self.k},{self.l})"
@@ -65,22 +70,22 @@ class GraphParams:
                 " (k+l>n); canonicalize first"
             )
 
-    @property
+    @cached_property
     def n1(self) -> int:
         """Number of k-subsets."""
         return comb(self.n, self.k)
 
-    @property
+    @cached_property
     def n2(self) -> int:
         """Number of l-subsets."""
         return comb(self.n, self.l)
 
-    @property
+    @cached_property
     def r1(self) -> int:
         """Degree of every k-subset vertex."""
         return comb(self.n - self.k, self.l - self.k)
 
-    @property
+    @cached_property
     def r2(self) -> int:
         """Degree of every l-subset vertex."""
         return comb(self.l, self.k)
@@ -106,7 +111,7 @@ def subset_positions(n: int, size: int) -> np.ndarray:
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
     count = comb(n, size)
-    if count * size > _ARRAY_MAX:
+    if 8 * count * size > _ARRAY_MAX:  # int64 entries, 8 bytes each
         raise ValueError(
             f"the {size}-subsets of {n} elements need {count} rows of {size}"
             " entries, past numpy's array limit"

@@ -16,6 +16,7 @@ the numeric solver or to be written as CSV.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -206,7 +207,7 @@ class Spectrum:
     def __init__(self, pairs):
         merged: dict[Eigenvalue, int] = {}
         for ev, mult in pairs:
-            mult = int(mult)
+            mult = operator.index(mult)
             if mult < 0:
                 raise ValueError(f"negative multiplicity {mult}")
             if mult:
@@ -359,7 +360,7 @@ def spectrum_line_semiregular(
         # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r
         if ev.a * ev.e or (ev.a * ev.a + ev.r) % 4:
             raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
-        tops[ev] = tops.get(ev, 0) + int(mult)
+        tops[ev] = tops.get(ev, 0) + operator.index(mult)
     if sum(tops.values()) != n1:
         raise ValueError("top eigenvalue multiplicities must sum to n1")
     principal = ExactEigenvalue(_sign(r1 * r2), r1 * r2)

@@ -318,9 +318,11 @@ def test_readme_api_table_lists_every_public_name():
 
 
 def test_scheme_check(capsys):
-    code, out, _ = run(["scheme", "6", "2", "--check"], capsys)
-    assert code == 0
-    assert "PASS" in out
+    # k = 0: one k-subset, whose 1000-entry incidence row fits numpy's limit
+    for args in (["scheme", "6", "2", "--check"], ["scheme", "1000", "0", "--check"]):
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert "PASS" in out
 
 
 def test_scheme_table(capsys):
@@ -498,6 +500,9 @@ def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
         (["verify", "50", "1", "6"], "rank array has 95344200 entries"),
         (["verify", "30", "1", "15"], "rank array has 2326762800 entries"),
         (["verify", "30", "1", "15", "--line"], "verify solves dimension 155117550"),
+        # refused on n1 alone: the rank array's C(10^6, 400000), about 290,000
+        # digits and seconds to compute, is never needed
+        (["verify", "1000000", "1", "400000"], "verify solves dimension 1000000"),
     ],
 )
 def test_verify_construction_bounds_refuse_from_parameters(args, bound, monkeypatch, capsys):
@@ -606,22 +611,44 @@ def test_aut_brute_force_past_64_elements(capsys):
 
 
 @pytest.mark.parametrize(
-    "args,bound",
+    "args,message",
     [
         # C(64,32) l-subsets of 32 elements each: more than 2**63 - 1 entries
-        (["orbits", "64", "3", "32", "--on", "vertices"], "58643972510162897088 l-subset row entries"),
-        (["export", "64", "2", "40"], "10025964218786644800 l-subset row entries"),
-        (["orbits", "72", "2", "36", "--on", "vertices"], "15930451449966124051344 l-subset row entries"),
+        (["orbits", "64", "3", "32", "--on", "vertices"],
+         "graph needs 58643972510162897088 l-subset row entries"),
+        (["export", "64", "2", "40"], "graph needs 10025964218786644800 l-subset row entries"),
+        (["orbits", "72", "2", "36", "--on", "vertices"],
+         "graph needs 15930451449966124051344 l-subset row entries"),
         # 3.9e17 row entries fit, but each l-subset holds C(20,10) k-subsets
-        (["export", "64", "10", "20"], "7249724113398980653440 arcs"),
+        (["export", "64", "10", "20"], "graph needs 7249724113398980653440 arcs"),
+        # C(n,0) = 1 fits the dimension cap, but the incidence row has n entries
+        (["scheme", "100000000000000000000", "0", "--check"],
+         "byte count of the k-subset matrices is 400000000000000000000"),
+        # 5e18 entries fit, but not at 4 bytes each
+        (["scheme", "5000000000000000000", "0", "--check"],
+         "byte count of the k-subset matrices is 20000000000000000000"),
+        # past caps raised this far, the l-subset rows are the first array too large
+        (["verify", "72", "2", "36", "--max-vertices", str(10**29)],
+         "byte count of the l-subset rows is 127443611599728992410752"),
+        (["verify", "72", "2", "36", "--line", "--max-vertices", str(10**29)],
+         "byte count of the l-subset rows is 127443611599728992410752"),
+        (["aut", "72", "2", "36", "--brute-force", "--max-vertices", str(10**27)],
+         "byte count of the l-subset rows is 127443611599728992410752"),
+        # C(80,40)^2 float32 entries
+        (["scheme", "80", "40", "--check", "--max-dim", str(10**30)],
+         "byte count of the k-subset matrices is a 47-digit number"),
+        # the rank array fits, but not the dense (n1+n2)^2 float64 signless Laplacian
+        (["verify", "100000", "1", "2", "--line", "--max-vertices", str(10**10)],
+         "byte count of the dense matrix is 200004000020000000000"),
     ],
+    # the first four ids as they were when the parameter named only what the graph needs
+    ids=lambda value: value.removeprefix("graph needs ") if isinstance(value, str) else None,
 )
-def test_builds_past_numpy_array_limit_are_refused(args, bound, monkeypatch, capsys):
+def test_builds_past_numpy_array_limit_are_refused(args, message, monkeypatch, capsys):
     _forbid_building(monkeypatch)
     start = time.perf_counter()
     code, out, err = run(args, capsys)
     assert code == 2 and time.perf_counter() - start < 1.0
     assert out == "" and err == (
-        f"setincl: cap exceeded: graph needs {bound}, "
-        f"numpy's array limit is {np.iinfo(np.intp).max}\n"
+        f"setincl: cap exceeded: {message}, numpy's array limit is {np.iinfo(np.intp).max}\n"
     )

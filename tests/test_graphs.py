@@ -35,6 +35,13 @@ def test_params_validation():
         GraphParams(4, 0, 2)  # k < 1
     with pytest.raises(ValueError):
         GraphParams(4, 1, 4)  # l > n-1
+    # every field is an integer: 6.5 is not truncated nor "6" parsed, and
+    # numpy integers are stored as Python ints
+    for fields in ((6.5, 2, 3), ("6", 2, 3)):
+        with pytest.raises(TypeError):
+            GraphParams(*fields)
+    p = GraphParams(np.int64(6), np.int32(2), np.int64(3))
+    assert [type(x) for x in (p.n, p.k, p.l)] == [int, int, int] and p.n1 == 15
 
 
 def test_params_accessors():

@@ -145,6 +145,11 @@ def test_spectrum_orders_descending_and_drops_zero_multiplicity():
     assert spec.total_multiplicity == 4
     with pytest.raises(ValueError):
         Spectrum([(ExactEigenvalue(1, 2), -1)])
+    # a multiplicity is an integer, neither truncated nor parsed
+    with pytest.raises(TypeError):
+        Spectrum([(ExactEigenvalue(1, 2), 1.5)])
+    with pytest.raises(TypeError):
+        Spectrum([(ExactEigenvalue(0, 0), "3")])
 
 
 def test_spectrum_distinguishes_close_values():
@@ -380,6 +385,13 @@ def test_spectrum_line_semiregular_regular_bipartite_case():
     top = [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 1), 2)]
     spec = spectrum_line_semiregular(3, 3, 2, 2, top)
     assert spectrum_as_multiset(spec) == {"2": 1, "1": 2, "-1": 2, "-2": 1}
+
+
+def test_spectrum_line_semiregular_refuses_non_integer_multiplicities():
+    # int() would read 2.5 and "2" as 2, and the multiplicities would sum to n1
+    for mult in (2.5, "2"):
+        with pytest.raises(TypeError):
+            spectrum_line_semiregular(3, 3, 2, 2, [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 1), mult)])
 
 
 def test_spectrum_line_semiregular_validation():
