@@ -6,9 +6,9 @@ out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
 to stderr.
 
 Caps are checked here only, by arithmetic on the parameters before
-anything is built (see _bounds): SETINCL_MAX_VERTICES (default 2000) for
-verify and scheme --check, SETINCL_BRUTE_CAP (default 40) for aut
---brute-force, both read on every call, and numpy's array limit for all.
+anything is built (see _bounds): one cap, SETINCL_MAX_VERTICES (default
+2000, read on every call), for verify, aut --brute-force and scheme
+--check, and numpy's array limit for all.
 A cap, from a flag or the environment, must be a positive integer and --tol
 a finite nonnegative number; anything else is a usage error.
 """
@@ -58,15 +58,16 @@ EX_VERIFY_FAIL = 1
 EX_CAP = 2
 EX_USAGE = 64
 
-MAX_VERTICES = 2000  # default cap of verify's solve and scheme's matrices
+MAX_VERTICES = 2000  # default cap of verify's solve, aut's certificate and scheme's matrices
 # Gram products of GRAM_WORK*cap^3 multiply-adds take about as long as the
 # dense solve at dimension cap: about 1.1 s each at cap 2000 on one thread of
 # a 2-vCPU Xeon (BLAS symmetric rank-k update and eigvalsh)
 GRAM_WORK = 6
-BRUTE_CAP = 40  # default cap of aut --brute-force
+# aut's certificate visits at most n*2m arcs; CERT_WORK*cap^2 visits take about
+# 1 s at cap 2000 (1.7-2.5e-8 s each from 3e6 visits up, one 2-vCPU Xeon thread)
+CERT_WORK = 10
 # Python 3.10.7 and later limit int <-> str conversion to 4300 digits
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
-_LIMIT_TEXT = f"numpy's array limit is {_ARRAY_MAX}"
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -147,7 +148,8 @@ def _build_parser() -> _Parser:
         help="check the order on the built graph: by upper and lower bounds that "
         "must meet, else by orbit-stabiliser search",
     )
-    p.add_argument("--max-vertices", type=_positive_int)
+    p.add_argument("--max-vertices", type=_positive_int, help="cap on the certificate's "
+                   f"work: n*2m arc visits <= {CERT_WORK}*cap^2, for m edges")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("orbits", help="orbit counts under the automorphism group")
@@ -177,7 +179,7 @@ def _size(x: int) -> str:
     return text if len(text) <= 30 else f"a {len(text)}-digit number"
 
 
-def _bounds(args, max_vertices: int, brute_cap: int):
+def _bounds(args, max_vertices: int):
     """Yield the (size, cap, message) rows of the command in args, in order,
     each from (n,k,l) and the flags alone, and each only once the rows before
     it pass: the command's caps, then numpy's array limit on what it builds."""
@@ -198,26 +200,24 @@ def _bounds(args, max_vertices: int, brute_cap: int):
             work = 0 if args.line else p.n1**2 * p.n2
             yield (work, GRAM_WORK * cap**3, f"Gram matrix takes {_size(work)} multiply-adds, "
                    f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
-        elif cmd == "aut":
-            cap = args.max_vertices or brute_cap
-            yield p.n1 + p.n2, cap, f"graph has {_size(p.n1 + p.n2)} vertices, cap is {_size(cap)}"
-        else:  # entry counts first: the refusals orbits and export have always given
-            for size, what in ((p.n2 * p.l, "l-subset row entries"), (2 * p.n2 * p.r2, "arcs")):
-                yield size, _ARRAY_MAX, f"graph needs {_size(size)} {what}, {_LIMIT_TEXT}"
+        elif cmd == "aut":  # at most n refined colourings, one pass over the 2m arcs each
+            cap, work = args.max_vertices or max_vertices, p.n * 2 * p.n2 * p.r2
+            yield (work, CERT_WORK * cap**2, f"certificate takes {_size(work)} arc visits, "
+                   f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
         # int64 l-subset rows and arcs; verify's rank array is half the arcs
         arrays = [(8 * p.n2 * p.l, "l-subset rows"), (16 * p.n2 * p.r2, "arcs")]
         if cmd == "verify":
             arrays.append((8 * dim**2, "dense matrix"))  # float64
     for size, what in arrays:
-        yield size, _ARRAY_MAX, f"byte count of the {what} is {_size(size)}, {_LIMIT_TEXT}"
+        yield (size, _ARRAY_MAX, f"byte count of the {what} is {_size(size)}, "
+               f"numpy's array limit is {_ARRAY_MAX}")
 
 
 def _preflight(argv):
     """Parse argv and validate the parameters (canonicalizing any (n,k,l),
     with a note), then refuse the command at the first row of _bounds past
-    its cap.  Both environment caps are read, and so validated, first."""
+    its cap.  The environment cap is read, and so validated, first."""
     max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
-    brute_cap = _env_cap("SETINCL_BRUTE_CAP", BRUTE_CAP)
     args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
     # C(n,k) in a cap message or n! in a report, may be longer
@@ -234,7 +234,7 @@ def _preflight(argv):
                 f"({p.n},{p.k},{p.l}) via complementation\n"
             )
         args.params = p
-    for size, cap, message in _bounds(args, max_vertices, brute_cap):
+    for size, cap, message in _bounds(args, max_vertices):
         if size > cap:
             raise CapExceededError(message)
     return args

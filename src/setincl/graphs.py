@@ -472,14 +472,16 @@ def _graph6_encode_count(n: int) -> bytes:
 
 def _to_graph6(g: Graph) -> bytes:
     # edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle read
-    # column by column; each output byte carries six bits, high bit first
+    # column by column; each byte after the header carries six bits, high
+    # bit first, plus 63
     n = g.num_vertices
+    head = _graph6_encode_count(n)
     i, j = g.edges().T
-    bit = j * (j - 1) // 2 + i
-    groups = (n * (n - 1) // 2 + 5) // 6
-    octets = np.zeros(groups * 8, dtype=np.uint8)
-    octets[bit // 6 * 8 + bit % 6 + 2] = 1
-    return _graph6_encode_count(n) + (np.packbits(octets) + 63).tobytes()
+    byte, place = np.divmod(j * (j - 1) // 2 + i + 6 * len(head), 6)
+    out = np.full(len(head) + (n * (n - 1) // 2 + 5) // 6, 63, dtype=np.uint8)
+    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    np.add.at(out, byte, np.uint8(32) >> place.astype(np.uint8))  # distinct bits: + is |
+    return out.tobytes()
 
 
 def parse_graph6(data: bytes) -> Graph:

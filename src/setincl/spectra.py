@@ -4,14 +4,14 @@ graphs, plus a dense numeric eigensolver used as an independent cross-check.
 Every exact eigenvalue in these families is either sign*sqrt(m) for an
 integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
 holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square:
-Eigenvalue(a, e, r) folds a square r into a and refuses fields that are no
-value, and ExactEigenvalue and SurdEigenvalue build it from the paper's two
-shapes.  Equality, merging, ordering and the power sums of any order are
-decided in exact integer arithmetic.  Floating point appears in two places
-only.  A float estimate of each value proposes the order of a Spectrum,
-which n - 1 exact comparisons then certify (an exact sort repairs an order
-that fails).  And a spectrum is expanded to floats for comparison against
-the numeric solver or to be written as CSV.
+Eigenvalue(a, e, r) folds a square r into a and refuses fields that are not
+integers or no value; ExactEigenvalue and SurdEigenvalue build it from the
+paper's two shapes.  Equality, merging, ordering and the power sums of any
+order are decided in exact integer arithmetic.  Floating point appears in
+two places only.  A float estimate of each value proposes the order of a
+Spectrum, which n - 1 exact comparisons then certify (an exact sort repairs
+an order that fails).  And a spectrum is expanded to floats for comparison
+against the numeric solver or to be written as CSV.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class Eigenvalue:
     = 0 exactly when e = 0, and otherwise r is not a perfect square.  So two
     eigenvalues are equal as real numbers iff their fields are equal.  A
     perfect square r is folded into a; fields that are no value (e outside
-    {-1, 0, 1}, r < 0, or e = 0 with r != 0) raise ValueError."""
+    {-1, 0, 1}, r < 0, or e = 0 with r != 0) raise ValueError, and fields
+    that are not integers TypeError."""
 
     a: int
     e: int
@@ -64,6 +65,11 @@ class Eigenvalue:
 
     def __post_init__(self) -> None:
         a, e, r = self.a, self.e, self.r
+        if not (type(a) is type(e) is type(r) is int):  # refuses 0.5, stores numpy ints as int
+            a, e, r = operator.index(a), operator.index(e), operator.index(r)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "e", e)
+            object.__setattr__(self, "r", r)
         if e not in (-1, 0, 1) or r < 0 or (e == 0 and r != 0):
             raise ValueError(
                 f"({a} + {e}*sqrt({r}))/2 is no eigenvalue: need e in {{-1, 0, 1}}, "

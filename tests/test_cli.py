@@ -8,7 +8,7 @@ import re
 import sys
 import time
 from itertools import combinations, takewhile
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -193,15 +193,39 @@ def test_aut_report_from_parameters_alone(capsys):
         assert f"kind:  {kind}" in out and f"order: {order}" in out
 
 
-def test_aut_brute_force_cap(capsys):
-    for args in (
-        ["aut", "7", "2", "3", "--brute-force"],
-        ["aut", "30", "10", "15", "--brute-force"],
+def test_aut_brute_force_cap(monkeypatch, capsys):
+    # the certificate refines at most n colourings, one pass over the 2m arcs
+    # each: 800-vertex (400,1,399) is more of that work than (16,4,8)
+    _forbid_building(monkeypatch)
+    for args, visits in (
+        (["aut", "400", "1", "399", "--brute-force"], 400 * 2 * 400 * 399),
+        (["aut", "20", "5", "8", "--brute-force"], 20 * 2 * comb(20, 8) * comb(8, 5)),
+        (["aut", "30", "10", "15", "--brute-force"], 30 * 2 * comb(30, 15) * comb(15, 10)),
     ):
         start = time.perf_counter()
-        code, _, err = run(args, capsys)
+        code, out, err = run(args, capsys)
         assert code == 2 and time.perf_counter() - start < 1.0
-        assert "cap" in err
+        assert out == "" and err == (
+            f"setincl: cap exceeded: certificate takes {visits} arc visits, "
+            "cap is 10*2000^2 = 40000000\n"
+        )
+
+
+@pytest.mark.parametrize("args", [["7", "2", "3"], ["9", "3", "5"]])
+def test_aut_brute_force_certifies_past_forty_vertices(args, capsys):
+    # 56 and 210 vertices, a few thousand arc visits each
+    code, out, _ = run(["aut", *args, "--brute-force"], capsys)
+    assert code == 0 and out.endswith(" (agree)\n")
+
+
+def test_aut_brute_force_cap_is_on_the_arc_visits(monkeypatch, capsys):
+    # (65,1,64): n*2m = 540,800 arc visits, past 10*232^2 and within 10*233^2
+    _forbid_building(monkeypatch)
+    code, _, err = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "232"], capsys)
+    assert code == 2 and "certificate takes 540800 arc visits, cap is 10*232^2 = 538240" in err
+    monkeypatch.undo()
+    code, out, _ = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "233"], capsys)
+    assert code == 0 and out.endswith(" (agree)\n")
 
 
 def _count_searches(monkeypatch) -> list:
@@ -343,7 +367,7 @@ def test_scheme_cap(capsys):
 
 
 def test_env_var_cap(monkeypatch, capsys):
-    monkeypatch.setenv("SETINCL_BRUTE_CAP", "5")
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "1")
     code, _, err = run(["aut", "4", "1", "2", "--brute-force"], capsys)
     assert code == 2 and "cap" in err
 
@@ -385,7 +409,7 @@ def test_cap_flag_must_be_positive(args, capsys):
     assert "must be a positive integer" in err
 
 
-@pytest.mark.parametrize("name", ["SETINCL_MAX_VERTICES", "SETINCL_BRUTE_CAP"])
+@pytest.mark.parametrize("name", ["SETINCL_MAX_VERTICES"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_env_var_cap_must_be_positive(name, value, monkeypatch, capsys):
     monkeypatch.setenv(name, value)
@@ -436,7 +460,8 @@ def test_csv_refuses_values_past_float64(line, capsys):
 @pytest.mark.parametrize(
     "name,args",
     [
-        ("SETINCL_BRUTE_CAP", ["aut", "4", "1", "2", "--brute-force"]),
+        # 300 arc visits, past 10*5^2
+        ("SETINCL_MAX_VERTICES", ["aut", "5", "2", "3", "--brute-force"]),
         ("SETINCL_MAX_VERTICES", ["verify", "5", "2", "3"]),
         ("SETINCL_MAX_VERTICES", ["scheme", "6", "2", "--check"]),
     ],
@@ -480,7 +505,8 @@ def _forbid_building(monkeypatch):
     [
         ["verify", "8", "3", "4", "--max-vertices", "50"],
         ["verify", "8", "3", "4", "--line"],
-        ["aut", "7", "2", "3", "--brute-force"],
+        # 100 vertices, but 245,000 arc visits past 10*100^2
+        ["aut", "50", "1", "49", "--brute-force"],
         ["scheme", "8", "4", "--check", "--max-dim", "69"],
     ],
 )
@@ -605,7 +631,7 @@ def test_verify_past_64_elements(n, capsys):
 
 
 def test_aut_brute_force_past_64_elements(capsys):
-    code, out, _ = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "200"], capsys)
+    code, out, _ = run(["aut", "65", "1", "64", "--brute-force"], capsys)
     assert code == 0
     assert f"brute-force order: {2 * factorial(65)} (agree)\n" in out
 
@@ -613,14 +639,21 @@ def test_aut_brute_force_past_64_elements(capsys):
 @pytest.mark.parametrize(
     "args,message",
     [
-        # C(64,32) l-subsets of 32 elements each: more than 2**63 - 1 entries
-        (["orbits", "64", "3", "32", "--on", "vertices"],
-         "graph needs 58643972510162897088 l-subset row entries"),
-        (["export", "64", "2", "40"], "graph needs 10025964218786644800 l-subset row entries"),
-        (["orbits", "72", "2", "36", "--on", "vertices"],
-         "graph needs 15930451449966124051344 l-subset row entries"),
+        # C(64,32) l-subsets of 32 elements each: 8-byte entries past 2**63 - 1
+        # bytes; the first four keep the ids of their old entry-count messages
+        pytest.param(["orbits", "64", "3", "32", "--on", "vertices"],
+                     "byte count of the l-subset rows is 469151780081303176704",
+                     id="args0-58643972510162897088 l-subset row entries"),
+        pytest.param(["export", "64", "2", "40"],
+                     "byte count of the l-subset rows is 80207713750293158400",
+                     id="args1-10025964218786644800 l-subset row entries"),
+        pytest.param(["orbits", "72", "2", "36", "--on", "vertices"],
+                     "byte count of the l-subset rows is 127443611599728992410752",
+                     id="args2-15930451449966124051344 l-subset row entries"),
         # 3.9e17 row entries fit, but each l-subset holds C(20,10) k-subsets
-        (["export", "64", "10", "20"], "graph needs 7249724113398980653440 arcs"),
+        pytest.param(["export", "64", "10", "20"],
+                     "byte count of the arcs is 57997792907191845227520",
+                     id="args3-7249724113398980653440 arcs"),
         # C(n,0) = 1 fits the dimension cap, but the incidence row has n entries
         (["scheme", "100000000000000000000", "0", "--check"],
          "byte count of the k-subset matrices is 400000000000000000000"),
@@ -641,8 +674,6 @@ def test_aut_brute_force_past_64_elements(capsys):
         (["verify", "100000", "1", "2", "--line", "--max-vertices", str(10**10)],
          "byte count of the dense matrix is 200004000020000000000"),
     ],
-    # the first four ids as they were when the parameter named only what the graph needs
-    ids=lambda value: value.removeprefix("graph needs ") if isinstance(value, str) else None,
 )
 def test_builds_past_numpy_array_limit_are_refused(args, message, monkeypatch, capsys):
     _forbid_building(monkeypatch)

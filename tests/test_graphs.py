@@ -1,5 +1,6 @@
 """Tests for graph construction, subset ranking and interchange formats."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -470,6 +471,19 @@ def test_graph6_cross_check_against_networkx():
         h.add_edges_from(g.edges())
         theirs = nx.to_graph6_bytes(h, header=False).strip()
         assert export_graph(g, "graph6") == theirs
+
+
+def test_graph6_holds_about_the_output_not_a_byte_per_bit():
+    # 4433 vertices: a 1.64 MB string, and 13 MB as one uint8 per bit
+    g = build_inclusion_graph(GraphParams(14, 4, 7))
+    tracemalloc.start()
+    try:
+        data = export_graph(g, "graph6")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 4 + (4433 * 4432 // 2 + 5) // 6
+    assert peak < 10 * 2**20, peak
 
 
 def test_graph6_vertex_count_encoding():

@@ -411,10 +411,8 @@ def _cli_calls(draw):
             argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
     if draw(_RARELY, label="bad token"):
         argv.append(draw(st.sampled_from(_BAD_TOKENS)))
-    env = {
-        name: draw(st.one_of(st.none(), st.sampled_from(_ENV_VALUES)), label=name)
-        for name in ("SETINCL_MAX_VERTICES", "SETINCL_BRUTE_CAP")
-    }
+    name = "SETINCL_MAX_VERTICES"
+    env = {name: draw(st.one_of(st.none(), st.sampled_from(_ENV_VALUES)), label=name)}
     return argv, env
 
 

@@ -178,6 +178,17 @@ def test_eigenvalue_keeps_its_normal_form():
             Eigenvalue(*fields)
 
 
+def test_eigenvalue_fields_are_integers():
+    # 0.5 is not kept to print as "0.5/2", nor "1" parsed, and numpy
+    # integers are stored as Python ints
+    for fields in ((0.5, 0, 0), (1, 1, 2.0), ("1", 0, 0)):
+        with pytest.raises(TypeError):
+            Eigenvalue(*fields)
+    value = Eigenvalue(np.int64(1), np.int8(1), np.uint16(2))
+    assert [type(x) for x in (value.a, value.e, value.r)] == [int, int, int]
+    assert value == Eigenvalue(1, 1, 2) and str(value) == "(1+√2)/2"
+
+
 def test_key_comparison_matches_decimal_on_small_keys():
     # every normalized key (a + e*sqrt(r))/2 with |a| <= 6 and a few
     # radicands, including the commensurable pair sqrt(2), sqrt(8) = 2*sqrt(2)
