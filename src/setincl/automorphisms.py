@@ -120,10 +120,14 @@ def tau_action(params: GraphParams) -> InducedAction:
     return InducedAction(np.arange(params.n1 + params.n2)[::-1])
 
 
-def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
-    """Key min*nv + max of each vertex pair; keys sort like the edges."""
-    u, v = pairs.T
-    return np.minimum(u, v) * nv + np.maximum(u, v)
+def _edge_keys(u: np.ndarray, v: np.ndarray, nv: int) -> np.ndarray:
+    """Key max*nv + min of each pair (u[i], v[i]), written over u (which
+    lower_edges makes afresh); on lower_edges' order the keys ascend."""
+    lo = np.minimum(u, v)
+    np.maximum(u, v, out=u)
+    u *= nv
+    u += lo
+    return u
 
 
 def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
@@ -145,20 +149,25 @@ def _places(keys: np.ndarray, image_keys: np.ndarray):
     return places
 
 
-def _preserves_edges(images: np.ndarray, ends: np.ndarray, keys: np.ndarray) -> bool:
-    """True iff the vertex map images sends the edges ends, whose sorted
-    keys are keys, onto themselves, by one stable sort of the image keys
+def _lower_keys(g: Graph) -> np.ndarray:
+    """_edge_keys of g's lower_edges, ascending: hi * nv + lo, as hi > lo."""
+    hi, lo = g.lower_edges()
+    return np.add(np.multiply(hi, g.num_vertices, out=hi), lo, out=hi)
+
+
+def _preserves_edges(g: Graph, images: np.ndarray, keys: np.ndarray) -> bool:
+    """True iff the vertex map images sends g's edges, whose keys are keys
+    (_lower_keys), onto themselves, by one stable sort of the image keys
     (they come in long ascending runs).  For a permutation that certifies an
     automorphism: it maps edges into edges iff it maps the edge set onto itself."""
-    image_keys = _edge_keys(images[ends], len(images))
-    return np.array_equal(np.sort(image_keys, kind="stable"), keys)
+    image_keys = _edge_keys(*g.lower_edges(images), len(images))
+    image_keys.sort(kind="stable")
+    return np.array_equal(image_keys, keys)
 
 
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
     """True iff the action maps every edge of g onto an edge of g."""
-    images = _image_table(g, action)
-    edges = g.edges()
-    return _preserves_edges(images, edges, _edge_keys(edges, g.num_vertices))
+    return _preserves_edges(g, _image_table(g, action), _lower_keys(g))
 
 
 def group_shape(params: GraphParams) -> GroupShape:
@@ -307,8 +316,7 @@ def brute_force_aut_order(g: Graph) -> int:
     nv = g.num_vertices
     if nv == 0:
         return 1
-    ends = g.edges()
-    keys = _edge_keys(ends, nv)
+    keys = _lower_keys(g)
     weights = _color_weights(nv)
     # chain[i]: the refined colouring (and its trace) with base[:i] individualised
     chain = list(_base_chain(g, weights))
@@ -332,7 +340,7 @@ def brute_force_aut_order(g: Graph) -> int:
                 vertex_of = np.empty(nv, dtype=np.int64)
                 vertex_of[colors] = np.arange(nv)
                 image = vertex_of[leaf]
-                if _preserves_edges(image, ends, keys):
+                if _preserves_edges(g, image, keys):
                     return image
                 continue
             target = chain[d + 1][0][base[d + 1]]
@@ -403,16 +411,15 @@ def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=Non
     n, n1 = g.params.n, g.params.n1
     if n < 5:
         return 1
-    ends = g.edges()
-    keys = _edge_keys(ends, g.num_vertices)
+    keys = _lower_keys(g)
 
     def keeps_sides(images: np.ndarray) -> bool:
         return bool((images[:n1] < n1).all())
 
     t, s = t.images, s.images
     if not (
-        _preserves_edges(t, ends, keys)
-        and _preserves_edges(s, ends, keys)
+        _preserves_edges(g, t, keys)
+        and _preserves_edges(g, s, keys)
         and _moore_relations(t, s, n)
     ):
         return 1
@@ -421,7 +428,7 @@ def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=Non
         and keeps_sides(t)
         and keeps_sides(s)
         and not keeps_sides(tau.images)
-        and _preserves_edges(tau.images, ends, keys)
+        and _preserves_edges(g, tau.images, keys)
     ):
         return 2 * factorial(n)
     return factorial(n)
@@ -467,9 +474,8 @@ def pointwise_stabilizer_trivial(g: SubsetGraph) -> bool:
     the restricted search therefore reduces to checking that all
     neighborhoods on the l-side are distinct.
     """
-    # every l-subset vertex has degree r2, so its sorted row has r2 entries
-    rows = g.indices[g.indptr[g.v1_count] :].reshape(-1, g.params.r2)
-    return len(np.unique(rows, axis=0)) == len(rows)
+    # the l-side rows are the rank rows, each sorted
+    return len(np.unique(g.ranks, axis=0)) == len(g.ranks)
 
 
 def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
@@ -486,13 +492,15 @@ def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     the pairs (x, generator(x)), counted by component_labels with one link
     per generator.
 
-    Edges are numbered by their place in g.edges(), and an arc is an edge
-    with a direction.  Each generator is verified by the search that maps
-    the edges (every image of an edge key must be a key), and its link is
-    built and joined before the next generator is read.  On the arcs the
-    classes are those of the edges with a flip on each edge the generator
-    reverses: an edge class in which some chain of links reverses an edge
-    holds one arc orbit, every other edge class two."""
+    Edges are numbered by their place in g.lower_edges(), not g.edges()
+    (the counts do not depend on it; on an inclusion graph it reads only the
+    rank rows), and an arc is an edge with a direction.  Each generator is
+    verified by the search that maps the edges (every image of an edge key
+    must be a key), and its link is built and joined before the next
+    generator is read.  On the arcs the classes are those of the edges with
+    a flip on each edge the generator reverses: an edge class in which some
+    chain of links reverses an edge holds one arc orbit, every other edge
+    class two."""
     nv, m = g.num_vertices, g.num_edges
     sizes = {"vertices": nv, "edges": m, "arcs": m}
     if on not in sizes:
@@ -506,26 +514,25 @@ def _orbit_links(g: Graph, generators, on: str):
     """orbit_count's link of each generator, verified and built only when
     the union-find asks for it.  No array a check makes is bound in this
     frame, so nothing of one generator outlives its link."""
-    ends = g.edges()
-    keys = _edge_keys(ends, g.num_vertices)
-    objects = np.arange(g.num_vertices if on == "vertices" else len(ends))
+    keys = _lower_keys(g)
+    objects = np.arange(g.num_vertices if on == "vertices" else len(keys))
     for action in generators:
-        yield objects, *_edge_link(_image_table(g, action), ends, keys, on)
+        yield objects, *_edge_link(g, _image_table(g, action), keys, on)
 
 
-def _edge_link(images: np.ndarray, ends: np.ndarray, keys: np.ndarray, on: str) -> tuple:
+def _edge_link(g: Graph, images: np.ndarray, keys: np.ndarray, on: str) -> tuple:
     """The link of one generator after the check that its vertex map
-    images sends the edges onto the edges (ValueError if not): on the
-    vertices the images themselves, checked by one sort of the image keys;
-    on the edges each edge's place among the edges; on the arcs also a flip
-    on each edge the map reverses (its tail's image above its head's)."""
+    images sends g's edges (keys: _lower_keys) onto the edges, or ValueError:
+    on the vertices the images themselves, checked by one sort of the image
+    keys; on the edges each edge's place among the edges; on the arcs also a
+    flip on each edge whose larger end's image is below its smaller end's."""
     if on == "vertices":
-        link = images if _preserves_edges(images, ends, keys) else None
+        link = images if _preserves_edges(g, images, keys) else None
     else:
-        image_ends = images[ends]
-        reverses = image_ends[:, 0] > image_ends[:, 1] if on == "arcs" else None
-        image_keys = _edge_keys(image_ends, len(images))
-        del image_ends  # not alive during the sort
+        image_hi, image_lo = g.lower_edges(images)
+        reverses = image_hi < image_lo if on == "arcs" else None
+        image_keys = _edge_keys(image_hi, image_lo, len(images))
+        del image_hi, image_lo  # not alive during the sort
         link = _places(keys, image_keys)
     if link is None:
         raise ValueError("generator is not an automorphism of the graph")

@@ -200,6 +200,15 @@ class Graph:
         upper = tails < self.indices
         return np.column_stack((tails[upper], self.indices[upper]))
 
+    def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
+        """Edges as two int64 arrays, larger ends hi and smaller ends lo, in
+        CSR order, so hi * num_vertices + lo ascends; given images, a vertex
+        map, the images of hi and lo instead."""
+        tails = self.arc_sources()
+        lower = self.indices < tails
+        hi, lo = tails[lower], self.indices[lower]
+        return (hi, lo) if images is None else (images[hi], images[lo])
+
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
         a[self.arc_sources(), self.indices] = 1
@@ -208,24 +217,50 @@ class Graph:
 
 class SubsetGraph(Graph):
     """Inclusion graph: k-subsets (first) and l-subsets of an n-set, adjacent
-    under containment.  Built only by build_inclusion_graph, which assembles
-    and checks the CSR arrays itself."""
+    under containment.  Built only by build_inclusion_graph, which checks
+    the rank rows it holds: ranks[i], ascending, are the k-neighbours of
+    l-vertex n1 + i.  The CSR arrays are made when first read; the k-side
+    rows cost a sort, made only for edges(), indices and their readers."""
 
-    def __init__(self, params: GraphParams, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, params: GraphParams, ranks: np.ndarray):
         # Graph.__init__ is skipped: its sort of all arc codes and its repeat
         # check would redo what build_inclusion_graph has already checked
         self.num_vertices = params.n1 + params.n2
-        self.num_edges = len(indices) // 2
-        self.indptr = indptr
-        self.indices = indices
+        self.num_edges = ranks.size
+        self.ranks = ranks
         self.params = params
         self.v1_count = params.n1
 
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        p = self.params
+        return np.concatenate((p.r1 * np.arange(p.n1), p.r2 * np.arange(p.n2 + 1) + p.n1 * p.r1))
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        return np.concatenate((self._k_heads, self.ranks.ravel()))
+
+    @cached_property
+    def _k_heads(self) -> np.ndarray:
+        """The k-side rows, concatenated: the codes rank * n2 + i, sorted,
+        list each k-subset's l-supersets in ascending order."""
+        n2 = self.params.n2
+        codes = np.sort(self.ranks * n2 + np.arange(n2)[:, None], axis=None)
+        return codes % n2 + self.v1_count
+
     def edges(self) -> np.ndarray:
         """Graph.edges, read off the k-side rows: every k-vertex precedes
-        every l-vertex, so the first m arcs are the edges in order."""
+        every l-vertex, so the k-side arcs are the edges in order."""
         tails = np.repeat(np.arange(self.v1_count), self.params.r1)
-        return np.column_stack((tails, self.indices[: self.num_edges]))
+        return np.column_stack((tails, self._k_heads))
+
+    def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
+        """Graph.lower_edges, read off the rank rows: l-vertex n1 + i is the
+        larger end of r2 edges, so its image repeats r2 times (no gather)."""
+        r2, n1 = self.params.r2, self.v1_count
+        if images is None:
+            return np.repeat(np.arange(n1, self.num_vertices), r2), self.ranks.ravel()
+        return np.repeat(images[n1:], r2), images[self.ranks.ravel()]
 
 
 def inclusion_ranks(params: GraphParams) -> np.ndarray:
@@ -260,29 +295,16 @@ def inclusion_ranks(params: GraphParams) -> np.ndarray:
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters.
 
-    The CSR rows come straight from inclusion_ranks: l-subset i's row is its
-    rank row, which ascends, and the k-side rows are one sort of the codes
-    rank * n2 + i, which lists each k-subset's l-supersets in ascending
-    order.  Checked on the way: every rank row strictly increases (so no
-    edge repeats), and every k-degree is r1 (every l-degree is r2 by shape).
+    The graph holds inclusion_ranks' rows as they are: l-subset i's CSR row
+    is its rank row, which ascends, and the k-side rows are sorted only when
+    first read (see SubsetGraph).  Checked here: every rank row strictly
+    increases (so no edge repeats), and every k-degree is r1, the count of
+    each rank (every l-degree is r2 by shape).
     """
     ranks = inclusion_ranks(params)
-    n1, n2, r1, r2 = params.n1, params.n2, params.r1, params.r2
-    m = n2 * r2
     assert (ranks[:, 1:] > ranks[:, :-1]).all()
-    indices = np.empty(2 * m, dtype=np.int64)
-    codes = indices[:m]
-    grid = codes.reshape(n2, r2)
-    np.multiply(ranks, n2, out=grid)
-    grid += np.arange(n2)[:, None]
-    codes.sort()
-    k_ptr = np.searchsorted(codes, np.arange(n1 + 1) * n2)
-    assert (np.diff(k_ptr) == r1).all()
-    codes %= n2
-    codes += n1
-    indices[m:] = ranks.ravel()
-    indptr = np.concatenate((k_ptr, m + r2 * np.arange(1, n2 + 1)))
-    return SubsetGraph(params, indptr, indices)
+    assert (np.bincount(ranks.ravel(), minlength=params.n1) == params.r1).all()
+    return SubsetGraph(params, ranks)
 
 
 def _meets(n: int, k: int) -> np.ndarray:

@@ -185,6 +185,38 @@ def test_subset_graph_edges_are_the_generic_edges():
         assert np.array_equal(edges, Graph.edges(g)), params
 
 
+def test_subset_graph_lower_edges_are_the_generic_lower_edges():
+    # SubsetGraph.lower_edges reads the rank rows; Graph.lower_edges
+    # filters all arcs.  Both list (hi, lo), hi > lo, by ascending hi*nv + lo
+    rng = np.random.default_rng(0)
+    cases = [*canonical_params_up_to(9), *map(GraphParams, (65, 65, 65), (1, 1, 2), (2, 64, 3))]
+    for params in cases:
+        g = build_inclusion_graph(params)
+        nv = g.num_vertices
+        hi, lo = g.lower_edges()
+        assert hi.dtype == lo.dtype == np.int64 and hi.shape == lo.shape == (g.num_edges,)
+        assert (hi > lo).all() and (np.diff(hi * nv + lo) > 0).all(), params
+        for got, want in zip((hi, lo), Graph.lower_edges(g)):
+            assert np.array_equal(got, want), params
+        images = rng.permutation(nv)
+        for got, want in zip(g.lower_edges(images), Graph.lower_edges(g, images)):
+            assert np.array_equal(got, want), params
+        assert {tuple(e) for e in g.edges().tolist()} == set(zip(lo.tolist(), hi.tolist()))
+
+
+def test_subset_graph_builds_its_k_side_rows_when_first_read():
+    # the build holds the rank rows only; edges() and export sort the
+    # k-side rows, and only indices (or indptr) makes the CSR arrays, which
+    # test_inclusion_graph_csr_matches_generic_build compares
+    for params in canonical_params_up_to(8):
+        g = build_inclusion_graph(params)
+        assert {"indptr", "indices", "_k_heads"}.isdisjoint(vars(g)), params
+        for fmt in ("edgelist", "graph6", "dot"):
+            export_graph(g, fmt)
+        assert np.array_equal(g.edges(), Graph.edges(build_inclusion_graph(params))), params
+        assert "_k_heads" in vars(g) and {"indptr", "indices"}.isdisjoint(vars(g)), params
+
+
 def test_inclusion_graph_rejects_noncanonical():
     with pytest.raises(ValueError, match=r"\(5,2,4\)"):
         build_inclusion_graph(GraphParams(5, 2, 4))
