@@ -201,9 +201,8 @@ class Graph:
         return np.column_stack((tails[upper], self.indices[upper]))
 
     def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as two int64 arrays, larger ends hi and smaller ends lo, in
-        CSR order, so hi * num_vertices + lo ascends; given images, a vertex
-        map, the images of hi and lo instead."""
+        """Edges as int64 arrays of larger ends hi and smaller ends lo in CSR
+        order (hi * num_vertices + lo ascends), or, given images, theirs."""
         tails = self.arc_sources()
         lower = self.indices < tails
         hi, lo = tails[lower], self.indices[lower]
@@ -217,10 +216,9 @@ class Graph:
 
 class SubsetGraph(Graph):
     """Inclusion graph: k-subsets (first) and l-subsets of an n-set, adjacent
-    under containment.  Built only by build_inclusion_graph, which checks
-    the rank rows it holds: ranks[i], ascending, are the k-neighbours of
-    l-vertex n1 + i.  The CSR arrays are made when first read; the k-side
-    rows cost a sort, made only for edges(), indices and their readers."""
+    under containment, built by build_inclusion_graph.  It holds the checked
+    rank rows: ranks[i], ascending, are the k-neighbours of l-vertex n1 + i.
+    The CSR arrays are made when first read; only the k-side rows sort."""
 
     def __init__(self, params: GraphParams, ranks: np.ndarray):
         # Graph.__init__ is skipped: its sort of all arc codes and its repeat
@@ -242,11 +240,14 @@ class SubsetGraph(Graph):
 
     @cached_property
     def _k_heads(self) -> np.ndarray:
-        """The k-side rows, concatenated: the codes rank * n2 + i, sorted,
-        list each k-subset's l-supersets in ascending order."""
+        """The k-side rows, concatenated, from the sorted codes rank * n2 + i."""
         n2 = self.params.n2
-        codes = np.sort(self.ranks * n2 + np.arange(n2)[:, None], axis=None)
-        return codes % n2 + self.v1_count
+        codes = self.ranks * n2  # one array, sorted and reduced in place
+        codes += np.arange(n2)[:, None]
+        codes.ravel().sort()  # a view: codes is C-contiguous
+        codes %= n2
+        codes += self.v1_count
+        return codes.ravel()
 
     def edges(self) -> np.ndarray:
         """Graph.edges, read off the k-side rows: every k-vertex precedes
@@ -255,8 +256,7 @@ class SubsetGraph(Graph):
         return np.column_stack((tails, self._k_heads))
 
     def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
-        """Graph.lower_edges, read off the rank rows: l-vertex n1 + i is the
-        larger end of r2 edges, so its image repeats r2 times (no gather)."""
+        """Graph.lower_edges off the rank rows; hi's images repeat, no gather."""
         r2, n1 = self.params.r2, self.v1_count
         if images is None:
             return np.repeat(np.arange(n1, self.num_vertices), r2), self.ranks.ravel()
