@@ -179,38 +179,72 @@ def _size(x: int) -> str:
     return text if len(text) <= 30 else f"a {len(text)}-digit number"
 
 
+# a row whose size needs C(n,l) is refused on a lower bound past this many
+# bits: the exact C(10^6, 4*10^5) alone, 1.0e6 bits, takes seconds
+_BOUND_BITS = 1 << 16
+
+
+def _binom_bits(n: int, l: int) -> int:
+    """An integer N with 2^N <= C(n,l), for 0 < l < n, from C(n,l) >=
+    (n/m)^m with m = min(l, n-l): log2(n/m) in 32-bit fixed point, rounded
+    down past the error of the two float logarithms."""
+    m = min(l, n - l)
+    high = math.log2(n)
+    return m * math.floor((high - math.log2(m) - high * 2**-49) * 2**32) >> 32
+
+
+def _array_row(what: str) -> str:
+    """The message of numpy's array limit on what, with {} for its bytes."""
+    return f"byte count of the {what} is {{}}, numpy's array limit is {_ARRAY_MAX}"
+
+
 def _bounds(args, max_vertices: int):
     """Yield the (size, cap, message) rows of the command in args, in order,
     each from (n,k,l) and the flags alone, and each only once the rows before
     it pass: the command's caps, then numpy's array limit on what it builds."""
-    cmd, arrays = args.command, []
+    cmd = args.command
     if cmd == "scheme" and args.check:
         n, n1, cap = args.n, math.comb(args.n, args.k), args.max_dim or max_vertices
         yield n1, cap, f"matrix dimension {_size(n1)} exceeds cap {_size(cap)}"
         # float32: the incidence matrix (n1 x n) and the n1 x n1 products
-        arrays = [(4 * n1 * max(n, n1), "k-subset matrices")]
+        size = 4 * n1 * max(n, n1)
+        yield size, _ARRAY_MAX, _array_row("k-subset matrices").format(_size(size))
     elif cmd in ("verify", "orbits", "export") or cmd == "aut" and args.brute_force:
         p = args.params
+        bits = _binom_bits(p.n, p.l)
+
+        def times_n2(factor, cap, message, plus=0):
+            """The row of size factor*C(n,l) + plus, its message with {} for
+            the size.  A lower bound 2^N past _BOUND_BITS and 64 bits past
+            the cap refuses it as "more than 2^N", unseen."""
+            low = bits + factor.bit_length() - 1
+            if low > _BOUND_BITS and low >= cap.bit_length() + 64:
+                return math.inf, cap, message.format(f"more than 2^{_size(low)}")
+            size = factor * p.n2 + plus
+            return size, cap, message.format(_size(size))
+
         if cmd == "verify":
-            cap, dim = args.max_vertices or max_vertices, p.n1 + p.n2 if args.line else p.n1
+            cap = args.max_vertices or max_vertices
             c = _size(cap)
-            yield dim, cap, f"verify solves dimension {_size(dim)}, cap is {c}"
-            yield (p.n2 * p.r2, cap**2, f"rank array has {_size(p.n2 * p.r2)} entries, "
-                   f"cap is {c}^2 = {_size(cap**2)}")
-            work = 0 if args.line else p.n1**2 * p.n2
-            yield (work, GRAM_WORK * cap**3, f"Gram matrix takes {_size(work)} multiply-adds, "
-                   f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
+            if args.line:
+                yield times_n2(1, cap, f"verify solves dimension {{}}, cap is {c}", p.n1)
+            else:
+                yield p.n1, cap, f"verify solves dimension {_size(p.n1)}, cap is {c}"
+            yield times_n2(p.r2, cap**2, f"rank array has {{}} entries, cap is {c}^2 = {_size(cap**2)}")
+            if not args.line:
+                yield times_n2(p.n1**2, GRAM_WORK * cap**3, f"Gram matrix takes {{}} multiply-adds, "
+                               f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
         elif cmd == "aut":  # at most n refined colourings, one pass over the 2m arcs each
-            cap, work = args.max_vertices or max_vertices, p.n * 2 * p.n2 * p.r2
-            yield (work, CERT_WORK * cap**2, f"certificate takes {_size(work)} arc visits, "
-                   f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
+            cap = args.max_vertices or max_vertices
+            yield times_n2(p.n * 2 * p.r2, CERT_WORK * cap**2, f"certificate takes {{}} arc visits, "
+                           f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
         # int64 l-subset rows and arcs; verify's rank array is half the arcs
-        arrays = [(8 * p.n2 * p.l, "l-subset rows"), (16 * p.n2 * p.r2, "arcs")]
+        yield times_n2(8 * p.l, _ARRAY_MAX, _array_row("l-subset rows"))
+        yield times_n2(16 * p.r2, _ARRAY_MAX, _array_row("arcs"))
         if cmd == "verify":
-            arrays.append((8 * dim**2, "dense matrix"))  # float64
-    for size, what in arrays:
-        yield (size, _ARRAY_MAX, f"byte count of the {what} is {_size(size)}, "
-               f"numpy's array limit is {_ARRAY_MAX}")
+            size = 8 * (p.n1 + p.n2 if args.line else p.n1) ** 2  # float64
+            yield size, _ARRAY_MAX, _array_row("dense matrix").format(_size(size))
+
 
 
 def _preflight(argv):

@@ -134,12 +134,10 @@ def intersection_number(n: int, k: int, i: int, j: int, s: int) -> int:
         raise ValueError(
             f"need 0 <= i,j,s <= k <= n/2, got n={n}, k={k}, i={i}, j={j}, s={s}"
         )
-    lo = max(0, i + s - k, j + s - k, i + j - k)
-    hi = min(s, i, j, n - 3 * k + i + j + s)
-    return sum(
-        comb(s, r)
-        * comb(k - s, i - r)
-        * comb(k - s, j - r)
-        * comb(n - 2 * k + s, k - i - j + r)
-        for r in range(lo, hi + 1)
-    )
+    ks, m, t = k - s, n - 2 * k + s, k - i - j
+    lo = max(0, i - ks, j - ks, -t)
+    hi = min(s, i, j, m - t)
+    total = 0
+    for r in range(lo, hi + 1):
+        total += comb(s, r) * comb(ks, i - r) * comb(ks, j - r) * comb(m, t + r)
+    return total

@@ -7,11 +7,11 @@ holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square:
 Eigenvalue(a, e, r) folds a square r into a and refuses fields that are not
 integers or no value; ExactEigenvalue and SurdEigenvalue build it from the
 paper's two shapes.  Equality, merging, ordering and the power sums of any
-order are decided in exact integer arithmetic.  Floating point appears in
-two places only.  A float estimate of each value proposes the order of a
-Spectrum, which n - 1 exact comparisons then certify (an exact sort repairs
-an order that fails).  And a spectrum is expanded to floats for comparison
-against the numeric solver or to be written as CSV.
+order are decided in exact integer arithmetic.  Each closed form emits its
+values in descending order, which Spectrum certifies with one exact
+comparison per adjacent pair.  Floating point appears only when a spectrum
+is expanded, for comparison against the numeric solver or to be written as
+CSV.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import inf, isqrt, sqrt
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 
@@ -158,20 +159,25 @@ def _cmp_keys(x: Eigenvalue, y: Eigenvalue) -> int:
     return sz * _sign_surd(a * a + r1 - r2, 2 * a * e1, r1)
 
 
-def _estimate(ev: Eigenvalue) -> float:
-    """A float near 2*ev, a + e*sqrt(r), that only proposes an order; beyond
-    the float64 range it is +-inf, with the exact sign and no square root."""
-    try:
-        return ev.a + ev.e * sqrt(ev.r)
-    except OverflowError:
-        return _sign_surd(ev.a, ev.e, ev.r) * inf
+def _multiplicity(mult) -> int:
+    """A multiplicity is an integer, neither truncated nor parsed, and >= 0."""
+    mult = operator.index(mult)
+    if mult < 0:
+        raise ValueError(f"negative multiplicity {mult}")
+    return mult
 
 
-def _strictly_descending(entries: list[tuple[Eigenvalue, int]]) -> bool:
-    """Exact certificate of an order of (value, multiplicity) entries: every
-    adjacent pair of values is decided by _cmp_keys, so n - 1 comparisons
-    settle a list of n entries."""
-    return all(_cmp_keys(x, y) > 0 for (x, _), (y, _) in zip(entries, entries[1:]))
+def _sorted_entries(pairs) -> list[tuple[Eigenvalue, int]]:
+    """(value, multiplicity) pairs in any order, merged by exact equality and
+    sorted descending by exact comparisons; zero multiplicities are dropped."""
+    merged: dict[Eigenvalue, int] = {}
+    for ev, mult in pairs:
+        mult = _multiplicity(mult)
+        if mult:
+            merged[ev] = merged.get(ev, 0) + mult
+    # the items carry their multiplicities, so no value is hashed again
+    exact = cmp_to_key(_cmp_keys)
+    return sorted(merged.items(), key=lambda item: exact(item[0]), reverse=True)
 
 
 # the primes below 1000: a composite's square cannot divide what is left
@@ -208,21 +214,29 @@ class Spectrum:
     """Canonical multiset of exact eigenvalues with positive multiplicities,
     merged by exact equality and sorted in descending value order.  Every
     Eigenvalue is in normal form, so values equal as numbers are equal keys
-    and merge."""
+    and merge.
+
+    The pairs are read once, in one pass that decides each adjacent pair by
+    an exact comparison: a smaller value is appended and an equal one merged.
+    So input already in descending order, as every closed form here emits
+    it, costs one comparison per pair.  At the first larger value, the pairs
+    so far and the rest go to a dict merge and an exact sort."""
 
     def __init__(self, pairs):
-        merged: dict[Eigenvalue, int] = {}
-        for ev, mult in pairs:
-            mult = operator.index(mult)
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult}")
-            if mult:
-                merged[ev] = merged.get(ev, 0) + mult
-        # the items carry their multiplicities, so no value is hashed again
-        entries = sorted(merged.items(), key=lambda item: _estimate(item[0]), reverse=True)
-        if not _strictly_descending(entries):
-            exact = cmp_to_key(_cmp_keys)
-            entries.sort(key=lambda item: exact(item[0]), reverse=True)
+        entries: list[tuple[Eigenvalue, int]] = []
+        rest = iter(pairs)
+        for ev, mult in rest:
+            mult = _multiplicity(mult)
+            if not mult:
+                continue
+            order = _cmp_keys(entries[-1][0], ev) if entries else 1
+            if order > 0:
+                entries.append((ev, mult))
+            elif order == 0:
+                entries[-1] = (ev, entries[-1][1] + mult)
+            else:
+                entries = _sorted_entries(chain(entries, [(ev, mult)], rest))
+                break
         self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(entries)
 
     def __len__(self) -> int:
@@ -318,17 +332,23 @@ class Spectrum:
         return "\n".join(["value,multiplicity", *rows]) + "\n"
 
 
+def _signed_roots(betas, mults, zeros: int) -> Spectrum:
+    """+-sqrt(b) with multiplicity m for each (b, m), the radicands b
+    strictly falling, and 0 with multiplicity zeros, emitted in descending
+    order: the + roots as b falls, 0, then the - roots as b rises."""
+    roots = list(zip(betas, mults))
+    pairs = [(ExactEigenvalue(1, b), m) for b, m in roots]
+    pairs.append((ExactEigenvalue(0, 0), zeros))
+    pairs += [(ExactEigenvalue(-1, b), m) for b, m in reversed(roots)]
+    return Spectrum(pairs)
+
+
 def spectrum_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the inclusion graph on k- and l-subsets:
     +-sqrt(beta_s) with multiplicity C(n,s) - C(n,s-1) for s = 0..k, and 0
-    with multiplicity C(n,l) - C(n,k)."""
+    with multiplicity C(n,l) - C(n,k).  beta_s strictly falls as s rises."""
     n, k, l = params.n, params.k, params.l
-    pairs = []
-    for b, mult in zip(radicands(params), multiplicities(n, k)):
-        pairs.append((ExactEigenvalue(1, b), mult))
-        pairs.append((ExactEigenvalue(-1, b), mult))
-    pairs.append((ExactEigenvalue(0, 0), binom(n, l) - binom(n, k)))
-    return Spectrum(pairs)
+    return _signed_roots(radicands(params), multiplicities(n, k), binom(n, l) - binom(n, k))
 
 
 def spectrum_middle(n: int, k: int) -> Spectrum:
@@ -336,13 +356,11 @@ def spectrum_middle(n: int, k: int) -> Spectrum:
     product form (n-k-s)(k+1-s) of the radicands."""
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
-    pairs = []
-    for s, mult in enumerate(multiplicities(n, k)):
-        b = beta_middle(n, k, s)
-        pairs.append((ExactEigenvalue(1, b), mult))
-        pairs.append((ExactEigenvalue(-1, b), mult))
-    pairs.append((ExactEigenvalue(0, 0), binom(n, k + 1) - binom(n, k)))
-    return Spectrum(pairs)
+    return _signed_roots(
+        (beta_middle(n, k, s) for s in range(k + 1)),
+        multiplicities(n, k),
+        binom(n, k + 1) - binom(n, k),
+    )
 
 
 def spectrum_line_semiregular(
@@ -355,39 +373,39 @@ def spectrum_line_semiregular(
     (Eigenvalue, multiplicity) pairs whose multiplicities sum to n1, each
     value +-sqrt(m) for an integer m, and whose largest member is
     sqrt(r1*r2).  Each non-principal eigenvalue lam contributes the two roots
-    of (x - r1 + 2)(x - r2 + 2) = lam^2.
+    (p +- sqrt(d))/2 of (x - r1 + 2)(x - r2 + 2) = lam^2, with p = r1 + r2 - 4
+    and d = (r1 - r2)^2 + 4 lam^2, which move apart as lam^2 grows.  So the
+    values are emitted in descending order: r1 + r2 - 2, the + roots by
+    falling lam^2, r2 - 2, the - roots by rising lam^2, then -2.
     """
     if n1 > n2:
         raise ValueError(f"need n1 <= n2, got n1={n1}, n2={n2}")
     if n1 * r1 != n2 * r2:
         raise ValueError(f"need n1*r1 = n2*r2, the edge count, got {n1 * r1} and {n2 * r2}")
-    tops: dict[Eigenvalue, int] = {}
+    tops: dict[int, int] = {}  # sign(lam) * 4 lam^2, in the order of lam, to multiplicity
     for ev, mult in top_eigenvalues:
         # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r
         if ev.a * ev.e or (ev.a * ev.a + ev.r) % 4:
             raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
-        tops[ev] = tops.get(ev, 0) + operator.index(mult)
+        key = (_sign(ev.a) + ev.e) * (ev.a * ev.a + ev.r)
+        tops[key] = tops.get(key, 0) + operator.index(mult)
     if sum(tops.values()) != n1:
         raise ValueError("top eigenvalue multiplicities must sum to n1")
-    principal = ExactEigenvalue(_sign(r1 * r2), r1 * r2)
-    if max(tops, key=cmp_to_key(_cmp_keys)) != principal:
+    if max(tops) != 4 * r1 * r2:
         raise ValueError("largest eigenvalue must be sqrt(r1*r2)")
-
-    pairs: list[tuple[Eigenvalue, int]] = [(_int_eigenvalue(r1 + r2 - 2), 1)]
-    pairs.append((_int_eigenvalue(r2 - 2), n2 - n1))
+    tops[4 * r1 * r2] -= 1  # the single principal copy became r1 + r2 - 2
     cycle_rank = n2 * r2 - n1 - n2 + 1  # edges minus vertices plus one
     if cycle_rank < 0:
         raise ValueError("edge count below vertex count: graph is not connected")
-    pairs.append((_int_eigenvalue(-2), cycle_rank))
+
     p = r1 + r2 - 4
-    for ev, mult in tops.items():
-        if ev == principal:
-            mult -= 1  # the single principal copy became r1 + r2 - 2
-        if mult <= 0:
-            continue
-        d = (r1 - r2) ** 2 + ev.a * ev.a + ev.r  # (r1 - r2)^2 + 4 lam^2
-        pairs.append((SurdEigenvalue(p, d, 1), mult))
-        pairs.append((SurdEigenvalue(p, d, -1), mult))
+    # sorted on the int d: the + roots fall along it and the - roots rise
+    roots = sorted(((r1 - r2) ** 2 + abs(key), mult) for key, mult in tops.items() if mult > 0)
+    pairs = [(_int_eigenvalue(r1 + r2 - 2), 1)]
+    pairs += [(SurdEigenvalue(p, d, 1), mult) for d, mult in reversed(roots)]
+    pairs.append((_int_eigenvalue(r2 - 2), n2 - n1))
+    pairs += [(SurdEigenvalue(p, d, -1), mult) for d, mult in roots]
+    pairs.append((_int_eigenvalue(-2), cycle_rank))
     return Spectrum(pairs)
 
 
@@ -403,15 +421,15 @@ def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
 def spectrum_line_middle(n: int, k: int) -> Spectrum:
     """All-integer spectrum of the line graph of the layer graph on k- and
     (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus s-2 and n-s-1 for
-    s = 1..k."""
+    s = 1..k, emitted in descending order (n-k-1 >= k, as 2k+1 <= n)."""
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
+    mults = multiplicities(n, k)
     pairs = [(_int_eigenvalue(n - 1), 1)]
+    pairs += [(_int_eigenvalue(n - s - 1), mults[s]) for s in range(1, k + 1)]
     pairs.append((_int_eigenvalue(k - 1), binom(n, k + 1) - binom(n, k)))
+    pairs += [(_int_eigenvalue(s - 2), mults[s]) for s in range(k, 0, -1)]
     pairs.append((_int_eigenvalue(-2), k * binom(n, k + 1) - binom(n, k) + 1))
-    for s, mult in enumerate(multiplicities(n, k)[1:], start=1):
-        pairs.append((_int_eigenvalue(s - 2), mult))
-        pairs.append((_int_eigenvalue(n - s - 1), mult))
     return Spectrum(pairs)
 
 

@@ -8,7 +8,7 @@ import re
 import sys
 import time
 from itertools import combinations, takewhile
-from math import comb, factorial
+from math import comb, factorial, log2
 from pathlib import Path
 
 import numpy as np
@@ -549,6 +549,45 @@ def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
     assert code == 2 and time.perf_counter() - start < 1.0
     assert out == "" and "a 6019-digit number" in err
     assert max(len(line.encode()) for line in err.splitlines()) <= 200
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["orbits", "1000000", "1", "400000", "--on", "edges"],
+         "byte count of the l-subset rows is more than 2^528792, numpy's array limit is "),
+        (["aut", "1000000", "1", "400000", "--brute-force"],
+         "certificate takes more than 2^528810 arc visits, cap is 10*2000^2 = 40000000"),
+        (["export", "1000000", "1", "400000"],
+         "byte count of the l-subset rows is more than 2^528792, numpy's array limit is "),
+        (["verify", "1000000", "1", "400000", "--line"],
+         "verify solves dimension more than 2^528771, cap is 2000"),
+        # a bound of 10^100 bits is given by its digit count too
+        (["export", str(10**100), "1", str(5 * 10**99)],
+         "byte count of the l-subset rows is more than 2^a 100-digit number, "),
+    ],
+)
+def test_huge_l_is_refused_on_a_lower_bound(args, message, monkeypatch, capsys):
+    # C(10^6, 400000) has about 10^6 bits and takes seconds to compute; the
+    # bound (n/l)^l <= C(n,l), with l <= n/2, refuses without it
+    _forbid_building(monkeypatch)
+    monkeypatch.setattr(setincl.GraphParams, "n2", property(lambda _: pytest.fail("C(n,l) computed")))
+    start = time.perf_counter()
+    code, out, err = run(args, capsys)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert out == "" and err.startswith(f"setincl: cap exceeded: {message}")
+
+
+def test_binom_bits_is_a_lower_bound():
+    cases = [(n, l) for n in range(2, 120) for l in range(1, n)]
+    cases += [(20000, 10000), (20000, 19999), (10**30, 3), (10**30, 10**30 - 2), (2**100, 2**99)]
+    for n, l in cases:
+        bits = cli._binom_bits(n, l)
+        if n < 2**64:
+            assert 1 << bits <= comb(n, l), (n, l)
+        m = min(l, n - l)  # and it is m*log2(n/m) within the fixed point's 2^-32
+        assert bits >= m * log2(n / m) * (1 - 2**-30) - 1, (n, l)
+    assert cli._binom_bits(1000000, 400000) == 528771
 
 
 def test_verify_dense_gram_at_the_cap(capsys):

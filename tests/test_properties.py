@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
 vectorised colex rank, the union of link arrays, the exact merge and order
-of `Spectrum` (also where float estimates tie, invert or overflow), the
+of `Spectrum` (also where float64 cannot order or hold the values), the
 automorphism-order oracle and the command line's exit codes."""
 
 import contextlib
@@ -260,9 +260,9 @@ def test_spectrum_merge_and_order_match_sympy(data):
     assert all(mult > 0 for _, mult in spec.entries)
 
 
-# values whose float estimates tie or come out in the wrong order: sqrt(R)
-# against sqrt(R + delta) near R = 10^40, and (p +- sqrt(p^2 + delta))/2,
-# whose estimate cancels; and values past 10^400, whose estimates are +-inf
+# values that float64 cannot order: sqrt(R) against sqrt(R + delta) near
+# R = 10^40, and (p +- sqrt(p^2 + delta))/2, which cancels; and values past
+# 10^400, beyond the float64 range
 def _near_square_surd(p, delta, branch):
     return SurdEigenvalue(p, max(p * p + delta, 0), branch)
 

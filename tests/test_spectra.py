@@ -50,6 +50,21 @@ def spectrum_as_multiset(spec):
     return {format_eigenvalue(ev): mult for ev, mult in spec.entries}
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count Spectrum's fallback, which merges and sorts input that is out
+    of order: one entry in the returned list per call during the test."""
+    calls = []
+    fallback = spectra_module._sorted_entries
+
+    def counted(pairs):
+        calls.append(None)
+        return fallback(pairs)
+
+    monkeypatch.setattr(spectra_module, "_sorted_entries", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue representations
 
@@ -161,6 +176,30 @@ def test_spectrum_distinguishes_close_values():
     assert len(spec) == 2
     assert spec.entries[0][0] == b
     assert spec.entries[1][0] == a
+
+
+def test_spectrum_merges_in_one_pass_and_falls_back_on_disorder(fallbacks):
+    two, root2, one, zero = ExactEigenvalue(1, 4), ExactEigenvalue(1, 2), ExactEigenvalue(1, 1), ExactEigenvalue(0, 0)
+    # adjacent duplicates, √2 given twice in two forms, merge in the one pass
+    spec = Spectrum([(two, 1), (root2, 1), (SurdEigenvalue(0, 8, 1), 2), (one, 1), (one, 0), (zero, 3)])
+    assert spec.entries == ((two, 1), (root2, 3), (one, 1), (zero, 3)) and fallbacks == []
+    # non-adjacent duplicates merge in the fallback, which the first
+    # larger value starts
+    assert Spectrum([(root2, 1), (zero, 1), (two, 1), (one, 1), (root2, 2), (zero, 2)]) == spec
+    assert len(fallbacks) == 1
+    # the multiplicities after the first out-of-order pair are still checked
+    for bad, error in ((-1, ValueError), (1.5, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            Spectrum([(zero, 1), (one, 1), (two, bad)])
+    # a generator is read once, both the part before the disorder and the rest
+    read = []
+
+    def pairs():
+        for pair in [(one, 1), (root2, 3), (two, 1), (zero, 3), (two, 0)]:
+            read.append(pair)
+            yield pair
+
+    assert Spectrum(pairs()) == spec and len(read) == 5
 
 
 def test_eigenvalue_keeps_its_normal_form():
@@ -363,6 +402,40 @@ def test_spectra_match_beta_sum_reference(n, k, l):
     )
 
 
+@pytest.mark.parametrize("triples", [
+    pytest.param((), id="canonical-n-to-12"),
+    # line graphs with values that float64 cannot order
+    pytest.param(((111, 12, 26), (999, 60, 122), (412, 10, 402), (887, 58, 829)), id="large"),
+])
+def test_each_closed_form_certifies_its_own_order(triples, fallbacks, monkeypatch):
+    # every closed form emits its values in descending order, so Spectrum
+    # certifies it in one pass; the same pairs shuffled take the fallback and
+    # give the same spectrum
+    handed = []
+    init = Spectrum.__init__
+
+    def record(self, pairs):
+        handed.append(list(pairs))
+        init(self, handed[-1])
+
+    monkeypatch.setattr(Spectrum, "__init__", record)
+    if triples:
+        cases = [(spectrum_line_inclusion, GraphParams(*t)) for t in triples]
+        cases += [(spectrum_middle, 3050, 900), (spectrum_line_middle, 3050, 900)]
+    else:
+        cases = [(f, p) for p in canonical_params_up_to(12) for f in (spectrum_inclusion, spectrum_line_inclusion)]
+    rng = random.Random(27)
+    for build, *args in cases:
+        spec = build(*args)
+        assert fallbacks == [], (build.__name__, args)
+        # shuffled, with the smallest value first, so that order cannot hold
+        *pairs, smallest = handed[-1]
+        rng.shuffle(pairs)
+        pairs.insert(0, smallest)
+        assert Spectrum(pairs) == spec and len(fallbacks) == 1, (build.__name__, args)
+        fallbacks.clear()
+
+
 def test_spectrum_middle_frozen():
     assert spectrum_as_multiset(spectrum_middle(5, 2)) == {
         "3": 1,
@@ -398,6 +471,28 @@ def test_spectrum_line_semiregular_regular_bipartite_case():
     assert spectrum_as_multiset(spec) == {"2": 1, "1": 2, "-1": 2, "-2": 1}
 
 
+def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks):
+    # only lam^2 enters the roots, so each non-principal top may be given as
+    # +sqrt(m) or -sqrt(m), in any order, and the values still come in order
+    params = GraphParams(7, 2, 3)
+    top = [(ExactEigenvalue(1, b), m) for b, m in zip(radicands(params), multiplicities(7, 2))]
+    split = top[:1]
+    for ev, m in top[1:]:
+        split += [(ev, m // 2), (Eigenvalue(-ev.a, -ev.e, ev.r), m - m // 2)]
+    random.Random(27).shuffle(split)
+    sizes = params.n1, params.n2, params.r1, params.r2
+    assert spectrum_line_semiregular(*sizes, split) == spectrum_line_inclusion(params)
+    # the 8-cycle: a zero top with r1 = r2, whose two roots equal r2 - 2 = 0,
+    # and two disjoint 4-cycles: a principal of multiplicity 2, whose second
+    # copy gives r1 + r2 - 2 and -2 again
+    root2, zero = ExactEigenvalue(1, 2), ExactEigenvalue(0, 0)
+    spec = spectrum_line_semiregular(4, 4, 2, 2, [(zero, 1), (ExactEigenvalue(1, 4), 1), (root2, 2)])
+    assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
+    spec = spectrum_line_semiregular(4, 4, 2, 2, [(zero, 2), (ExactEigenvalue(1, 4), 2)])
+    assert spectrum_as_multiset(spec) == {"2": 2, "0": 4, "-2": 2}
+    assert fallbacks == []
+
+
 def test_spectrum_line_semiregular_refuses_non_integer_multiplicities():
     # int() would read 2.5 and "2" as 2, and the multiplicities would sum to n1
     for mult in (2.5, "2"):
@@ -414,6 +509,9 @@ def test_spectrum_line_semiregular_validation():
     bad_top = [(ExactEigenvalue(1, 5), 1), (ExactEigenvalue(1, 1), 2)]
     with pytest.raises(ValueError):
         spectrum_line_semiregular(3, 3, 2, 2, bad_top)  # principal != sqrt(r1 r2)
+    # -sqrt(r1 r2) has the principal's lam^2, but the largest value is 1
+    with pytest.raises(ValueError, match="largest"):
+        spectrum_line_semiregular(3, 3, 2, 2, [(ExactEigenvalue(-1, 4), 1), (ExactEigenvalue(1, 1), 2)])
     with pytest.raises(ValueError, match=r"n1\*r1 = n2\*r2"):
         # 2*3 != 4*2: no bipartite graph has these degrees
         spectrum_line_semiregular(2, 4, 3, 2, [(ExactEigenvalue(1, 6), 1), (ExactEigenvalue(-1, 6), 1)])
