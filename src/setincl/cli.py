@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded or
 out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
 to stderr.
 
-Caps are checked here only, by arithmetic on the parameters before
-anything is built (see _bounds): one cap, SETINCL_MAX_VERTICES (default
-2000, read on every call), for verify, aut --brute-force and scheme
---check, and numpy's array limit for all.
+Caps are checked here only, before anything is built, by one rule on the
+rows of _bounds: one cap, SETINCL_MAX_VERTICES (default 2000, read on
+every call), for verify, aut --brute-force and scheme --check, and numpy's
+array limit for all.  A size whose lower bound 2^N is far past its cap is
+refused on N alone, with no exact binomial; any other is computed exactly.
 A cap, from a flag or the environment, must be a positive integer and --tol
 a finite nonnegative number; anything else is a usage error.
 """
@@ -179,16 +180,18 @@ def _size(x: int) -> str:
     return text if len(text) <= 30 else f"a {len(text)}-digit number"
 
 
-# a row whose size needs C(n,l) is refused on a lower bound past this many
-# bits: the exact C(10^6, 4*10^5) alone, 1.0e6 bits, takes seconds
+# a row whose lower bound passes this many bits, and its cap by 64 bits, is
+# refused on the bound: the exact C(10^6, 4*10^5), 1.0e6 bits, takes seconds
 _BOUND_BITS = 1 << 16
 
 
 def _binom_bits(n: int, l: int) -> int:
-    """An integer N with 2^N <= C(n,l), for 0 < l < n, from C(n,l) >=
+    """An integer N with 2^N <= C(n,l), for 0 <= l <= n, from C(n,l) >=
     (n/m)^m with m = min(l, n-l): log2(n/m) in 32-bit fixed point, rounded
     down past the error of the two float logarithms."""
     m = min(l, n - l)
+    if m == 0:
+        return 0
     high = math.log2(n)
     return m * math.floor((high - math.log2(m) - high * 2**-49) * 2**32) >> 32
 
@@ -199,58 +202,52 @@ def _array_row(what: str) -> str:
 
 
 def _bounds(args, max_vertices: int):
-    """Yield the (size, cap, message) rows of the command in args, in order,
-    each from (n,k,l) and the flags alone, and each only once the rows before
-    it pass: the command's caps, then numpy's array limit on what it builds."""
+    """Yield the (bits, size, cap, message) rows of the command in args, in
+    order: the command's caps, then numpy's array limit on what it builds.
+    Each is from (n,k,l) and the flags alone.  bits is an N with 2^N <=
+    size(), the sum of a lower bound on each binomial factor and on the small
+    exact ones; size() is the exact size; the message has {} for the size."""
     cmd = args.command
     if cmd == "scheme" and args.check:
-        n, n1, cap = args.n, math.comb(args.n, args.k), args.max_dim or max_vertices
-        yield n1, cap, f"matrix dimension {_size(n1)} exceeds cap {_size(cap)}"
+        n, cap = args.n, args.max_dim or max_vertices
+        n1, bits = (lambda: math.comb(n, args.k)), _binom_bits(n, args.k)
+        yield bits, n1, cap, f"matrix dimension {{}} exceeds cap {_size(cap)}"
         # float32: the incidence matrix (n1 x n) and the n1 x n1 products
-        size = 4 * n1 * max(n, n1)
-        yield size, _ARRAY_MAX, _array_row("k-subset matrices").format(_size(size))
+        yield 2 + 2 * bits, lambda: 4 * n1() * max(n, n1()), _ARRAY_MAX, _array_row("k-subset matrices")
     elif cmd in ("verify", "orbits", "export") or cmd == "aut" and args.brute_force:
         p = args.params
-        bits = _binom_bits(p.n, p.l)
-
-        def times_n2(factor, cap, message, plus=0):
-            """The row of size factor*C(n,l) + plus, its message with {} for
-            the size.  A lower bound 2^N past _BOUND_BITS and 64 bits past
-            the cap refuses it as "more than 2^N", unseen."""
-            low = bits + factor.bit_length() - 1
-            if low > _BOUND_BITS and low >= cap.bit_length() + 64:
-                return math.inf, cap, message.format(f"more than 2^{_size(low)}")
-            size = factor * p.n2 + plus
-            return size, cap, message.format(_size(size))
-
+        b1, b2, br = _binom_bits(p.n, p.k), _binom_bits(p.n, p.l), _binom_bits(p.l, p.k)
         if cmd == "verify":
             cap = args.max_vertices or max_vertices
             c = _size(cap)
-            if args.line:
-                yield times_n2(1, cap, f"verify solves dimension {{}}, cap is {c}", p.n1)
-            else:
-                yield p.n1, cap, f"verify solves dimension {_size(p.n1)}, cap is {c}"
-            yield times_n2(p.r2, cap**2, f"rank array has {{}} entries, cap is {c}^2 = {_size(cap**2)}")
+            # the solved dimension; n2 >= n1, since k < l <= n - k
+            dim_bits, dim = (b2, lambda: p.n1 + p.n2) if args.line else (b1, lambda: p.n1)
+            yield dim_bits, dim, cap, f"verify solves dimension {{}}, cap is {c}"
+            yield b2 + br, lambda: p.n2 * p.r2, cap**2, (
+                f"rank array has {{}} entries, cap is {c}^2 = {_size(cap**2)}")
             if not args.line:
-                yield times_n2(p.n1**2, GRAM_WORK * cap**3, f"Gram matrix takes {{}} multiply-adds, "
-                               f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
+                yield 2 * b1 + b2, lambda: p.n1**2 * p.n2, GRAM_WORK * cap**3, (
+                    f"Gram matrix takes {{}} multiply-adds, "
+                    f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
         elif cmd == "aut":  # at most n refined colourings, one pass over the 2m arcs each
             cap = args.max_vertices or max_vertices
-            yield times_n2(p.n * 2 * p.r2, CERT_WORK * cap**2, f"certificate takes {{}} arc visits, "
-                           f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
+            visit_bits = (2 * p.n).bit_length() - 1 + br + b2
+            yield visit_bits, lambda: p.n * 2 * p.r2 * p.n2, CERT_WORK * cap**2, (
+                f"certificate takes {{}} arc visits, "
+                f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
         # int64 l-subset rows and arcs; verify's rank array is half the arcs
-        yield times_n2(8 * p.l, _ARRAY_MAX, _array_row("l-subset rows"))
-        yield times_n2(16 * p.r2, _ARRAY_MAX, _array_row("arcs"))
-        if cmd == "verify":
-            size = 8 * (p.n1 + p.n2 if args.line else p.n1) ** 2  # float64
-            yield size, _ARRAY_MAX, _array_row("dense matrix").format(_size(size))
-
+        rows_bits = (8 * p.l).bit_length() - 1 + b2
+        yield rows_bits, lambda: 8 * p.l * p.n2, _ARRAY_MAX, _array_row("l-subset rows")
+        yield 4 + br + b2, lambda: 16 * p.r2 * p.n2, _ARRAY_MAX, _array_row("arcs")
+        if cmd == "verify":  # float64
+            yield 3 + 2 * dim_bits, lambda: 8 * dim() ** 2, _ARRAY_MAX, _array_row("dense matrix")
 
 
 def _preflight(argv):
     """Parse argv and validate the parameters (canonicalizing any (n,k,l),
     with a note), then refuse the command at the first row of _bounds past
-    its cap.  The environment cap is read, and so validated, first."""
+    its cap, on the row's bound N when that is past _BOUND_BITS and 64 bits
+    past the cap.  The environment cap is read, and so validated, first."""
     max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
@@ -268,9 +265,12 @@ def _preflight(argv):
                 f"({p.n},{p.k},{p.l}) via complementation\n"
             )
         args.params = p
-    for size, cap, message in _bounds(args, max_vertices):
-        if size > cap:
-            raise CapExceededError(message)
+    for bits, size, cap, message in _bounds(args, max_vertices):
+        if bits > _BOUND_BITS and bits >= cap.bit_length() + 64:
+            raise CapExceededError(message.format(f"more than 2^{_size(bits)}"))
+        exact = size()
+        if exact > cap:
+            raise CapExceededError(message.format(_size(exact)))
     return args
 
 

@@ -20,6 +20,7 @@ from setincl import Graph
 from setincl.cli import main
 
 from reference_export import reference_export
+from reference_helpers import assert_bounds_are_lower_bounds, canonical_params_up_to
 from reference_ranks import mask_of
 
 
@@ -526,8 +527,8 @@ def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
         (["verify", "50", "1", "6"], "rank array has 95344200 entries"),
         (["verify", "30", "1", "15"], "rank array has 2326762800 entries"),
         (["verify", "30", "1", "15", "--line"], "verify solves dimension 155117550"),
-        # refused on n1 alone: the rank array's C(10^6, 400000), about 290,000
-        # digits and seconds to compute, is never needed
+        # n1 = 10^6 is exact; a later row's C(10^6, 400000), about 290,000
+        # digits and seconds to compute, would be refused on its lower bound
         (["verify", "1000000", "1", "400000"], "verify solves dimension 1000000"),
     ],
 )
@@ -557,7 +558,7 @@ def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
         (["orbits", "1000000", "1", "400000", "--on", "edges"],
          "byte count of the l-subset rows is more than 2^528792, numpy's array limit is "),
         (["aut", "1000000", "1", "400000", "--brute-force"],
-         "certificate takes more than 2^528810 arc visits, cap is 10*2000^2 = 40000000"),
+         "certificate takes more than 2^528809 arc visits, cap is 10*2000^2 = 40000000"),
         (["export", "1000000", "1", "400000"],
          "byte count of the l-subset rows is more than 2^528792, numpy's array limit is "),
         (["verify", "1000000", "1", "400000", "--line"],
@@ -565,13 +566,27 @@ def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
         # a bound of 10^100 bits is given by its digit count too
         (["export", str(10**100), "1", str(5 * 10**99)],
          "byte count of the l-subset rows is more than 2^a 100-digit number, "),
+        # huge k: C(n,k) and C(l,k) are refused on their bounds too
+        (["verify", "1000000", "400000", "500000"], "verify solves dimension more than 2^528771, cap is 2000"),
+        (["verify", "1000000", "400000", "500000", "--line"],
+         "verify solves dimension more than 2^499999, cap is 2000"),
+        (["aut", "1000000", "400000", "500000", "--brute-force"],
+         "certificate takes more than 2^732211 arc visits, cap is 10*2000^2 = 40000000"),
+        (["orbits", "1000000", "400000", "500000", "--on", "arcs"],
+         "byte count of the l-subset rows is more than 2^500020, numpy's array limit is "),
+        (["export", "1000000", "400000", "500000"],
+         "byte count of the l-subset rows is more than 2^500020, numpy's array limit is "),
+        (["scheme", "1000000", "400000", "--check"], "matrix dimension more than 2^528771 exceeds cap 2000"),
+        (["scheme", "1000000000", "300000", "--check"], "matrix dimension more than 2^3510824 exceeds cap 2000"),
     ],
 )
 def test_huge_l_is_refused_on_a_lower_bound(args, message, monkeypatch, capsys):
     # C(10^6, 400000) has about 10^6 bits and takes seconds to compute; the
-    # bound (n/l)^l <= C(n,l), with l <= n/2, refuses without it
+    # bound (n/m)^m <= C(n,m), with m <= n/2, refuses without any binomial
     _forbid_building(monkeypatch)
-    monkeypatch.setattr(setincl.GraphParams, "n2", property(lambda _: pytest.fail("C(n,l) computed")))
+    for name in ("n1", "n2", "r2"):
+        monkeypatch.setattr(setincl.GraphParams, name, property(lambda _: pytest.fail("binomial computed")))
+    monkeypatch.setattr(cli.math, "comb", lambda *_: pytest.fail("binomial computed"))
     start = time.perf_counter()
     code, out, err = run(args, capsys)
     assert code == 2 and time.perf_counter() - start < 1.0
@@ -588,6 +603,16 @@ def test_binom_bits_is_a_lower_bound():
         m = min(l, n - l)  # and it is m*log2(n/m) within the fixed point's 2^-32
         assert bits >= m * log2(n / m) * (1 - 2**-30) - 1, (n, l)
     assert cli._binom_bits(1000000, 400000) == 528771
+    assert cli._binom_bits(10, 0) == cli._binom_bits(10, 10) == cli._binom_bits(0, 0) == 0
+
+
+def test_every_bound_row_is_a_lower_bound():
+    for p in canonical_params_up_to(40):
+        assert_bounds_are_lower_bounds(p.n, p.k, p.l)
+    for n in range(41):
+        for k in range(n // 2 + 1):
+            assert_bounds_are_lower_bounds(n, k)
+    assert_bounds_are_lower_bounds(10**20, 0)
 
 
 def test_verify_dense_gram_at_the_cap(capsys):

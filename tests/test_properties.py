@@ -19,7 +19,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reference_export import reference_export  # noqa: E402
-from reference_helpers import canonical_params_up_to  # noqa: E402
+from reference_helpers import assert_bounds_are_lower_bounds, canonical_params_up_to  # noqa: E402
 from reference_ranks import mask_of, subset_rank, subset_unrank  # noqa: E402
 from setincl import (  # noqa: E402
     ExactEigenvalue,
@@ -387,15 +387,16 @@ _RARELY = st.integers(0, 7).map(lambda x: x == 0)
 @st.composite
 def _parameters(draw, command):
     """Mostly valid numbers for the command, canonical or not; sometimes any."""
-    # aut --brute-force is capped at the certificate's n*2m arc visits; the
-    # largest canonical triple drawn, (9,3,6), takes 30,240 of them
+    # aut --brute-force is capped at the certificate's n*2m arc visits; every
+    # canonical n <= 12 is certified at the default cap, the largest,
+    # (12,4,8), in 831,600 of them
     if draw(_RARELY, label="any numbers"):
         count = 2 if command == "scheme" else 3
         return draw(st.lists(st.integers(-1, 9), min_size=count, max_size=count))
     if command == "scheme":
         n = draw(st.integers(0, 10))
         return [n, draw(st.integers(0, n // 2))]
-    n = draw(st.integers(3, 9))
+    n = draw(st.integers(3, 12 if command == "aut" else 9))
     k = draw(st.integers(1, n - 2))
     return [n, k, draw(st.integers(k + 1, n - 1))]
 
@@ -431,3 +432,55 @@ def test_cli_exits_with_a_documented_code(call):
             code = main(argv)
     assert code in (0, 1, 2, 64), (argv, env, code)
     assert "Traceback" not in err.getvalue()
+
+
+# the commands that build, each with the flags it builds under; plain aut and
+# spectrum answer at any size, and printing 10^6! takes minutes
+_BUILDING = [["verify"], ["verify", "--line"], ["aut", "--brute-force"], ["orbits", "--on", "arcs"],
+             ["export", "--format", "graph6"], ["scheme", "--check"]]
+
+
+@st.composite
+def _huge_calls(draw):
+    """A building command on parameters no cap lets through: n from 10^12
+    to 10^18 with k <= 3 (smaller n may pass numpy's limit and fail only
+    on allocation), or n from 1000 to 10^6 with k just below n/2; (n,k,l)
+    canonical or its complement."""
+    command, *flags = draw(st.sampled_from(_BUILDING), label="command")
+    if draw(st.booleans(), label="k near n/2"):
+        n = draw(st.integers(1000, 10**6), label="n")
+        k = n // 2 - draw(st.integers(1, 4), label="n/2 - k")
+        l = draw(st.integers(k + 1, n - k), label="l")
+    else:
+        n = draw(st.integers(10**12, 10**18), label="n")
+        k = draw(st.integers(1, 3), label="k")
+        l = draw(st.one_of(st.integers(k + 1, k + 3), st.integers(n - k - 3, n - k)), label="l")
+    if command == "scheme":
+        return [command, str(n), str(k), *flags]
+    if draw(st.booleans(), label="complement"):
+        k, l = n - l, n - k
+    return [command, *map(str, (n, k, l)), *flags]
+
+
+@settings(deadline=None)
+@given(_huge_calls())
+def test_cli_refuses_huge_parameters_in_short_lines(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("SETINCL_MAX_VERTICES", None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2 and out.getvalue() == "", (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert max(len(line.encode()) for line in err.getvalue().splitlines()) <= 200, argv
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_bound_rows_are_lower_bounds_up_to_huge_n(data):
+    k = data.draw(st.integers(0, 3), label="k")
+    n = data.draw(st.integers(2 * k + 2, 10**18), label="n")
+    assert_bounds_are_lower_bounds(n, k)
+    if k:
+        near_k, near_n = st.integers(k + 1, min(k + 4, n - 1)), st.integers(max(k + 1, n - k - 3), n - 1)
+        assert_bounds_are_lower_bounds(n, k, data.draw(near_k | near_n, label="l"))
