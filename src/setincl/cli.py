@@ -278,7 +278,7 @@ def _cmd_spectrum(args) -> int:
     params = args.params
     spec = spectrum_line_inclusion(params) if args.line else spectrum_inclusion(params)
     if args.format == "json":
-        text = json.dumps(spec.to_json_obj(), indent=2) + "\n"
+        text = spec.to_json_text() + "\n"
     elif args.format == "csv":
         text = spec.to_csv_text()
     else:

@@ -135,8 +135,23 @@ def intersection_number(n: int, k: int, i: int, j: int, s: int) -> int:
             f"need 0 <= i,j,s <= k <= n/2, got n={n}, k={k}, i={i}, j={j}, s={s}"
         )
     ks, m, t = k - s, n - 2 * k + s, k - i - j
-    lo = max(0, i - ks, j - ks, -t)
-    hi = min(s, i, j, m - t)
+    # lo = max(0, i - ks, j - ks, -t) and hi = min(s, i, j, m - t), by plain
+    # comparisons: the builtins cost most of a call that sums few terms, and
+    # about half of the sums a listing asks for are empty
+    if i > j:
+        lo, hi = i - ks, j
+    else:
+        lo, hi = j - ks, i
+    if lo < 0:
+        lo = 0
+    if lo < -t:
+        lo = -t
+    if hi > s:
+        hi = s
+    if hi > m - t:
+        hi = m - t
+    if lo > hi:
+        return 0
     total = 0
     for r in range(lo, hi + 1):
         total += comb(s, r) * comb(ks, i - r) * comb(ks, j - r) * comb(m, t + r)

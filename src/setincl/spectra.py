@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 import numpy as np
@@ -113,6 +114,18 @@ def _int_eigenvalue(x: int) -> Eigenvalue:
     return Eigenvalue(2 * x, 0, 0)
 
 
+def _reflect(ev: Eigenvalue, p: int) -> Eigenvalue:
+    """The value p - ev for an int p, with the fields (2p - a, -e, r) set
+    directly: r is unchanged and e only changes sign, so they are in normal
+    form when ev's are, and the square test of ev is not run again.  It is
+    not the conjugate (a, -e, r), which is wrong once a square r has been
+    folded into a."""
+    out = object.__new__(Eigenvalue)
+    fields = out.__dict__
+    fields["a"], fields["e"], fields["r"] = 2 * p - ev.a, -ev.e, ev.r
+    return out
+
+
 # a square is a quadratic residue modulo every m; together these four moduli
 # pass fewer than 1 in 100 non-squares on to isqrt
 _SQUARE_FILTERS = tuple(
@@ -147,10 +160,14 @@ def _sign_surd(p: int, q: int, r: int) -> int:
 
 def _cmp_keys(x: Eigenvalue, y: Eigenvalue) -> int:
     """Exact three-way comparison of two eigenvalues: the sign of
-    z - e2*sqrt(r2) with z = a + e1*sqrt(r1), a = a1 - a2.  When z and
-    e2*sqrt(r2) have one sign s and r1 != r2, one squaring gives
+    z - e2*sqrt(r2) with z = a + e1*sqrt(r1), a = a1 - a2.  When a = 0 and
+    e1 = e2 = e, the difference is e*(sqrt(r1) - sqrt(r2))/2, and sqrt is
+    increasing, so its sign is e * sign(r1 - r2).  When z and e2*sqrt(r2)
+    have one sign s and r1 != r2, one squaring gives
     s * sign(z*z - r2) = s * sign((a*a + r1 - r2) + 2*a*e1*sqrt(r1))."""
     a, e1, r1, e2, r2 = x.a - y.a, x.e, x.r, y.e, y.r
+    if not a and e1 == e2:
+        return e1 * ((r1 > r2) - (r1 < r2))
     if r1 == r2 or not e2:
         return _sign_surd(a, e1 - e2, r1)
     sz = _sign_surd(a, e1, r1)  # a rational x has e1 = r1 = 0
@@ -319,6 +336,31 @@ class Spectrum:
             out.append({"value": value, "multiplicity": str(mult)})
         return out
 
+    def to_json_text(self) -> str:
+        """The text json.dumps(self.to_json_obj(), indent=2) returns, written
+        from the entries with one template per value kind.  Each string is
+        quoted by the C function that json.dumps quotes it with; with indent
+        set, json.dumps itself runs the pure-Python encoder."""
+        quote = encode_basestring_ascii
+        items = []
+        for ev, mult in self.entries:
+            a, e, r = ev.a, ev.e, ev.r
+            if e == 0 and a % 2 == 0:
+                value = f'"int",\n      "value": {quote(str(a // 2))}'
+            elif e != 0 and a == 0 and r % 4 == 0:
+                value = f'"sqrt",\n      "sign": {e},\n      "radicand": {quote(str(r // 4))}'
+            else:
+                branch = '"+"' if e > 0 else '"-"'
+                value = (
+                    f'"surd",\n      "p": {quote(str(a))},\n      "d": {quote(str(r))},\n'
+                    f'      "branch": {branch}'
+                )
+            items.append(
+                f'  {{\n    "value": {{\n      "kind": {value}\n    }},\n'
+                f'    "multiplicity": {quote(str(mult))}\n  }}'
+            )
+        return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
     def to_csv_text(self) -> str:
         """One "value,multiplicity" row per entry, the value as a float64;
         a value beyond the float64 range raises ValueError."""
@@ -336,10 +378,9 @@ def _signed_roots(betas, mults, zeros: int) -> Spectrum:
     """+-sqrt(b) with multiplicity m for each (b, m), the radicands b
     strictly falling, and 0 with multiplicity zeros, emitted in descending
     order: the + roots as b falls, 0, then the - roots as b rises."""
-    roots = list(zip(betas, mults))
-    pairs = [(ExactEigenvalue(1, b), m) for b, m in roots]
+    pairs = [(ExactEigenvalue(1, b), m) for b, m in zip(betas, mults)]
     pairs.append((ExactEigenvalue(0, 0), zeros))
-    pairs += [(ExactEigenvalue(-1, b), m) for b, m in reversed(roots)]
+    pairs += [(_reflect(ev, 0), m) for ev, m in reversed(pairs[:-1])]
     return Spectrum(pairs)
 
 
@@ -378,6 +419,8 @@ def spectrum_line_semiregular(
     values are emitted in descending order: r1 + r2 - 2, the + roots by
     falling lam^2, r2 - 2, the - roots by rising lam^2, then -2.
     """
+    # Python ints, as the - roots reflect the + roots about p unchecked
+    n1, n2, r1, r2 = map(operator.index, (n1, n2, r1, r2))
     if n1 > n2:
         raise ValueError(f"need n1 <= n2, got n1={n1}, n2={n2}")
     if n1 * r1 != n2 * r2:
@@ -401,10 +444,9 @@ def spectrum_line_semiregular(
     p = r1 + r2 - 4
     # sorted on the int d: the + roots fall along it and the - roots rise
     roots = sorted(((r1 - r2) ** 2 + abs(key), mult) for key, mult in tops.items() if mult > 0)
-    pairs = [(_int_eigenvalue(r1 + r2 - 2), 1)]
-    pairs += [(SurdEigenvalue(p, d, 1), mult) for d, mult in reversed(roots)]
-    pairs.append((_int_eigenvalue(r2 - 2), n2 - n1))
-    pairs += [(SurdEigenvalue(p, d, -1), mult) for d, mult in roots]
+    plus = [(SurdEigenvalue(p, d, 1), mult) for d, mult in reversed(roots)]
+    pairs = [(_int_eigenvalue(r1 + r2 - 2), 1), *plus, (_int_eigenvalue(r2 - 2), n2 - n1)]
+    pairs += [(_reflect(ev, p), mult) for ev, mult in reversed(plus)]
     pairs.append((_int_eigenvalue(-2), cycle_rank))
     return Spectrum(pairs)
 

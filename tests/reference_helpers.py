@@ -1,11 +1,11 @@
 """Helpers that only the tests need: every canonical parameter triple up to
-a bound, the check that each preflight row's bits bound its size,
-connectivity by the package's union-find, and the product and identity test
-of vertex actions."""
+a bound, the check that each preflight row's bits bound its size, the
+intersection numbers summed over every r, connectivity by the package's
+union-find, and the product and identity test of vertex actions."""
 
 import numpy as np
 
-from setincl import cli
+from setincl import binom, cli
 from setincl.automorphisms import InducedAction
 from setincl.graphs import GraphParams, canonicalize, component_labels
 
@@ -37,6 +37,15 @@ def assert_bounds_are_lower_bounds(n, k, l=None):
         assert rows, argv
         for bits, size, _, message in rows:
             assert 0 <= bits and 1 << bits <= size(), (argv, message)
+
+
+def intersection_number_by_full_sum(n, k, i, j, s):
+    """p^s_{ij} with the formula summed over every r = 0..s, zero terms
+    included, each binomial total over the integers."""
+    return sum(
+        binom(s, r) * binom(k - s, i - r) * binom(k - s, j - r) * binom(n - 2 * k + s, k - i - j + r)
+        for r in range(s + 1)
+    )
 
 
 def is_connected(g) -> bool:

@@ -19,7 +19,7 @@ from setincl import (
     radicands,
 )
 
-from reference_helpers import canonical_params_up_to
+from reference_helpers import canonical_params_up_to, intersection_number_by_full_sum
 
 
 def test_binom_conventions():
@@ -170,23 +170,15 @@ def test_intersection_number_vanishes_on_diagonal_coefficient():
 
 
 def test_intersection_number_matches_full_range_sum():
-    # reference: the formula summed over every r = 0..s, zero terms included
-    def full_sum(n, k, i, j, s):
-        return sum(
-            binom(s, r)
-            * binom(k - s, i - r)
-            * binom(k - s, j - r)
-            * binom(n - 2 * k + s, k - i - j + r)
-            for r in range(s + 1)
-        )
-
+    # every argument up to n = 12; test_properties draws them up to n = 400
     for n in range(13):
         for k in range(n // 2 + 1):
             for i in range(k + 1):
                 for j in range(k + 1):
                     if i != j:
                         for s in range(k + 1):
-                            assert intersection_number(n, k, i, j, s) == full_sum(n, k, i, j, s)
+                            expect = intersection_number_by_full_sum(n, k, i, j, s)
+                            assert intersection_number(n, k, i, j, s) == expect
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3), (7, 3)])

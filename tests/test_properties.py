@@ -1,14 +1,16 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
 vectorised colex rank, the union of link arrays, the exact merge and order
 of `Spectrum` (also where float64 cannot order or hold the values), the
-automorphism-order oracle and the command line's exit codes."""
+reflection and the equal-(a, e) comparison of exact eigenvalues, the range
+of r that each intersection number sums over, the automorphism-order oracle
+and the command line's exit codes."""
 
 import contextlib
 import io
 import os
 from functools import cmp_to_key
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from unittest import mock
 
 import numpy as np
@@ -19,9 +21,14 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from reference_export import reference_export  # noqa: E402
-from reference_helpers import assert_bounds_are_lower_bounds, canonical_params_up_to  # noqa: E402
+from reference_helpers import (  # noqa: E402
+    assert_bounds_are_lower_bounds,
+    canonical_params_up_to,
+    intersection_number_by_full_sum,
+)
 from reference_ranks import mask_of, subset_rank, subset_unrank  # noqa: E402
 from setincl import (  # noqa: E402
+    Eigenvalue,
     ExactEigenvalue,
     Graph,
     Spectrum,
@@ -29,11 +36,13 @@ from setincl import (  # noqa: E402
     brute_force_aut_order,
     build_inclusion_graph,
     export_graph,
+    intersection_number,
     parse_graph6,
 )
+from setincl import combinatorics  # noqa: E402
 from setincl.automorphisms import _color_weights, _refinement_colors  # noqa: E402
 from setincl.cli import main  # noqa: E402
-from setincl.spectra import _cmp_keys  # noqa: E402
+from setincl.spectra import _cmp_keys, _reflect  # noqa: E402
 from setincl.graphs import colex_ranks, component_labels  # noqa: E402
 
 
@@ -291,6 +300,103 @@ def test_spectrum_order_is_the_exact_sort(values):
     spec = Spectrum((ev, 1) for ev in values)
     expect = sorted(set(values), key=cmp_to_key(_cmp_keys), reverse=True)
     assert [ev for ev, _ in spec.entries] == expect
+
+
+# fields of (a + e*sqrt(r))/2 before normal form: r is often a square, which
+# Eigenvalue folds into a, and 0 with e = 0
+_RAW_FIELDS = st.one_of(
+    st.tuples(st.integers(-50, 50), st.just(0), st.just(0)),
+    st.tuples(
+        st.integers(-(10**20), 10**20),
+        _BRANCHES,
+        st.integers(0, 10**6).map(lambda t: t * t) | st.integers(0, 10**40),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(_RAW_FIELDS, st.integers(-(10**20), 10**20))
+@example((0, 1, 16), 0)  # sqrt(16)/2 is stored as 2 = 4/2: its mirror is -2, its conjugate 2
+@example((5, 1, 49), 7)  # (5 + 7)/2 = 6 and 7 - 6 = 1
+@example((0, 1, 0), 0)  # the 8-cycle's line roots for lam = 0: d = 0
+def test_reflection_is_the_constructed_value(fields, p):
+    a, e, r = fields
+    mirror = _reflect(Eigenvalue(a, e, r), p)
+    expect = Eigenvalue(2 * p - a, -e, r)  # p - (a + e*sqrt(r))/2
+    assert (mirror.a, mirror.e, mirror.r) == (expect.a, expect.e, expect.r)
+    assert mirror == expect and hash(mirror) == hash(expect)
+    assert [type(x) for x in (mirror.a, mirror.e, mirror.r)] == [int, int, int]
+
+
+def _bracket(ev, bits):
+    """Integers c - 1 < 2^bits * (a + e*sqrt(r)) < c + 1, by isqrt."""
+    c = (ev.a << bits) + ev.e * isqrt(ev.r << (2 * bits))
+    return c - 1, c + 1
+
+
+def _exact_order(x, y):
+    """sign(x - y): equal fields are equal values (normal form), and the
+    brackets of two unequal values part once bits is large enough."""
+    if (x.a, x.e, x.r) == (y.a, y.e, y.r):
+        return 0
+    bits = 16
+    while True:
+        (lo_x, hi_x), (lo_y, hi_y) = _bracket(x, bits), _bracket(y, bits)
+        if lo_x >= hi_y or hi_x <= lo_y:
+            return 1 if lo_x >= hi_y else -1
+        bits *= 2
+
+
+# two values with one a and one e, whose radicands are equal, close or far
+_EQUAL_A_AND_E = st.one_of(
+    st.tuples(st.integers(-(10**30), 10**30), st.just(0), st.just(0), st.just(0)),
+    st.tuples(
+        st.integers(-(10**30), 10**30),
+        _BRANCHES,
+        st.integers(0, 10**40),
+        st.integers(-3, 3) | st.integers(-(10**40), 10**40),
+    ).map(lambda t: (t[0], t[1], t[2], max(t[2] + t[3], 0))),
+)
+
+
+@settings(deadline=None)
+@given(_EQUAL_A_AND_E)
+@example((0, -1, 2, 3))  # -sqrt(2)/2 > -sqrt(3)/2
+@example((7, -1, 10**40 + 1, 10**40 + 2))
+@example((3, 1, 5, 5))
+@example((3, 0, 0, 0))
+def test_equal_a_and_e_comparison_is_exact(fields):
+    a, e, r1, r2 = fields
+    x, y = Eigenvalue(a, e, r1), Eigenvalue(a, e, r2)
+    assert _cmp_keys(x, y) == _exact_order(x, y)
+    assert _cmp_keys(y, x) == _exact_order(y, x)
+
+
+@st.composite
+def _intersection_arguments(draw):
+    """(n, k, i, j, s) with i != j, 0 <= i, j, s <= k <= 24 and 2k <= n <= 400."""
+    k = draw(st.integers(1, 24), label="k")
+    n = draw(st.integers(2 * k, 400), label="n")
+    i = draw(st.integers(0, k), label="i")
+    j = draw(st.integers(0, k).filter(lambda j: j != i), label="j")
+    return n, k, i, j, draw(st.integers(0, k), label="s")
+
+
+@settings(deadline=None)
+@given(_intersection_arguments())
+@example((8, 4, 0, 1, 0))  # an empty range: r >= 0, but r <= m - t = 0 - 3
+@example((400, 24, 0, 24, 24))
+def test_intersection_number_sums_exactly_its_nonzero_terms(arguments):
+    # every term of the full-range sum is >= 0, so a sum that meets it and
+    # takes only nonzero terms takes every nonzero term
+    expect = intersection_number_by_full_sum(*arguments)
+
+    def nonzero_comb(a, b):
+        assert 0 <= b <= a, (arguments, a, b)
+        return comb(a, b)
+
+    with mock.patch.object(combinatorics, "comb", nonzero_comb):
+        assert intersection_number(*arguments) == expect
 
 
 @st.composite

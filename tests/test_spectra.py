@@ -1,9 +1,11 @@
 """Tests for exact eigenvalue arithmetic, closed-form spectra and the
 numeric solver cross-checks."""
 
+import json
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -469,6 +471,15 @@ def test_spectrum_line_semiregular_regular_bipartite_case():
     top = [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 1), 2)]
     spec = spectrum_line_semiregular(3, 3, 2, 2, top)
     assert spectrum_as_multiset(spec) == {"2": 1, "1": 2, "-1": 2, "-2": 1}
+    # numpy integers give the same values, stored as ints
+    again = spectrum_line_semiregular(*map(np.int64, (3, 3, 2, 2)), top)
+    assert again == spec
+    assert {type(x) for ev, _ in again for x in (ev.a, ev.e, ev.r)} == {int}
+    # 8-cycle: its eigenvalue 0 gives d = 0, whose two roots (0 +- sqrt(0))/2
+    # are one value; the line graph is again an 8-cycle
+    top = [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 2), 2), (ExactEigenvalue(0, 0), 1)]
+    spec = spectrum_line_semiregular(4, 4, 2, 2, top)
+    assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
 
 
 def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks):
@@ -589,6 +600,35 @@ def test_spectrum_json_and_csv():
     assert len(csv) == 6
     assert csv[1].split(",")[1] == "1"
     assert float(csv[1].split(",")[0]) == pytest.approx(6**0.5)
+
+
+def _closed_form_shapes():
+    """Triples of every shape the benchmark's closed-form workload asks
+    spectrum for: even k from 4 to 60, l = k+1, n-k or 2k+1 (2k+2 with
+    --line), and n in that workload's window 300+10k upwards."""
+    for k in range(4, 62, 2):
+        n = 300 + 10 * k + k % 7
+        for l in (k + 1, n - k, 2 * k + 1, 2 * k + 2):
+            yield GraphParams(n, k, l)
+
+
+def test_json_text_is_the_text_json_dumps_writes():
+    # every value kind: an int, a sqrt, a surd, a half-integer (written as
+    # the surd (3 - sqrt(0))/2) and a folded square, (0 + sqrt(16))/2 = 2
+    kinds = Spectrum([
+        (Eigenvalue(3, 0, 0), 2), (Eigenvalue(0, 1, 16), 1), (ExactEigenvalue(-1, 3), 1),
+        (SurdEigenvalue(5, 21, 1), 4), (Eigenvalue(-8, 0, 0), 10**30),
+    ])
+    spectra = [Spectrum([]), kinds]
+    for params in chain(canonical_params_up_to(12), _closed_form_shapes()):
+        spectra += [spectrum_inclusion(params), spectrum_line_inclusion(params)]
+    assert {entry["value"]["kind"] for entry in kinds.to_json_obj()} == {"int", "sqrt", "surd"}
+    for spec in spectra:
+        obj = spec.to_json_obj()
+        text = spec.to_json_text()
+        assert text == json.dumps(obj, indent=2), spec
+        assert json.loads(text) == obj
+    assert Spectrum([]).to_json_text() == "[]"
 
 
 # ---------------------------------------------------------------------------
