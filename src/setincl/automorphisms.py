@@ -84,14 +84,9 @@ class GroupShape:
         }
 
 
-def _subset_rows(params: GraphParams) -> tuple[np.ndarray, np.ndarray]:
-    """Element rows of the k-subsets and of the l-subsets, in vertex order;
-    aut_group computes them once for both sigma generators."""
-    return subset_positions(params.n, params.k), subset_positions(params.n, params.l)
-
-
 def _sigma(g: np.ndarray, params: GraphParams, rows) -> InducedAction:
-    """induced_action of the image table g, given _subset_rows(params)."""
+    """induced_action of the image table g, given rows, the element rows
+    (subset_positions) of the k-subsets and of the l-subsets."""
     images = [colex_ranks(np.sort(g[r], axis=1).T, params.n) for r in rows]
     images[1] += params.n1
     return InducedAction(np.concatenate(images))
@@ -104,7 +99,8 @@ def induced_action(g, params: GraphParams) -> InducedAction:
     g = tuple(g)
     if sorted(g) != list(range(params.n)):
         raise ValueError(f"not a permutation of 0..{params.n - 1}: {g!r}")
-    return _sigma(np.array(g, dtype=np.int64), params, _subset_rows(params))
+    rows = subset_positions(params.n, params.k), subset_positions(params.n, params.l)
+    return _sigma(np.array(g, dtype=np.int64), params, rows)
 
 
 def tau_action(params: GraphParams) -> InducedAction:
@@ -187,7 +183,7 @@ def aut_group(params: GraphParams) -> GroupShape:
     group_shape) built as vertex permutations."""
     shape = group_shape(params)
     n = params.n
-    rows = _subset_rows(params)
+    rows = subset_positions(n, params.k), subset_positions(n, params.l)  # for both sigmas
     gens = [
         _sigma(np.array((1, 0) + tuple(range(2, n))), params, rows),
         _sigma(np.roll(np.arange(n), -1), params, rows),

@@ -180,11 +180,6 @@ def _size(x: int) -> str:
     return text if len(text) <= 30 else f"a {len(text)}-digit number"
 
 
-# a row whose lower bound passes this many bits, and its cap by 64 bits, is
-# refused on the bound: the exact C(10^6, 4*10^5), 1.0e6 bits, takes seconds
-_BOUND_BITS = 1 << 16
-
-
 def _binom_bits(n: int, l: int) -> int:
     """An integer N with 2^N <= C(n,l), for 0 <= l <= n, from C(n,l) >=
     (n/m)^m with m = min(l, n-l): log2(n/m) in 32-bit fixed point, rounded
@@ -246,8 +241,10 @@ def _bounds(args, max_vertices: int):
 def _preflight(argv):
     """Parse argv and validate the parameters (canonicalizing any (n,k,l),
     with a note), then refuse the command at the first row of _bounds past
-    its cap, on the row's bound N when that is past _BOUND_BITS and 64 bits
-    past the cap.  The environment cap is read, and so validated, first."""
+    its cap, on the row's bound N when that is 64 bits past the cap: then
+    2^N > cap, and the exact size, such as C(10^6, 4*10^5) of 1.0e6 bits
+    that takes seconds, is never computed.  The environment cap is read, and
+    so validated, first."""
     max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
@@ -266,7 +263,7 @@ def _preflight(argv):
             )
         args.params = p
     for bits, size, cap, message in _bounds(args, max_vertices):
-        if bits > _BOUND_BITS and bits >= cap.bit_length() + 64:
+        if bits >= cap.bit_length() + 64:
             raise CapExceededError(message.format(f"more than 2^{_size(bits)}"))
         exact = size()
         if exact > cap:

@@ -163,9 +163,12 @@ def colex_ranks(columns, n: int) -> np.ndarray:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..num_vertices-1, in
-    compressed sparse row form: the neighbours of v are
-    indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
+    """Immutable simple undirected graph on vertices 0..num_vertices-1,
+    held as its lower edges: the pairs (hi, lo), hi > lo, by ascending key
+    hi * num_vertices + lo.  The rest is made from lower_edges() when first
+    read, once: the edges in lexicographic order, and the compressed sparse
+    row form, in which the neighbours of v are indices[indptr[v]:indptr[v+1]],
+    in ascending order (int64 arrays).
     """
 
     def __init__(self, num_vertices: int, edges):
@@ -175,13 +178,53 @@ class Graph:
         u, v = edges.T
         if edges.size and (edges.min() < 0 or edges.max() >= nv or (u == v).any()):
             raise ValueError(f"edges must join two distinct vertices of 0..{nv - 1}")
-        arcs = np.sort(np.concatenate((u * nv + v, v * nv + u)))
-        if (arcs[1:] == arcs[:-1]).any():
+        keys = np.sort(np.maximum(u, v) * nv + np.minimum(u, v))
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("repeated edge")
         self.num_vertices = nv
-        self.num_edges = len(edges)
-        self.indices = arcs % nv
-        self.indptr = np.searchsorted(arcs, np.arange(nv + 1) * nv)
+        self.num_edges = len(keys)
+        self._keys = keys
+
+    def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
+        """Edges as int64 arrays of larger ends hi and smaller ends lo, by
+        ascending hi * num_vertices + lo (hi made afresh), or, given images,
+        theirs."""
+        hi, lo = np.divmod(self._keys, self.num_vertices)
+        return (hi, lo) if images is None else (images[hi], images[lo])
+
+    @cached_property
+    def _upper_codes(self) -> np.ndarray:
+        """The code lo * num_vertices + hi of every edge, ascending: the
+        edges in lexicographic order, and the arcs (lo, hi) in CSR order."""
+        hi, lo = self.lower_edges()
+        codes = lo * self.num_vertices + hi
+        codes.sort()
+        return codes
+
+    def edges(self) -> np.ndarray:
+        """Edges as an (m, 2) int64 array of pairs u < v, in lexicographic
+        order, made afresh."""
+        out = np.empty((self.num_edges, 2), dtype=np.int64)
+        np.divmod(self._upper_codes, self.num_vertices, out=(out[:, 0], out[:, 1]))
+        return out
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        nv = self.num_vertices
+        hi, lo = self.lower_edges()
+        degrees = np.bincount(hi, minlength=nv) + np.bincount(lo, minlength=nv)
+        return np.concatenate(([0], np.cumsum(degrees)))
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        # the arc codes tail * nv + head: the lower arcs (hi, lo), ascending,
+        # then the upper arcs (lo, hi), ascending; one stable sort merges them
+        nv = self.num_vertices
+        hi, lo = self.lower_edges()
+        arcs = np.concatenate((hi * nv + lo, self._upper_codes))
+        arcs.sort(kind="stable")
+        arcs %= nv
+        return arcs
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -189,39 +232,21 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def arc_sources(self) -> np.ndarray:
-        """Tail of every arc, aligned with indices: the arcs (u, v) of both
-        directions of every edge, in lexicographic order."""
-        return np.repeat(np.arange(self.num_vertices), self.indptr[1:] - self.indptr[:-1])
-
-    def edges(self) -> np.ndarray:
-        """Edges as an (m, 2) int64 array of pairs u < v, in lexicographic order."""
-        tails = self.arc_sources()
-        upper = tails < self.indices
-        return np.column_stack((tails[upper], self.indices[upper]))
-
-    def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as int64 arrays of larger ends hi and smaller ends lo in CSR
-        order (hi * num_vertices + lo ascends), or, given images, theirs."""
-        tails = self.arc_sources()
-        lower = self.indices < tails
-        hi, lo = tails[lower], self.indices[lower]
-        return (hi, lo) if images is None else (images[hi], images[lo])
-
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
-        a[self.arc_sources(), self.indices] = 1
+        hi, lo = self.lower_edges()
+        a[hi, lo] = a[lo, hi] = 1
         return a
 
 
 class SubsetGraph(Graph):
     """Inclusion graph: k-subsets (first) and l-subsets of an n-set, adjacent
     under containment, built by build_inclusion_graph.  It holds the checked
-    rank rows: ranks[i], ascending, are the k-neighbours of l-vertex n1 + i.
-    The CSR arrays are made when first read; only the k-side rows sort."""
+    rank rows: ranks[i], ascending, are the k-neighbours of l-vertex n1 + i,
+    so the rows, in order, are the lower edges."""
 
     def __init__(self, params: GraphParams, ranks: np.ndarray):
-        # Graph.__init__ is skipped: its sort of all arc codes and its repeat
+        # Graph.__init__ is skipped: its sort of the edge keys and its repeat
         # check would redo what build_inclusion_graph has already checked
         self.num_vertices = params.n1 + params.n2
         self.num_edges = ranks.size
@@ -229,34 +254,9 @@ class SubsetGraph(Graph):
         self.params = params
         self.v1_count = params.n1
 
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        p = self.params
-        return np.concatenate((p.r1 * np.arange(p.n1), p.r2 * np.arange(p.n2 + 1) + p.n1 * p.r1))
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        return np.concatenate((self._k_heads, self.ranks.ravel()))
-
-    @cached_property
-    def _k_heads(self) -> np.ndarray:
-        """The k-side rows, concatenated, from the sorted codes rank * n2 + i."""
-        n2 = self.params.n2
-        codes = self.ranks * n2  # one array, sorted and reduced in place
-        codes += np.arange(n2)[:, None]
-        codes.ravel().sort()  # a view: codes is C-contiguous
-        codes %= n2
-        codes += self.v1_count
-        return codes.ravel()
-
-    def edges(self) -> np.ndarray:
-        """Graph.edges, read off the k-side rows: every k-vertex precedes
-        every l-vertex, so the k-side arcs are the edges in order."""
-        tails = np.repeat(np.arange(self.v1_count), self.params.r1)
-        return np.column_stack((tails, self._k_heads))
-
     def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
-        """Graph.lower_edges off the rank rows; hi's images repeat, no gather."""
+        """Graph.lower_edges off the rank rows (lo is a view of them); hi's
+        images repeat, no gather."""
         r2, n1 = self.params.r2, self.v1_count
         if images is None:
             return np.repeat(np.arange(n1, self.num_vertices), r2), self.ranks.ravel()
@@ -295,9 +295,9 @@ def inclusion_ranks(params: GraphParams) -> np.ndarray:
 def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters.
 
-    The graph holds inclusion_ranks' rows as they are: l-subset i's CSR row
-    is its rank row, which ascends, and the k-side rows are sorted only when
-    first read (see SubsetGraph).  Checked here: every rank row strictly
+    The graph holds inclusion_ranks' rows as they are: the rows, in order,
+    are its lower edges, and the rest is made from them only when first
+    read (see Graph).  Checked here: every rank row strictly
     increases (so no edge repeats), and every k-degree is r1, the count of
     each rank (every l-degree is r2 by shape).
     """
@@ -495,10 +495,11 @@ def _graph6_encode_count(n: int) -> bytes:
 def _to_graph6(g: Graph) -> bytes:
     # edge (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle read
     # column by column; each byte after the header carries six bits, high
-    # bit first, plus 63
+    # bit first, plus 63.  The bits are set in any order, so the edges are
+    # read as they are held
     n = g.num_vertices
     head = _graph6_encode_count(n)
-    i, j = g.edges().T
+    j, i = g.lower_edges()
     byte, place = np.divmod(j * (j - 1) // 2 + i + 6 * len(head), 6)
     out = np.full(len(head) + (n * (n - 1) // 2 + 5) // 6, 63, dtype=np.uint8)
     out[: len(head)] = np.frombuffer(head, dtype=np.uint8)

@@ -1,7 +1,10 @@
 """Helpers that only the tests need: every canonical parameter triple up to
 a bound, the check that each preflight row's bits bound its size, the
-intersection numbers summed over every r, connectivity by the package's
-union-find, and the product and identity test of vertex actions."""
+intersection numbers summed over every r, a reference CSR build and the
+check of a graph against it, connectivity by the package's union-find, and
+the product and identity test of vertex actions."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +49,34 @@ def intersection_number_by_full_sum(n, k, i, j, s):
         binom(s, r) * binom(k - s, i - r) * binom(k - s, j - r) * binom(n - 2 * k + s, k - i - j + r)
         for r in range(s + 1)
     )
+
+
+def reference_csr(num_vertices: int, edges) -> SimpleNamespace:
+    """indptr, indices, edges and lower_edges of the simple graph with this
+    edge list, all read off one sort of all 2m arc codes tail * nv + head,
+    a build that shares no step with Graph's.  edges are the pairs u < v and
+    lower_edges the pairs (hi, lo), hi > lo, each in the order of the arcs."""
+    nv = num_vertices
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    arcs = np.sort(np.concatenate((u * nv + v, v * nv + u)))
+    tails, heads = np.divmod(arcs, nv)
+    upper, lower = tails < heads, tails > heads
+    return SimpleNamespace(
+        indptr=np.searchsorted(arcs, np.arange(nv + 1) * nv),
+        indices=heads,
+        edges=np.column_stack((tails[upper], heads[upper])),
+        lower_edges=(tails[lower], heads[lower]),
+    )
+
+
+def assert_matches_reference_csr(g, edges) -> None:
+    """g's edge count, and its indptr, indices, edges() and lower_edges(),
+    values and int64 dtype, against reference_csr of the edge list."""
+    ref = reference_csr(g.num_vertices, edges)
+    assert g.num_edges == len(ref.edges)
+    pairs = [(g.indptr, ref.indptr), (g.indices, ref.indices), (g.edges(), ref.edges)]
+    for got, want in [*pairs, *zip(g.lower_edges(), ref.lower_edges)]:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def is_connected(g) -> bool:

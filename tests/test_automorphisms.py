@@ -597,7 +597,7 @@ def test_orbit_count_reads_only_the_rank_rows():
         for on in ("vertices", "edges", "arcs"):
             orbit_count(g, gens, on=on)
         pointwise_stabilizer_trivial(g)
-        assert {"indptr", "indices", "_k_heads"}.isdisjoint(vars(g)), params
+        assert {"indptr", "indices", "_upper_codes"}.isdisjoint(vars(g)), params
 
 
 @pytest.mark.parametrize("on,limit", [("vertices", 5.0e6), ("edges", 6.8e6)])

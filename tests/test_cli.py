@@ -544,11 +544,14 @@ def test_verify_construction_bounds_refuse_from_parameters(args, bound, monkeypa
     "args", [["scheme", "20000", "10000", "--check"], ["verify", "20000", "10000", "10001"]]
 )
 def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
-    # C(20000,10000) has 6019 digits; the message gives the count instead
+    # C(20000,10000) has 6019 digits; the message gives a lower bound on
+    # its bits instead, 64 bits past the cap's (verify's is C(20000,9999)'s,
+    # after complementation)
     start = time.perf_counter()
     code, out, err = run(args, capsys)
     assert code == 2 and time.perf_counter() - start < 1.0
-    assert out == "" and "a 6019-digit number" in err
+    bound = {"scheme": "more than 2^9999", "verify": "more than 2^10000"}[args[0]]
+    assert out == "" and bound in err
     assert max(len(line.encode()) for line in err.splitlines()) <= 200
 
 
@@ -578,6 +581,12 @@ def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
          "byte count of the l-subset rows is more than 2^500020, numpy's array limit is "),
         (["scheme", "1000000", "400000", "--check"], "matrix dimension more than 2^528771 exceeds cap 2000"),
         (["scheme", "1000000000", "300000", "--check"], "matrix dimension more than 2^3510824 exceeds cap 2000"),
+        # near n/2 the bound m*log2(n/m) is about half of log2 C(n,l), and
+        # still 64 bits past the cap's
+        (["verify", "131000", "65498", "65500", "--line"], "verify solves dimension more than 2^65499, cap is 2000"),
+        (["export", "131000", "65498", "65501"],
+         "byte count of the l-subset rows is more than 2^65518, numpy's array limit is "),
+        (["scheme", "20000", "10000", "--check"], "matrix dimension more than 2^9999 exceeds cap 2000"),
     ],
 )
 def test_huge_l_is_refused_on_a_lower_bound(args, message, monkeypatch, capsys):

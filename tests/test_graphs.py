@@ -25,7 +25,12 @@ from setincl import (
 from setincl.cli import main
 
 from reference_export import reference_export
-from reference_helpers import canonical_params_up_to, is_connected
+from reference_helpers import (
+    assert_matches_reference_csr,
+    canonical_params_up_to,
+    is_connected,
+    reference_csr,
+)
 from reference_ranks import mask_of, subset_rank, subset_unrank, vertex_sets
 
 
@@ -160,61 +165,76 @@ def test_inclusion_graph_semiregular_audit():
         assert is_connected(g)
 
 
+# every canonical n <= 9, and three with n = 65
+_INCLUSION_CASES = [*canonical_params_up_to(9), *map(GraphParams, (65, 65, 65), (1, 1, 2), (2, 64, 3))]
+
+
+def _rank_edges(params):
+    """The edges (k-rank, n1 + i) of the rank rows, row by row."""
+    ranks = inclusion_ranks(params)
+    return np.column_stack((ranks.ravel(), np.repeat(np.arange(params.n2) + params.n1, params.r2)))
+
+
 def test_inclusion_graph_csr_matches_generic_build():
-    # the direct CSR against Graph(n1+n2, edges) from the same rank array
-    for params in canonical_params_up_to(9):
-        n1, n2, r2 = params.n1, params.n2, params.r2
-        edges = np.column_stack(
-            (inclusion_ranks(params).ravel(), np.repeat(np.arange(n1, n1 + n2), r2))
-        )
-        generic = Graph(n1 + n2, edges)
-        g = build_inclusion_graph(params)
-        assert np.array_equal(g.indptr, generic.indptr), params
-        assert np.array_equal(g.indices, generic.indices), params
-        assert g.num_edges == generic.num_edges
-        assert g.indptr.dtype == g.indices.dtype == np.int64
-
-
-def test_subset_graph_edges_are_the_generic_edges():
-    # SubsetGraph.edges reads the k-side rows; Graph.edges filters all arcs
-    cases = [*canonical_params_up_to(9), *map(GraphParams, (65, 65, 65), (1, 1, 2), (2, 64, 3))]
-    for params in cases:
-        g = build_inclusion_graph(params)
-        edges = g.edges()
-        assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2), params
-        assert np.array_equal(edges, Graph.edges(g)), params
+    # indptr, indices, edges() and lower_edges(), made from the rank rows,
+    # against one sort of all the arcs of the same edges
+    for params in _INCLUSION_CASES:
+        assert_matches_reference_csr(build_inclusion_graph(params), _rank_edges(params))
 
 
 def test_subset_graph_lower_edges_are_the_generic_lower_edges():
-    # SubsetGraph.lower_edges reads the rank rows; Graph.lower_edges
-    # filters all arcs.  Both list (hi, lo), hi > lo, by ascending hi*nv + lo
+    # lower_edges() lists (hi, lo), hi > lo, by ascending hi*nv + lo, and
+    # given images, the images of those two arrays
     rng = np.random.default_rng(0)
-    cases = [*canonical_params_up_to(9), *map(GraphParams, (65, 65, 65), (1, 1, 2), (2, 64, 3))]
-    for params in cases:
+    for params in _INCLUSION_CASES:
         g = build_inclusion_graph(params)
         nv = g.num_vertices
         hi, lo = g.lower_edges()
-        assert hi.dtype == lo.dtype == np.int64 and hi.shape == lo.shape == (g.num_edges,)
         assert (hi > lo).all() and (np.diff(hi * nv + lo) > 0).all(), params
-        for got, want in zip((hi, lo), Graph.lower_edges(g)):
-            assert np.array_equal(got, want), params
         images = rng.permutation(nv)
-        for got, want in zip(g.lower_edges(images), Graph.lower_edges(g, images)):
-            assert np.array_equal(got, want), params
-        assert {tuple(e) for e in g.edges().tolist()} == set(zip(lo.tolist(), hi.tolist()))
+        want = reference_csr(nv, _rank_edges(params)).lower_edges
+        for got, ref in zip(g.lower_edges(images), want):
+            assert np.array_equal(got, images[ref]), params
+
+
+def test_line_and_johnson_graphs_match_the_reference_csr():
+    # both are built through Graph(num_vertices, edges); their edges are
+    # found here from the definitions: two edges of g that share an end,
+    # and two k-subsets (colex unranked bitmasks) that share i elements
+    for params in [*canonical_params_up_to(9), GraphParams(65, 1, 2)]:
+        ends = reference_csr(params.n1 + params.n2, _rank_edges(params)).edges.tolist()
+        incident = {}
+        for e, pair in enumerate(ends):
+            for v in pair:
+                incident.setdefault(v, []).append(e)
+        pairs = [pair for edges in incident.values() for pair in combinations(edges, 2)]
+        assert_matches_reference_csr(build_line_graph(build_inclusion_graph(params)), pairs)
+    for n in range(2, 10):
+        for k in range(1, n // 2 + 1):
+            masks = [subset_unrank(k, r) for r in range(comb(n, k))]
+            for i in range(k):
+                pairs = [
+                    (a, b) for a, b in combinations(range(len(masks)), 2)
+                    if (masks[a] & masks[b]).bit_count() == i
+                ]
+                assert_matches_reference_csr(build_johnson_graph(n, k, i), pairs)
 
 
 def test_subset_graph_builds_its_k_side_rows_when_first_read():
-    # the build holds the rank rows only; edges() and export sort the
-    # k-side rows, and only indices (or indptr) makes the CSR arrays, which
+    # the build holds the rank rows only.  graph6 export reads them as they
+    # are; edges() and the text exports sort the codes lo * nv + hi once,
+    # and only indices (or indptr) makes the CSR arrays, which
     # test_inclusion_graph_csr_matches_generic_build compares
+    made = {"indptr", "indices", "_upper_codes"}
     for params in canonical_params_up_to(8):
         g = build_inclusion_graph(params)
-        assert {"indptr", "indices", "_k_heads"}.isdisjoint(vars(g)), params
-        for fmt in ("edgelist", "graph6", "dot"):
+        assert made.isdisjoint(vars(g)), params
+        export_graph(g, "graph6")
+        assert made.isdisjoint(vars(g)), params
+        for fmt in ("edgelist", "dot"):
             export_graph(g, fmt)
-        assert np.array_equal(g.edges(), Graph.edges(build_inclusion_graph(params))), params
-        assert "_k_heads" in vars(g) and {"indptr", "indices"}.isdisjoint(vars(g)), params
+        assert np.array_equal(g.edges(), reference_csr(g.num_vertices, _rank_edges(params)).edges)
+        assert "_upper_codes" in vars(g) and {"indptr", "indices"}.isdisjoint(vars(g)), params
 
 
 def test_inclusion_graph_rejects_noncanonical():
@@ -488,7 +508,7 @@ def test_graph6_roundtrip():
     for params in canonical_params_up_to(6):
         g = build_inclusion_graph(params)
         again = parse_graph6(export_graph(g, "graph6"))
-        assert np.array_equal(again.indptr, g.indptr) and np.array_equal(again.indices, g.indices)
+        assert_matches_reference_csr(again, _rank_edges(params))
     # three-byte vertex-count encoding
     big = Graph(63, [])
     assert parse_graph6(export_graph(big, "graph6")).num_vertices == 63

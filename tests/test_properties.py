@@ -23,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from reference_export import reference_export  # noqa: E402
 from reference_helpers import (  # noqa: E402
     assert_bounds_are_lower_bounds,
+    assert_matches_reference_csr,
     canonical_params_up_to,
     intersection_number_by_full_sum,
 )
@@ -46,19 +47,33 @@ from setincl.spectra import _cmp_keys, _reflect  # noqa: E402
 from setincl.graphs import colex_ranks, component_labels  # noqa: E402
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_graph6_roundtrip_random_edge_sets(data):
-    # up to 70 vertices, so both the one- and four-byte headers occur
-    n = data.draw(st.integers(0, 70), label="n")
+@st.composite
+def _graphs(draw):
+    """Up to 70 vertices, so both the one- and four-byte graph6 headers
+    occur, and up to 80 distinct edges, each pair in either order and the
+    list in any order: isolated vertices, the empty graph and graphs with
+    no edge all occur."""
+    n = draw(st.integers(0, 70))
     pairs = list(combinations(range(n), 2))
-    chosen = data.draw(st.sets(st.sampled_from(pairs), max_size=80), label="edges") if pairs else set()
-    g = Graph(n, sorted(chosen))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=80)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
+@settings(deadline=None)
+@given(_graphs())
+@example((0, []))
+@example((7, []))
+@example((7, [(6, 0), (2, 5)]))
+def test_graph6_roundtrip_random_edge_sets(graph):
+    # the graph and its graph6 round trip both match the reference CSR of
+    # the edges
+    n, edges = graph
+    g = Graph(n, edges)
     again = parse_graph6(export_graph(g, "graph6"))
     assert again.num_vertices == n
-    assert np.array_equal(again.indptr, g.indptr)
-    assert np.array_equal(again.indices, g.indices)
-    assert set(map(tuple, again.edges().tolist())) == chosen
+    assert_matches_reference_csr(g, edges)
+    assert_matches_reference_csr(again, edges)
 
 
 # vertex counts at which the widest vertex number gains a digit
