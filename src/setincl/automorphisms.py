@@ -306,8 +306,7 @@ def brute_force_aut_order(g: Graph) -> int:
     of is_automorphism and the one check that every automorphism used
     passes.  Only indptr/indices are read, and the search keeps its own
     stack, so graphs of any size run without recursion.  It takes no cap:
-    the caller bounds the graph (the ``aut`` command refuses an oversized
-    one before building it).
+    the caller bounds the graph.
     """
     nv = g.num_vertices
     if nv == 0:
@@ -368,8 +367,8 @@ def certified_aut_order(g: SubsetGraph) -> int | None:
     """|Aut(g)| of an inclusion graph, certified by an upper bound
     (_chain_bound) and a lower bound (_generated_order of aut_group's
     generators, checked against g's edges) that meet, or None when they do
-    not; brute_force_aut_order then decides.  The lower bound is 1 when
-    n < 5, and the chain is refined only when it proves more than that."""
+    not.  The chain is refined only when the generators prove more than the
+    identity."""
     lower = _generated_order(g, *aut_group(g.params).generators)
     if lower == 1 or _chain_bound(g) != lower:
         return None
@@ -396,17 +395,16 @@ def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=Non
     transposition t = sigma(0 1), the n-cycle s = sigma(0 1 ... n-1) and,
     when k + l = n, complementation tau.
 
-    n! when n >= 5, t and s map g's edges onto its edges, satisfy Moore's
-    presentation of Sym(n) (_moore_relations) and do not commute: the
-    relations make <t, s> a quotient of Sym(n), and for n >= 5 the only
-    quotients are 1, Z2 and Sym(n), of which only Sym(n) is not abelian.
-    Twice that when tau is an automorphism too, t and s map the k-subset
-    vertices 0..n1-1 among themselves and tau does not: every element of
-    <t, s> keeps the sides, so tau lies outside it.  Otherwise 1, the
-    identity alone."""
+    n! when t and s map g's edges onto its edges and satisfy
+    _moore_relations.  Moore's relations make <t, s> a quotient Sym(n)/K,
+    with K normal, and a nontrivial normal subgroup of Sym(n) contains the
+    minimal one: A_n for n = 3 and n >= 5, which holds the 3-cycle [t, s],
+    and V4 for n = 4, which holds s^2 = (0 2)(1 3).  So ts != st, and s^2 !=
+    1 when n = 4, make K trivial.  Twice that when tau is an automorphism
+    too, t and s map the k-subset vertices 0..n1-1 among themselves and tau
+    does not: every element of <t, s> keeps the sides, so tau lies outside
+    it.  Otherwise 1, the identity alone."""
     n, n1 = g.params.n, g.params.n1
-    if n < 5:
-        return 1
     keys = _lower_keys(g)
 
     def keeps_sides(images: np.ndarray) -> bool:
@@ -435,7 +433,8 @@ def _moore_relations(t: np.ndarray, s: np.ndarray, n: int) -> bool:
     s^n = t^2 = (ts)^(n-1) = (t s^-1 t s)^3 = (t s^-j t s^j)^2 = 1 for
     2 <= j <= n-2, Moore's presentation of Sym(n) on a transposition and an
     n-cycle (Moore 1897; Coxeter & Moser, "Generators and Relations for
-    Discrete Groups", section 6.2), and ts != st.  A word is applied left
+    Discrete Groups", section 6.2, for every n >= 3), ts != st, and s^2 != 1
+    when n = 4 (see _generated_order).  A word is applied left
     to right, so "t then s" is s[t]; read right to left, each relator would
     be its reverse, a conjugate of it, so the relations do not depend on the
     convention."""
@@ -451,6 +450,8 @@ def _moore_relations(t: np.ndarray, s: np.ndarray, n: int) -> bool:
     if not (is_one(t, 2) and is_one(s, n) and is_one(s[t], n - 1)):
         return False
     if not is_one(s[t[s_inv[t]]], 3) or np.array_equal(s[t], t[s]):
+        return False
+    if n == 4 and is_one(s, 2):
         return False
     s_j, s_inv_j = s[s], s_inv[s_inv]
     for _ in range(2, n - 1):

@@ -110,20 +110,28 @@ def SurdEigenvalue(p: int, d: int, branch: int) -> Eigenvalue:
     return Eigenvalue(p, branch, d)
 
 
+def _normal_form(a: int, e: int, r: int) -> Eigenvalue:
+    """The Eigenvalue with fields (a, e, r), which the caller knows to be in
+    normal form, set directly: __post_init__ and its square test are not run."""
+    out = object.__new__(Eigenvalue)
+    fields = out.__dict__
+    fields["a"], fields["e"], fields["r"] = a, e, r
+    return out
+
+
 def _int_eigenvalue(x: int) -> Eigenvalue:
-    return Eigenvalue(2 * x, 0, 0)
+    """The integer x; operator.index refuses 0.5 and makes a numpy int a
+    Python int."""
+    return _normal_form(2 * operator.index(x), 0, 0)
 
 
 def _reflect(ev: Eigenvalue, p: int) -> Eigenvalue:
-    """The value p - ev for an int p, with the fields (2p - a, -e, r) set
-    directly: r is unchanged and e only changes sign, so they are in normal
-    form when ev's are, and the square test of ev is not run again.  It is
-    not the conjugate (a, -e, r), which is wrong once a square r has been
-    folded into a."""
-    out = object.__new__(Eigenvalue)
-    fields = out.__dict__
-    fields["a"], fields["e"], fields["r"] = 2 * p - ev.a, -ev.e, ev.r
-    return out
+    """The value p - ev for an int p, with the fields (2p - a, -e, r): r is
+    unchanged and e only changes sign, so they are in normal form when ev's
+    are, and the square test of ev is not run again.  It is not the
+    conjugate (a, -e, r), which is wrong once a square r has been folded
+    into a."""
+    return _normal_form(2 * p - ev.a, -ev.e, ev.r)
 
 
 # a square is a quadratic residue modulo every m; together these four moduli

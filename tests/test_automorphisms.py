@@ -291,7 +291,7 @@ def test_brute_force_is_exact_when_every_colour_weighs_the_same(monkeypatch, nv,
 def test_certificate_bounds_meet_at_the_order():
     # U from the base chain, L from the verified generators, and the order
     # read off (n,k,l) agree; the search agrees too where it is cheap
-    for params in canonical_params_up_to(11, min_n=5):
+    for params in canonical_params_up_to(11, min_n=3):
         g = build_inclusion_graph(params)
         order = group_shape(params).order
         lower = automorphisms._generated_order(g, *aut_group(params).generators)
@@ -301,23 +301,22 @@ def test_certificate_bounds_meet_at_the_order():
             assert brute_force_aut_order(g) == order, params
 
 
-def test_certificate_refuses_below_five_points():
-    # Sym(4) has the non-abelian quotient Sym(3), so the relations prove
-    # nothing there, and the search decides
-    for params in canonical_params_up_to(4):
-        g = build_inclusion_graph(params)
-        assert automorphisms._generated_order(g, *aut_group(params).generators) == 1
-        assert certified_aut_order(g) is None
-
-
-@pytest.mark.parametrize("n", range(5, 10))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_moore_relations_on_the_ground_set(n):
     t = np.array((1, 0) + tuple(range(2, n)))
     s = np.roll(np.arange(n), -1)
     assert automorphisms._moore_relations(t, s, n)
     three_cycle = np.array((1, 2, 0) + tuple(range(3, n)))
     zero_two = np.array((2, 1, 0) + tuple(range(3, n)))
-    for bad_t, bad_s in ((t, s[s]), (three_cycle, s), (zero_two, s), (t, np.arange(n))):
+    bad = [(three_cycle, s), (t, np.arange(n))]
+    if n > 3:  # on three points s^2 = s^-1 and (0 2) with s generate Sym(3)
+        bad += [(t, s[s]), (zero_two, s)]
+    if n == 4:
+        # (1 2) and (0 2), the image of (0 1) and the 4-cycle in Sym(4)/V4 =
+        # Sym(3), satisfy every relator and do not commute; only s^2 != 1
+        # refuses them
+        bad.append((np.array([0, 2, 1, 3]), np.array([2, 1, 0, 3])))
+    for bad_t, bad_s in bad:
         assert not automorphisms._moore_relations(bad_t, bad_s, n)
     # on two more points, s also swaps them and t fixes them: only s^n
     # fails for odd n, and only (ts)^(n-1) for even n
@@ -327,10 +326,10 @@ def test_moore_relations_on_the_ground_set(n):
     )
 
 
-@pytest.mark.parametrize("n,k,l", [(6, 2, 3), (7, 2, 5), (8, 3, 4)])
+@pytest.mark.parametrize("n,k,l", [(4, 1, 2), (4, 1, 3), (6, 2, 3), (7, 2, 5), (8, 3, 4)])
 def test_lower_bound_refuses_wrong_generators(n, k, l):
     # each control is a pair of vertex permutations; the first three are
-    # automorphisms that fail a relation, the last satisfies every relation
+    # automorphisms that fail a relation, the fourth satisfies every relation
     # but is no automorphism, so only the edge check refuses it
     params = GraphParams(n, k, l)
     g = build_inclusion_graph(params)
@@ -346,6 +345,11 @@ def test_lower_bound_refuses_wrong_generators(n, k, l):
         (induced_action((2, 1, 0) + rest, params), s),
         (moved_t, moved_s),
     ]
+    if n == 4:
+        # sigma(1 2) and sigma(0 2): automorphisms that satisfy every relator
+        # and do not commute, but generate Sym(3), the image of Sym(4) in
+        # Sym(4)/V4; only s^2 != 1 refuses them
+        controls.append((induced_action((0, 2, 1, 3), params), induced_action((2, 1, 0, 3), params)))
     assert automorphisms._moore_relations(moved_t.images, moved_s.images, n)
     for control in controls:
         assert automorphisms._generated_order(g, *control, *tau) == 1

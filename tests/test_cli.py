@@ -16,7 +16,7 @@ import pytest
 
 import setincl
 import setincl.cli as cli
-from setincl import Graph
+from setincl import Graph, automorphisms, group_shape
 from setincl.cli import main
 
 from reference_export import reference_export
@@ -229,57 +229,48 @@ def test_aut_brute_force_cap_is_on_the_arc_visits(monkeypatch, capsys):
     assert code == 0 and out.endswith(" (agree)\n")
 
 
-def _count_searches(monkeypatch) -> list:
-    calls = []
-    search = cli.brute_force_aut_order
+def _forbid_search(monkeypatch):
+    """Make the orbit-stabiliser search raise in both modules that bind it."""
 
-    def counted(g):
-        calls.append(g.num_vertices)
-        return search(g)
+    def search(g):
+        raise AssertionError("aut --brute-force ran the search")
 
-    monkeypatch.setattr(cli, "brute_force_aut_order", counted)
-    return calls
+    monkeypatch.setattr(cli, "brute_force_aut_order", search)
+    monkeypatch.setattr(automorphisms, "brute_force_aut_order", search)
 
 
-@pytest.mark.parametrize(
-    "args,searched",
-    [
-        (["3", "1", "2"], True),
-        (["4", "1", "3"], True),
-        (["5", "2", "3"], False),
-        (["6", "1", "4"], False),
-    ],
-)
-def test_aut_brute_force_searches_only_below_five_points(args, searched, monkeypatch, capsys):
-    calls = _count_searches(monkeypatch)
-    code, out, _ = run(["aut", *args, "--brute-force"], capsys)
-    assert code == 0 and out.endswith(" (agree)\n")
-    assert bool(calls) == searched
+def test_aut_brute_force_never_searches(monkeypatch, capsys):
+    # the certificate alone decides every canonical n <= 12, n < 5 included
+    _forbid_search(monkeypatch)
+    for p in canonical_params_up_to(12):
+        code, out, _ = run(["aut", str(p.n), str(p.k), str(p.l), "--brute-force"], capsys)
+        order = group_shape(p).order
+        assert code == 0 and out.endswith(f"brute-force order: {order} (agree)\n"), p
 
 
-def test_aut_brute_force_falls_back_when_the_bounds_differ(monkeypatch, capsys):
+def test_aut_brute_force_refuses_when_the_bounds_differ(monkeypatch, capsys):
     # a tau that keeps the sides proves only Sym(5), below the chain's
-    # bound of 2 * 5!, so the search decides, and still agrees
-    from setincl import automorphisms, induced_action
+    # bound of 2 * 5!, so no order is certified and nothing searches
+    from setincl import induced_action
 
     monkeypatch.setattr(
         automorphisms, "tau_action", lambda params: induced_action((1, 0, 2, 3, 4), params)
     )
-    calls = _count_searches(monkeypatch)
+    _forbid_search(monkeypatch)
     code, out, _ = run(["aut", "5", "2", "3", "--brute-force"], capsys)
-    assert code == 0 and calls == [20]
-    assert out.endswith(f"brute-force order: {2 * factorial(5)} (agree)\n")
+    assert code == 1
+    assert out.endswith("brute-force order: not certified (DISAGREE)\n")
 
 
 def test_aut_brute_force_disagreement_exits_1(monkeypatch, capsys):
-    # the bounds do not meet and the search returns one more than the order
-    monkeypatch.setattr(cli, "certified_aut_order", lambda g: None)
-    monkeypatch.setattr(cli, "brute_force_aut_order", lambda g: 2 * factorial(5) + 1)
-    code, out, _ = run(["aut", "5", "2", "3", "--brute-force"], capsys)
-    assert code == 1
-    assert out.endswith(f"brute-force order: {2 * factorial(5) + 1} (DISAGREE)\n")
-    code, out, _ = run(["aut", "5", "2", "3", "--brute-force", "--format", "json"], capsys)
-    assert code == 1 and json.loads(out)["verified_brute_force"] is False
+    # the certificate returns one more than the order, or meets no order
+    for certified in (2 * factorial(5) + 1, None):
+        monkeypatch.setattr(cli, "certified_aut_order", lambda g: certified)
+        found = "not certified" if certified is None else certified
+        code, out, _ = run(["aut", "5", "2", "3", "--brute-force"], capsys)
+        assert code == 1 and out.endswith(f"brute-force order: {found} (DISAGREE)\n")
+        code, out, _ = run(["aut", "5", "2", "3", "--brute-force", "--format", "json"], capsys)
+        assert code == 1 and json.loads(out)["verified_brute_force"] is False
 
 
 def test_orbits(capsys):
