@@ -291,7 +291,7 @@ def test_brute_force_is_exact_when_every_colour_weighs_the_same(monkeypatch, nv,
 def test_certificate_bounds_meet_at_the_order():
     # U from the base chain, L from the verified generators, and the order
     # read off (n,k,l) agree; the search agrees too where it is cheap
-    for params in canonical_params_up_to(11, min_n=3):
+    for params in canonical_params_up_to(11, min_n=5):
         g = build_inclusion_graph(params)
         order = group_shape(params).order
         lower = automorphisms._generated_order(g, *aut_group(params).generators)
@@ -299,6 +299,19 @@ def test_certificate_bounds_meet_at_the_order():
         assert certified_aut_order(g) == order, params
         if params.n <= 9:
             assert brute_force_aut_order(g) == order, params
+
+
+def test_certificate_meets_below_five_points():
+    # ts != st keeps A_3 out of the kernel at n = 3, and s^2 != 1 keeps V4
+    # out at n = 4, so the relations prove Sym(n) there too, and the search
+    # agrees
+    for params in canonical_params_up_to(4):
+        g = build_inclusion_graph(params)
+        order = group_shape(params).order
+        lower = automorphisms._generated_order(g, *aut_group(params).generators)
+        assert automorphisms._chain_bound(g) == lower == order, params
+        assert certified_aut_order(g) == order, params
+        assert brute_force_aut_order(g) == order, params
 
 
 @pytest.mark.parametrize("n", range(3, 10))

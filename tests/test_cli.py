@@ -239,7 +239,15 @@ def _forbid_search(monkeypatch):
     monkeypatch.setattr(automorphisms, "brute_force_aut_order", search)
 
 
-def test_aut_brute_force_never_searches(monkeypatch, capsys):
+@pytest.mark.parametrize("args", [["3", "1", "2"], ["4", "1", "3"], ["5", "2", "3"], ["6", "1", "4"]])
+def test_aut_brute_force_never_searches(args, monkeypatch, capsys):
+    # below five points as above: the certificate decides and agrees
+    _forbid_search(monkeypatch)
+    code, out, _ = run(["aut", *args, "--brute-force"], capsys)
+    assert code == 0 and out.endswith(" (agree)\n")
+
+
+def test_aut_brute_force_certifies_every_canonical_n_to_12(monkeypatch, capsys):
     # the certificate alone decides every canonical n <= 12, n < 5 included
     _forbid_search(monkeypatch)
     for p in canonical_params_up_to(12):
