@@ -24,7 +24,6 @@ from .graphs import (
     GraphParams,
     SubsetGraph,
     colex_ranks,
-    component_labels,
     subset_positions,
 )
 
@@ -134,15 +133,12 @@ def _image_table(g: Graph, action: InducedAction) -> np.ndarray:
     return action.images
 
 
-def _places(keys: np.ndarray, image_keys: np.ndarray):
-    """Index of each image key among the sorted keys, or None unless the
-    image keys are the keys in some order (as in _preserves_edges)."""
+def _preimages(keys: np.ndarray, image_keys: np.ndarray):
+    """The sort order of the image keys, or None unless they are the keys in
+    some order (as in _preserves_edges): the order's entry i is the edge
+    whose image key is keys[i], so it is the inverse of the edge map."""
     order = np.argsort(image_keys, kind="stable")
-    if not np.array_equal(image_keys[order], keys):
-        return None
-    places = np.empty_like(order)
-    places[order] = np.arange(len(order))
-    return places
+    return order if np.array_equal(image_keys[order], keys) else None
 
 
 def _lower_keys(g: Graph) -> np.ndarray:
@@ -357,8 +353,7 @@ def brute_force_aut_order(g: Graph) -> int:
             if image is None:
                 rejected.append(int(c))
             else:
-                points = np.arange(nv)
-                orbit = component_labels(nv, [(points, orbit), (points, image)])[0]
+                orbit = component_labels(nv, [(orbit,), (image,)])[0]
         order *= int(np.count_nonzero(orbit[cell] == orbit[b]))
     return order
 
@@ -485,44 +480,38 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
 
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     """Number of orbits of the group generated by verified automorphisms on
-    the chosen object set ("vertices", "edges" or "arcs"): the classes of
-    the pairs (x, generator(x)), counted by component_labels with one link
-    per generator.
+    the chosen object set ("vertices", "edges" or "arcs"): the classes that
+    component_labels finds with one link per generator, its vertex map on
+    the vertices and the inverse of its edge map on the edges and arcs.
 
     Edges are numbered by their place in g.lower_edges(), not g.edges()
     (the counts do not depend on it; on an inclusion graph it reads only the
     rank rows), and an arc is an edge with a direction.  Each generator is
     verified by the search that maps the edges (every image of an edge key
     must be a key), and its link is built and joined before the next
-    generator is read.  On the arcs the classes are those of the edges with
-    a flip on each edge the generator reverses: an edge class in which some
-    chain of links reverses an edge holds one arc orbit, every other edge
-    class two."""
+    generator is read; no array of a check is bound in this frame, so
+    nothing of one generator outlives its link.  On the arcs the classes
+    are those of the edges with a flip on each edge the generator reverses:
+    an edge class in which some chain of links reverses an edge holds one
+    arc orbit, every other edge class two."""
     nv, m = g.num_vertices, g.num_edges
     sizes = {"vertices": nv, "edges": m, "arcs": m}
     if on not in sizes:
         raise ValueError(f"unknown object set: {on!r}")
-    labels, odd = component_labels(sizes[on], _orbit_links(g, generators, on))
-    classes = int(np.count_nonzero(labels == np.arange(sizes[on])))
-    return 2 * classes - len(odd) if on == "arcs" else classes
-
-
-def _orbit_links(g: Graph, generators, on: str):
-    """orbit_count's link of each generator, verified and built only when
-    the union-find asks for it.  No array a check makes is bound in this
-    frame, so nothing of one generator outlives its link."""
     keys = _lower_keys(g)
-    objects = np.arange(g.num_vertices if on == "vertices" else len(keys))
-    for action in generators:
-        yield objects, *_edge_link(g, _image_table(g, action), keys, on)
+    links = (_edge_link(g, _image_table(g, action), keys, on) for action in generators)
+    labels, odd = component_labels(sizes[on], links)
+    classes = int(np.count_nonzero(np.bincount(labels)))  # the distinct labels
+    return 2 * classes - len(odd) if on == "arcs" else classes
 
 
 def _edge_link(g: Graph, images: np.ndarray, keys: np.ndarray, on: str) -> tuple:
     """The link of one generator after the check that its vertex map
     images sends g's edges (keys: _lower_keys) onto the edges, or ValueError:
     on the vertices the images themselves, checked by one sort of the image
-    keys; on the edges each edge's place among the edges; on the arcs also a
-    flip on each edge whose larger end's image is below its smaller end's."""
+    keys; on the edges the preimage of each edge, the order of that sort; on
+    the arcs also, at each edge, a flip when its preimage's larger end maps
+    below its smaller end."""
     if on == "vertices":
         link = images if _preserves_edges(g, images, keys) else None
     else:
@@ -530,7 +519,84 @@ def _edge_link(g: Graph, images: np.ndarray, keys: np.ndarray, on: str) -> tuple
         reverses = image_hi < image_lo if on == "arcs" else None
         image_keys = _edge_keys(image_hi, image_lo, len(images))
         del image_hi, image_lo  # not alive during the sort
-        link = _places(keys, image_keys)
+        link = _preimages(keys, image_keys)
     if link is None:
         raise ValueError("generator is not an automorphism of the graph")
-    return (link, reverses) if on == "arcs" else (link,)
+    # the flip of the pair (x, link[x]) is read at the preimage link[x]
+    return (link, reverses[link]) if on == "arcs" else (link,)
+
+
+def component_labels(size: int, links) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the equivalence on 0..size-1 generated by the links, by
+    min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
+
+    A link (f,), f an int array of length size, joins each x with f[x].  A
+    link (f, flip), flip a boolean array of length size, joins (x, d) with
+    (f[x], d ^ flip[x]) in the double cover of pairs (x, d), d in {0, 1}.
+    From the first link whose flips contain a True on, each element keeps
+    its parity against its label: a root hooked under another takes the
+    parity between them, and pointer jumping adds the parities mod 2 on the
+    way up.  (Before that link every parity is 0, and a link whose flips are
+    all False joins what a link without flips joins.)  A pair whose ends
+    share a root at different parities closes an odd cycle; such a class is
+    one class of the cover, every other class two.
+
+    Returns the smallest member of each element's class, and, ascending,
+    that of every class closed with odd parity (empty while no flip is
+    True).  The links are taken from the iterable one at a time, and each
+    hooking round keeps only the pairs whose roots still differ."""
+    label = np.arange(size)  # every label is a root at the top of the loop
+    par = odd = None  # once a flip is True: parities, and roots closing odd cycles
+    for f, *flip in links:
+        if flip and par is None and flip[0].any():
+            par, odd = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        # the roots of the ends of each pair (x, f[x]), and the parity q
+        # between the two roots it joins; a root's label is its new root
+        la, lb, q = label.copy(), label[f], None
+        if par is not None:
+            q = par ^ par[f]
+            if flip:
+                q ^= flip[0]
+        # the link is not read again: drop it, so that a link made on
+        # demand is freed before the next one is made
+        del f, flip
+        while True:
+            keep = la != lb
+            if par is not None:
+                odd[la[q & ~keep]] = True
+                q = q[keep]
+            la = la[keep]
+            lb = lb[keep]
+            if not len(la):
+                break
+            _hook(label, par, la, lb, q)
+            label = _jump(label, par)
+            if par is not None:
+                q ^= par[la] ^ par[lb]
+            la, lb = label[la], label[lb]
+    if odd is None:
+        return label, np.empty(0, dtype=np.int64)
+    return label, np.unique(label[np.flatnonzero(odd)])
+
+
+def _hook(label: np.ndarray, par, la: np.ndarray, lb: np.ndarray, q) -> None:
+    """Hook each larger root of the pairs (la, lb) under the smallest root
+    paired with it; with parities, at the parity q of one pair that joins
+    the two (any one: a pair left at another parity closes an odd cycle in
+    the next round)."""
+    hi, lo = np.maximum(la, lb), np.minimum(la, lb)
+    np.minimum.at(label, hi, lo)
+    if par is not None:
+        won = label[hi] == lo
+        par[hi[won]] = q[won]
+
+
+def _jump(label: np.ndarray, par) -> np.ndarray:
+    """Point every element straight at its root, composing each parity with
+    its label's before every jump."""
+    up = label[label]
+    while not np.array_equal(up, label):
+        if par is not None:
+            par ^= par[label]
+        label, up = up, up[up]
+    return label

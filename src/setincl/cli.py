@@ -282,11 +282,7 @@ def _cmd_spectrum(args) -> int:
         values = [format_eigenvalue(ev) for ev, _ in spec.entries]
         width = max(map(len, values))
         text = "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, spec.entries))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text.encode("utf-8"), args.out)
     return EX_OK
 
 
@@ -347,17 +343,21 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    graph = build_inclusion_graph(args.params)
-    data = export_graph(graph, args.format)
-    if args.out is not None:
-        with open(args.out, "wb") as fh:
+    _write(export_graph(build_inclusion_graph(args.params), args.format), args.out)
+    return EX_OK
+
+
+def _write(data: bytes, out) -> None:
+    """Write the UTF-8 bytes data to the path out, or else to stdout's byte
+    stream, whatever stdout's text encoding is."""
+    if out is not None:
+        with open(out, "wb") as fh:
             fh.write(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:  # a text-only stream, such as an io.StringIO
-        sys.stdout.write(data.decode("ascii"))
-    return EX_OK
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _cmd_scheme(args) -> int:

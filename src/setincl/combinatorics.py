@@ -6,6 +6,7 @@ precision), so no parameter range the toolkit accepts can overflow.
 
 from __future__ import annotations
 
+import operator
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -101,7 +102,8 @@ def radicands(params: "GraphParams") -> list[int]:
 
 def multiplicities(n: int, k: int) -> list[int]:
     """The eigenspace dimensions C(n,s) - C(n,s-1) for s = 0..k, from the
-    exact recurrence C(n,s+1) = C(n,s) (n-s)/(s+1)."""
+    exact recurrence C(n,s+1) = C(n,s) (n-s)/(s+1), in Python ints."""
+    n, k = operator.index(n), operator.index(k)
     if not 0 <= 2 * k <= n:
         raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
     out, prev, cur = [], 0, 1
@@ -113,6 +115,7 @@ def multiplicities(n: int, k: int) -> list[int]:
 
 def beta_middle(n: int, k: int, s: int) -> int:
     """Closed product form (n-k-s)(k+1-s) of beta for the l = k+1 layer graph."""
+    n, k, s = operator.index(n), operator.index(k), operator.index(s)
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
     if not 0 <= s <= k:

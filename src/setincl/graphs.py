@@ -345,82 +345,6 @@ def build_line_graph(g: Graph) -> Graph:
     return Graph(m, np.concatenate(pairs))
 
 
-def component_labels(size: int, links) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the equivalence on 0..size-1 generated by the links, by
-    min-label hooking with pointer jumping (Shiloach & Vishkin, 1982).
-
-    A link (a, b) joins a[i] with b[i].  A link (a, b, flip), flip a boolean
-    array, joins (a[i], d) with (b[i], d ^ flip[i]) in the double cover of
-    pairs (x, d), d in {0, 1}.  From the first link whose flips contain a
-    True on, each element keeps its parity against its label: a root hooked
-    under another takes the parity between them, and pointer jumping
-    adds the parities mod 2 on the way up.  (Before that link every parity is
-    0, and a link whose flips are all False joins what a link without flips
-    joins.)  A pair whose ends share a root at different parities closes an
-    odd cycle; such a class is one class of the cover, every other class
-    two.
-
-    Returns the smallest member of each element's class, and, ascending,
-    that of every class closed with odd parity (empty while no flip is
-    True).  The links are taken from the iterable one at a time, and each
-    hooking round keeps only the pairs whose roots still differ."""
-    label = np.arange(size)  # every label is a root at the top of the loop
-    par = odd = None  # once a flip is True: parities, and roots closing odd cycles
-    for a, b, *flip in links:
-        if flip and par is None and flip[0].any():
-            par, odd = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        # the roots of each pair's ends, and the parity q between the two
-        # roots that the pair joins; a root's label is its new root
-        la, lb, q = label[a], label[b], None
-        if par is not None:
-            q = par[a] ^ par[b]
-            if flip:
-                q ^= flip[0]
-        # the link is not read again: drop it, so that a link made on
-        # demand is freed before the next one is made
-        del a, b, flip
-        while True:
-            keep = la != lb
-            if par is not None:
-                odd[la[q & ~keep]] = True
-                q = q[keep]
-            la = la[keep]
-            lb = lb[keep]
-            if not len(la):
-                break
-            _hook(label, par, la, lb, q)
-            label = _jump(label, par)
-            if par is not None:
-                q ^= par[la] ^ par[lb]
-            la, lb = label[la], label[lb]
-    if odd is None:
-        return label, np.empty(0, dtype=np.int64)
-    return label, np.unique(label[np.flatnonzero(odd)])
-
-
-def _hook(label: np.ndarray, par, la: np.ndarray, lb: np.ndarray, q) -> None:
-    """Hook each larger root of the pairs (la, lb) under the smallest root
-    paired with it; with parities, at the parity q of one pair that joins
-    the two (any one: a pair left at another parity closes an odd cycle in
-    the next round)."""
-    hi, lo = np.maximum(la, lb), np.minimum(la, lb)
-    np.minimum.at(label, hi, lo)
-    if par is not None:
-        won = label[hi] == lo
-        par[hi[won]] = q[won]
-
-
-def _jump(label: np.ndarray, par) -> np.ndarray:
-    """Point every element straight at its root, composing each parity with
-    its label's before every jump."""
-    up = label[label]
-    while not np.array_equal(up, label):
-        if par is not None:
-            par ^= par[label]
-        label, up = up, up[up]
-    return label
-
-
 # ---------------------------------------------------------------------------
 # Interchange formats
 
@@ -573,6 +497,9 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
     building anything).
     """
+    n, k = operator.index(n), operator.index(k)
+    if not (0 <= k and 2 * k <= n):
+        raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
     label = _meets(n, k)
     if not (np.array_equal(label, label.T) and np.isin(label, range(k + 1)).all()):
         return False

@@ -403,6 +403,7 @@ def spectrum_inclusion(params: GraphParams) -> Spectrum:
 def spectrum_middle(n: int, k: int) -> Spectrum:
     """Exact spectrum of the layer graph on k- and (k+1)-subsets, via the
     product form (n-k-s)(k+1-s) of the radicands."""
+    n, k = operator.index(n), operator.index(k)
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
     return _signed_roots(
@@ -472,6 +473,7 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
     """All-integer spectrum of the line graph of the layer graph on k- and
     (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus s-2 and n-s-1 for
     s = 1..k, emitted in descending order (n-k-1 >= k, as 2k+1 <= n)."""
+    n, k = operator.index(n), operator.index(k)
     if not (1 <= k and 2 * k + 1 <= n):
         raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
     mults = multiplicities(n, k)

@@ -1,16 +1,17 @@
 """Helpers that only the tests need: every canonical parameter triple up to
 a bound, the check that each preflight row's bits bound its size, the
 intersection numbers summed over every r, a reference CSR build and the
-check of a graph against it, connectivity by the package's union-find, and
-the product and identity test of vertex actions."""
+check of a graph against it, connectivity by networkx, and the product and
+identity test of vertex actions."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from setincl import binom, cli
 from setincl.automorphisms import InducedAction
-from setincl.graphs import GraphParams, canonicalize, component_labels
+from setincl.graphs import GraphParams, canonicalize
 
 
 def canonical_params_up_to(max_n: int, min_n: int = 3):
@@ -81,13 +82,13 @@ def assert_matches_reference_csr(g, edges) -> None:
 
 def is_connected(g) -> bool:
     """True when g has a single connected component (empty graph counts as
-    connected only if it has at most one vertex), by the package's
-    union-find."""
-    nv = g.num_vertices
-    if nv <= 1:
+    connected only if it has at most one vertex), by networkx."""
+    nx = pytest.importorskip("networkx")
+    if g.num_vertices <= 1:
         return True
-    labels = component_labels(nv, [g.edges().T])[0]
-    return np.count_nonzero(labels == np.arange(nv)) == 1
+    graph = nx.empty_graph(g.num_vertices)
+    graph.add_edges_from(g.edges().tolist())
+    return nx.is_connected(graph)
 
 
 def compose(a: InducedAction, b: InducedAction) -> InducedAction:

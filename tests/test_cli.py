@@ -320,6 +320,18 @@ def test_export_to_text_only_stdout(fmt, tmp_path):
     assert out.getvalue() == target.read_text()
 
 
+def test_spectrum_writes_utf8_bytes_to_an_ascii_stdout(tmp_path):
+    # the table's √ has no ASCII code; stdout gets the bytes --out gets
+    target = tmp_path / "spectrum.txt"
+    assert main(["spectrum", "4", "1", "2", "--out", str(target)]) == 0
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii")  # closes raw when freed
+    with contextlib.redirect_stdout(stdout):
+        assert main(["spectrum", "4", "1", "2"]) == 0
+    assert raw.getvalue() == target.read_bytes()
+    assert "√".encode() in raw.getvalue()
+
+
 @pytest.mark.parametrize("command", ["spectrum", "export"])
 @pytest.mark.parametrize("target", ["missing-parent", "directory", "empty"])
 def test_unwritable_out_is_a_usage_error(command, target, tmp_path, capsys):

@@ -122,6 +122,24 @@ def test_multiplicities_match_binomial_differences():
         multiplicities(5, -1)
 
 
+def test_multiplicities_and_beta_middle_take_ints():
+    # numpy ints give the Python-int results; int64 arithmetic would wrap at
+    # C(100, 30) > 2^63
+    got = multiplicities(np.int64(100), np.int64(30))
+    assert got == multiplicities(100, 30) and all(type(m) is int for m in got)
+    assert got[-1] == comb(100, 30) - comb(100, 29)
+    got = beta_middle(np.int64(7), np.int64(2), np.int64(1))
+    assert got == beta_middle(7, 2, 1) == 8 and type(got) is int
+    for call in (
+        lambda: multiplicities(7.5, 2),
+        lambda: multiplicities(7, 2.0),
+        lambda: beta_middle(7, 2.0, 1),
+        lambda: beta_middle(7, 2, 1.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_beta_middle_frozen_values():
     assert beta_middle(4, 1, 0) == 6
     assert beta_middle(4, 1, 1) == 2

@@ -421,6 +421,16 @@ def test_scheme_check_negative_controls(break_check, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_scheme_check_takes_ints_in_range():
+    assert johnson_scheme_holds(np.int64(6), np.int64(2)) is True
+    for n, k in ((5, 3), (6, -1)):
+        with pytest.raises(ValueError, match=rf"^need 0 <= k <= n/2, got n={n}, k={k}$"):
+            johnson_scheme_holds(n, k)
+    for n, k in ((6.0, 2), (6, 2.0)):
+        with pytest.raises(TypeError):
+            johnson_scheme_holds(n, k)
+
+
 def test_scheme_check_builds_no_graph(monkeypatch):
     def never(*_):
         raise AssertionError("the scheme check built a Graph")

@@ -1,5 +1,5 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
-vectorised colex rank, the union of link arrays, the exact merge and order
+vectorised colex rank, the union of link maps, the exact merge and order
 of `Spectrum` (also where float64 cannot order or hold the values), the
 reflection and the equal-(a, e) comparison of exact eigenvalues, the range
 of r that each intersection number sums over, the automorphism-order oracle
@@ -41,10 +41,10 @@ from setincl import (  # noqa: E402
     parse_graph6,
 )
 from setincl import combinatorics  # noqa: E402
-from setincl.automorphisms import _color_weights, _refinement_colors  # noqa: E402
+from setincl.automorphisms import _color_weights, _refinement_colors, component_labels  # noqa: E402
 from setincl.cli import main  # noqa: E402
 from setincl.spectra import _cmp_keys, _reflect  # noqa: E402
-from setincl.graphs import colex_ranks, component_labels  # noqa: E402
+from setincl.graphs import colex_ranks  # noqa: E402
 
 
 @st.composite
@@ -145,7 +145,7 @@ def _union_find_classes(size, links):
     """Smallest member of each element's class, and, ascending, that of
     every class some chain of links closes with odd parity, by a plain
     union-find on the double cover: (x, d) is element 2x + d, and a link
-    (a, b, flip) joins (a[i], d) with (b[i], d ^ flip[i]) (flip 0 without
+    (f, flip) joins (x, d) with (f[x], d ^ flip[x]) (flip 0 without
     flips).  Keeping the smaller root, the root of (x, 0) is 2y + d for the
     smallest member y of x's class."""
     parent = list(range(2 * size))
@@ -155,11 +155,11 @@ def _union_find_classes(size, links):
             x = parent[x]
         return x
 
-    for a, b, *flip in links:
-        flips = flip[0] if flip else [0] * len(a)
-        for x, y, f in zip(a, b, flips):
+    for f, *flip in links:
+        flips = flip[0] if flip else [0] * size
+        for x, (y, fl) in enumerate(zip(f, flips)):
             for d in (0, 1):
-                rx, ry = find(2 * x + d), find(2 * y + (d ^ f))
+                rx, ry = find(2 * x + d), find(2 * y + (d ^ fl))
                 parent[max(rx, ry)] = min(rx, ry)
     labels = [find(2 * x) // 2 for x in range(size)]
     odd = sorted({labels[x] for x in range(size) if find(2 * x) == find(2 * x + 1)})
@@ -168,41 +168,47 @@ def _union_find_classes(size, links):
 
 @st.composite
 def _link_lists(draw):
-    """A size and up to five links on 0..size-1, each random pairs or the
-    pairs (x, p(x)) of a random permutation p, and each with or without a
-    random flip per pair."""
+    """A size and up to five links on 0..size-1, each the map of a random
+    permutation or of a random function, and each with or without a random
+    flip per element."""
     size = draw(st.integers(1, 60), label="size")
     links = []
     for _ in range(draw(st.integers(0, 5), label="links")):
         if draw(st.booleans(), label="permutation"):
-            a, b = list(range(size)), draw(st.permutations(range(size)))
+            f = draw(st.permutations(range(size)))
         else:
-            pairs = draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * 2), max_size=80))
-            a, b = [x for x, _ in pairs], [y for _, y in pairs]
-        link = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+            f = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        link = (np.array(f, dtype=np.int64),)
         if draw(st.booleans(), label="flips"):
-            flip = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+            flip = draw(st.lists(st.booleans(), min_size=size, max_size=size))
             link += (np.array(flip, dtype=bool),)
         links.append(link)
     return size, links
 
 
-def _link(a, b, flip=None):
-    arrays = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    return arrays if flip is None else (*arrays, np.array(flip, dtype=bool))
+def _link(size, a, b, flip=None):
+    """The map on 0..size-1 that sends each a[i] to b[i] and fixes every
+    other element, with the flip flip[i] at a[i] and none elsewhere."""
+    f = np.arange(size)
+    f[a] = b
+    if flip is None:
+        return (f,)
+    flips = np.zeros(size, dtype=bool)
+    flips[a] = flip
+    return f, flips
 
 
 @settings(deadline=None)
 @given(_link_lists())
 # two flips chained in one hooking round compose to parity 0, so the last
 # link closes no odd cycle
-@example((3, [_link([2, 1], [1, 0], [1, 1]), _link([2], [0], [0])]))
+@example((3, [_link(3, [2, 1], [1, 0], [1, 1]), _link(3, [2], [0], [0])]))
 # an odd cycle closes on root 1, which is then hooked under 0
-@example((3, [_link([2], [1], [1]), _link([2], [1], [0]), _link([1], [0])]))
+@example((3, [_link(3, [2], [1], [1]), _link(3, [2], [1], [0]), _link(3, [1], [0])]))
 # parities start at the first flip that is True: all-False flips join as
 # plain links first, then a reversing link closes an odd cycle, or not
-@example((3, [_link([0, 1], [1, 2], [0, 0]), _link([2], [0], [1])]))
-@example((4, [_link([0], [1], [0]), _link([2], [3], [1]), _link([1], [2], [0])]))
+@example((3, [_link(3, [0, 1], [1, 2], [0, 0]), _link(3, [2], [0], [1])]))
+@example((4, [_link(4, [0], [1], [0]), _link(4, [2], [3], [1]), _link(4, [1], [2], [0])]))
 def test_component_labels_match_union_find(case):
     size, links = case
     labels, odd = component_labels(size, links)

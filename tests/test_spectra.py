@@ -579,6 +579,17 @@ def test_spectrum_line_middle_equals_line_inclusion():
             )
 
 
+def test_middle_spectra_take_ints():
+    # the multiplicities at (100, 30) pass 2^63, where int64 would wrap
+    n, k = np.int64(100), np.int64(30)
+    assert spectrum_middle(n, k) == spectrum_middle(100, 30)
+    assert spectrum_line_middle(n, k) == spectrum_line_middle(100, 30)
+    for spectrum in (spectrum_middle, spectrum_line_middle):
+        for args in ((7.0, 2), (7, 2.0)):
+            with pytest.raises(TypeError):
+                spectrum(*args)
+
+
 def test_spectrum_line_middle_is_integral():
     for n in range(3, 10):
         for k in range(1, (n - 1) // 2 + 1):
