@@ -592,11 +592,12 @@ def _hook(label: np.ndarray, par, la: np.ndarray, lb: np.ndarray, q) -> None:
 
 
 def _jump(label: np.ndarray, par) -> np.ndarray:
-    """Point every element straight at its root, composing each parity with
-    its label's before every jump."""
+    """Point every element straight at its root, in place (one jumped copy
+    beside label), composing each parity with its label's before a jump."""
     up = label[label]
     while not np.array_equal(up, label):
         if par is not None:
             par ^= par[label]
-        label, up = up, up[up]
+        label[:] = up
+        np.take(label, label, out=up, mode="clip")
     return label

@@ -1,6 +1,5 @@
-"""Explicit graph construction: inclusion graphs on k- and l-subsets,
-intersection-relation graphs on k-subsets, line graphs, and interchange
-formats (edge list, graph6, dot).
+"""Explicit graph construction: inclusion graphs on k- and l-subsets, line
+graphs, interchange formats (edge list, graph6, dot), and the scheme check.
 
 Vertices are the k- and l-subsets of {0, ..., n-1}, numbered k-subsets
 first and colexicographically within each size class; the fixed order makes
@@ -33,7 +32,6 @@ __all__ = [
     "colex_ranks",
     "inclusion_ranks",
     "build_inclusion_graph",
-    "build_johnson_graph",
     "build_line_graph",
     "export_graph",
     "parse_graph6",
@@ -307,27 +305,6 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     return SubsetGraph(params, ranks)
 
 
-def _meets(n: int, k: int) -> np.ndarray:
-    """Intersection size |a & b| of every pair of k-subsets of an n-set, in
-    colex order: X X^T for the float32 0/1 incidence matrix X of k-subsets
-    against elements, exact since every partial sum is an integer in 0..k."""
-    positions = subset_positions(n, k)
-    incidence = np.zeros((len(positions), n), dtype=np.float32)
-    incidence[np.arange(len(positions))[:, None], positions] = 1
-    return incidence @ incidence.T
-
-
-def build_johnson_graph(n: int, k: int, i: int) -> Graph:
-    """Construct the intersection-i relation graph on all k-subsets of an
-    n-set, for i < k.  Relation k, the identity, is no simple graph; the
-    scheme check reads it from the intersection sizes directly.
-    """
-    if not (0 <= i < k and 2 * k <= n):
-        raise ValueError(f"need 0 <= i < k <= n/2, got n={n}, k={k}, i={i}")
-    meets = _meets(n, k)
-    return Graph(len(meets), np.column_stack(np.nonzero(np.triu(meets == i, 1))))
-
-
 def build_line_graph(g: Graph) -> Graph:
     """Line graph of g: vertices are g's edges in sorted edge-list order,
     adjacent when the edges share an endpoint."""
@@ -469,54 +446,53 @@ def parse_graph6(data: bytes) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Scheme identity checking (explicit matrices vs the product formula)
+# Scheme identity checking (counts at one pair per relation vs the product formula)
+
+
+def _representatives(k: int) -> list[list[int]]:
+    """B_s = {0..s-1} | {k..2k-s-1}, s = 0..k: ascending k-sets inside
+    {0..2k-1}, B_s meeting A = {0..k-1} in s points."""
+    return [[*range(s), *range(k, 2 * k - s)] for s in range(k + 1)]
+
+
+def _scheme_counts(n: int, k: int) -> np.ndarray:
+    """table[s, i, j] = #{k-subsets C : |A & C| = i, |B_s & C| = j}, from
+    one enumeration of the k-subsets.  Only the elements e < 2k tell A and
+    the B_s apart; each is looked for in the places 0..e of the ascending
+    element rows."""
+    columns = subset_positions(n, k).T
+    dtype = np.min_scalar_type((k + 1) ** 2)  # holds i * (k+1) + j
+    member = np.zeros((2 * k, columns.shape[1]), dtype=bool)
+    for e in range(2 * k):
+        np.any(columns[: e + 1] == e, axis=0, out=member[e])
+    a = member[:k].sum(axis=0, dtype=dtype) * dtype.type(k + 1)
+    table = np.empty((k + 1, (k + 1) ** 2), dtype=np.int64)
+    for s, b in enumerate(_representatives(k)):
+        table[s] = np.bincount(a + member[b].sum(axis=0, dtype=dtype), minlength=(k + 1) ** 2)
+    return table.reshape(k + 1, k + 1, k + 1)
 
 
 def johnson_scheme_holds(n: int, k: int) -> bool:
-    """Entrywise check of the scheme identities on explicit matrices.
+    """Check the intersection numbers p^s_ij by counting at one pair of
+    k-subsets per relation, in O(k^2 C(n,k)) small-integer work.
 
-    The relation index of every pair of k-subsets is its intersection size,
-    label = _meets(n, k), and A_s = (label == s).  Checked in order: label is
-    symmetric with every entry in 0..k, label == k is the identity, and for
-    i != j, A_i A_j = A_j A_i = sum_s p^s_{ij} A_s = sum_s p^s_{ji} A_s.
-    The A_s partition all-ones by construction, so each is a symmetric 0/1
-    matrix once label is, and sum_s p_s A_s is the gather p[label].
-
-    Symmetry gives A_j A_i = (A_i A_j)^T, and p[label] is symmetric, so one
-    product per pair i < j covers both orders.  Once it equals p_ij[label],
-    it equals p_ji[label] exactly when p_ij and p_ji agree on every relation
-    that occurs in label, one comparison of two short vectors.  The
-    identity check makes A_k = I, so the pairs (i, k) take A_i itself as
-    the product.  The others run in float32 (BLAS) and are exact: with 0/1
-    factors every entry and partial sum is an integer in 0..C(n,k).  float32
-    holds every integer up to 2**24 exactly, and a larger C(n,k) would need
-    dense C(n,k)^2 float32 matrices of more than 1 PiB each, so no input
-    that can run leaves that range.  The same holds for the gathered p^s_ij,
-    which are at most C(n,k).  label, at most k and so far below 255 at any
-    such C(n,k), is held in uint8.
-    It takes no cap (``scheme --check`` refuses an oversized C(n,k) before
-    building anything).
+    The relation of a pair is its intersection size, and a permutation of
+    the ground set maps any pair with Venn regions (k-s, s, k-s, n-2k+s)
+    onto any other (Brouwer, Cohen & Neumaier, Distance-Regular Graphs,
+    1989, 9.1).  So the count at (A, B_s) of _scheme_counts is
+    (A_i A_j)[X, Y] for every pair (X, Y) in relation s, as the tests check
+    on every pair up to n = 12.  Checked: it equals intersection_number for
+    every s and i != j, in both orders (with A_k = I, the pairs (i, k) too),
+    and each row table[s, i] sums to the valency C(k,i) C(n-k,k-i), as
+    A_i J = v_i J, which fixes the diagonal the formula does not give.  No
+    cap (``scheme --check`` refuses an oversized C(n,k) before building).
     """
     n, k = operator.index(n), operator.index(k)
     if not (0 <= k and 2 * k <= n):
         raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
-    label = _meets(n, k)
-    if not (np.array_equal(label, label.T) and np.isin(label, range(k + 1)).all()):
-        return False
-    if not np.array_equal(label == k, np.eye(len(label), dtype=bool)):
-        return False
-    label = label.astype(np.uint8)
-    present = np.bincount(label.ravel(), minlength=k + 1) > 0
-    mats = [(label == s).astype(np.float32) for s in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k + 1):
-            prod = mats[i] @ mats[j] if j < k else mats[i]
-            p_ij, p_ji = [
-                np.array([intersection_number(n, k, a, b, s) for s in range(k + 1)], np.float32)
-                for a, b in ((i, j), (j, i))
-            ]
-            if not np.array_equal(prod, p_ij[label]):
-                return False
-            if not np.array_equal(p_ij[present], p_ji[present]):
-                return False
-    return True
+    return all(
+        sum(row) == comb(k, i) * comb(n - k, k - i)
+        and all(count == intersection_number(n, k, i, j, s) for j, count in enumerate(row) if j != i)
+        for s, rows in enumerate(_scheme_counts(n, k).tolist())
+        for i, row in enumerate(rows)
+    )

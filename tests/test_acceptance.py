@@ -106,7 +106,7 @@ def test_criterion_06_scheme_identities():
         for k in range(n // 2 + 1):
             if not johnson_scheme_holds(n, k):
                 failures.append((n, k))
-    report(6, not failures, f"scheme identities entrywise exact for n <= 10 {failures}")
+    report(6, not failures, f"scheme intersection numbers counted exactly for n <= 10 {failures}")
 
 
 def test_criterion_07_aut_order_oracle():

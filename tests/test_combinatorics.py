@@ -12,14 +12,17 @@ from setincl import (
     beta,
     beta_middle,
     binom,
-    build_johnson_graph,
     eigensolver_oracle,
     intersection_number,
     multiplicities,
     radicands,
 )
 
-from reference_helpers import canonical_params_up_to, intersection_number_by_full_sum
+from reference_helpers import (
+    build_johnson_graph,
+    canonical_params_up_to,
+    intersection_number_by_full_sum,
+)
 
 
 def test_binom_conventions():

@@ -12,7 +12,6 @@ from setincl import (
     Graph,
     GraphParams,
     build_inclusion_graph,
-    build_johnson_graph,
     build_line_graph,
     canonicalize,
     colex_ranks,
@@ -25,10 +24,14 @@ from setincl import (
 from setincl.cli import main
 
 from reference_export import reference_export
+import reference_helpers
 from reference_helpers import (
     assert_matches_reference_csr,
+    build_johnson_graph,
     canonical_params_up_to,
+    dense_scheme_holds,
     is_connected,
+    meets,
     reference_csr,
 )
 from reference_ranks import mask_of, subset_rank, subset_unrank, vertex_sets
@@ -340,17 +343,45 @@ def test_johnson_identity_relation():
 
 
 def test_meets_counts_common_elements():
-    # the scheme check's input against an independent path: the k-subsets
+    # the dense reference's input against an independent path: the k-subsets
     # as sets, in colex order (the numeric order of their masks)
     for n in range(1, 11):
         for k in range(n // 2 + 1):
             sets = sorted(map(frozenset, combinations(range(n), k)), key=mask_of)
             expect = [[len(a & b) for b in sets] for a in sets]
-            assert np.array_equal(graphs_module._meets(n, k), expect), (n, k)
+            assert np.array_equal(meets(n, k), expect), (n, k)
 
 
-# Negative controls for johnson_scheme_holds: each breaks one ingredient of
-# the check, which must then report FAIL through the CLI as well.
+def test_scheme_counts_are_the_dense_products_on_every_relation():
+    # the count at (A, B_s) is (A_i A_j)[X, Y] for every pair (X, Y) in
+    # relation s, as Sym(n) is transitive on those pairs: each dense product
+    # is constant on each relation, and that constant is the counted
+    # table[s, i, j], for every i and j, i = j included
+    for n in range(13):
+        for k in range(n // 2 + 1):
+            table = graphs_module._scheme_counts(n, k)
+            label = meets(n, k).astype(np.uint8)
+            mats = [(label == s).astype(np.float32) for s in range(k)]
+            for i in range(k + 1):
+                for j in range(i, k + 1):
+                    # A_k = I (test_meets_counts_common_elements); A_j A_i
+                    # is the transpose
+                    prod = mats[i] @ mats[j] if j < k else (label == i).astype(np.float32)
+                    assert np.array_equal(prod, table[:, i, j][label]), (n, k, i, j)
+                    assert np.array_equal(prod.T, table[:, j, i][label]), (n, k, j, i)
+
+
+def test_representatives_meet_a_in_s_points():
+    # the count reads only the elements below 2k
+    for k in range(8):
+        for s, b in enumerate(graphs_module._representatives(k)):
+            assert len(b) == k and b == sorted(set(b)) and set(b) <= set(range(2 * k))
+            assert len(set(b) & set(range(k))) == s
+
+
+# Negative controls: each breaks one ingredient of a scheme check and
+# returns the check that must then fail.  johnson_scheme_holds must report
+# FAIL through the CLI as well; the dense reference is not on the CLI.
 SCHEME_N, SCHEME_K = 7, 3
 
 
@@ -362,19 +393,51 @@ def _shift_intersection_number(monkeypatch, i, j, s):
         return exact(n, k, a, b, t) + ((a, b, t) == (i, j, s))
 
     monkeypatch.setattr(graphs_module, "intersection_number", shifted)
+    return johnson_scheme_holds
 
 
 def _edit_labels(monkeypatch, edit):
     """Let edit(label) change the intersection-size matrix in place before
-    the scheme check reads it."""
-    meets = graphs_module._meets
+    the dense reference reads it."""
+    exact = reference_helpers.meets
 
     def edited(n, k):
-        label = meets(n, k)
+        label = exact(n, k)
         edit(label)
         return label
 
-    monkeypatch.setattr(graphs_module, "_meets", edited)
+    monkeypatch.setattr(reference_helpers, "meets", edited)
+    return dense_scheme_holds
+
+
+def _edit_subsets(monkeypatch, edit):
+    """Let edit(rows) replace the k-subsets' element rows that the count
+    enumerates."""
+    exact = graphs_module.subset_positions
+
+    def edited(n, size):
+        return edit(exact(n, size))
+
+    monkeypatch.setattr(graphs_module, "subset_positions", edited)
+    return johnson_scheme_holds
+
+
+def _shift_representative(monkeypatch, s, by):
+    """Make B_s meet A in s + by points instead of s: take B_(s+by) for it."""
+    exact = graphs_module._representatives
+
+    def shifted(k):
+        reps = exact(k)
+        reps[s] = reps[s + by]
+        return reps
+
+    monkeypatch.setattr(graphs_module, "_representatives", shifted)
+    return johnson_scheme_holds
+
+
+# {2, 3, 6} meets each B_s in as many points as it meets A, so only the
+# row sums (the valencies) see it missing
+_SYMMETRIC_ROW = [2, 3, 6]
 
 
 def _swap_labels_0_and_1(label):
@@ -412,13 +475,27 @@ def _set_label(value, both_directions):
         # p^k_ij = 0 for i != j, so every product holds and only the identity
         # check sees it
         pytest.param(lambda mp: _edit_labels(mp, lambda label: label.fill(SCHEME_K)), id="off-diagonal-k"),
+        # the count's enumeration and representatives
+        pytest.param(
+            lambda mp: _edit_subsets(mp, lambda rows: rows[(rows != _SYMMETRIC_ROW).any(axis=1)]),
+            id="subset-dropped",
+        ),
+        pytest.param(lambda mp: _edit_subsets(mp, lambda rows: np.concatenate((rows, rows[-1:]))), id="subset-repeated"),
+        # every k-subset is A: the analogue of off-diagonal-k
+        pytest.param(
+            lambda mp: _edit_subsets(mp, lambda rows: np.broadcast_to(np.arange(rows.shape[1]), rows.shape)),
+            id="every-subset-A",
+        ),
+        pytest.param(lambda mp: _shift_representative(mp, 1, +1), id="representative-meets-s+1"),
+        pytest.param(lambda mp: _shift_representative(mp, 1, -1), id="representative-meets-s-1"),
     ],
 )
 def test_scheme_check_negative_controls(break_check, monkeypatch, capsys):
-    break_check(monkeypatch)
-    assert johnson_scheme_holds(SCHEME_N, SCHEME_K) is False
-    assert main(["scheme", str(SCHEME_N), str(SCHEME_K), "--check"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    holds = break_check(monkeypatch)
+    assert holds(SCHEME_N, SCHEME_K) is False
+    if holds is johnson_scheme_holds:
+        assert main(["scheme", str(SCHEME_N), str(SCHEME_K), "--check"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_scheme_check_takes_ints_in_range():
