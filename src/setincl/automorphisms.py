@@ -599,5 +599,5 @@ def _jump(label: np.ndarray, par) -> np.ndarray:
         if par is not None:
             par ^= par[label]
         label[:] = up
-        np.take(label, label, out=up, mode="clip")
+        np.take(label, label, out=up, mode="clip")  # "clip" gathers unbuffered
     return label
