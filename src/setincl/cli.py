@@ -22,8 +22,8 @@ import math
 import os
 import sys
 
-# brute_force_aut_order is not called here; the name stays bound because
-# perfbench/spans.py looks it up in this module to trace it
+# brute_force_aut_order and build_line_graph are not called here; the names
+# stay bound because perfbench/spans.py looks them up in this module to trace them
 from .automorphisms import (  # noqa: F401
     aut_group,
     brute_force_aut_order,
@@ -31,9 +31,8 @@ from .automorphisms import (  # noqa: F401
     group_shape,
     orbit_count,
 )
+from .combinatorics import _checked_nk
 from .errors import CapExceededError
-# build_line_graph is not called here; the name stays bound because
-# perfbench/spans.py looks it up in this module to trace it
 from .graphs import (  # noqa: F401
     _ARRAY_MAX,
     GraphParams,
@@ -59,7 +58,7 @@ EX_VERIFY_FAIL = 1
 EX_CAP = 2
 EX_USAGE = 64
 
-MAX_VERTICES = 2000  # default cap of verify's solve, aut's certificate and scheme's matrices
+MAX_VERTICES = 2000  # default cap of verify's solve, aut's certificate and scheme's count
 # Gram products of GRAM_WORK*cap^3 multiply-adds take about as long as the
 # dense solve at dimension cap: about 1.1 s each at cap 2000 on one thread of
 # a 2-vCPU Xeon (BLAS symmetric rank-k update and eigvalsh)
@@ -67,6 +66,8 @@ GRAM_WORK = 6
 # aut's certificate visits at most n*2m arcs; CERT_WORK*cap^2 visits take about
 # 1 s at cap 2000 (1.7-2.5e-8 s each from 3e6 visits up, one 2-vCPU Xeon thread)
 CERT_WORK = 10
+# scheme --check's count of SCHEME_WORK*cap^2 entries takes 0.5-1.3 s at cap 2000 (2-vCPU Xeon)
+SCHEME_WORK = 10
 # Python 3.10.7 and later limit int <-> str conversion to 4300 digits
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -165,8 +166,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scheme", help="intersection numbers of the scheme on k-subsets")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--check", action="store_true", help="verify the identities on explicit matrices")
-    p.add_argument("--max-dim", type=_positive_int)
+    p.add_argument("--check", action="store_true", help="verify the identities by counting")
+    p.add_argument("--max-dim", type=_positive_int, help="cap on the count: (k+1)*C(n,k) "
+                   f"entries <= {SCHEME_WORK}*cap^2")
     return parser
 
 
@@ -204,11 +206,13 @@ def _bounds(args, max_vertices: int):
     exact ones; size() is the exact size; the message has {} for the size."""
     cmd = args.command
     if cmd == "scheme" and args.check:
-        n, cap = args.n, args.max_dim or max_vertices
-        n1, bits = (lambda: math.comb(n, args.k)), _binom_bits(n, args.k)
-        yield bits, n1, cap, f"matrix dimension {{}} exceeds cap {_size(cap)}"
-        # float32: the incidence matrix (n1 x n) and the n1 x n1 products
-        yield 2 + 2 * bits, lambda: 4 * n1() * max(n, n1()), _ARRAY_MAX, _array_row("k-subset matrices")
+        n, k, cap = args.n, args.k, args.max_dim or max_vertices
+        n1, bits, work = (lambda: math.comb(n, k)), _binom_bits(n, k), SCHEME_WORK * cap**2
+        yield (k + 1).bit_length() - 1 + bits, lambda: (k + 1) * n1(), work, (
+            f"scheme count has {{}} entries, cap is {SCHEME_WORK}*{_size(cap)}^2 = {_size(work)}")
+        if k:  # int64 element rows
+            yield (8 * k).bit_length() - 1 + bits, lambda: 8 * k * n1(), _ARRAY_MAX, (
+                _array_row("k-subset rows"))
     elif cmd in ("verify", "orbits", "export") or cmd == "aut" and args.brute_force:
         p = args.params
         b1, b2, br = _binom_bits(p.n, p.k), _binom_bits(p.n, p.l), _binom_bits(p.l, p.k)
@@ -252,8 +256,7 @@ def _preflight(argv):
     if _DIGIT_LIMIT:
         sys.set_int_max_str_digits(0)
     if args.command == "scheme":
-        if not (0 <= args.k and 2 * args.k <= args.n):
-            raise ValueError(f"need 0 <= k <= n/2, got n={args.n}, k={args.k}")
+        _checked_nk(args.n, args.k)
     else:
         p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
         if complemented:
@@ -366,8 +369,7 @@ def _cmd_scheme(args) -> int:
         ok = johnson_scheme_holds(n, k)
         print(f"scheme ({n},{k}) identities: {'PASS' if ok else 'FAIL'}")
         return EX_OK if ok else EX_VERIFY_FAIL
-    from .combinatorics import intersection_number
-
+    from .combinatorics import intersection_number  # per call: perfbench/spans.py patches it
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             values = [intersection_number(n, k, i, j, s) for s in range(k + 1)]

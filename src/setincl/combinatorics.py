@@ -100,12 +100,18 @@ def radicands(params: "GraphParams") -> list[int]:
     return out
 
 
+def _checked_nk(n: int, k: int, middle: bool = False) -> tuple[int, int]:
+    """n and k by operator.index, 0 <= k <= n/2, or 1 <= k <= (n-1)/2 if middle."""
+    n, k = operator.index(n), operator.index(k)
+    if not (middle <= k and 2 * k + middle <= n):
+        raise ValueError(f"need {middle:d} <= k <= {'(n-1)' if middle else 'n'}/2, got n={n}, k={k}")
+    return n, k
+
+
 def multiplicities(n: int, k: int) -> list[int]:
     """The eigenspace dimensions C(n,s) - C(n,s-1) for s = 0..k, from the
     exact recurrence C(n,s+1) = C(n,s) (n-s)/(s+1), in Python ints."""
-    n, k = operator.index(n), operator.index(k)
-    if not 0 <= 2 * k <= n:
-        raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+    n, k = _checked_nk(n, k)
     out, prev, cur = [], 0, 1
     for s in range(k + 1):
         out.append(cur - prev)
@@ -115,9 +121,8 @@ def multiplicities(n: int, k: int) -> list[int]:
 
 def beta_middle(n: int, k: int, s: int) -> int:
     """Closed product form (n-k-s)(k+1-s) of beta for the l = k+1 layer graph."""
-    n, k, s = operator.index(n), operator.index(k), operator.index(s)
-    if not (1 <= k and 2 * k + 1 <= n):
-        raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
+    s = operator.index(s)
+    n, k = _checked_nk(n, k, middle=True)
     if not 0 <= s <= k:
         raise ValueError(f"eigenspace index s={s} out of range 0..{k}")
     return (n - k - s) * (k + 1 - s)
@@ -134,9 +139,7 @@ def intersection_number(n: int, k: int, i: int, j: int, s: int) -> int:
     if i == j:
         raise ValueError("product formula is stated for i != j only")
     if not (0 <= i <= k and 0 <= j <= k and 0 <= s <= k and 2 * k <= n):
-        raise ValueError(
-            f"need 0 <= i,j,s <= k <= n/2, got n={n}, k={k}, i={i}, j={j}, s={s}"
-        )
+        raise ValueError(f"need 0 <= i,j,s <= k <= n/2, got n={n}, k={k}, i={i}, j={j}, s={s}")
     ks, m, t = k - s, n - 2 * k + s, k - i - j
     # lo = max(0, i - ks, j - ks, -t) and hi = min(s, i, j, m - t), by plain
     # comparisons: the builtins cost most of a call that sums few terms, and

@@ -1,2 +1,2 @@
 class CapExceededError(RuntimeError):
-    """Raised when a resource cap (matrix dimension, search size) is exceeded."""
+    """Raised when a size, computed from the parameters, passes its cap."""

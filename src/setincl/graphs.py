@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .combinatorics import intersection_number
+from .combinatorics import _checked_nk, intersection_number
 
 _GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
 _ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
@@ -122,7 +122,9 @@ def subset_positions(n: int, size: int) -> np.ndarray:
     # place that a smaller q still reads
     span = n - size
     columns = np.empty((size, count), dtype=np.int64)
-    for s in range(1, size + 1):
+    if size:  # level 1: the 1-subsets {q}, q <= span, in one write
+        columns[0, : span + 1] = np.arange(span + 1)
+    for s in range(2, size + 1):
         stop = comb(span + s, s)
         for q in range(span + s - 1, s - 2, -1):
             rows = comb(q, s - 1)
@@ -484,12 +486,9 @@ def johnson_scheme_holds(n: int, k: int) -> bool:
     on every pair up to n = 12.  Checked: it equals intersection_number for
     every s and i != j, in both orders (with A_k = I, the pairs (i, k) too),
     and each row table[s, i] sums to the valency C(k,i) C(n-k,k-i), as
-    A_i J = v_i J, which fixes the diagonal the formula does not give.  No
-    cap (``scheme --check`` refuses an oversized C(n,k) before building).
+    A_i J = v_i J, which fixes the diagonal the formula does not give.
     """
-    n, k = operator.index(n), operator.index(k)
-    if not (0 <= k and 2 * k <= n):
-        raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
+    n, k = _checked_nk(n, k)
     return all(
         sum(row) == comb(k, i) * comb(n - k, k - i)
         and all(count == intersection_number(n, k, i, j, s) for j, count in enumerate(row) if j != i)

@@ -28,7 +28,7 @@ import numpy as np
 
 # beta, the paper's sum, is no longer called here, but the name stays bound in
 # this module, where perfbench/spans.py looks it up to trace it
-from .combinatorics import beta, beta_middle, binom, multiplicities, radicands  # noqa: F401
+from .combinatorics import _checked_nk, beta, beta_middle, binom, multiplicities, radicands  # noqa: F401
 from .graphs import GraphParams
 
 __all__ = [
@@ -403,9 +403,7 @@ def spectrum_inclusion(params: GraphParams) -> Spectrum:
 def spectrum_middle(n: int, k: int) -> Spectrum:
     """Exact spectrum of the layer graph on k- and (k+1)-subsets, via the
     product form (n-k-s)(k+1-s) of the radicands."""
-    n, k = operator.index(n), operator.index(k)
-    if not (1 <= k and 2 * k + 1 <= n):
-        raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
+    n, k = _checked_nk(n, k, middle=True)
     return _signed_roots(
         (beta_middle(n, k, s) for s in range(k + 1)),
         multiplicities(n, k),
@@ -473,9 +471,7 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
     """All-integer spectrum of the line graph of the layer graph on k- and
     (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus s-2 and n-s-1 for
     s = 1..k, emitted in descending order (n-k-1 >= k, as 2k+1 <= n)."""
-    n, k = operator.index(n), operator.index(k)
-    if not (1 <= k and 2 * k + 1 <= n):
-        raise ValueError(f"need 1 <= k <= (n-1)/2, got n={n}, k={k}")
+    n, k = _checked_nk(n, k, middle=True)
     mults = multiplicities(n, k)
     pairs = [(_int_eigenvalue(n - 1), 1)]
     pairs += [(_int_eigenvalue(n - s - 1), mults[s]) for s in range(1, k + 1)]

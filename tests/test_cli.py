@@ -354,7 +354,7 @@ def test_readme_api_table_lists_every_public_name():
 
 
 def test_scheme_check(capsys):
-    # k = 0: one k-subset, whose 1000-entry incidence row fits numpy's limit
+    # k = 0: one k-subset, the empty one, of any ground set
     for args in (["scheme", "6", "2", "--check"], ["scheme", "1000", "0", "--check"]):
         code, out, _ = run(args, capsys)
         assert code == 0
@@ -475,7 +475,8 @@ def test_csv_refuses_values_past_float64(line, capsys):
         # 300 arc visits, past 10*5^2
         ("SETINCL_MAX_VERTICES", ["aut", "5", "2", "3", "--brute-force"]),
         ("SETINCL_MAX_VERTICES", ["verify", "5", "2", "3"]),
-        ("SETINCL_MAX_VERTICES", ["scheme", "6", "2", "--check"]),
+        # 4*C(10,3) = 480 counted entries, past 10*5^2
+        ("SETINCL_MAX_VERTICES", ["scheme", "10", "3", "--check"]),
     ],
 )
 def test_env_cap_read_on_every_call(name, args, monkeypatch, capsys):
@@ -519,7 +520,8 @@ def _forbid_building(monkeypatch):
         ["verify", "8", "3", "4", "--line"],
         # 100 vertices, but 245,000 arc visits past 10*100^2
         ["aut", "50", "1", "49", "--brute-force"],
-        ["scheme", "8", "4", "--check", "--max-dim", "69"],
+        # 5*C(8,4) = 350 counted entries, past 10*5^2 (10*6^2 admits them)
+        ["scheme", "8", "4", "--check", "--max-dim", "5"],
     ],
 )
 def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
@@ -527,6 +529,21 @@ def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
     monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
     code, out, err = run(args, capsys)
     assert code == 2 and out == "" and "cap" in err
+
+
+def test_scheme_count_row_boundary(monkeypatch, capsys):
+    # at cap 100 the count may have 10*100^2 = 100000 entries, (k+1)*C(n,k):
+    # for each k the largest n admitted passes, and n + 1 is refused unbuilt
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
+    largest = ((50000, 1), (258, 2), (54, 3), (17, 6))
+    for n, k in largest:
+        assert (k + 1) * comb(n, k) <= 100000 < (k + 1) * comb(n + 1, k)
+        assert run(["scheme", str(n), str(k), "--check"], capsys) == (0, f"scheme ({n},{k}) identities: PASS\n", "")
+    _forbid_building(monkeypatch)
+    for n, k in largest:
+        entries = (k + 1) * comb(n + 1, k)
+        assert run(["scheme", str(n + 1), str(k), "--check"], capsys) == (
+            2, "", f"setincl: cap exceeded: scheme count has {entries} entries, cap is 10*100^2 = 100000\n")
 
 
 @pytest.mark.parametrize(
@@ -556,12 +573,12 @@ def test_verify_construction_bounds_refuse_from_parameters(args, bound, monkeypa
 )
 def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
     # C(20000,10000) has 6019 digits; the message gives a lower bound on
-    # its bits instead, 64 bits past the cap's (verify's is C(20000,9999)'s,
-    # after complementation)
+    # the bits of the size instead, 64 bits past the cap's (scheme's is
+    # 10001*C(20000,10000)'s, verify's C(20000,9999)'s, after complementation)
     start = time.perf_counter()
     code, out, err = run(args, capsys)
     assert code == 2 and time.perf_counter() - start < 1.0
-    bound = {"scheme": "more than 2^9999", "verify": "more than 2^10000"}[args[0]]
+    bound = {"scheme": "more than 2^10012", "verify": "more than 2^10000"}[args[0]]
     assert out == "" and bound in err
     assert max(len(line.encode()) for line in err.splitlines()) <= 200
 
@@ -590,14 +607,21 @@ def test_cap_messages_stay_short_past_thirty_digits(args, capsys):
          "byte count of the l-subset rows is more than 2^500020, numpy's array limit is "),
         (["export", "1000000", "400000", "500000"],
          "byte count of the l-subset rows is more than 2^500020, numpy's array limit is "),
-        (["scheme", "1000000", "400000", "--check"], "matrix dimension more than 2^528771 exceeds cap 2000"),
-        (["scheme", "1000000000", "300000", "--check"], "matrix dimension more than 2^3510824 exceeds cap 2000"),
+        # the scheme cases keep the ids of their old dimension messages
+        pytest.param(["scheme", "1000000", "400000", "--check"],
+                     "scheme count has more than 2^528789 entries, cap is 10*2000^2 = 40000000",
+                     id="args10-matrix dimension more than 2^528771 exceeds cap 2000"),
+        pytest.param(["scheme", "1000000000", "300000", "--check"],
+                     "scheme count has more than 2^3510842 entries, cap is 10*2000^2 = 40000000",
+                     id="args11-matrix dimension more than 2^3510824 exceeds cap 2000"),
         # near n/2 the bound m*log2(n/m) is about half of log2 C(n,l), and
         # still 64 bits past the cap's
         (["verify", "131000", "65498", "65500", "--line"], "verify solves dimension more than 2^65499, cap is 2000"),
         (["export", "131000", "65498", "65501"],
          "byte count of the l-subset rows is more than 2^65518, numpy's array limit is "),
-        (["scheme", "20000", "10000", "--check"], "matrix dimension more than 2^9999 exceeds cap 2000"),
+        pytest.param(["scheme", "20000", "10000", "--check"],
+                     "scheme count has more than 2^10012 entries, cap is 10*2000^2 = 40000000",
+                     id="args14-matrix dimension more than 2^9999 exceeds cap 2000"),
     ],
 )
 def test_huge_l_is_refused_on_a_lower_bound(args, message, monkeypatch, capsys):
@@ -738,12 +762,15 @@ def test_aut_brute_force_past_64_elements(capsys):
         pytest.param(["export", "64", "10", "20"],
                      "byte count of the arcs is 57997792907191845227520",
                      id="args3-7249724113398980653440 arcs"),
-        # C(n,0) = 1 fits the dimension cap, but the incidence row has n entries
-        (["scheme", "100000000000000000000", "0", "--check"],
-         "byte count of the k-subset matrices is 400000000000000000000"),
-        # 5e18 entries fit, but not at 4 bytes each
-        (["scheme", "5000000000000000000", "0", "--check"],
-         "byte count of the k-subset matrices is 20000000000000000000"),
+        # the scheme cases keep the ids of their old k-subset matrix messages:
+        # 2*10^20 counted entries fit a raised cap, but not the element row
+        pytest.param(["scheme", "100000000000000000000", "1", "--check", "--max-dim", str(10**20)],
+                     "byte count of the k-subset rows is 800000000000000000000",
+                     id="args4-byte count of the k-subset matrices is 400000000000000000000"),
+        # 2e18 elements fit, but not at 8 bytes each
+        pytest.param(["scheme", "2000000000000000000", "1", "--check", "--max-dim", str(10**10)],
+                     "byte count of the k-subset rows is 16000000000000000000",
+                     id="args5-byte count of the k-subset matrices is 20000000000000000000"),
         # past caps raised this far, the l-subset rows are the first array too large
         (["verify", "72", "2", "36", "--max-vertices", str(10**29)],
          "byte count of the l-subset rows is 127443611599728992410752"),
@@ -751,9 +778,10 @@ def test_aut_brute_force_past_64_elements(capsys):
          "byte count of the l-subset rows is 127443611599728992410752"),
         (["aut", "72", "2", "36", "--brute-force", "--max-vertices", str(10**27)],
          "byte count of the l-subset rows is 127443611599728992410752"),
-        # C(80,40)^2 float32 entries
-        (["scheme", "80", "40", "--check", "--max-dim", str(10**30)],
-         "byte count of the k-subset matrices is a 47-digit number"),
+        # C(80,40) rows of 40 int64 elements
+        pytest.param(["scheme", "80", "40", "--check", "--max-dim", str(10**30)],
+                     "byte count of the k-subset rows is 34402306794667576467718400",
+                     id="args9-byte count of the k-subset matrices is a 47-digit number"),
         # the rank array fits, but not the dense (n1+n2)^2 float64 signless Laplacian
         (["verify", "100000", "1", "2", "--line", "--max-vertices", str(10**10)],
          "byte count of the dense matrix is 200004000020000000000"),

@@ -14,9 +14,13 @@ from setincl import (
     binom,
     eigensolver_oracle,
     intersection_number,
+    johnson_scheme_holds,
     multiplicities,
     radicands,
+    spectrum_line_middle,
+    spectrum_middle,
 )
+from setincl.cli import main
 
 from reference_helpers import (
     build_johnson_graph,
@@ -141,6 +145,23 @@ def test_multiplicities_and_beta_middle_take_ints():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+def test_every_nk_range_check_keeps_its_message(capsys):
+    # one check serves the six callers: each keeps its message and exception
+    whole, middle = "need 0 <= k <= n/2, got n=5, k=3", "need 1 <= k <= (n-1)/2, got n={}, k={}"
+    calls = [(multiplicities, (5, 3), whole), (johnson_scheme_holds, (5, 3), whole)]
+    for nk in ((4, 2), (5, 0)):
+        calls += [(f, nk, middle.format(*nk)) for f in (spectrum_middle, spectrum_line_middle)]
+        calls.append((beta_middle, (*nk, 0), middle.format(*nk)))
+    for f, args, message in calls:
+        with pytest.raises(ValueError) as info:
+            f(*args)
+        assert str(info.value) == message, f
+        with pytest.raises(TypeError):
+            f(float(args[0]), *args[1:])
+    assert main(["scheme", "5", "3"]) == 64
+    assert capsys.readouterr().err == f"setincl: error: {whole}\n"
 
 
 def test_beta_middle_frozen_values():

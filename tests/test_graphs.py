@@ -1,5 +1,6 @@
 """Tests for graph construction, subset ranking and interchange formats."""
 
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -79,12 +80,20 @@ def test_enumerate_subsets_order():
 
 def test_enumerate_subsets_counts():
     # the reference is itertools' enumeration, put in colex order
-    for n in range(11):
+    for n in range(12):
         for size in range(n + 1):
             rows = subset_positions(n, size).tolist()
             assert len(rows) == len(set(map(tuple, rows))) == comb(n, size)
             expect = sorted(combinations(range(n), size), key=lambda c: c[::-1])
             assert rows == [list(c) for c in expect]
+
+
+def test_enumerate_one_subsets_in_one_write():
+    # level 1 is one arange; one Python step per element took about 1 s
+    start = time.perf_counter()
+    rows = subset_positions(10**6, 1)
+    assert time.perf_counter() - start < 0.1
+    assert rows.shape == (10**6, 1) and np.array_equal(rows[:, 0], np.arange(10**6))
 
 
 def test_enumerate_subsets_bounds():
