@@ -141,17 +141,12 @@ def _preimages(keys: np.ndarray, image_keys: np.ndarray):
     return order if np.array_equal(image_keys[order], keys) else None
 
 
-def _lower_keys(g: Graph) -> np.ndarray:
-    """_edge_keys of g's lower_edges, ascending: hi * nv + lo, as hi > lo."""
-    hi, lo = g.lower_edges()
-    return np.add(np.multiply(hi, g.num_vertices, out=hi), lo, out=hi)
-
-
-def _preserves_edges(g: Graph, images: np.ndarray, keys: np.ndarray) -> bool:
-    """True iff the vertex map images sends g's edges, whose keys are keys
-    (_lower_keys), onto themselves, by one stable sort of the image keys
-    (they come in long ascending runs).  For a permutation that certifies an
+def _preserves_edges(g: Graph, images: np.ndarray) -> bool:
+    """True iff the vertex map images sends g's edges, whose keys are
+    g._keys, onto themselves, by one stable sort of the image keys (they
+    come in long ascending runs).  For a permutation that certifies an
     automorphism: it maps edges into edges iff it maps the edge set onto itself."""
+    keys = g._keys  # a first read makes them, before any image array
     image_keys = _edge_keys(*g.lower_edges(images), len(images))
     image_keys.sort(kind="stable")
     return np.array_equal(image_keys, keys)
@@ -159,7 +154,7 @@ def _preserves_edges(g: Graph, images: np.ndarray, keys: np.ndarray) -> bool:
 
 def is_automorphism(g: Graph, action: InducedAction) -> bool:
     """True iff the action maps every edge of g onto an edge of g."""
-    return _preserves_edges(g, _image_table(g, action), _lower_keys(g))
+    return _preserves_edges(g, _image_table(g, action))
 
 
 def group_shape(params: GraphParams) -> GroupShape:
@@ -307,7 +302,6 @@ def brute_force_aut_order(g: Graph) -> int:
     nv = g.num_vertices
     if nv == 0:
         return 1
-    keys = _lower_keys(g)
     weights = _color_weights(nv)
     # chain[i]: the refined colouring (and its trace) with base[:i] individualised
     chain = list(_base_chain(g, weights))
@@ -331,7 +325,7 @@ def brute_force_aut_order(g: Graph) -> int:
                 vertex_of = np.empty(nv, dtype=np.int64)
                 vertex_of[colors] = np.arange(nv)
                 image = vertex_of[leaf]
-                if _preserves_edges(g, image, keys):
+                if _preserves_edges(g, image):
                     return image
                 continue
             target = chain[d + 1][0][base[d + 1]]
@@ -400,15 +394,14 @@ def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=Non
     does not: every element of <t, s> keeps the sides, so tau lies outside
     it.  Otherwise 1, the identity alone."""
     n, n1 = g.params.n, g.params.n1
-    keys = _lower_keys(g)
 
     def keeps_sides(images: np.ndarray) -> bool:
         return bool((images[:n1] < n1).all())
 
     t, s = t.images, s.images
     if not (
-        _preserves_edges(g, t, keys)
-        and _preserves_edges(g, s, keys)
+        _preserves_edges(g, t)
+        and _preserves_edges(g, s)
         and _moore_relations(t, s, n)
     ):
         return 1
@@ -417,7 +410,7 @@ def _generated_order(g: SubsetGraph, t: InducedAction, s: InducedAction, tau=Non
         and keeps_sides(t)
         and keeps_sides(s)
         and not keeps_sides(tau.images)
-        and _preserves_edges(g, tau.images, keys)
+        and _preserves_edges(g, tau.images)
     ):
         return 2 * factorial(n)
     return factorial(n)
@@ -498,22 +491,22 @@ def orbit_count(g: Graph, generators, on: str = "vertices") -> int:
     sizes = {"vertices": nv, "edges": m, "arcs": m}
     if on not in sizes:
         raise ValueError(f"unknown object set: {on!r}")
-    keys = _lower_keys(g)
-    links = (_edge_link(g, _image_table(g, action), keys, on) for action in generators)
+    links = (_edge_link(g, _image_table(g, action), on) for action in generators)
     labels, odd = component_labels(sizes[on], links)
     classes = int(np.count_nonzero(np.bincount(labels)))  # the distinct labels
     return 2 * classes - len(odd) if on == "arcs" else classes
 
 
-def _edge_link(g: Graph, images: np.ndarray, keys: np.ndarray, on: str) -> tuple:
+def _edge_link(g: Graph, images: np.ndarray, on: str) -> tuple:
     """The link of one generator after the check that its vertex map
-    images sends g's edges (keys: _lower_keys) onto the edges, or ValueError:
+    images sends g's edges (keys: g._keys) onto the edges, or ValueError:
     on the vertices the images themselves, checked by one sort of the image
     keys; on the edges the preimage of each edge, the order of that sort; on
     the arcs also, at each edge, a flip when its preimage's larger end maps
     below its smaller end."""
+    keys = g._keys  # a first read makes them, before any image array
     if on == "vertices":
-        link = images if _preserves_edges(g, images, keys) else None
+        link = images if _preserves_edges(g, images) else None
     else:
         image_hi, image_lo = g.lower_edges(images)
         reverses = image_hi < image_lo if on == "arcs" else None

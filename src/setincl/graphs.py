@@ -165,18 +165,20 @@ def colex_ranks(columns, n: int) -> np.ndarray:
 class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1,
     held as its lower edges: the pairs (hi, lo), hi > lo, by ascending key
-    hi * num_vertices + lo.  The rest is made from lower_edges() when first
-    read, once: the edges in lexicographic order, and the compressed sparse
-    row form, in which the neighbours of v are indices[indptr[v]:indptr[v+1]],
-    in ascending order (int64 arrays).
+    hi * num_vertices + lo, the int64 array _keys.  The rest is made from
+    lower_edges() when read: the edges in lexicographic order, afresh, and,
+    once, the compressed sparse row form, in which the neighbours of v are
+    indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
     """
 
     def __init__(self, num_vertices: int, edges):
-        """edges: an (m, 2) array of distinct pairs of distinct vertices."""
-        nv = int(num_vertices)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = edges.T
-        if edges.size and (edges.min() < 0 or edges.max() >= nv or (u == v).any()):
+        """edges: an (m, 2) integer array of distinct pairs of distinct vertices."""
+        nv = operator.index(num_vertices)  # refuses 3.7 and "3"
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs is not edges and not np.array_equal(pairs, edges):  # 1.0 passes, 0.5 not
+            raise ValueError("edge ends must be integers")
+        u, v = pairs.reshape(-1, 2).T
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= nv or (u == v).any()):
             raise ValueError(f"edges must join two distinct vertices of 0..{nv - 1}")
         keys = np.sort(np.maximum(u, v) * nv + np.minimum(u, v))
         if (keys[1:] == keys[:-1]).any():
@@ -192,10 +194,9 @@ class Graph:
         hi, lo = np.divmod(self._keys, self.num_vertices)
         return (hi, lo) if images is None else (images[hi], images[lo])
 
-    @cached_property
     def _upper_codes(self) -> np.ndarray:
-        """The code lo * num_vertices + hi of every edge, ascending: the
-        edges in lexicographic order, and the arcs (lo, hi) in CSR order."""
+        """The code lo * num_vertices + hi of every edge, ascending, afresh:
+        the edges in lexicographic order, and the arcs (lo, hi) in CSR order."""
         hi, lo = self.lower_edges()
         codes = lo * self.num_vertices + hi
         codes.sort()
@@ -205,7 +206,7 @@ class Graph:
         """Edges as an (m, 2) int64 array of pairs u < v, in lexicographic
         order, made afresh."""
         out = np.empty((self.num_edges, 2), dtype=np.int64)
-        np.divmod(self._upper_codes, self.num_vertices, out=(out[:, 0], out[:, 1]))
+        np.divmod(self._upper_codes(), self.num_vertices, out=(out[:, 0], out[:, 1]))
         return out
 
     @cached_property
@@ -221,16 +222,19 @@ class Graph:
         # then the upper arcs (lo, hi), ascending; one stable sort merges them
         nv = self.num_vertices
         hi, lo = self.lower_edges()
-        arcs = np.concatenate((hi * nv + lo, self._upper_codes))
+        arcs = np.concatenate((hi * nv + lo, self._upper_codes()))
         arcs.sort(kind="stable")
         arcs %= nv
         return arcs
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(f"vertex {v} is outside 0..{self.num_vertices - 1}")
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        d = self.degree(v)  # refuses any v outside 0..num_vertices-1
+        return self.indices[self.indptr[v] : self.indptr[v] + d]
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
@@ -246,13 +250,18 @@ class SubsetGraph(Graph):
     so the rows, in order, are the lower edges."""
 
     def __init__(self, params: GraphParams, ranks: np.ndarray):
-        # Graph.__init__ is skipped: its sort of the edge keys and its repeat
-        # check would redo what build_inclusion_graph has already checked
+        # no Graph.__init__: the build checked the rows, and _keys is made when read
         self.num_vertices = params.n1 + params.n2
         self.num_edges = ranks.size
         self.ranks = ranks
         self.params = params
         self.v1_count = params.n1
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Graph._keys, made from the rank rows when first read."""
+        hi, lo = self.lower_edges()
+        return np.add(np.multiply(hi, self.num_vertices, out=hi), lo, out=hi)
 
     def lower_edges(self, images=None) -> tuple[np.ndarray, np.ndarray]:
         """Graph.lower_edges off the rank rows (lo is a view of them); hi's
@@ -296,14 +305,16 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     """Construct the inclusion graph for canonical parameters.
 
     The graph holds inclusion_ranks' rows as they are: the rows, in order,
-    are its lower edges, and the rest is made from them only when first
-    read (see Graph).  Checked here: every rank row strictly
-    increases (so no edge repeats), and every k-degree is r1, the count of
-    each rank (every l-degree is r2 by shape).
+    are its lower edges, and the rest is made from them only when read (see
+    Graph).  Checked here, by an AssertionError raised under python -O too:
+    every rank row strictly increases (so no edge repeats), and every
+    k-degree is r1, the count of each rank (every l-degree is r2 by shape).
     """
     ranks = inclusion_ranks(params)
-    assert (ranks[:, 1:] > ranks[:, :-1]).all()
-    assert (np.bincount(ranks.ravel(), minlength=params.n1) == params.r1).all()
+    if not (ranks[:, 1:] > ranks[:, :-1]).all():
+        raise AssertionError(f"a rank row of {params} does not strictly ascend")
+    if not (np.bincount(ranks.ravel(), minlength=params.n1) == params.r1).all():
+        raise AssertionError(f"a k-degree of {params} is not r1 = {params.r1}")
     return SubsetGraph(params, ranks)
 
 

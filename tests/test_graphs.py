@@ -1,9 +1,12 @@
 """Tests for graph construction, subset ranking and interchange formats."""
 
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,8 +198,8 @@ def test_inclusion_graph_csr_matches_generic_build():
 
 
 def test_subset_graph_lower_edges_are_the_generic_lower_edges():
-    # lower_edges() lists (hi, lo), hi > lo, by ascending hi*nv + lo, and
-    # given images, the images of those two arrays
+    # lower_edges() lists (hi, lo), hi > lo, by ascending hi*nv + lo, its
+    # keys _keys, and given images, the images of those two arrays
     rng = np.random.default_rng(0)
     for params in _INCLUSION_CASES:
         g = build_inclusion_graph(params)
@@ -205,6 +208,7 @@ def test_subset_graph_lower_edges_are_the_generic_lower_edges():
         assert (hi > lo).all() and (np.diff(hi * nv + lo) > 0).all(), params
         images = rng.permutation(nv)
         want = reference_csr(nv, _rank_edges(params)).lower_edges
+        assert np.array_equal(g._keys, want[0] * nv + want[1]), params
         for got, ref in zip(g.lower_edges(images), want):
             assert np.array_equal(got, images[ref]), params
 
@@ -234,10 +238,11 @@ def test_line_and_johnson_graphs_match_the_reference_csr():
 
 def test_subset_graph_builds_its_k_side_rows_when_first_read():
     # the build holds the rank rows only.  graph6 export reads them as they
-    # are; edges() and the text exports sort the codes lo * nv + hi once,
-    # and only indices (or indptr) makes the CSR arrays, which
+    # are; edges() and the text exports sort the codes lo * nv + hi afresh
+    # and keep nothing; only the automorphism checks make the keys, and
+    # only indices (or indptr) the CSR arrays, which
     # test_inclusion_graph_csr_matches_generic_build compares
-    made = {"indptr", "indices", "_upper_codes"}
+    made = {"indptr", "indices", "_upper_codes", "_keys"}
     for params in canonical_params_up_to(8):
         g = build_inclusion_graph(params)
         assert made.isdisjoint(vars(g)), params
@@ -246,7 +251,50 @@ def test_subset_graph_builds_its_k_side_rows_when_first_read():
         for fmt in ("edgelist", "dot"):
             export_graph(g, fmt)
         assert np.array_equal(g.edges(), reference_csr(g.num_vertices, _rank_edges(params)).edges)
-        assert "_upper_codes" in vars(g) and {"indptr", "indices"}.isdisjoint(vars(g)), params
+        assert made.isdisjoint(vars(g)), params
+
+
+def test_edgelist_export_with_its_build_keeps_no_codes():
+    # traced allocations of the build plus the export at (16,4,8): 900,900
+    # edges, 7.2 MB an int64 array of them.  The peak is 42.3 MB, and with
+    # the sorted codes lo * nv + hi kept on the graph it was 49.5 MB
+    tracemalloc.start()
+    try:
+        export_graph(build_inclusion_graph(GraphParams(16, 4, 8)), "edgelist")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 46e6, peak
+
+
+_BAD_RANKS = """
+import sys
+import setincl.graphs as graphs
+from setincl import GraphParams
+ranks = graphs.inclusion_ranks
+def edited(params):
+    rows = ranks(params)
+    return {edit}
+graphs.inclusion_ranks = edited
+try:
+    graphs.build_inclusion_graph(GraphParams(5, 1, 2))
+except AssertionError as exc:
+    print(sys.flags.optimize, "refused:", exc)
+"""
+
+
+@pytest.mark.parametrize("edit,reason", [
+    ("rows[:, ::-1]", "does not strictly ascend"),  # the row [1, 0] among them
+    ("rows[[0, 0, *range(2, len(rows))]]", "k-degree"),  # row 1 becomes row 0
+])
+@pytest.mark.parametrize("optimize", [0, 1])
+def test_inclusion_graph_refuses_bad_rank_rows_under_python_O(edit, reason, optimize):
+    # the checks raise, so python -O, which strips assert statements, keeps them
+    command = [sys.executable, *["-O"] * optimize, "-c", _BAD_RANKS.format(edit=edit)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(command, capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(f"{optimize} refused:") and reason in run.stdout, run.stdout
 
 
 def test_inclusion_graph_rejects_noncanonical():
@@ -544,6 +592,30 @@ def test_line_graph_regularity_sweep():
         assert lg.num_vertices == params.n1 * params.r1
         degree = params.r1 + params.r2 - 2
         assert all(lg.degree(v) == degree for v in range(lg.num_vertices))
+
+
+def test_graph_refuses_non_integers():
+    # as GraphParams does: the count passes through operator.index, and an
+    # edge end must survive the int64 cast unchanged
+    with pytest.raises(TypeError):
+        Graph(3.7, [[0, 1], [1, 2]])
+    with pytest.raises(TypeError):
+        Graph("3", [[0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        Graph(3, [[0.5, 1.9], [1, 2]])
+    g = Graph(np.int64(3), [[1.0, 0.0], [1, 2]])
+    assert type(g.num_vertices) is int and g.edges().tolist() == [[0, 1], [1, 2]]
+
+
+def test_degree_and_neighbors_refuse_a_non_vertex():
+    # on the path 0-1-2, -1 and -3 once read the CSR from its end
+    path = Graph(3, [(0, 1), (1, 2)])
+    for v in (-1, -3, 3):
+        for method in (path.degree, path.neighbors):
+            with pytest.raises(IndexError, match=rf"vertex {v} is outside 0\.\.2"):
+                method(v)
+    assert [path.degree(v) for v in range(3)] == [1, 2, 1]
+    assert path.neighbors(1).tolist() == [0, 2]
 
 
 def test_graph_refuses_repeated_edges():
