@@ -3,15 +3,16 @@ graphs, plus a dense numeric eigensolver used as an independent cross-check.
 
 Every exact eigenvalue in these families is either sign*sqrt(m) for an
 integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
-holds both in the normal form (a + e*sqrt(r))/2 with r not a perfect square:
-Eigenvalue(a, e, r) folds a square r into a and refuses fields that are not
-integers or no value; ExactEigenvalue and SurdEigenvalue build it from the
-paper's two shapes.  Equality, merging, ordering and the power sums of any
-order are decided in exact integer arithmetic.  Each closed form emits its
-values in descending order, which Spectrum certifies with one exact
-comparison per adjacent pair.  Floating point appears only when a spectrum
-is expanded, for comparison against the numeric solver or to be written as
-CSV.
+the immutable tuple (a, e, r), holds both in the normal form (a + e*sqrt(r))/2
+with r not a perfect square: Eigenvalue(a, e, r) folds a square r into a and
+refuses fields that are not integers or no value; ExactEigenvalue and
+SurdEigenvalue build it from the paper's two shapes.  Equality, merging,
+ordering and the power sums of any order are decided in exact integer
+arithmetic.  Each closed form emits its values in descending order, which
+Spectrum certifies with one exact comparison per adjacent pair; the line
+spectra are computed from the integers 4*lam^2 of the top eigenvalues lam.
+Floating point appears only when a spectrum is expanded, for comparison
+against the numeric solver or to be written as CSV.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 # beta, the paper's sum, is no longer called here, but the name stays bound in
 # this module, where perfbench/spans.py looks it up to trace it
-from .combinatorics import _checked_nk, beta, beta_middle, binom, multiplicities, radicands  # noqa: F401
+from .combinatorics import _checked_nk, beta, binom, multiplicities, radicands  # noqa: F401
 from .graphs import GraphParams
 
 __all__ = [
@@ -50,28 +51,27 @@ __all__ = [
 ]
 
 _FLOAT_BITS = 96  # fixed-point bits used when expanding radicals to floats
+_new_tuple = tuple.__new__  # makes an Eigenvalue with no check: its fields must be in normal form
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(tuple):
     """The exact value (a + e*sqrt(r))/2 in normal form: e in {-1, 0, 1}, r
     = 0 exactly when e = 0, and otherwise r is not a perfect square.  So two
     eigenvalues are equal as real numbers iff their fields are equal.  A
     perfect square r is folded into a; fields that are no value (e outside
     {-1, 0, 1}, r < 0, or e = 0 with r != 0) raise ValueError, and fields
-    that are not integers TypeError."""
+    that are not integers TypeError.  It is the immutable tuple (a, e, r),
+    equal to no plain tuple, and it has no order and no arithmetic."""
 
-    a: int
-    e: int
-    r: int
+    __slots__ = ()
+    __match_args__ = ("a", "e", "r")
+    a = property(operator.itemgetter(0))
+    e = property(operator.itemgetter(1))
+    r = property(operator.itemgetter(2))
 
-    def __post_init__(self) -> None:
-        a, e, r = self.a, self.e, self.r
+    def __new__(cls, a: int, e: int, r: int):
         if not (type(a) is type(e) is type(r) is int):  # refuses 0.5, stores numpy ints as int
             a, e, r = operator.index(a), operator.index(e), operator.index(r)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "e", e)
-            object.__setattr__(self, "r", r)
         if e not in (-1, 0, 1) or r < 0 or (e == 0 and r != 0):
             raise ValueError(
                 f"({a} + {e}*sqrt({r}))/2 is no eigenvalue: need e in {{-1, 0, 1}}, "
@@ -79,18 +79,34 @@ class Eigenvalue:
             )
         s = _square_root(r) if e else None
         if s is not None:
-            object.__setattr__(self, "a", a + e * s)
-            object.__setattr__(self, "e", 0)
-            object.__setattr__(self, "r", 0)
+            a, e, r = a + e * s, 0, 0
+        return _new_tuple(cls, (a, e, r))
+
+    def __reduce__(self):  # pickle and copy, at every protocol, rebuild through __new__
+        return Eigenvalue, tuple(self)
+
+    def __eq__(self, other):
+        return isinstance(other, Eigenvalue) and tuple.__eq__(self, other)
+
+    __ne__, __hash__ = object.__ne__, tuple.__hash__  # != inverts __eq__; tuple's != would not
+
+    def _refuse(self, other):
+        raise TypeError("an Eigenvalue has no order and no arithmetic; see spectra._cmp_keys")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+
+    def __repr__(self) -> str:
+        return "Eigenvalue(a=%r, e=%r, r=%r)" % tuple(self)
 
     def __float__(self) -> float:
         """The value rounded to float64 once, via extended fixed point: one
         int / int true division, which Python rounds correctly.  A value
         beyond the float64 range raises OverflowError."""
-        if self.e == 0:
-            return self.a / 2
-        s = isqrt(self.r << (2 * _FLOAT_BITS))
-        return ((self.a << _FLOAT_BITS) + self.e * s) / (1 << (_FLOAT_BITS + 1))
+        a, e, r = self
+        if e == 0:
+            return a / 2
+        s = isqrt(r << (2 * _FLOAT_BITS))
+        return ((a << _FLOAT_BITS) + e * s) / (1 << (_FLOAT_BITS + 1))
 
     def __str__(self) -> str:
         return format_eigenvalue(self)
@@ -110,19 +126,10 @@ def SurdEigenvalue(p: int, d: int, branch: int) -> Eigenvalue:
     return Eigenvalue(p, branch, d)
 
 
-def _normal_form(a: int, e: int, r: int) -> Eigenvalue:
-    """The Eigenvalue with fields (a, e, r), which the caller knows to be in
-    normal form, set directly: __post_init__ and its square test are not run."""
-    out = object.__new__(Eigenvalue)
-    fields = out.__dict__
-    fields["a"], fields["e"], fields["r"] = a, e, r
-    return out
-
-
 def _int_eigenvalue(x: int) -> Eigenvalue:
-    """The integer x; operator.index refuses 0.5 and makes a numpy int a
-    Python int."""
-    return _normal_form(2 * operator.index(x), 0, 0)
+    """The integer x, made as one tuple without __new__'s checks; operator.index
+    refuses 0.5 and makes a numpy int a Python int."""
+    return _new_tuple(Eigenvalue, (2 * operator.index(x), 0, 0))
 
 
 def _reflect(ev: Eigenvalue, p: int) -> Eigenvalue:
@@ -131,7 +138,8 @@ def _reflect(ev: Eigenvalue, p: int) -> Eigenvalue:
     are, and the square test of ev is not run again.  It is not the
     conjugate (a, -e, r), which is wrong once a square r has been folded
     into a."""
-    return _normal_form(2 * p - ev.a, -ev.e, ev.r)
+    a, e, r = ev
+    return _new_tuple(Eigenvalue, (2 * p - a, -e, r))
 
 
 # a square is a quadratic residue modulo every m; together these four moduli
@@ -168,14 +176,19 @@ def _sign_surd(p: int, q: int, r: int) -> int:
 
 def _cmp_keys(x: Eigenvalue, y: Eigenvalue) -> int:
     """Exact three-way comparison of two eigenvalues: the sign of
-    z - e2*sqrt(r2) with z = a + e1*sqrt(r1), a = a1 - a2.  When a = 0 and
-    e1 = e2 = e, the difference is e*(sqrt(r1) - sqrt(r2))/2, and sqrt is
-    increasing, so its sign is e * sign(r1 - r2).  When z and e2*sqrt(r2)
-    have one sign s and r1 != r2, one squaring gives
+    z - e2*sqrt(r2) with z = a + e1*sqrt(r1), a = a1 - a2.  When e1 = e2 = e,
+    the difference is (a + e*(sqrt(r1) - sqrt(r2)))/2: it is a/2 when r1 =
+    r2, and when a = 0 its sign is e * sign(r1 - r2), as sqrt is increasing.
+    When z and e2*sqrt(r2) have one sign s and r1 != r2, one squaring gives
     s * sign(z*z - r2) = s * sign((a*a + r1 - r2) + 2*a*e1*sqrt(r1))."""
-    a, e1, r1, e2, r2 = x.a - y.a, x.e, x.r, y.e, y.r
-    if not a and e1 == e2:
-        return e1 * ((r1 > r2) - (r1 < r2))
+    a1, e1, r1 = x
+    a2, e2, r2 = y
+    if e1 == e2:
+        if r1 == r2:
+            return (a1 > a2) - (a1 < a2)
+        if a1 == a2:
+            return e1 * ((r1 > r2) - (r1 < r2))
+    a = a1 - a2
     if r1 == r2 or not e2:
         return _sign_surd(a, e1 - e2, r1)
     sz = _sign_surd(a, e1, r1)  # a rational x has e1 = r1 = 0
@@ -225,7 +238,7 @@ def _extract_square(r: int) -> tuple[int, int]:
 
 def format_eigenvalue(ev: Eigenvalue) -> str:
     """Symbolic rendering: integers plain, radicals as [m]√r, surds as (p±√d)/2."""
-    a, e, r = ev.a, ev.e, ev.r
+    a, e, r = ev
     if e == 0:
         return str(a // 2) if a % 2 == 0 else f"{a}/2"
     if a == 0 and r % 4 == 0:
@@ -251,7 +264,8 @@ class Spectrum:
         entries: list[tuple[Eigenvalue, int]] = []
         rest = iter(pairs)
         for ev, mult in rest:
-            mult = _multiplicity(mult)
+            if type(mult) is not int or mult < 0:
+                mult = _multiplicity(mult)
             if not mult:
                 continue
             order = _cmp_keys(entries[-1][0], ev) if entries else 1
@@ -312,13 +326,13 @@ class Spectrum:
             raise ValueError(f"power must be nonnegative, got {j}")
         rational = 0
         irrational: dict[int, int] = {}
-        for ev, mult in self.entries:
+        for (a, e, r), mult in self.entries:
             x, y = 1, 0
             for _ in range(j):
-                x, y = x * ev.a + y * ev.e * ev.r, x * ev.e + y * ev.a
+                x, y = x * a + y * e * r, x * e + y * a
             rational += mult * x
             if y:
-                irrational[ev.r] = irrational.get(ev.r, 0) + mult * y
+                irrational[r] = irrational.get(r, 0) + mult * y
         scale = 1 << j
         return Fraction(rational, scale), {
             r: Fraction(c, scale) for r, c in irrational.items() if c
@@ -326,13 +340,16 @@ class Spectrum:
 
     def to_json_obj(self) -> list[dict]:
         """Schema: [{"value": {"kind": ..., ...}, "multiplicity": "<decimal>"}]
-        in descending value order."""
+        in descending value order; the kinds are "int" (value), "half" (odd
+        numerator over 2), "sqrt" (sign, radicand) and "surd" (p, d, branch)."""
         out = []
         for ev, mult in self.entries:
-            a, e, r = ev.a, ev.e, ev.r
+            a, e, r = ev
             if e == 0 and a % 2 == 0:
                 value = {"kind": "int", "value": str(a // 2)}
-            elif e != 0 and a == 0 and r % 4 == 0:
+            elif e == 0:
+                value = {"kind": "half", "numerator": str(a)}
+            elif a == 0 and r % 4 == 0:
                 value = {"kind": "sqrt", "sign": e, "radicand": str(r // 4)}
             else:
                 value = {
@@ -352,10 +369,12 @@ class Spectrum:
         quote = encode_basestring_ascii
         items = []
         for ev, mult in self.entries:
-            a, e, r = ev.a, ev.e, ev.r
+            a, e, r = ev
             if e == 0 and a % 2 == 0:
                 value = f'"int",\n      "value": {quote(str(a // 2))}'
-            elif e != 0 and a == 0 and r % 4 == 0:
+            elif e == 0:
+                value = f'"half",\n      "numerator": {quote(str(a))}'
+            elif a == 0 and r % 4 == 0:
                 value = f'"sqrt",\n      "sign": {e},\n      "radicand": {quote(str(r // 4))}'
             else:
                 branch = '"+"' if e > 0 else '"-"'
@@ -405,7 +424,7 @@ def spectrum_middle(n: int, k: int) -> Spectrum:
     product form (n-k-s)(k+1-s) of the radicands."""
     n, k = _checked_nk(n, k, middle=True)
     return _signed_roots(
-        (beta_middle(n, k, s) for s in range(k + 1)),
+        ((n - k - s) * (k + 1 - s) for s in range(k + 1)),  # beta_middle(n, k, s)
         multiplicities(n, k),
         binom(n, k + 1) - binom(n, k),
     )
@@ -434,11 +453,18 @@ def spectrum_line_semiregular(
         raise ValueError(f"need n1*r1 = n2*r2, the edge count, got {n1 * r1} and {n2 * r2}")
     tops: dict[int, int] = {}  # sign(lam) * 4 lam^2, in the order of lam, to multiplicity
     for ev, mult in top_eigenvalues:
+        a, e, r = ev
         # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r
-        if ev.a * ev.e or (ev.a * ev.a + ev.r) % 4:
+        if a * e or (a * a + r) % 4:
             raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
-        key = (_sign(ev.a) + ev.e) * (ev.a * ev.a + ev.r)
+        key = (_sign(a) + e) * (a * a + r)
         tops[key] = tops.get(key, 0) + operator.index(mult)
+    return _line_spectrum(n1, n2, r1, r2, tops)
+
+
+def _line_spectrum(n1: int, n2: int, r1: int, r2: int, tops: dict[int, int]) -> Spectrum:
+    """spectrum_line_semiregular from its int parameters and tops, which maps
+    sign(lam) * 4 lam^2 of each top eigenvalue lam to its multiplicity."""
     if sum(tops.values()) != n1:
         raise ValueError("top eigenvalue multiplicities must sum to n1")
     if max(tops) != 4 * r1 * r2:
@@ -459,12 +485,10 @@ def spectrum_line_semiregular(
 
 
 def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
-    """Exact spectrum of the line graph of the inclusion graph."""
-    top = [
-        (ExactEigenvalue(1, b), mult)
-        for b, mult in zip(radicands(params), multiplicities(params.n, params.k))
-    ]
-    return spectrum_line_semiregular(params.n1, params.n2, params.r1, params.r2, top)
+    """Exact spectrum of the line graph of the inclusion graph, from its
+    top eigenvalues sqrt(beta_s), keyed by 4 beta_s with no Eigenvalue made."""
+    tops = dict(zip((4 * b for b in radicands(params)), multiplicities(params.n, params.k)))
+    return _line_spectrum(params.n1, params.n2, params.r1, params.r2, tops)
 
 
 def spectrum_line_middle(n: int, k: int) -> Spectrum:

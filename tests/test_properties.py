@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
 vectorised colex rank, the union of link maps, the exact merge and order
 of `Spectrum` (also where float64 cannot order or hold the values), the
-reflection and the equal-(a, e) comparison of exact eigenvalues, the range
+reflection and the equal-(a, e) and equal-e comparisons of exact eigenvalues, the range
 of r that each intersection number sums over, the automorphism-order oracle
 and the command line's exit codes."""
 
@@ -389,6 +389,34 @@ _EQUAL_A_AND_E = st.one_of(
 def test_equal_a_and_e_comparison_is_exact(fields):
     a, e, r1, r2 = fields
     x, y = Eigenvalue(a, e, r1), Eigenvalue(a, e, r2)
+    assert _cmp_keys(x, y) == _exact_order(x, y)
+    assert _cmp_keys(y, x) == _exact_order(y, x)
+
+
+# two values with one e: two ints (e = 0), one radicand where a1 - a2 is
+# odd, and any two radicands where it is even, where sign(a1 - a2) alone
+# can be wrong
+_EQUAL_E = st.one_of(
+    st.tuples(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.just(0), st.just(0), st.just(0)),
+    st.tuples(
+        st.integers(-(10**30), 10**30),
+        st.integers(-3, 3) | st.integers(-(10**30), 10**30),
+        _BRANCHES,
+        st.integers(0, 10**40),
+        st.integers(0, 10**40),
+    ).map(lambda t: (t[0], t[0] + t[1], t[2], t[3], t[3] if t[1] % 2 else t[4])),
+)
+
+
+@settings(deadline=None)
+@given(_EQUAL_E)
+@example((4, -6, 0, 0, 0))  # the ints 2 > -3
+@example((3, 5, -1, 7, 7))  # (3 - sqrt(7))/2 < (5 - sqrt(7))/2
+@example((5, 3, 1, 2, 30))  # (5 + sqrt(2))/2 < (3 + sqrt(30))/2, though 5 > 3
+@example((5, 3, -1, 30, 2))  # (5 - sqrt(30))/2 < (3 - sqrt(2))/2
+def test_equal_e_comparison_is_exact(fields):
+    a1, a2, e, r1, r2 = fields
+    x, y = Eigenvalue(a1, e, r1), Eigenvalue(a2, e, r2)
     assert _cmp_keys(x, y) == _exact_order(x, y)
     assert _cmp_keys(y, x) == _exact_order(y, x)
 

@@ -1,7 +1,11 @@
 """Tests for exact eigenvalue arithmetic, closed-form spectra and the
 numeric solver cross-checks."""
 
+import copy
+import copyreg
 import json
+import operator
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -167,6 +171,11 @@ def test_spectrum_orders_descending_and_drops_zero_multiplicity():
         Spectrum([(ExactEigenvalue(1, 2), 1.5)])
     with pytest.raises(TypeError):
         Spectrum([(ExactEigenvalue(0, 0), "3")])
+    # numpy integers and bools, which are not plain ints, are stored as ints
+    root2, zero = ExactEigenvalue(1, 2), ExactEigenvalue(0, 0)
+    spec = Spectrum([(root2, np.int64(3)), (zero, True), (ExactEigenvalue(-1, 2), 0)])
+    assert spec.entries == ((root2, 3), (zero, 1))
+    assert [type(m) for _, m in spec.entries] == [int, int]
 
 
 def test_spectrum_distinguishes_close_values():
@@ -228,6 +237,67 @@ def test_eigenvalue_fields_are_integers():
     value = Eigenvalue(np.int64(1), np.int8(1), np.uint16(2))
     assert [type(x) for x in (value.a, value.e, value.r)] == [int, int, int]
     assert value == Eigenvalue(1, 1, 2) and str(value) == "(1+√2)/2"
+
+
+def test_eigenvalue_is_an_immutable_tuple_with_no_order():
+    value = Eigenvalue(5, -1, 21)
+    a, e, r = value
+    assert (a, e, r) == (value.a, value.e, value.r) == (5, -1, 21) and len(value) == 3
+    assert repr(value) == "Eigenvalue(a=5, e=-1, r=21)"
+    # a plain tuple with the same fields equals it in neither order
+    for plain in ((5, -1, 21), tuple(value)):
+        assert not value == plain and not plain == value
+        assert value != plain and plain != value
+    assert value == Eigenvalue(5, -1, 21) and not value != Eigenvalue(5, -1, 21)
+    assert hash(value) == hash(Eigenvalue(5, -1, 21))
+    assert value != 5 and value != "(5-√21)/2"
+    # no order and no tuple arithmetic, whichever side the other operand is on
+    ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.add, operator.mul)
+    for op in ops:
+        for x, y in ((value, value), (value, (1,)), ((1,), value), (value, 2), (2, value)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    with pytest.raises(TypeError):
+        sorted([value, Eigenvalue(1, 0, 0)])
+    for field in ("a", "e", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    for copied in [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        assert type(copied) is Eigenvalue and copied == value and tuple(copied) == (5, -1, 21)
+
+
+def test_every_route_to_an_eigenvalue_keeps_the_normal_form():
+    # (0 + sqrt(16))/2 = 2: every public way to make a value folds it to
+    # Eigenvalue(4, 0, 0) or refuses it
+    two = Eigenvalue(4, 0, 0)
+    rebuild, _ = two.__reduce__()
+    routes = [
+        lambda: Eigenvalue(0, 1, 16),
+        lambda: Eigenvalue.__new__(Eigenvalue, 0, 1, 16),
+        lambda: rebuild(0, 1, 16),
+        lambda: copyreg.__newobj__(Eigenvalue, 0, 1, 16),  # what pickle calls
+        lambda: pickle.loads(pickle.dumps(Eigenvalue(0, 1, 16))),
+        lambda: ExactEigenvalue(1, 4),
+        lambda: SurdEigenvalue(0, 16, 1),
+    ]
+    if hasattr(Eigenvalue, "_make"):  # a namedtuple's own routes
+        routes += [lambda: Eigenvalue._make((0, 1, 16)), lambda: two._replace(a=0, e=1, r=16)]
+    if hasattr(Eigenvalue, "__replace__"):  # copy.replace, from Python 3.13
+        routes.append(lambda: two.__replace__(a=0, e=1, r=16))
+    for route in routes:
+        value = route()
+        assert type(value) is Eigenvalue and tuple(value) == (4, 0, 0) and str(value) == "2"
+    # every value a closed form emits, its reflections among them, is in
+    # normal form: building it again from its fields changes nothing
+    spectra = [spectrum_line_middle(n, k) for n in range(3, 14) for k in range(1, (n - 1) // 2 + 1)]
+    spectra += [spectrum_middle(n, k) for n in range(3, 14) for k in range(1, (n - 1) // 2 + 1)]
+    for params in canonical_params_up_to(12):
+        spectra += [spectrum_inclusion(params), spectrum_line_inclusion(params)]
+    for spec in spectra:
+        for ev, mult in spec.entries:
+            assert tuple(Eigenvalue(*ev)) == tuple(ev) and type(mult) is int, (spec, ev)
 
 
 def test_key_comparison_matches_decimal_on_small_keys():
@@ -544,6 +614,27 @@ def test_spectrum_line_semiregular_reads_values_not_forms():
     assert spectrum_as_multiset(spec) == {"2": 1, "0": 2, "-2": 1}
 
 
+def _largest(spec, count):
+    """The count largest values of spec, as (value, multiplicity) pairs."""
+    out = []
+    for ev, mult in spec.entries:
+        if count <= 0:
+            break
+        out.append((ev, min(mult, count)))
+        count -= mult
+    return out
+
+
+def test_line_inclusion_is_the_semiregular_form_of_its_top_eigenvalues():
+    # spectrum_line_inclusion keys the tops by 4 beta_s directly; the public
+    # form reads and checks each top Eigenvalue first
+    for p in canonical_params_up_to(12):
+        top = _largest(spectrum_inclusion(p), p.n1)
+        assert sum(m for _, m in top) == p.n1
+        expect = spectrum_line_semiregular(p.n1, p.n2, p.r1, p.r2, top)
+        assert spectrum_line_inclusion(p) == expect, p
+
+
 def test_spectrum_line_inclusion_frozen_412():
     spec = spectrum_line_inclusion(GraphParams(4, 1, 2))
     assert spectrum_as_multiset(spec) == {"3": 1, "2": 3, "0": 2, "-1": 3, "-2": 3}
@@ -606,6 +697,10 @@ def test_spectrum_json_and_csv():
     spec = spectrum_inclusion(GraphParams(4, 1, 2))
     obj = spec.to_json_obj()
     assert obj[0]["value"] == {"kind": "sqrt", "sign": 1, "radicand": "6"}
+    # a half-integer is its own kind, with no branch and no d
+    assert Spectrum([(Eigenvalue(-3, 0, 0), 2)]).to_json_obj() == [
+        {"value": {"kind": "half", "numerator": "-3"}, "multiplicity": "2"}
+    ]
     csv = spec.to_csv_text().strip().split("\n")
     assert csv[0] == "value,multiplicity"
     assert len(csv) == 6
@@ -624,8 +719,8 @@ def _closed_form_shapes():
 
 
 def test_json_text_is_the_text_json_dumps_writes():
-    # every value kind: an int, a sqrt, a surd, a half-integer (written as
-    # the surd (3 - sqrt(0))/2) and a folded square, (0 + sqrt(16))/2 = 2
+    # every value kind: an int, a sqrt, a surd, a half-integer (its own
+    # kind, with no branch) and a folded square, (0 + sqrt(16))/2 = 2
     kinds = Spectrum([
         (Eigenvalue(3, 0, 0), 2), (Eigenvalue(0, 1, 16), 1), (ExactEigenvalue(-1, 3), 1),
         (SurdEigenvalue(5, 21, 1), 4), (Eigenvalue(-8, 0, 0), 10**30),
@@ -633,7 +728,7 @@ def test_json_text_is_the_text_json_dumps_writes():
     spectra = [Spectrum([]), kinds]
     for params in chain(canonical_params_up_to(12), _closed_form_shapes()):
         spectra += [spectrum_inclusion(params), spectrum_line_inclusion(params)]
-    assert {entry["value"]["kind"] for entry in kinds.to_json_obj()} == {"int", "sqrt", "surd"}
+    assert {entry["value"]["kind"] for entry in kinds.to_json_obj()} == {"int", "half", "sqrt", "surd"}
     for spec in spectra:
         obj = spec.to_json_obj()
         text = spec.to_json_text()
