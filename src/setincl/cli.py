@@ -17,6 +17,7 @@ a finite nonnegative number; anything else is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -352,15 +353,17 @@ def _cmd_export(args) -> int:
 
 def _write(data: bytes, out) -> None:
     """Write the UTF-8 bytes data to the path out, or else to stdout's byte
-    stream, whatever stdout's text encoding is."""
-    if out is not None:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:  # a text-only stream, such as an io.StringIO
+    stream, whatever stdout's text encoding is.  A byte stream may take only
+    part of a write (a raw one, as under python -u, does at a full pipe), so
+    the rest is written until every byte is taken or an OSError is raised."""
+    if out is None and not hasattr(sys.stdout, "buffer"):  # such as an io.StringIO
         sys.stdout.write(data.decode("utf-8"))
+        return
+    with open(out, "wb") if out is not None else contextlib.nullcontext(sys.stdout.buffer) as fh:
+        view = memoryview(data)
+        while view:
+            view = view[fh.write(view) :]
+        fh.flush()
 
 
 def _cmd_scheme(args) -> int:

@@ -166,8 +166,8 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1,
     held as its lower edges: the pairs (hi, lo), hi > lo, by ascending key
     hi * num_vertices + lo, the int64 array _keys.  The rest is made from
-    lower_edges() when read: the edges in lexicographic order, afresh, and,
-    once, the compressed sparse row form, in which the neighbours of v are
+    them when read: the edges in lexicographic order, afresh, and, once, the
+    compressed sparse row form, in which the neighbours of v are
     indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
     """
 
@@ -175,6 +175,8 @@ class Graph:
         """edges: an (m, 2) integer array of distinct pairs of distinct vertices."""
         nv = operator.index(num_vertices)  # refuses 3.7 and "3"
         pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):  # [] and an empty array are no edges
+            raise ValueError(f"edges must be an (m, 2) array of pairs, got shape {pairs.shape}")
         if pairs is not edges and not np.array_equal(pairs, edges):  # 1.0 passes, 0.5 not
             raise ValueError("edge ends must be integers")
         u, v = pairs.reshape(-1, 2).T
@@ -219,12 +221,11 @@ class Graph:
     @cached_property
     def indices(self) -> np.ndarray:
         # the arc codes tail * nv + head: the lower arcs (hi, lo), ascending,
-        # then the upper arcs (lo, hi), ascending; one stable sort merges them
-        nv = self.num_vertices
-        hi, lo = self.lower_edges()
-        arcs = np.concatenate((hi * nv + lo, self._upper_codes()))
+        # are _keys, then the upper arcs (lo, hi), ascending; one stable sort
+        # merges them
+        arcs = np.concatenate((self._keys, self._upper_codes()))
         arcs.sort(kind="stable")
-        arcs %= nv
+        arcs %= self.num_vertices
         return arcs
 
     def degree(self, v: int) -> int:
@@ -343,9 +344,10 @@ def export_graph(g: Graph, format: str) -> bytes:
     """Serialize g deterministically under the fixed vertex order.
 
     Supported formats: "edgelist" ("p <nv> <ne>" header then "u v" lines),
-    "graph6" (standard bit-packed encoding), "dot".  The text formats are
-    built in one buffer, so peak memory is about twice the output size plus
-    one fixed block of rows.
+    "graph6" (standard bit-packed encoding), "dot".  The text formats read
+    the sorted edge codes one block at a time and join the block texts once,
+    after the codes are freed: beyond the graph, peak memory is about twice
+    the output size.
     """
     if format == "graph6":
         return _to_graph6(g)
@@ -354,8 +356,6 @@ def export_graph(g: Graph, format: str) -> bytes:
     nv = g.num_vertices
     # an edge line is two tokens: one naming u (ids 0..nv-1), one naming v
     # and ending the line (ids nv..2nv-1)
-    rows = g.edges()
-    rows[:, 1] += nv
     if format == "edgelist":
         head, tail = b"p %d %d\n" % (nv, g.num_edges), b""
         starts, ends = [b"%d " % v for v in range(nv)], [b"%d\n" % v for v in range(nv)]
@@ -363,37 +363,33 @@ def export_graph(g: Graph, format: str) -> bytes:
         starts, ends = [b"  %d -- " % v for v in range(nv)], [b"%d;\n" % v for v in range(nv)]
         # the vertex lines "  v;\n" are the line-ending tokens, each after two spaces
         head, tail = b"  ".join([b"graph g {\n", *ends]), b"}\n"
-    return _text_rows(head, starts + ends, rows, tail)
+    return b"".join([head, *_text_rows(starts + ends, g), tail])
 
 
-_TEXT_BLOCK = 4096  # rows per gather step; bounds the index temporaries
+_TEXT_BLOCK = 4096  # edges per block; bounds its index temporaries and its text
 
 
-def _text_rows(head: bytes, tokens: list[bytes], rows: np.ndarray, tail: bytes) -> bytes:
-    """head, then each row of token ids written as its tokens in order, then
-    tail.  Each block of rows is one segmented gather from the joined token
-    table: byte j of a token that starts at offset o of the block comes from
-    table position (token start - o) + j."""
+def _text_rows(tokens: list[bytes], g: Graph):
+    """The text of each edge u < v of g, in lexicographic order, as its
+    tokens u and nv + v: one uint8 array per block of the sorted codes
+    u * nv + v, which are freed once the last block is made.  Each block is
+    one segmented gather from the joined token table: byte j of a token
+    that starts at offset o of the block comes from table position (token
+    start - o) + j."""
     table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
     length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     start = np.cumsum(length) - length
-    body = int(np.bincount(rows.ravel(), minlength=len(tokens)) @ length)
-    out = np.empty(len(head) + body + len(tail), dtype=np.uint8)
-    out[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-    pos = len(head)
-    step = np.arange(_TEXT_BLOCK * rows.shape[1] * int(length.max(initial=0)))
-    for first in range(0, len(rows), _TEXT_BLOCK):
-        ids = rows[first : first + _TEXT_BLOCK].ravel()
+    step = np.arange(2 * _TEXT_BLOCK * int(length.max(initial=0)))
+    codes = g._upper_codes()
+    for first in range(0, len(codes), _TEXT_BLOCK):
+        u, v = np.divmod(codes[first : first + _TEXT_BLOCK], g.num_vertices)
+        ids = np.column_stack((u, v + g.num_vertices)).ravel()
         lens = length[ids]
         offsets = np.cumsum(lens)
-        size = int(offsets[-1])
         offsets -= lens
         src = np.repeat(start[ids] - offsets, lens)
-        src += step[:size]
-        np.take(table, src, out=out[pos : pos + size])
-        pos += size
-    out[pos:] = np.frombuffer(tail, dtype=np.uint8)
-    return out.tobytes()
+        src += step[: len(src)]
+        yield table[src]
 
 
 def _graph6_encode_count(n: int) -> bytes:

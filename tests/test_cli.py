@@ -4,9 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+import types
 from itertools import combinations, takewhile
 from math import comb, factorial, log2
 from pathlib import Path
@@ -318,6 +321,52 @@ def test_export_to_text_only_stdout(fmt, tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(["export", "5", "2", "3", "--format", fmt]) == 0
     assert out.getvalue() == target.read_text()
+
+
+class _TrickleBuffer:
+    """A byte stream that takes at most three bytes of each write and
+    returns the count, as a raw stream may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, chunk):
+        self.data += chunk[:3]
+        return min(len(chunk), 3)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "5", "2", "3", "--format", "dot"],
+    ["spectrum", "6", "2", "3", "--format", "json"],
+])
+def test_stdout_gets_every_byte_from_a_stream_that_takes_part_of_a_write(argv, tmp_path):
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    stdout = types.SimpleNamespace(buffer=_TrickleBuffer())
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert bytes(stdout.buffer.data) == target.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_pipe_closed_by_its_reader_is_an_error(unbuffered):
+    # under PYTHONUNBUFFERED=1 stdout's byte stream is raw, and a write to a
+    # pipe whose reader has gone takes only what fit: 1.2 MB never fits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; from setincl.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-c", script, "export", "14", "4", "7"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(5)) == 5
+        proc.stdout.close()
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()  # a no-op once the process has exited
+    assert proc.returncode == 64 and err.startswith(b"setincl: error: [Errno 32] Broken pipe"), err
 
 
 def test_spectrum_writes_utf8_bytes_to_an_ascii_stdout(tmp_path):

@@ -254,17 +254,33 @@ def test_subset_graph_builds_its_k_side_rows_when_first_read():
         assert made.isdisjoint(vars(g)), params
 
 
-def test_edgelist_export_with_its_build_keeps_no_codes():
-    # traced allocations of the build plus the export at (16,4,8): 900,900
-    # edges, 7.2 MB an int64 array of them.  The peak is 42.3 MB, and with
-    # the sorted codes lo * nv + hi kept on the graph it was 49.5 MB
+def _export_peak(monkeypatch, fmt):
+    """tracemalloc's peak over the build plus a text export at (16,4,8),
+    which must not read Graph.edges(), the (m, 2) rows."""
+    def refused(self):
+        raise AssertionError("a text export read Graph.edges()")
+    monkeypatch.setattr(Graph, "edges", refused)
     tracemalloc.start()
     try:
-        export_graph(build_inclusion_graph(GraphParams(16, 4, 8)), "edgelist")
-        peak = tracemalloc.get_traced_memory()[1]
+        export_graph(build_inclusion_graph(GraphParams(16, 4, 8)), fmt)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 46e6, peak
+
+
+def test_edgelist_export_with_its_build_keeps_no_codes(monkeypatch):
+    # 900,900 edges, 7.2 MB an int64 array of them, and 8.8 MB of text.  The
+    # peak is 26.8 MB; with the (m, 2) rows and one preallocated text buffer
+    # copied by tobytes() it was 42.3 MB
+    peak = _export_peak(monkeypatch, "edgelist")
+    assert peak < 30e6, peak
+
+
+def test_dot_export_with_its_build_keeps_no_codes(monkeypatch):
+    # 14.3 MB of text: the peak is 37.4 MB, and it was 54.2 MB with the rows
+    # and the buffer
+    peak = _export_peak(monkeypatch, "dot")
+    assert peak < 40e6, peak
 
 
 _BAD_RANKS = """
@@ -605,6 +621,16 @@ def test_graph_refuses_non_integers():
         Graph(3, [[0.5, 1.9], [1, 2]])
     g = Graph(np.int64(3), [[1.0, 0.0], [1, 2]])
     assert type(g.num_vertices) is int and g.edges().tolist() == [[0, 1], [1, 2]]
+
+
+def test_graph_refuses_edges_that_are_not_pairs():
+    # read as pairs, each of these would be the path 0-1-2-3
+    for edges in ([[0, 1, 2], [1, 2, 3]], [0, 1, 2, 3], np.array([[[0, 1]], [[1, 2]], [[2, 3]]])):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            Graph(4, edges)
+    # an empty input is no edges, whatever its shape
+    for edges in ([], np.empty((0, 2)), np.array([], dtype=np.int64)):
+        assert Graph(4, edges).num_edges == 0
 
 
 def test_degree_and_neighbors_refuse_a_non_vertex():
