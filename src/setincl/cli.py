@@ -6,12 +6,12 @@ out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
 to stderr.
 
 Caps are checked here only, before anything is built, by one rule on the
-rows of _bounds: one cap, SETINCL_MAX_VERTICES (default 2000, read on
-every call), for verify, aut --brute-force and scheme --check, and numpy's
-array limit for all.  A size whose lower bound 2^N is far past its cap is
-refused on N alone, with no exact binomial; any other is computed exactly.
-A cap, from a flag or the environment, must be a positive integer and --tol
-a finite nonnegative number; anything else is a usage error.
+rows of _bounds: one cap, SETINCL_MAX_VERTICES (a positive integer, default
+2000, read on every call), for verify, aut --brute-force and scheme --check,
+then numpy's array limit for all, then the int64 edge keys' vertex limit.
+A size whose lower bound 2^N is far past its limit is refused on N alone,
+with no exact binomial; any other is computed exactly.  A bad cap, or a
+--tol that is not finite and nonnegative, is a usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .combinatorics import _checked_nk
 from .errors import CapExceededError
 from .graphs import (  # noqa: F401
     _ARRAY_MAX,
+    _VERTEX_MAX,
     GraphParams,
     build_inclusion_graph,
     build_line_graph,
@@ -86,17 +87,6 @@ def _env_cap(name: str, default: int) -> int:
     return cap
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for caps: a cap below 1 is a usage error, not a cap hit."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
 def _tolerance(text: str) -> float:
     """argparse type for --tol: finite and nonnegative."""
     try:
@@ -118,6 +108,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="setincl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    capped = f"The cap SETINCL_MAX_VERTICES (default {MAX_VERTICES}) bounds"
 
     def add_params(p):
         p.add_argument("n", type=int)
@@ -130,29 +121,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--out", help="write to this path instead of stdout")
 
-    p = sub.add_parser("verify", help="compare the exact spectrum with the numeric solver")
+    p = sub.add_parser("verify", help="compare the exact spectrum with the numeric solver",
+                       description=f"{capped} the solved dimension, n1 (n1+n2 with --line), rank "
+                       f"array n2*r2 <= cap^2 and Gram products n1^2*n2 <= {GRAM_WORK}*cap^3.")
     add_params(p)
     p.add_argument("--line", action="store_true")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument(
-        "--max-vertices",
-        type=_positive_int,
-        help="cap on the solved dimension, n1 (n1+n2 with --line); it also bounds "
-        "the rank array (n2*r2 <= cap^2) and the Gram products "
-        f"(n1^2*n2 <= {GRAM_WORK}*cap^3)",
-    )
     p.add_argument("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
 
-    p = sub.add_parser("aut", help="automorphism group report")
+    p = sub.add_parser("aut", help="automorphism group report", description=f"{capped} the "
+                       f"--brute-force certificate: n*2m arc visits (m edges) <= {CERT_WORK}*cap^2.")
     add_params(p)
-    p.add_argument(
-        "--brute-force",
-        action="store_true",
-        help="check the order on the built graph by upper and lower bounds that "
-        "must meet",
-    )
-    p.add_argument("--max-vertices", type=_positive_int, help="cap on the certificate's "
-                   f"work: n*2m arc visits <= {CERT_WORK}*cap^2, for m edges")
+    p.add_argument("--brute-force", action="store_true", help="check the order on the built "
+                   "graph by upper and lower bounds that must meet")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("orbits", help="orbit counts under the automorphism group")
@@ -164,12 +145,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["edgelist", "graph6", "dot"], default="edgelist")
     p.add_argument("--out", help="write to this path instead of stdout")
 
-    p = sub.add_parser("scheme", help="intersection numbers of the scheme on k-subsets")
+    p = sub.add_parser("scheme", help="intersection numbers of the scheme on k-subsets",
+                       description=f"{capped} the count of --check: (k+1)*C(n,k) entries <= "
+                       f"{SCHEME_WORK}*cap^2.")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--check", action="store_true", help="verify the identities by counting")
-    p.add_argument("--max-dim", type=_positive_int, help="cap on the count: (k+1)*C(n,k) "
-                   f"entries <= {SCHEME_WORK}*cap^2")
     return parser
 
 
@@ -199,18 +180,19 @@ def _array_row(what: str) -> str:
     return f"byte count of the {what} is {{}}, numpy's array limit is {_ARRAY_MAX}"
 
 
-def _bounds(args, max_vertices: int):
-    """Yield the (bits, size, cap, message) rows of the command in args, in
-    order: the command's caps, then numpy's array limit on what it builds.
-    Each is from (n,k,l) and the flags alone.  bits is an N with 2^N <=
-    size(), the sum of a lower bound on each binomial factor and on the small
-    exact ones; size() is the exact size; the message has {} for the size."""
-    cmd = args.command
+def _bounds(args, cap: int):
+    """Yield the (bits, size, limit, message) rows of the command in args, in
+    order: the command's rows under the cap, numpy's array limit on what it
+    builds, then the vertex limit of a built graph's int64 edge keys.  Each
+    is from (n,k,l), the flags and the cap.  bits is an N with 2^N <= size(),
+    the sum of a lower bound on each binomial factor and on the small exact
+    ones; size() is the exact size; the message has {} for the size."""
+    cmd, c = args.command, _size(cap)
     if cmd == "scheme" and args.check:
-        n, k, cap = args.n, args.k, args.max_dim or max_vertices
+        n, k = args.n, args.k
         n1, bits, work = (lambda: math.comb(n, k)), _binom_bits(n, k), SCHEME_WORK * cap**2
         yield (k + 1).bit_length() - 1 + bits, lambda: (k + 1) * n1(), work, (
-            f"scheme count has {{}} entries, cap is {SCHEME_WORK}*{_size(cap)}^2 = {_size(work)}")
+            f"scheme count has {{}} entries, cap is {SCHEME_WORK}*{c}^2 = {_size(work)}")
         if k:  # int64 element rows
             yield (8 * k).bit_length() - 1 + bits, lambda: 8 * k * n1(), _ARRAY_MAX, (
                 _array_row("k-subset rows"))
@@ -218,8 +200,6 @@ def _bounds(args, max_vertices: int):
         p = args.params
         b1, b2, br = _binom_bits(p.n, p.k), _binom_bits(p.n, p.l), _binom_bits(p.l, p.k)
         if cmd == "verify":
-            cap = args.max_vertices or max_vertices
-            c = _size(cap)
             # the solved dimension; n2 >= n1, since k < l <= n - k
             dim_bits, dim = (b2, lambda: p.n1 + p.n2) if args.line else (b1, lambda: p.n1)
             yield dim_bits, dim, cap, f"verify solves dimension {{}}, cap is {c}"
@@ -230,17 +210,19 @@ def _bounds(args, max_vertices: int):
                     f"Gram matrix takes {{}} multiply-adds, "
                     f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
         elif cmd == "aut":  # at most n refined colourings, one pass over the 2m arcs each
-            cap = args.max_vertices or max_vertices
             visit_bits = (2 * p.n).bit_length() - 1 + br + b2
             yield visit_bits, lambda: p.n * 2 * p.r2 * p.n2, CERT_WORK * cap**2, (
                 f"certificate takes {{}} arc visits, "
-                f"cap is {CERT_WORK}*{_size(cap)}^2 = {_size(CERT_WORK * cap**2)}")
+                f"cap is {CERT_WORK}*{c}^2 = {_size(CERT_WORK * cap**2)}")
         # int64 l-subset rows and arcs; verify's rank array is half the arcs
         rows_bits = (8 * p.l).bit_length() - 1 + b2
         yield rows_bits, lambda: 8 * p.l * p.n2, _ARRAY_MAX, _array_row("l-subset rows")
         yield 4 + br + b2, lambda: 16 * p.r2 * p.n2, _ARRAY_MAX, _array_row("arcs")
         if cmd == "verify":  # float64
             yield 3 + 2 * dim_bits, lambda: 8 * dim() ** 2, _ARRAY_MAX, _array_row("dense matrix")
+        else:  # of a built Graph; n2 <= n1 + n2
+            yield b2, lambda: p.n1 + p.n2, _VERTEX_MAX, (
+                f"graph has {{}} vertices, its int64 edge keys allow {_VERTEX_MAX}")
 
 
 def _preflight(argv):
@@ -250,7 +232,7 @@ def _preflight(argv):
     2^N > cap, and the exact size, such as C(10^6, 4*10^5) of 1.0e6 bits
     that takes seconds, is never computed.  The environment cap is read, and
     so validated, first."""
-    max_vertices = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
+    cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
     # C(n,k) in a cap message or n! in a report, may be longer
@@ -266,11 +248,11 @@ def _preflight(argv):
                 f"({p.n},{p.k},{p.l}) via complementation\n"
             )
         args.params = p
-    for bits, size, cap, message in _bounds(args, max_vertices):
-        if bits >= cap.bit_length() + 64:
+    for bits, size, limit, message in _bounds(args, cap):
+        if bits >= limit.bit_length() + 64:
             raise CapExceededError(message.format(f"more than 2^{_size(bits)}"))
         exact = size()
-        if exact > cap:
+        if exact > limit:
             raise CapExceededError(message.format(_size(exact)))
     return args
 

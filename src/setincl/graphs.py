@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .combinatorics import _checked_nk, intersection_number
 
 _GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
 _ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
+_VERTEX_MAX = isqrt(np.iinfo(np.int64).max)  # Graph's edge keys are below num_vertices^2
 
 __all__ = [
     "GraphParams",
@@ -101,11 +102,8 @@ def canonicalize(params: GraphParams) -> tuple[GraphParams, bool]:
     return GraphParams(params.n, params.n - params.l, params.n - params.k), True
 
 
-def subset_positions(n: int, size: int) -> np.ndarray:
-    """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
-    per subset, rows in colexicographic order.  The array is the transpose
-    of a C-contiguous one, so its .T, one column per element place, costs
-    no copy."""
+def _subset_count(n: int, size: int) -> int:
+    """C(n, size), whose int64 rows of size elements must fit one array."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
     count = comb(n, size)
@@ -114,6 +112,15 @@ def subset_positions(n: int, size: int) -> np.ndarray:
             f"the {size}-subsets of {n} elements need {count} rows of {size}"
             " entries, past numpy's array limit"
         )
+    return count
+
+
+def subset_positions(n: int, size: int) -> np.ndarray:
+    """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
+    per subset, rows in colexicographic order.  The array is the transpose
+    of a C-contiguous one, so its .T, one column per element place, costs
+    no copy."""
+    count = _subset_count(n, size)
     # columns[:s, :C(span + s, s)] holds level s: the s-subsets that can
     # still grow to size-subsets, those with largest element q <= span + s - 1.
     # In colex order, the level-s subsets that end at q are the first
@@ -162,18 +169,25 @@ def colex_ranks(columns, n: int) -> np.ndarray:
     return ranks
 
 
+def _check_vertex_count(nv: int) -> None:
+    if not 0 <= nv <= _VERTEX_MAX:
+        raise ValueError(f"vertex count {nv} is outside 0..{_VERTEX_MAX}, the edge keys' range")
+
+
 class Graph:
-    """Immutable simple undirected graph on vertices 0..num_vertices-1,
-    held as its lower edges: the pairs (hi, lo), hi > lo, by ascending key
-    hi * num_vertices + lo, the int64 array _keys.  The rest is made from
-    them when read: the edges in lexicographic order, afresh, and, once, the
-    compressed sparse row form, in which the neighbours of v are
-    indices[indptr[v]:indptr[v+1]], in ascending order (int64 arrays).
+    """Immutable simple undirected graph on vertices 0..num_vertices-1 (at
+    most _VERTEX_MAX = isqrt(2^63 - 1)), held as its lower edges: the pairs
+    (hi, lo), hi > lo, by ascending key hi * num_vertices + lo, the int64
+    array _keys.  The rest is made from them when read: the edges in
+    lexicographic order, afresh, and, once, the compressed sparse row form,
+    in which the neighbours of v are indices[indptr[v]:indptr[v+1]], in
+    ascending order (int64 arrays).
     """
 
     def __init__(self, num_vertices: int, edges):
         """edges: an (m, 2) integer array of distinct pairs of distinct vertices."""
         nv = operator.index(num_vertices)  # refuses 3.7 and "3"
+        _check_vertex_count(nv)
         pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size and pairs.shape[1:] != (2,):  # [] and an empty array are no edges
             raise ValueError(f"edges must be an (m, 2) array of pairs, got shape {pairs.shape}")
@@ -310,7 +324,10 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     Graph).  Checked here, by an AssertionError raised under python -O too:
     every rank row strictly increases (so no edge repeats), and every
     k-degree is r1, the count of each rank (every l-degree is r2 by shape).
+    Too many l-subset rows, then vertices, raise ValueError before allocation.
     """
+    _subset_count(params.n, params.l)
+    _check_vertex_count(params.n1 + params.n2)
     ranks = inclusion_ranks(params)
     if not (ranks[:, 1:] > ranks[:, :-1]).all():
         raise AssertionError(f"a rank row of {params} does not strictly ascend")

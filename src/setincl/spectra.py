@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import isqrt
+from math import isnan, isqrt
 
 import numpy as np
 
@@ -598,16 +598,15 @@ class SpectrumComparison:
 def compare_spectra(exact: Spectrum, numeric, tol: float) -> SpectrumComparison:
     """Pair the expanded exact spectrum with the numeric list (both sorted
     descending) and report the largest absolute deviation; passes when it is
-    at most tol * max(1, largest eigenvalue)."""
+    at most tol * max(1, largest eigenvalue).  A NaN gap counts as largest."""
     floats = exact.to_floats()
     nums = sorted((float(x) for x in numeric), reverse=True)
     if len(floats) != len(nums):
-        raise ValueError(
-            f"multiset sizes differ: exact {len(floats)} vs numeric {len(nums)}"
-        )
-    gaps = enumerate(abs(x - y) for x, y in zip(floats, nums))
-    worst, dev = max(gaps, key=lambda gap: gap[1], default=(0, 0.0))
+        raise ValueError(f"multiset sizes differ: exact {len(floats)} vs numeric {len(nums)}")
+    gaps = [abs(x - y) for x, y in zip(floats, nums)]
+    # max never prefers a NaN gap, so NaN ranks first when the sum shows one
+    key = (lambda i: (isnan(gaps[i]), gaps[i])) if isnan(sum(gaps)) else gaps.__getitem__
+    worst = max(range(len(gaps)), key=key, default=0)
+    dev = gaps[worst] if gaps else 0.0
     scale = max(1.0, abs(floats[0])) if floats else 1.0
-    return SpectrumComparison(
-        dev, scale, tol, dev <= tol * scale, worst, nums[worst] if nums else 0.0
-    )
+    return SpectrumComparison(dev, scale, tol, dev <= tol * scale, worst, nums[worst] if nums else 0.0)

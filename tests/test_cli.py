@@ -153,14 +153,15 @@ def test_verify_line_negative_control_at_scale(capsys):
     assert abs(float(numeric) - 102.00001) < 1e-9
 
 
-def test_verify_cap_exit(capsys):
+def test_verify_cap_exit(monkeypatch, capsys):
     # the cap is checked on (n,k,l) before any graph is built, so even
     # C(30,15)-vertex inputs are refused at once
-    for args in (
-        ["verify", "8", "3", "4", "--max-vertices", "50"],
-        ["verify", "14", "4", "7", "--line", "--max-vertices", "10"],
-        ["verify", "30", "10", "15"],
+    for cap, args in (
+        ("50", ["verify", "8", "3", "4"]),
+        ("10", ["verify", "14", "4", "7", "--line"]),
+        ("", ["verify", "30", "10", "15"]),  # empty: the default
     ):
+        monkeypatch.setenv("SETINCL_MAX_VERTICES", cap)
         start = time.perf_counter()
         code, _, err = run(args, capsys)
         assert code == 2 and time.perf_counter() - start < 1.0
@@ -225,10 +226,12 @@ def test_aut_brute_force_certifies_past_forty_vertices(args, capsys):
 def test_aut_brute_force_cap_is_on_the_arc_visits(monkeypatch, capsys):
     # (65,1,64): n*2m = 540,800 arc visits, past 10*232^2 and within 10*233^2
     _forbid_building(monkeypatch)
-    code, _, err = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "232"], capsys)
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "232")
+    code, _, err = run(["aut", "65", "1", "64", "--brute-force"], capsys)
     assert code == 2 and "certificate takes 540800 arc visits, cap is 10*232^2 = 538240" in err
     monkeypatch.undo()
-    code, out, _ = run(["aut", "65", "1", "64", "--brute-force", "--max-vertices", "233"], capsys)
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "233")
+    code, out, _ = run(["aut", "65", "1", "64", "--brute-force"], capsys)
     assert code == 0 and out.endswith(" (agree)\n")
 
 
@@ -422,8 +425,9 @@ def test_scheme_precondition(capsys):
     assert "error" in err
 
 
-def test_scheme_cap(capsys):
-    code, _, _ = run(["scheme", "16", "8", "--check", "--max-dim", "100"], capsys)
+def test_scheme_cap(monkeypatch, capsys):
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
+    code, _, _ = run(["scheme", "16", "8", "--check"], capsys)
     assert code == 2
 
 
@@ -462,12 +466,16 @@ def test_verify_tol_zero_is_allowed(capsys):
         ["aut", "4", "1", "2", "--brute-force", "--max-vertices", "1.5"],
         ["scheme", "6", "2", "--check", "--max-dim", "0"],
         ["scheme", "6", "2", "--check", "--max-dim", "x"],
+        ["verify", "8", "3", "4", "--max-vertices", "50"],
+        ["aut", "65", "1", "64", "--brute-force", "--max-vertices", "233"],
+        ["scheme", "16", "8", "--check", "--max-dim", "100"],
     ],
 )
-def test_cap_flag_must_be_positive(args, capsys):
+def test_removed_cap_flag_is_a_usage_error(args, capsys):
+    # SETINCL_MAX_VERTICES is the one cap setting: no command takes a cap flag
     code, out, err = run(args, capsys)
     assert code == 64 and out == ""
-    assert "must be a positive integer" in err
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(args[-2:])}\n")
 
 
 @pytest.mark.parametrize("name", ["SETINCL_MAX_VERTICES"])
@@ -563,19 +571,20 @@ def _forbid_building(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "cap,args",
     [
-        ["verify", "8", "3", "4", "--max-vertices", "50"],
-        ["verify", "8", "3", "4", "--line"],
+        ("50", ["verify", "8", "3", "4"]),
+        ("100", ["verify", "8", "3", "4", "--line"]),
         # 100 vertices, but 245,000 arc visits past 10*100^2
-        ["aut", "50", "1", "49", "--brute-force"],
+        ("100", ["aut", "50", "1", "49", "--brute-force"]),
         # 5*C(8,4) = 350 counted entries, past 10*5^2 (10*6^2 admits them)
-        ["scheme", "8", "4", "--check", "--max-dim", "5"],
+        ("5", ["scheme", "8", "4", "--check"]),
     ],
+    ids=[f"args{i}" for i in range(4)],  # stable test ids
 )
-def test_caps_refuse_before_anything_is_built(args, monkeypatch, capsys):
+def test_caps_refuse_before_anything_is_built(cap, args, monkeypatch, capsys):
     _forbid_building(monkeypatch)
-    monkeypatch.setenv("SETINCL_MAX_VERTICES", "100")
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", cap)
     code, out, err = run(args, capsys)
     assert code == 2 and out == "" and "cap" in err
 
@@ -719,14 +728,16 @@ def test_verify_dense_gram_at_the_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "cap,args",
     [
-        ["scheme", "16", "9", "--check", "--max-dim", "100"],
-        ["verify", "4", "2", "2", "--max-vertices", "1"],
-        ["aut", "4", "2", "2", "--brute-force", "--max-vertices", "1"],
+        ("100", ["scheme", "16", "9", "--check"]),
+        ("1", ["verify", "4", "2", "2"]),
+        ("1", ["aut", "4", "2", "2", "--brute-force"]),
     ],
+    ids=[f"args{i}" for i in range(3)],  # stable test ids
 )
-def test_parameter_error_wins_over_cap(args, capsys):
+def test_parameter_error_wins_over_cap(cap, args, monkeypatch, capsys):
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", cap)
     code, out, err = run(args, capsys)
     assert code == 64 and out == ""
     assert "error" in err and "cap" not in err
@@ -794,53 +805,83 @@ def test_aut_brute_force_past_64_elements(capsys):
 
 
 @pytest.mark.parametrize(
-    "args,message",
+    "args,message,cap",
     [
         # C(64,32) l-subsets of 32 elements each: 8-byte entries past 2**63 - 1
         # bytes; the first four keep the ids of their old entry-count messages
         pytest.param(["orbits", "64", "3", "32", "--on", "vertices"],
-                     "byte count of the l-subset rows is 469151780081303176704",
+                     "byte count of the l-subset rows is 469151780081303176704", "",
                      id="args0-58643972510162897088 l-subset row entries"),
         pytest.param(["export", "64", "2", "40"],
-                     "byte count of the l-subset rows is 80207713750293158400",
+                     "byte count of the l-subset rows is 80207713750293158400", "",
                      id="args1-10025964218786644800 l-subset row entries"),
         pytest.param(["orbits", "72", "2", "36", "--on", "vertices"],
-                     "byte count of the l-subset rows is 127443611599728992410752",
+                     "byte count of the l-subset rows is 127443611599728992410752", "",
                      id="args2-15930451449966124051344 l-subset row entries"),
         # 3.9e17 row entries fit, but each l-subset holds C(20,10) k-subsets
         pytest.param(["export", "64", "10", "20"],
-                     "byte count of the arcs is 57997792907191845227520",
+                     "byte count of the arcs is 57997792907191845227520", "",
                      id="args3-7249724113398980653440 arcs"),
         # the scheme cases keep the ids of their old k-subset matrix messages:
         # 2*10^20 counted entries fit a raised cap, but not the element row
-        pytest.param(["scheme", "100000000000000000000", "1", "--check", "--max-dim", str(10**20)],
-                     "byte count of the k-subset rows is 800000000000000000000",
+        pytest.param(["scheme", "100000000000000000000", "1", "--check"],
+                     "byte count of the k-subset rows is 800000000000000000000", str(10**20),
                      id="args4-byte count of the k-subset matrices is 400000000000000000000"),
         # 2e18 elements fit, but not at 8 bytes each
-        pytest.param(["scheme", "2000000000000000000", "1", "--check", "--max-dim", str(10**10)],
-                     "byte count of the k-subset rows is 16000000000000000000",
+        pytest.param(["scheme", "2000000000000000000", "1", "--check"],
+                     "byte count of the k-subset rows is 16000000000000000000", str(10**10),
                      id="args5-byte count of the k-subset matrices is 20000000000000000000"),
         # past caps raised this far, the l-subset rows are the first array too large
-        (["verify", "72", "2", "36", "--max-vertices", str(10**29)],
-         "byte count of the l-subset rows is 127443611599728992410752"),
-        (["verify", "72", "2", "36", "--line", "--max-vertices", str(10**29)],
-         "byte count of the l-subset rows is 127443611599728992410752"),
-        (["aut", "72", "2", "36", "--brute-force", "--max-vertices", str(10**27)],
-         "byte count of the l-subset rows is 127443611599728992410752"),
+        pytest.param(["verify", "72", "2", "36"],
+                     "byte count of the l-subset rows is 127443611599728992410752", str(10**29),
+                     id="args6-byte count of the l-subset rows is 127443611599728992410752"),
+        pytest.param(["verify", "72", "2", "36", "--line"],
+                     "byte count of the l-subset rows is 127443611599728992410752", str(10**29),
+                     id="args7-byte count of the l-subset rows is 127443611599728992410752"),
+        pytest.param(["aut", "72", "2", "36", "--brute-force"],
+                     "byte count of the l-subset rows is 127443611599728992410752", str(10**27),
+                     id="args8-byte count of the l-subset rows is 127443611599728992410752"),
         # C(80,40) rows of 40 int64 elements
-        pytest.param(["scheme", "80", "40", "--check", "--max-dim", str(10**30)],
-                     "byte count of the k-subset rows is 34402306794667576467718400",
+        pytest.param(["scheme", "80", "40", "--check"],
+                     "byte count of the k-subset rows is 34402306794667576467718400", str(10**30),
                      id="args9-byte count of the k-subset matrices is a 47-digit number"),
         # the rank array fits, but not the dense (n1+n2)^2 float64 signless Laplacian
-        (["verify", "100000", "1", "2", "--line", "--max-vertices", str(10**10)],
-         "byte count of the dense matrix is 200004000020000000000"),
+        pytest.param(["verify", "100000", "1", "2", "--line"],
+                     "byte count of the dense matrix is 200004000020000000000", str(10**10),
+                     id="args10-byte count of the dense matrix is 200004000020000000000"),
     ],
 )
-def test_builds_past_numpy_array_limit_are_refused(args, message, monkeypatch, capsys):
+def test_builds_past_numpy_array_limit_are_refused(args, message, cap, monkeypatch, capsys):
     _forbid_building(monkeypatch)
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", cap)  # empty: the default
     start = time.perf_counter()
     code, out, err = run(args, capsys)
     assert code == 2 and time.perf_counter() - start < 1.0
     assert out == "" and err == (
         f"setincl: cap exceeded: {message}, numpy's array limit is {np.iinfo(np.intp).max}\n"
     )
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args", [["orbits", "--on", "vertices"], ["export"], ["aut", "--brute-force"]]
+)
+def test_graph_builds_past_the_int64_edge_keys_are_refused(args, monkeypatch, capsys):
+    # n + C(n,2) vertices: 3,036,971,080 at n = 77935 fit, 3,037,049,016 at
+    # n = 77936 do not, whose keys hi*nv + lo pass 2^63 - 1; every array
+    # row passes, and the certificate's arc visits too under this cap
+    def built(params):
+        raise _Built(params)
+
+    monkeypatch.setattr(cli, "build_inclusion_graph", built)
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", str(10**8))
+    command, *flags = args
+    with pytest.raises(_Built):
+        main([command, "77935", "1", "2", *flags])
+    for n, vertices in (("77936", 3037049016), ("100000", 5000050000)):
+        assert run([command, n, "1", "2", *flags], capsys) == (2, "", (
+            f"setincl: cap exceeded: graph has {vertices} vertices, "
+            "its int64 edge keys allow 3037000499\n"))

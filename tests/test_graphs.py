@@ -623,6 +623,29 @@ def test_graph_refuses_non_integers():
     assert type(g.num_vertices) is int and g.edges().tolist() == [[0, 1], [1, 2]]
 
 
+def test_graph_vertex_count_fits_the_int64_edge_keys(monkeypatch):
+    # keys and codes are below nv^2: isqrt(2^63 - 1) vertices round-trip,
+    # and one more would wrap, as 2^33 did (hi*nv + lo past 2^63 - 1)
+    top = 3037000499
+    assert top**2 <= 2**63 - 1 < (top + 1) ** 2
+    g = Graph(top, [[0, top - 1], [1, 2]])
+    assert [a.tolist() for a in g.lower_edges()] == [[2, top - 1], [1, 0]]
+    assert g.edges().tolist() == [[0, top - 1], [1, 2]]
+    for nv in (-1, top + 1, 2**33):
+        with pytest.raises(ValueError, match=f"vertex count {nv} is outside 0..{top}"):
+            Graph(nv, [[0, 1]] if nv > 0 else [])
+    assert Graph(0, []).num_vertices == 0
+
+    # build_inclusion_graph refuses before inclusion_ranks allocates
+    def never(params):
+        raise AssertionError("inclusion_ranks ran")
+
+    monkeypatch.setattr(graphs_module, "inclusion_ranks", never)
+    for n in (77936, 100000):  # n + C(n,2) vertices: 3,037,049,016 and 5,000,050,000
+        with pytest.raises(ValueError, match="vertex count"):
+            build_inclusion_graph(GraphParams(n, 1, 2))
+
+
 def test_graph_refuses_edges_that_are_not_pairs():
     # read as pairs, each of these would be the path 0-1-2-3
     for edges in ([[0, 1, 2], [1, 2, 3]], [0, 1, 2, 3], np.array([[[0, 1]], [[1, 2]], [[2, 3]]])):

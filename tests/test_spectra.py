@@ -791,6 +791,20 @@ def test_compare_spectra_trivial_and_negative_control():
         assert (report.worst_index, report.worst_numeric) == (index, perturbed[index])
 
 
+@pytest.mark.parametrize("spectrum", [spectrum_inclusion, spectrum_line_inclusion])
+def test_compare_spectra_fails_on_a_nan_anywhere(spectrum):
+    # sorted has no order for a NaN and max never prefers a NaN gap, so a
+    # NaN past index 0 once passed with max_deviation 0.0
+    exact = spectrum(GraphParams(4, 1, 2))
+    floats = exact.to_floats()
+    for index in range(len(floats)):
+        numeric = list(floats)
+        numeric[index] = float("nan")
+        report = compare_spectra(exact, numeric, 1e-8)
+        assert not report.passed, index
+        assert np.isnan(report.max_deviation) and np.isnan(report.worst_numeric), index
+
+
 def test_eigenvalue_at_walks_the_expanded_multiset():
     spec = spectrum_inclusion(GraphParams(4, 1, 2))
     expanded = [spec.eigenvalue_at(i) for i in range(spec.total_multiplicity)]
