@@ -220,7 +220,7 @@ def _bounds(args, cap: int):
         yield 4 + br + b2, lambda: 16 * p.r2 * p.n2, _ARRAY_MAX, _array_row("arcs")
         if cmd == "verify":  # float64
             yield 3 + 2 * dim_bits, lambda: 8 * dim() ** 2, _ARRAY_MAX, _array_row("dense matrix")
-        else:  # of a built Graph; n2 <= n1 + n2
+        else:  # the CLI's copy of Graph's vertex limit, for exit 2; n2 <= n1 + n2
             yield b2, lambda: p.n1 + p.n2, _VERTEX_MAX, (
                 f"graph has {{}} vertices, its int64 edge keys allow {_VERTEX_MAX}")
 

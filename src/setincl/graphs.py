@@ -20,7 +20,6 @@ import numpy as np
 
 from .combinatorics import _checked_nk, intersection_number
 
-_GRAPH6_MAX = 68719476735  # largest vertex count the format can encode
 _ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
 _VERTEX_MAX = isqrt(np.iinfo(np.int64).max)  # Graph's edge keys are below num_vertices^2
 
@@ -324,7 +323,8 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     Graph).  Checked here, by an AssertionError raised under python -O too:
     every rank row strictly increases (so no edge repeats), and every
     k-degree is r1, the count of each rank (every l-degree is r2 by shape).
-    Too many l-subset rows, then vertices, raise ValueError before allocation.
+    Too many l-subset rows, then vertices (rows first, for their message),
+    raise ValueError before allocation; cli._bounds holds the CLI's copies.
     """
     _subset_count(params.n, params.l)
     _check_vertex_count(params.n1 + params.n2)
@@ -410,8 +410,7 @@ def _text_rows(tokens: list[bytes], g: Graph):
 
 
 def _graph6_encode_count(n: int) -> bytes:
-    if n < 0 or n > _GRAPH6_MAX:
-        raise ValueError(f"vertex count {n} outside graph6 limits")
+    # every Graph has 0..isqrt(2^63 - 1) vertices, inside graph6's 0..2^36 - 1
     if n <= 62:
         return bytes([n + 63])
     if n <= 258047:

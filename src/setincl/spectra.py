@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import isnan, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -602,11 +602,13 @@ def compare_spectra(exact: Spectrum, numeric, tol: float) -> SpectrumComparison:
     floats = exact.to_floats()
     nums = sorted((float(x) for x in numeric), reverse=True)
     if len(floats) != len(nums):
-        raise ValueError(f"multiset sizes differ: exact {len(floats)} vs numeric {len(nums)}")
-    gaps = [abs(x - y) for x, y in zip(floats, nums)]
-    # max never prefers a NaN gap, so NaN ranks first when the sum shows one
-    key = (lambda i: (isnan(gaps[i]), gaps[i])) if isnan(sum(gaps)) else gaps.__getitem__
-    worst = max(range(len(gaps)), key=key, default=0)
-    dev = gaps[worst] if gaps else 0.0
+        raise ValueError(
+            f"multiset sizes differ: exact {len(floats)} vs numeric {len(nums)}"
+        )
+    gaps = np.abs(np.subtract(floats, nums))
+    worst = int(np.argmax(gaps)) if nums else 0  # argmax returns the first NaN
+    dev = float(gaps[worst]) if nums else 0.0
     scale = max(1.0, abs(floats[0])) if floats else 1.0
-    return SpectrumComparison(dev, scale, tol, dev <= tol * scale, worst, nums[worst] if nums else 0.0)
+    return SpectrumComparison(
+        dev, scale, tol, dev <= tol * scale, worst, nums[worst] if nums else 0.0
+    )
