@@ -75,15 +75,25 @@ _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def _env_cap(name: str, default: int) -> int:
+    """The positive integer in the environment variable name, of any length,
+    or default when it is unset or empty; a message echoes a value of more
+    than 30 characters by its length, so it stays one short line."""
     value = os.environ.get(name)
     if not value:
         return default
+    shown = repr(value) if len(value) <= 30 else f"a value of {len(value)} characters"
+    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0
     try:
+        if limit:  # the limit is for argv; a cap past it is still an integer
+            sys.set_int_max_str_digits(0)
         cap = int(value)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {shown}") from None
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if cap < 1:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise ValueError(f"{name} must be positive, got {shown}")
     return cap
 
 

@@ -111,12 +111,18 @@ def _checked_nk(n: int, k: int, middle: bool = False) -> tuple[int, int]:
 def multiplicities(n: int, k: int) -> list[int]:
     """The eigenspace dimensions C(n,s) - C(n,s-1) for s = 0..k, from the
     exact recurrence C(n,s+1) = C(n,s) (n-s)/(s+1), in Python ints."""
-    n, k = _checked_nk(n, k)
+    return _recurrence(*_checked_nk(n, k))[0]
+
+
+def _recurrence(n: int, k: int) -> tuple[list[int], int, int]:
+    """multiplicities(n, k) for ints n and k it has checked, with C(n,k) and
+    C(n,k+1), the last two values of its recurrence, so that the closed
+    forms compute no binomial twice."""
     out, prev, cur = [], 0, 1
     for s in range(k + 1):
         out.append(cur - prev)
         prev, cur = cur, cur * (n - s) // (s + 1)
-    return out
+    return out, prev, cur
 
 
 def beta_middle(n: int, k: int, s: int) -> int:

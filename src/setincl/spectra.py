@@ -6,7 +6,9 @@ integer m >= 0 or a quadratic surd (p +- sqrt(d))/2.  One type, Eigenvalue,
 the immutable tuple (a, e, r), holds both in the normal form (a + e*sqrt(r))/2
 with r not a perfect square: Eigenvalue(a, e, r) folds a square r into a and
 refuses fields that are not integers or no value; ExactEigenvalue and
-SurdEigenvalue build it from the paper's two shapes.  Equality, merging,
+SurdEigenvalue build it from the paper's two shapes.  The closed forms,
+whose fields are ints by construction, make each value directly in normal
+form, with one square test and none of those checks.  Equality, merging,
 ordering and the power sums of any order are decided in exact integer
 arithmetic.  Each closed form emits its values in descending order, which
 Spectrum certifies with one exact comparison per adjacent pair; the line
@@ -27,9 +29,9 @@ from math import isqrt
 
 import numpy as np
 
-# beta, the paper's sum, is no longer called here, but the name stays bound in
-# this module, where perfbench/spans.py looks it up to trace it
-from .combinatorics import _checked_nk, beta, binom, multiplicities, radicands  # noqa: F401
+# beta, the paper's sum, and binom are no longer called here, but the names
+# stay bound in this module, where perfbench/spans.py looks them up to trace them
+from .combinatorics import _checked_nk, _recurrence, beta, binom, radicands  # noqa: F401
 from .graphs import GraphParams
 
 __all__ = [
@@ -262,15 +264,20 @@ class Spectrum:
 
     def __init__(self, pairs):
         entries: list[tuple[Eigenvalue, int]] = []
+        last = None  # the value of entries[-1]
         rest = iter(pairs)
-        for ev, mult in rest:
+        for pair in rest:
+            ev, mult = pair
             if type(mult) is not int or mult < 0:
                 mult = _multiplicity(mult)
+                pair = (ev, mult)
             if not mult:
                 continue
-            order = _cmp_keys(entries[-1][0], ev) if entries else 1
+            order = 1 if last is None else _cmp_keys(last, ev)
             if order > 0:
-                entries.append((ev, mult))
+                # an incoming (value, int) tuple is kept as it is
+                entries.append(pair if type(pair) is tuple else (ev, mult))
+                last = ev
             elif order == 0:
                 entries[-1] = (ev, entries[-1][1] + mult)
             else:
@@ -401,12 +408,20 @@ class Spectrum:
         return "\n".join(["value,multiplicity", *rows]) + "\n"
 
 
+def _plus_root(p: int, d: int) -> Eigenvalue:
+    """(p + sqrt(d))/2 for ints p and d >= 0, made in normal form by one
+    square test and no other check: (p + sqrt(d), 0, 0) for a square d,
+    else (p, 1, d)."""
+    s = _square_root(d)
+    return _new_tuple(Eigenvalue, (p, 1, d) if s is None else (p + s, 0, 0))
+
+
 def _signed_roots(betas, mults, zeros: int) -> Spectrum:
-    """+-sqrt(b) with multiplicity m for each (b, m), the radicands b
+    """+-sqrt(b) with multiplicity m for each (b, m), the int radicands b
     strictly falling, and 0 with multiplicity zeros, emitted in descending
     order: the + roots as b falls, 0, then the - roots as b rises."""
-    pairs = [(ExactEigenvalue(1, b), m) for b, m in zip(betas, mults)]
-    pairs.append((ExactEigenvalue(0, 0), zeros))
+    pairs = [(_plus_root(0, 4 * b), m) for b, m in zip(betas, mults)]
+    pairs.append((_int_eigenvalue(0), zeros))
     pairs += [(_reflect(ev, 0), m) for ev, m in reversed(pairs[:-1])]
     return Spectrum(pairs)
 
@@ -415,19 +430,18 @@ def spectrum_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the inclusion graph on k- and l-subsets:
     +-sqrt(beta_s) with multiplicity C(n,s) - C(n,s-1) for s = 0..k, and 0
     with multiplicity C(n,l) - C(n,k).  beta_s strictly falls as s rises."""
-    n, k, l = params.n, params.k, params.l
-    return _signed_roots(radicands(params), multiplicities(n, k), binom(n, l) - binom(n, k))
+    betas = radicands(params)  # refuses non-canonical parameters first
+    mults, n1, _ = _recurrence(params.n, params.k)
+    return _signed_roots(betas, mults, params.n2 - n1)
 
 
 def spectrum_middle(n: int, k: int) -> Spectrum:
     """Exact spectrum of the layer graph on k- and (k+1)-subsets, via the
     product form (n-k-s)(k+1-s) of the radicands."""
     n, k = _checked_nk(n, k, middle=True)
-    return _signed_roots(
-        ((n - k - s) * (k + 1 - s) for s in range(k + 1)),  # beta_middle(n, k, s)
-        multiplicities(n, k),
-        binom(n, k + 1) - binom(n, k),
-    )
+    mults, n1, n2 = _recurrence(n, k)
+    betas = ((n - k - s) * (k + 1 - s) for s in range(k + 1))  # beta_middle(n, k, s)
+    return _signed_roots(betas, mults, n2 - n1)
 
 
 def spectrum_line_semiregular(
@@ -477,7 +491,7 @@ def _line_spectrum(n1: int, n2: int, r1: int, r2: int, tops: dict[int, int]) -> 
     p = r1 + r2 - 4
     # sorted on the int d: the + roots fall along it and the - roots rise
     roots = sorted(((r1 - r2) ** 2 + abs(key), mult) for key, mult in tops.items() if mult > 0)
-    plus = [(SurdEigenvalue(p, d, 1), mult) for d, mult in reversed(roots)]
+    plus = [(_plus_root(p, d), mult) for d, mult in reversed(roots)]
     pairs = [(_int_eigenvalue(r1 + r2 - 2), 1), *plus, (_int_eigenvalue(r2 - 2), n2 - n1)]
     pairs += [(_reflect(ev, p), mult) for ev, mult in reversed(plus)]
     pairs.append((_int_eigenvalue(-2), cycle_rank))
@@ -487,7 +501,7 @@ def _line_spectrum(n1: int, n2: int, r1: int, r2: int, tops: dict[int, int]) -> 
 def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
     """Exact spectrum of the line graph of the inclusion graph, from its
     top eigenvalues sqrt(beta_s), keyed by 4 beta_s with no Eigenvalue made."""
-    tops = dict(zip((4 * b for b in radicands(params)), multiplicities(params.n, params.k)))
+    tops = dict(zip((4 * b for b in radicands(params)), _recurrence(params.n, params.k)[0]))
     return _line_spectrum(params.n1, params.n2, params.r1, params.r2, tops)
 
 
@@ -496,12 +510,12 @@ def spectrum_line_middle(n: int, k: int) -> Spectrum:
     (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus s-2 and n-s-1 for
     s = 1..k, emitted in descending order (n-k-1 >= k, as 2k+1 <= n)."""
     n, k = _checked_nk(n, k, middle=True)
-    mults = multiplicities(n, k)
+    mults, n1, n2 = _recurrence(n, k)
     pairs = [(_int_eigenvalue(n - 1), 1)]
     pairs += [(_int_eigenvalue(n - s - 1), mults[s]) for s in range(1, k + 1)]
-    pairs.append((_int_eigenvalue(k - 1), binom(n, k + 1) - binom(n, k)))
+    pairs.append((_int_eigenvalue(k - 1), n2 - n1))
     pairs += [(_int_eigenvalue(s - 2), mults[s]) for s in range(k, 0, -1)]
-    pairs.append((_int_eigenvalue(-2), k * binom(n, k + 1) - binom(n, k) + 1))
+    pairs.append((_int_eigenvalue(-2), k * n2 - n1 + 1))
     return Spectrum(pairs)
 
 

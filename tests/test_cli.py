@@ -444,6 +444,29 @@ def test_env_var_cap_not_an_integer(monkeypatch, capsys):
     assert err == "setincl: error: SETINCL_MAX_VERTICES must be an integer, got 'abc'\n"
 
 
+def test_env_var_cap_past_the_int_digit_limit(monkeypatch, capsys):
+    # the cap is read before argv and outside Python's 4300-digit int <-> str
+    # limit, which stays in force for argv
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", "9" * 4301)
+    code, out, err = run(["verify", "5", "2", "3"], capsys)
+    assert code == 0 and out.endswith("-> PASS\n") and err == ""
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+        assert run(["spectrum", "9" * (limit + 1), "1", "2"], capsys)[0] == 64
+
+
+@pytest.mark.parametrize(
+    "value", ["x" * 5000, "9" * 4000 + "x", "-" + "9" * 5000], ids=["letters", "digits-then-x", "negative"]
+)
+def test_env_var_cap_long_value_is_one_short_line(value, monkeypatch, capsys):
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", value)
+    code, out, err = run(["verify", "5", "2", "3"], capsys)
+    assert code == 64 and out == ""
+    assert err.count("\n") == 1 and len(err) < 100
+    assert f"got a value of {len(value)} characters" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "-nan", "inf", "-inf", "-1", "-1e-12", "abc"])
 def test_verify_tol_rejected(tol, capsys):
     code, out, err = run(["verify", "3", "1", "2", "--tol", tol], capsys)

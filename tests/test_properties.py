@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for graph6, the text exports, the
 vectorised colex rank, the union of link maps, the exact merge and order
 of `Spectrum` (also where float64 cannot order or hold the values), the
-reflection and the equal-(a, e) and equal-e comparisons of exact eigenvalues, the range
-of r that each intersection number sums over, the automorphism-order oracle
-and the command line's exit codes."""
+normal form of every value a closed form emits, the reflection and the
+equal-(a, e) and equal-e comparisons of exact eigenvalues, the range of r
+that each intersection number sums over, the automorphism-order oracle and
+the command line's exit codes."""
 
 import contextlib
 import io
@@ -32,6 +33,7 @@ from setincl import (  # noqa: E402
     Eigenvalue,
     ExactEigenvalue,
     Graph,
+    GraphParams,
     Spectrum,
     SurdEigenvalue,
     brute_force_aut_order,
@@ -39,6 +41,10 @@ from setincl import (  # noqa: E402
     export_graph,
     intersection_number,
     parse_graph6,
+    spectrum_inclusion,
+    spectrum_line_inclusion,
+    spectrum_line_middle,
+    spectrum_middle,
 )
 from setincl import combinatorics  # noqa: E402
 from setincl.automorphisms import _color_weights, _refinement_colors, component_labels  # noqa: E402
@@ -347,6 +353,42 @@ def test_reflection_is_the_constructed_value(fields, p):
     assert (mirror.a, mirror.e, mirror.r) == (expect.a, expect.e, expect.r)
     assert mirror == expect and hash(mirror) == hash(expect)
     assert [type(x) for x in (mirror.a, mirror.e, mirror.r)] == [int, int, int]
+
+
+@st.composite
+def _closed_form_calls(draw):
+    """A closed form with its arguments, and the count its multiplicities
+    total: the vertices n1 + n2 of the graph, or its edges n2 * r2 for a
+    line graph.  Half the triples are layer graphs (n, k, k+1), whose line
+    spectra are integral: there every line discriminant is a square."""
+    n = draw(st.integers(3, 120))
+    k = draw(st.integers(1, (n - 1) // 2))
+    middle = draw(st.booleans())
+    params = GraphParams(n, k, k + 1 if middle else draw(st.integers(k + 1, n - k)))
+    line = draw(st.booleans())
+    if middle and draw(st.booleans()):
+        call = (spectrum_line_middle if line else spectrum_middle, n, k)
+    else:
+        call = (spectrum_line_inclusion if line else spectrum_inclusion, params)
+    return call, params.n2 * params.r2 if line else params.n1 + params.n2
+
+
+@settings(deadline=None)
+@given(_closed_form_calls())
+@example(((spectrum_middle, 6, 1), 6 + 15))  # beta_1 = 4: the roots +-2
+@example(((spectrum_inclusion, GraphParams(6, 1, 2)), 6 + 15))
+@example(((spectrum_inclusion, GraphParams(9, 1, 7)), 9 + 36))  # beta_0 = 196, beta_1 = 7
+@example(((spectrum_line_inclusion, GraphParams(5, 1, 2)), 20))  # every d a square
+@example(((spectrum_line_inclusion, GraphParams(12, 4, 6)), 13860))  # d = 1009, 529, 289, 193
+def test_closed_forms_emit_values_in_normal_form(case):
+    # each closed form makes its values as tuples, by one square test and no
+    # check: building each again through Eigenvalue must change nothing
+    (form, *args), total = case
+    spec = form(*args)
+    assert sum(mult for _, mult in spec.entries) == total
+    for ev, mult in spec.entries:
+        assert type(ev) is Eigenvalue and type(mult) is int and mult > 0
+        assert Eigenvalue(*ev) == ev and [type(x) for x in ev] == [int, int, int], (form, args, ev)
 
 
 def _bracket(ev, bits):
