@@ -275,9 +275,7 @@ def _cmd_spectrum(args) -> int:
     elif args.format == "csv":
         text = spec.to_csv_text()
     else:
-        values = [format_eigenvalue(ev) for ev, _ in spec.entries]
-        width = max(map(len, values))
-        text = "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, spec.entries))
+        text = spec.to_table_text()
     _write(text.encode("utf-8"), args.out)
     return EX_OK
 
@@ -365,10 +363,12 @@ def _cmd_scheme(args) -> int:
         print(f"scheme ({n},{k}) identities: {'PASS' if ok else 'FAIL'}")
         return EX_OK if ok else EX_VERIFY_FAIL
     from .combinatorics import intersection_number  # per call: perfbench/spans.py patches it
+    lines = []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             values = [intersection_number(n, k, i, j, s) for s in range(k + 1)]
-            print(f"p^s_({i},{j}) for s=0..{k}: {values}")
+            lines.append(f"p^s_({i},{j}) for s=0..{k}: {values}\n")
+    _write("".join(lines).encode("utf-8"), None)
     return EX_OK
 
 

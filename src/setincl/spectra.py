@@ -10,9 +10,11 @@ SurdEigenvalue build it from the paper's two shapes.  The closed forms,
 whose fields are ints by construction, make each value directly in normal
 form, with one square test and none of those checks.  Equality, merging,
 ordering and the power sums of any order are decided in exact integer
-arithmetic.  Each closed form emits its values in descending order, which
-Spectrum certifies with one exact comparison per adjacent pair; the line
-spectra are computed from the integers 4*lam^2 of the top eigenvalues lam.
+arithmetic.  Each closed form proves the descending order of its values on
+the integers they come from (the radicands beta_s, the discriminants d of
+a line spectrum, or the int values themselves), with exact comparisons only
+at the seams between its runs; the line spectra are computed from the
+integers 4*lam^2 of the top eigenvalues lam.
 Floating point appears only when a spectrum is expanded, for comparison
 against the numeric solver or to be written as CSV.
 """
@@ -258,9 +260,10 @@ class Spectrum:
 
     The pairs are read once, in one pass that decides each adjacent pair by
     an exact comparison: a smaller value is appended and an equal one merged.
-    So input already in descending order, as every closed form here emits
-    it, costs one comparison per pair.  At the first larger value, the pairs
-    so far and the rest go to a dict merge and an exact sort."""
+    So input already in descending order costs one comparison per pair.  At
+    the first larger value, the pairs so far and the rest go to a dict merge
+    and an exact sort.  This is the general constructor: a closed form
+    comes here only when its own order certificate fails (see _from_runs)."""
 
     def __init__(self, pairs):
         entries: list[tuple[Eigenvalue, int]] = []
@@ -395,11 +398,42 @@ class Spectrum:
             )
         return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
+    def to_table_text(self) -> str:
+        """One row per entry: format_eigenvalue of the value, right-aligned,
+        two spaces and the multiplicity.  The two members of a pair +-sqrt(m)
+        share their text but for the sign, so the square part of m is split
+        once."""
+        cores: dict[int, str] = {}  # r to the text of sqrt(r)/2
+        values = []
+        for ev, _ in self.entries:
+            a, e, r = ev
+            if a or not e or r % 4:
+                values.append(format_eigenvalue(ev))
+                continue
+            core = cores.get(r)
+            if core is None:
+                core = cores[r] = format_eigenvalue(ev if e > 0 else _reflect(ev, 0))
+            values.append(core if e > 0 else "-" + core)
+        width = max(map(len, values), default=0)
+        return "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, self.entries))
+
     def to_csv_text(self) -> str:
-        """One "value,multiplicity" row per entry, the value as a float64;
-        a value beyond the float64 range raises ValueError."""
+        """One "value,multiplicity" row per entry, the value as float(ev);
+        the two members of a pair share their radicand r, so isqrt(r << 192)
+        is taken once per r.  A value beyond the float64 range raises
+        ValueError."""
+        roots: dict[int, int] = {}
+        rows = []
         try:
-            rows = [f"{float(ev):.17g},{mult}" for ev, mult in self.entries]
+            for (a, e, r), mult in self.entries:
+                if e:
+                    s = roots.get(r)
+                    if s is None:
+                        s = roots[r] = isqrt(r << (2 * _FLOAT_BITS))
+                    value = ((a << _FLOAT_BITS) + e * s) / (1 << (_FLOAT_BITS + 1))
+                else:
+                    value = a / 2
+                rows.append(f"{value:.17g},{mult}")
         except OverflowError:
             raise ValueError(
                 "an eigenvalue is beyond the float64 range of the csv format; "
@@ -416,14 +450,42 @@ def _plus_root(p: int, d: int) -> Eigenvalue:
     return _new_tuple(Eigenvalue, (p, 1, d) if s is None else (p + s, 0, 0))
 
 
-def _signed_roots(betas, mults, zeros: int) -> Spectrum:
-    """+-sqrt(b) with multiplicity m for each (b, m), the int radicands b
-    strictly falling, and 0 with multiplicity zeros, emitted in descending
-    order: the + roots as b falls, 0, then the - roots as b rises."""
-    pairs = [(_plus_root(0, 4 * b), m) for b, m in zip(betas, mults)]
-    pairs.append((_int_eigenvalue(0), zeros))
-    pairs += [(_reflect(ev, 0), m) for ev, m in reversed(pairs[:-1])]
-    return Spectrum(pairs)
+def _from_runs(keys, plus, p: int, middle, top=None, bottom=None) -> Spectrum:
+    """The spectrum of the runs top, plus, middle, minus and bottom, where
+    minus is the reflections p - ev of plus in reverse order, and top,
+    middle and bottom are one (value, int multiplicity) pair each or None.
+    plus holds pairs with positive int multiplicities whose values fall as
+    their int keys do.  So one comparison pass over keys proves plus
+    strictly descending and with it minus; _cmp_keys then runs only at the
+    at most four seams between nonempty runs, where equal values merge.
+    Zero multiplicities are dropped.  If a check fails, the same pairs go
+    to Spectrum, so the result is the same in every case."""
+    minus = [(_reflect(ev, p), m) for ev, m in reversed(plus)]
+    top, middle, bottom = ([pair] if pair and pair[1] else [] for pair in (top, middle, bottom))
+    runs = (top, plus, middle, minus, bottom)
+    if not all(map(operator.gt, keys, keys[1:])):
+        return Spectrum(chain(*runs))
+    entries: list[tuple[Eigenvalue, int]] = []
+    for run in runs:
+        if run and entries:
+            order = _cmp_keys(entries[-1][0], run[0][0])
+            if order < 0:
+                return Spectrum(chain(*runs))
+            if order == 0:
+                entries[-1] = (run[0][0], entries[-1][1] + run[0][1])
+                run = run[1:]
+        entries += run
+    spec = object.__new__(Spectrum)  # Spectrum.__init__ would prove the order again
+    spec.entries = tuple(entries)
+    return spec
+
+
+def _signed_roots(betas: list[int], mults, zeros: int) -> Spectrum:
+    """+-sqrt(b) with multiplicity m for each (b, m), certified by the int
+    radicands b strictly falling, and 0 with multiplicity zeros: the + roots
+    as b falls, 0, then the - roots as b rises."""
+    plus = [(_plus_root(0, 4 * b), m) for b, m in zip(betas, mults)]
+    return _from_runs(betas, plus, 0, (_int_eigenvalue(0), zeros))
 
 
 def spectrum_inclusion(params: GraphParams) -> Spectrum:
@@ -440,7 +502,7 @@ def spectrum_middle(n: int, k: int) -> Spectrum:
     product form (n-k-s)(k+1-s) of the radicands."""
     n, k = _checked_nk(n, k, middle=True)
     mults, n1, n2 = _recurrence(n, k)
-    betas = ((n - k - s) * (k + 1 - s) for s in range(k + 1))  # beta_middle(n, k, s)
+    betas = [(n - k - s) * (k + 1 - s) for s in range(k + 1)]  # beta_middle(n, k, s)
     return _signed_roots(betas, mults, n2 - n1)
 
 
@@ -488,14 +550,23 @@ def _line_spectrum(n1: int, n2: int, r1: int, r2: int, tops: dict[int, int]) -> 
     if cycle_rank < 0:
         raise ValueError("edge count below vertex count: graph is not connected")
 
-    p = r1 + r2 - 4
-    # sorted on the int d: the + roots fall along it and the - roots rise
-    roots = sorted(((r1 - r2) ** 2 + abs(key), mult) for key, mult in tops.items() if mult > 0)
-    plus = [(_plus_root(p, d), mult) for d, mult in reversed(roots)]
-    pairs = [(_int_eigenvalue(r1 + r2 - 2), 1), *plus, (_int_eigenvalue(r2 - 2), n2 - n1)]
-    pairs += [(_reflect(ev, p), mult) for ev, mult in reversed(plus)]
-    pairs.append((_int_eigenvalue(-2), cycle_rank))
-    return Spectrum(pairs)
+    # +lam and -lam give one d, so their multiplicities merge; the + roots
+    # fall with the int d and the - roots rise
+    roots: dict[int, int] = {}
+    square, p = (r1 - r2) ** 2, r1 + r2 - 4
+    for key, mult in tops.items():
+        if mult > 0:
+            d = square + abs(key)
+            roots[d] = roots.get(d, 0) + mult
+    ds = sorted(roots, reverse=True)
+    return _from_runs(
+        ds,
+        [(_plus_root(p, d), roots[d]) for d in ds],
+        p,
+        (_int_eigenvalue(r2 - 2), n2 - n1),
+        top=(_int_eigenvalue(r1 + r2 - 2), 1),
+        bottom=(_int_eigenvalue(-2), cycle_rank),
+    )
 
 
 def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
@@ -507,16 +578,20 @@ def spectrum_line_inclusion(params: GraphParams) -> Spectrum:
 
 def spectrum_line_middle(n: int, k: int) -> Spectrum:
     """All-integer spectrum of the line graph of the layer graph on k- and
-    (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus s-2 and n-s-1 for
-    s = 1..k, emitted in descending order (n-k-1 >= k, as 2k+1 <= n)."""
+    (k+1)-subsets: n-1 once, k-1 and -2 in bulk, plus n-s-1 and its
+    reflection s-2 for s = 1..k, in order by the ints n-s-1 (n-k-1 >= k, as
+    2k+1 <= n)."""
     n, k = _checked_nk(n, k, middle=True)
     mults, n1, n2 = _recurrence(n, k)
-    pairs = [(_int_eigenvalue(n - 1), 1)]
-    pairs += [(_int_eigenvalue(n - s - 1), mults[s]) for s in range(1, k + 1)]
-    pairs.append((_int_eigenvalue(k - 1), n2 - n1))
-    pairs += [(_int_eigenvalue(s - 2), mults[s]) for s in range(k, 0, -1)]
-    pairs.append((_int_eigenvalue(-2), k * n2 - n1 + 1))
-    return Spectrum(pairs)
+    values = range(n - 2, n - k - 2, -1)  # n-s-1 for s = 1..k
+    return _from_runs(
+        values,
+        [(_int_eigenvalue(v), m) for v, m in zip(values, mults[1:])],
+        n - 3,  # r1 + r2 - 4: the reflection of n-s-1 is s-2
+        (_int_eigenvalue(k - 1), n2 - n1),
+        top=(_int_eigenvalue(n - 1), 1),
+        bottom=(_int_eigenvalue(-2), k * n2 - n1 + 1),
+    )
 
 
 def eigensolver_oracle(matrix) -> list[float]:

@@ -39,6 +39,7 @@ from setincl import (  # noqa: E402
     brute_force_aut_order,
     build_inclusion_graph,
     export_graph,
+    format_eigenvalue,
     intersection_number,
     parse_graph6,
     spectrum_inclusion,
@@ -382,13 +383,22 @@ def _closed_form_calls(draw):
 @example(((spectrum_line_inclusion, GraphParams(12, 4, 6)), 13860))  # d = 1009, 529, 289, 193
 def test_closed_forms_emit_values_in_normal_form(case):
     # each closed form makes its values as tuples, by one square test and no
-    # check: building each again through Eigenvalue must change nothing
+    # check: building each again through Eigenvalue must change nothing.
+    # The values strictly fall under the isqrt brackets, and the csv and
+    # table writers, which share the root and the text of a pair's two
+    # members, write each value as float() and format_eigenvalue do
     (form, *args), total = case
     spec = form(*args)
     assert sum(mult for _, mult in spec.entries) == total
     for ev, mult in spec.entries:
         assert type(ev) is Eigenvalue and type(mult) is int and mult > 0
         assert Eigenvalue(*ev) == ev and [type(x) for x in ev] == [int, int, int], (form, args, ev)
+    values = [ev for ev, _ in spec.entries]
+    assert all(_exact_order(x, y) == 1 for x, y in zip(values, values[1:])), (form, args)
+    csv = spec.to_csv_text().splitlines()
+    assert csv[1:] == [f"{float(ev):.17g},{m}" for ev, m in spec.entries], (form, args)
+    table = [row.rsplit("  ", 1) for row in spec.to_table_text().splitlines()]
+    assert table == [[format_eigenvalue(ev).rjust(len(table[0][0])), str(m)] for ev, m in spec.entries]
 
 
 def _bracket(ev, bits):

@@ -71,6 +71,21 @@ def fallbacks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def general(monkeypatch):
+    """Count general constructions, Spectrum(pairs): a closed form whose
+    order certificate holds makes none."""
+    calls = []
+    init = Spectrum.__init__
+
+    def counted(self, pairs):
+        calls.append(None)
+        init(self, pairs)
+
+    monkeypatch.setattr(Spectrum, "__init__", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue representations
 
@@ -479,33 +494,83 @@ def test_spectra_match_beta_sum_reference(n, k, l):
     # line graphs with values that float64 cannot order
     pytest.param(((111, 12, 26), (999, 60, 122), (412, 10, 402), (887, 58, 829)), id="large"),
 ])
-def test_each_closed_form_certifies_its_own_order(triples, fallbacks, monkeypatch):
-    # every closed form emits its values in descending order, so Spectrum
-    # certifies it in one pass; the same pairs shuffled take the fallback and
-    # give the same spectrum
-    handed = []
-    init = Spectrum.__init__
-
-    def record(self, pairs):
-        handed.append(list(pairs))
-        init(self, handed[-1])
-
-    monkeypatch.setattr(Spectrum, "__init__", record)
+def test_each_closed_form_certifies_its_own_order(triples, general, fallbacks):
+    # every closed form proves its order on the integers its values come
+    # from and joins its runs by exact comparisons, so it makes no general
+    # construction; its entries shuffled take the fallback and give the
+    # same spectrum
     if triples:
-        cases = [(spectrum_line_inclusion, GraphParams(*t)) for t in triples]
+        cases = [(f, GraphParams(*t)) for t in triples for f in (spectrum_inclusion, spectrum_line_inclusion)]
         cases += [(spectrum_middle, 3050, 900), (spectrum_line_middle, 3050, 900)]
     else:
         cases = [(f, p) for p in canonical_params_up_to(12) for f in (spectrum_inclusion, spectrum_line_inclusion)]
     rng = random.Random(27)
     for build, *args in cases:
         spec = build(*args)
-        assert fallbacks == [], (build.__name__, args)
+        assert general == [] and fallbacks == [], (build.__name__, args)
+        values = [ev for ev, _ in spec.entries]
+        assert all(_cmp_keys(x, y) > 0 for x, y in zip(values, values[1:])), (build.__name__, args)
         # shuffled, with the smallest value first, so that order cannot hold
-        *pairs, smallest = handed[-1]
+        *pairs, smallest = spec.entries
         rng.shuffle(pairs)
         pairs.insert(0, smallest)
         assert Spectrum(pairs) == spec and len(fallbacks) == 1, (build.__name__, args)
+        general.clear()
         fallbacks.clear()
+
+
+def _line_pairs(n1, n2, r1, r2, tops):
+    """The line spectrum of the semi-regular bipartite lemma, value by
+    value, from tops, the (m, multiplicity) of each top lam = +-sqrt(m):
+    r1 + r2 - 2 once, (p +- sqrt(d))/2 for each top but one principal copy,
+    with p = r1 + r2 - 4 and d = (r1 - r2)^2 + 4m, then r2 - 2 and -2."""
+    pairs = [(Eigenvalue(2 * (r1 + r2 - 2), 0, 0), 1)]
+    for m, mult in tops:
+        if m == r1 * r2:
+            mult -= 1
+        d = (r1 - r2) ** 2 + 4 * m
+        pairs += [(SurdEigenvalue(r1 + r2 - 4, d, 1), mult), (SurdEigenvalue(r1 + r2 - 4, d, -1), mult)]
+    pairs.append((Eigenvalue(2 * (r2 - 2), 0, 0), n2 - n1))
+    pairs.append((Eigenvalue(-4, 0, 0), n2 * r2 - n1 - n2 + 1))
+    return pairs
+
+
+def test_closed_forms_equal_the_general_path_when_a_check_fails(general, fallbacks, monkeypatch):
+    # two radicands swapped: the chain check fails, so the closed form hands
+    # its pairs to Spectrum, which sorts them.  The last radicand made 0: the
+    # chain holds, and the roots +-0 merge with the zeros at two seams.  Each
+    # result equals Spectrum over the same pairs, value by value
+    params = GraphParams(12, 4, 6)
+    betas, mults = radicands(params), multiplicities(12, 4)
+    swapped = [betas[0], betas[2], betas[1], *betas[3:]]
+    for patched, sorts in ((swapped, 1), (betas[:-1] + [0], 0)):
+        monkeypatch.setattr(spectra_module, "radicands", lambda p, patched=patched: list(patched))
+        spec = spectrum_inclusion(params)
+        assert (len(general), len(fallbacks)) == (sorts, sorts)
+        # the line form sorts its ints d, so the swap needs no fallback
+        line = spectrum_line_inclusion(params)
+        assert (len(general), len(fallbacks)) == (sorts, sorts)
+        roots = [(ExactEigenvalue(sign if b else 0, b), m) for b, m in zip(patched, mults) for sign in (1, -1)]
+        assert spec == Spectrum(roots + [(ExactEigenvalue(0, 0), params.n2 - params.n1)])
+        tops = list(zip(patched, mults))
+        assert line == Spectrum(_line_pairs(params.n1, params.n2, params.r1, params.r2, tops))
+        general.clear()
+        fallbacks.clear()
+    # tops out of order, among them K_{2,4}'s zero, whose - root 0 = r2 - 2
+    # merges with the bulk value at the seam between them
+    rng = random.Random(27)
+    for sizes, tops in (
+        ((2, 4, 4, 2), [(0, 1), (8, 1)]),
+        ((params.n1, params.n2, params.r1, params.r2), list(zip(betas, mults))),
+    ):
+        rng.shuffle(tops)
+        spec = spectrum_line_semiregular(*sizes, [(ExactEigenvalue(1 if m else 0, m), mult) for m, mult in tops])
+        assert general == [] and fallbacks == []
+        assert spec == Spectrum(_line_pairs(*sizes, tops))
+        general.clear()
+    # K_{2,4}'s line graph is the rook's graph K_2 x K_4
+    spec = spectrum_line_semiregular(2, 4, 4, 2, [(ExactEigenvalue(0, 0), 1), (ExactEigenvalue(1, 8), 1)])
+    assert spectrum_as_multiset(spec) == {"4": 1, "2": 1, "0": 3, "-2": 3}
 
 
 def test_spectrum_middle_frozen():
@@ -552,7 +617,7 @@ def test_spectrum_line_semiregular_regular_bipartite_case():
     assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
 
 
-def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks):
+def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks, general):
     # only lam^2 enters the roots, so each non-principal top may be given as
     # +sqrt(m) or -sqrt(m), in any order, and the values still come in order
     params = GraphParams(7, 2, 3)
@@ -571,7 +636,7 @@ def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks):
     assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
     spec = spectrum_line_semiregular(4, 4, 2, 2, [(zero, 2), (ExactEigenvalue(1, 4), 2)])
     assert spectrum_as_multiset(spec) == {"2": 2, "0": 4, "-2": 2}
-    assert fallbacks == []
+    assert fallbacks == [] and general == []
 
 
 def test_spectrum_line_semiregular_refuses_non_integer_multiplicities():
