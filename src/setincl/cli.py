@@ -115,56 +115,103 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The argparse parser, and for each command the (positionals in order,
+    options by option string) of the actions that add_argument returned."""
     parser = _Parser(prog="setincl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     capped = f"The cap SETINCL_MAX_VERTICES (default {MAX_VERTICES}) bounds"
+    grammar = {}
 
-    def add_params(p):
-        p.add_argument("n", type=int)
-        p.add_argument("k", type=int)
-        p.add_argument("l", type=int)
+    def command(name, positionals="nkl", **kwargs):
+        """Add the command name with its int positionals; return its add_argument."""
+        p = sub.add_parser(name, **kwargs)
+        positional_actions = [p.add_argument(x, type=int) for x in positionals]
+        options = {}
+        grammar[name] = positional_actions, options
 
-    p = sub.add_parser("spectrum", help="print the exact spectrum")
-    add_params(p)
-    p.add_argument("--line", action="store_true", help="spectrum of the line graph")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--out", help="write to this path instead of stdout")
+        def add(*args, **kwargs):
+            action = p.add_argument(*args, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
 
-    p = sub.add_parser("verify", help="compare the exact spectrum with the numeric solver",
-                       description=f"{capped} the solved dimension, n1 (n1+n2 with --line), rank "
-                       f"array n2*r2 <= cap^2 and Gram products n1^2*n2 <= {GRAM_WORK}*cap^3.")
-    add_params(p)
-    p.add_argument("--line", action="store_true")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
+        return add
 
-    p = sub.add_parser("aut", help="automorphism group report", description=f"{capped} the "
-                       f"--brute-force certificate: n*2m arc visits (m edges) <= {CERT_WORK}*cap^2.")
-    add_params(p)
-    p.add_argument("--brute-force", action="store_true", help="check the order on the built "
-                   "graph by upper and lower bounds that must meet")
-    p.add_argument("--format", choices=["table", "json"], default="table")
+    add = command("spectrum", help="print the exact spectrum")
+    add("--line", action="store_true", help="spectrum of the line graph")
+    add("--format", choices=["table", "json", "csv"], default="table")
+    add("--out", help="write to this path instead of stdout")
 
-    p = sub.add_parser("orbits", help="orbit counts under the automorphism group")
-    add_params(p)
-    p.add_argument("--on", choices=["vertices", "edges", "arcs"], required=True)
+    add = command("verify", help="compare the exact spectrum with the numeric solver",
+                  description=f"{capped} the solved dimension, n1 (n1+n2 with --line), rank "
+                  f"array n2*r2 <= cap^2 and Gram products n1^2*n2 <= {GRAM_WORK}*cap^3.")
+    add("--line", action="store_true")
+    add("--tol", type=_tolerance, default=1e-8)
+    add("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
 
-    p = sub.add_parser("export", help="write the graph in an interchange format")
-    add_params(p)
-    p.add_argument("--format", choices=["edgelist", "graph6", "dot"], default="edgelist")
-    p.add_argument("--out", help="write to this path instead of stdout")
+    add = command("aut", help="automorphism group report", description=f"{capped} the "
+                  f"--brute-force certificate: n*2m arc visits (m edges) <= {CERT_WORK}*cap^2.")
+    add("--brute-force", action="store_true", help="check the order on the built "
+        "graph by upper and lower bounds that must meet")
+    add("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("scheme", help="intersection numbers of the scheme on k-subsets",
-                       description=f"{capped} the count of --check: (k+1)*C(n,k) entries <= "
-                       f"{SCHEME_WORK}*cap^2.")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--check", action="store_true", help="verify the identities by counting")
-    return parser
+    add = command("orbits", help="orbit counts under the automorphism group")
+    add("--on", choices=["vertices", "edges", "arcs"], required=True)
+
+    add = command("export", help="write the graph in an interchange format")
+    add("--format", choices=["edgelist", "graph6", "dot"], default="edgelist")
+    add("--out", help="write to this path instead of stdout")
+
+    add = command("scheme", "nk", help="intersection numbers of the scheme on k-subsets",
+                  description=f"{capped} the count of --check: (k+1)*C(n,k) entries <= "
+                  f"{SCHEME_WORK}*cap^2.")
+    add("--check", action="store_true", help="verify the identities by counting")
+    return parser, grammar
 
 
-_PARSER = _build_parser()
+_PARSER, _GRAMMAR = _build_parser()
+
+
+def _read_argv(argv):
+    """The Namespace of argv (sys.argv[1:] when None) when it is a command
+    followed only by exact option strings, each option's value, and exactly
+    the command's positionals, every value one that converts and is among
+    the choices, and every required option given; None for any other argv,
+    which argparse then reads, for its help, abbreviations and errors.  Only
+    the public attributes of the command's argparse actions are read."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    positionals, options = _GRAMMAR[argv[0]]
+    args = argparse.Namespace(command=argv[0])
+    for action in options.values():
+        setattr(args, action.dest, action.default)
+    tokens, todo, seen = iter(argv[1:]), iter(positionals), set()
+    for token in tokens:
+        action = options.get(token)
+        if action is None:  # the next positional
+            action = next(todo, None)
+            if action is None or token.startswith("-"):
+                return None
+        elif action.nargs == 0:
+            setattr(args, action.dest, action.const)
+            seen.add(action)
+            continue
+        else:
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    if next(todo, None) is not None or any(
+            a.required and a not in seen for a in options.values()):
+        return None
+    return args
 
 
 def _size(x: int) -> str:
@@ -236,14 +283,18 @@ def _bounds(args, cap: int):
 
 
 def _preflight(argv):
-    """Parse argv and validate the parameters (canonicalizing any (n,k,l),
-    with a note), then refuse the command at the first row of _bounds past
-    its cap, on the row's bound N when that is 64 bits past the cap: then
-    2^N > cap, and the exact size, such as C(10^6, 4*10^5) of 1.0e6 bits
-    that takes seconds, is never computed.  The environment cap is read, and
-    so validated, first."""
+    """Parse argv (by _read_argv, else by argparse) and validate the
+    parameters (canonicalizing any (n,k,l), with a note), then refuse the
+    command at the first row of _bounds past its cap, on the row's bound N
+    when that is 64 bits past the cap: then 2^N > cap, and the exact size,
+    such as C(10^6, 4*10^5) of 1.0e6 bits that takes seconds, is never
+    computed.  The environment cap is read, and so validated, first."""
     cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
-    args = _PARSER.parse_args(argv)
+    if argv is not None:
+        argv = list(argv)  # read twice: by _read_argv, then maybe by argparse
+    args = _read_argv(argv)
+    if args is None:
+        args = _PARSER.parse_args(argv)
     # argv is read under the digit limit; what follows from it, such as
     # C(n,k) in a cap message or n! in a report, may be longer
     if _DIGIT_LIMIT:

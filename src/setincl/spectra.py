@@ -534,7 +534,7 @@ def spectrum_line_semiregular(
         if a * e or (a * a + r) % 4:
             raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
         key = (_sign(a) + e) * (a * a + r)
-        tops[key] = tops.get(key, 0) + operator.index(mult)
+        tops[key] = tops.get(key, 0) + _multiplicity(mult)
     return _line_spectrum(n1, n2, r1, r2, tops)
 
 

@@ -510,6 +510,20 @@ def test_env_var_cap_must_be_positive(name, value, monkeypatch, capsys):
     assert err == f"setincl: error: {name} must be positive, got {value!r}\n"
 
 
+@pytest.mark.parametrize("reader", [True, False])
+def test_main_none_reads_sys_argv(reader, monkeypatch, capsys):
+    """main(None) reads sys.argv[1:], as the console script calls it: on the
+    reader's path (argparse is not called) and on argparse's (--form is an
+    abbreviation, which the reader leaves to argparse)."""
+    argv = ["spectrum", "6", "2", "3", "--format" if reader else "--form", "json"]
+    expect = run(argv, capsys)
+    assert expect[0] == 0 and (cli._read_argv(argv) is not None) == reader
+    monkeypatch.setattr(sys, "argv", ["setincl", *argv])
+    if reader:
+        monkeypatch.setattr(cli._PARSER, "parse_args", lambda *args: pytest.fail("argparse called"))
+    assert run(None, capsys) == expect
+
+
 def test_unknown_subcommand(capsys):
     assert run(["bogus"], capsys)[0] == 64
 

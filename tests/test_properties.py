@@ -4,14 +4,17 @@ of `Spectrum` (also where float64 cannot order or hold the values), the
 normal form of every value a closed form emits, the reflection and the
 equal-(a, e) and equal-e comparisons of exact eigenvalues, the range of r
 that each intersection number sums over, the automorphism-order oracle and
-the command line's exit codes."""
+the command line's exit codes and its argv reader, which parses as argparse does."""
 
 import contextlib
+import importlib
 import io
 import os
+import sys
 from functools import cmp_to_key
 from itertools import combinations
 from math import comb, factorial, isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,7 +50,7 @@ from setincl import (  # noqa: E402
     spectrum_line_middle,
     spectrum_middle,
 )
-from setincl import combinatorics  # noqa: E402
+from setincl import cli, combinatorics  # noqa: E402
 from setincl.automorphisms import _color_weights, _refinement_colors, component_labels  # noqa: E402
 from setincl.cli import main  # noqa: E402
 from setincl.spectra import _cmp_keys, _reflect  # noqa: E402
@@ -639,6 +642,85 @@ def test_cli_exits_with_a_documented_code(call):
             code = main(argv)
     assert code in (0, 1, 2, 64), (argv, env, code)
     assert "Traceback" not in err.getvalue()
+
+
+# tokens that only argparse reads (abbreviations, --opt=value, "--", help, a
+# negative number, "", the value "-", --out with no value or an option after
+# it) or that it reads in any order
+_ARGPARSE_TOKENS = [["--form", "json"], ["--lin"], ["--format=json"], ["--"], ["-h"], ["--help"],
+                    ["-3"], [""], ["--out", "-"], ["--out"], ["--line"], ["--format", "csv"],
+                    ["--on", "arcs"]]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line of _cli_calls, its options maybe moved before the
+    positionals or repeated, with tokens of _ARGPARSE_TOKENS inserted; or
+    one with an unknown command, or none."""
+    if draw(_RARELY, label="no command"):
+        return draw(st.sampled_from([[], ["bogus", "4", "1", "2"], ["-h"], ["--version"]]))
+    (command, *rest), _ = draw(_cli_calls(), label="call")
+    first = next((i for i, token in enumerate(rest) if token.startswith("--")), len(rest))
+    if draw(st.booleans(), label="options first"):
+        rest = rest[first:] + rest[:first]
+    if draw(_RARELY, label="repeat the options"):
+        rest += rest[first:]
+    for tokens in draw(st.lists(st.sampled_from(_ARGPARSE_TOKENS), max_size=2), label="insert"):
+        at = draw(st.integers(0, len(rest)), label="at")
+        rest[at:at] = tokens
+    return [command, *rest]
+
+
+def _parsed(parse, argv):
+    """vars of parse(argv)'s Namespace, or its SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _read_then_argparse(argv):
+    args = cli._read_argv(argv)
+    return cli._PARSER.parse_args(argv) if args is None else args
+
+
+@settings(deadline=None, max_examples=300)
+@given(_argvs())
+@example([])
+@example(["orbits", "4", "1", "2"])  # --on is required
+@example(["spectrum", "4", "1", "2", "3"])  # one positional too many
+@example(["spectrum", "--line", "--format", "json", "6", "2", "3", "--line"])
+@example(["spectrum", "6", "2", "3", "--out", "-"])
+@example(["spectrum", "6", "2", "3", "--out", "--line"])  # --out has no value
+@example(["export", "6", "2", "3", "--out"])
+@example(["spectrum", "6", "2", "3", "--format="])
+@example(["verify", "6", "-2", "3"])
+@example(["verify", "6", "2", "3", "--tol", "nan"])
+@example(["export", "6", "2", "3", "--format", "gml"])
+@example(["scheme", " 6", "2_0"])  # int() reads spaces and underscores
+def test_reader_then_argparse_is_argparse(argv):
+    assert _parsed(_read_then_argparse, argv) == _parsed(cli._PARSER.parse_args, argv), argv
+
+
+def test_reader_takes_every_workload_command_line():
+    """Every CLI job of the benchmark, at two seeds, takes the reader."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    with mock.patch.object(sys, "path", [perfbench, *sys.path]), mock.patch.dict(sys.modules):
+        workloads = importlib.import_module("workloads")
+        jobs = [*workloads.WARMUP.values()] + [
+            job for pool in workloads.WORKLOADS.values() for seed in (0, 1)
+            for each_pass in pool(seed, 2) for job in each_pass]
+    commands = set()
+    for job in jobs:
+        if job.argv:
+            argv = list(job.argv)
+            args = cli._read_argv(argv)
+            assert args is not None and vars(args) == vars(cli._PARSER.parse_args(argv)), argv
+            commands.add(argv[0])
+    assert commands == set(cli._GRAMMAR)
 
 
 # the commands that build, each with the flags it builds under; plain aut and

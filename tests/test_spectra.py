@@ -665,6 +665,10 @@ def test_spectrum_line_semiregular_validation():
     for odd in (SurdEigenvalue(1, 5, 1), SurdEigenvalue(1, 0, 1), SurdEigenvalue(0, 2, 1)):
         with pytest.raises(ValueError, match=r"sqrt\(m\)"):
             spectrum_line_semiregular(3, 3, 2, 2, [(ExactEigenvalue(1, 4), 1), (odd, 2)])
+    # the sum 1 + 3 - 1 is n1, but a negative multiplicity is no multiplicity
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        spectrum_line_semiregular(
+            3, 3, 2, 2, [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 1), 3), (ExactEigenvalue(1, 2), -1)])
 
 
 def test_spectrum_line_semiregular_reads_values_not_forms():
