@@ -37,8 +37,6 @@ __all__ = [
     "aut_group",
     "brute_force_aut_order",
     "certified_aut_order",
-    "pointwise_stabilizer_trivial",
-    "common_neighbor_fingerprint",
     "orbit_count",
 ]
 
@@ -447,28 +445,6 @@ def _moore_relations(t: np.ndarray, s: np.ndarray, n: int) -> bool:
             return False
         s_j, s_inv_j = s[s_j], s_inv[s_inv_j]
     return True
-
-
-def pointwise_stabilizer_trivial(g: SubsetGraph) -> bool:
-    """True iff the identity is the only automorphism fixing every k-subset
-    vertex.
-
-    An automorphism fixing the first size class pointwise can move an
-    l-subset vertex only onto one with the identical (fixed) neighborhood,
-    and any permutation inside such duplicate classes is an automorphism;
-    the restricted search therefore reduces to checking that all
-    neighborhoods on the l-side are distinct.
-    """
-    # the l-side rows are the rank rows, each sorted
-    return len(np.unique(g.ranks, axis=0)) == len(g.ranks)
-
-
-def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
-    """Number of common neighbors of two k-subset vertices (their degree
-    when u == v); determines the intersection size of the two subsets."""
-    if not (0 <= u < g.v1_count and 0 <= v < g.v1_count):
-        raise ValueError("both vertices must lie in the k-subset class")
-    return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))
 
 
 def orbit_count(g: Graph, generators, on: str = "vertices") -> int:

@@ -292,6 +292,9 @@ def _preflight(argv):
     cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     if argv is not None:
         argv = list(argv)  # read twice: by _read_argv, then maybe by argparse
+        for token in argv:  # neither reader handles a token that is no str
+            if not isinstance(token, str):
+                raise ValueError(f"each argument must be a str, got a {type(token).__name__}")
     args = _read_argv(argv)
     if args is None:
         args = _PARSER.parse_args(argv)

@@ -13,8 +13,10 @@ ordering and the power sums of any order are decided in exact integer
 arithmetic.  Each closed form proves the descending order of its values on
 the integers they come from (the radicands beta_s, the discriminants d of
 a line spectrum, or the int values themselves), with exact comparisons only
-at the seams between its runs; the line spectra are computed from the
-integers 4*lam^2 of the top eigenvalues lam.
+at the seams between its runs, and raises AssertionError if a check fails;
+the line spectra are computed from the integers 4*lam^2 of the top
+eigenvalues lam.  Spectrum(pairs), for pairs from anywhere else, is one
+dict merge and one exact sort.
 Floating point appears only when a spectrum is expanded, for comparison
 against the numeric solver or to be written as CSV.
 """
@@ -25,7 +27,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 
@@ -209,19 +210,6 @@ def _multiplicity(mult) -> int:
     return mult
 
 
-def _sorted_entries(pairs) -> list[tuple[Eigenvalue, int]]:
-    """(value, multiplicity) pairs in any order, merged by exact equality and
-    sorted descending by exact comparisons; zero multiplicities are dropped."""
-    merged: dict[Eigenvalue, int] = {}
-    for ev, mult in pairs:
-        mult = _multiplicity(mult)
-        if mult:
-            merged[ev] = merged.get(ev, 0) + mult
-    # the items carry their multiplicities, so no value is hashed again
-    exact = cmp_to_key(_cmp_keys)
-    return sorted(merged.items(), key=lambda item: exact(item[0]), reverse=True)
-
-
 # the primes below 1000: a composite's square cannot divide what is left
 # once the squares of its prime factors are divided out
 _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
@@ -258,34 +246,21 @@ class Spectrum:
     Eigenvalue is in normal form, so values equal as numbers are equal keys
     and merge.
 
-    The pairs are read once, in one pass that decides each adjacent pair by
-    an exact comparison: a smaller value is appended and an equal one merged.
-    So input already in descending order costs one comparison per pair.  At
-    the first larger value, the pairs so far and the rest go to a dict merge
-    and an exact sort.  This is the general constructor: a closed form
-    comes here only when its own order certificate fails (see _from_runs)."""
+    This is the general constructor: the pairs, in any order, are merged in
+    a dict and sorted once by exact comparisons.  Input already in
+    descending order is one run to the sort, found by one comparison per
+    adjacent pair.  The closed forms do not come here; each proves the order
+    of its own values (see _from_runs)."""
 
     def __init__(self, pairs):
-        entries: list[tuple[Eigenvalue, int]] = []
-        last = None  # the value of entries[-1]
-        rest = iter(pairs)
-        for pair in rest:
-            ev, mult = pair
-            if type(mult) is not int or mult < 0:
-                mult = _multiplicity(mult)
-                pair = (ev, mult)
-            if not mult:
-                continue
-            order = 1 if last is None else _cmp_keys(last, ev)
-            if order > 0:
-                # an incoming (value, int) tuple is kept as it is
-                entries.append(pair if type(pair) is tuple else (ev, mult))
-                last = ev
-            elif order == 0:
-                entries[-1] = (ev, entries[-1][1] + mult)
-            else:
-                entries = _sorted_entries(chain(entries, [(ev, mult)], rest))
-                break
+        merged: dict[Eigenvalue, int] = {}
+        for ev, mult in pairs:
+            mult = _multiplicity(mult)
+            if mult:
+                merged[ev] = merged.get(ev, 0) + mult
+        # the items carry their multiplicities, so no value is hashed again
+        exact = cmp_to_key(_cmp_keys)
+        entries = sorted(merged.items(), key=lambda item: exact(item[0]), reverse=True)
         self.entries: tuple[tuple[Eigenvalue, int], ...] = tuple(entries)
 
     def __len__(self) -> int:
@@ -458,19 +433,22 @@ def _from_runs(keys, plus, p: int, middle, top=None, bottom=None) -> Spectrum:
     their int keys do.  So one comparison pass over keys proves plus
     strictly descending and with it minus; _cmp_keys then runs only at the
     at most four seams between nonempty runs, where equal values merge.
-    Zero multiplicities are dropped.  If a check fails, the same pairs go
-    to Spectrum, so the result is the same in every case."""
+    Zero multiplicities are dropped.  A check that fails is a defect of the
+    closed form, not of its input, so it raises AssertionError, also under
+    python -O."""
+    if not all(map(operator.gt, keys, keys[1:])):
+        raise AssertionError("the keys of a closed form do not strictly fall")
     minus = [(_reflect(ev, p), m) for ev, m in reversed(plus)]
     top, middle, bottom = ([pair] if pair and pair[1] else [] for pair in (top, middle, bottom))
-    runs = (top, plus, middle, minus, bottom)
-    if not all(map(operator.gt, keys, keys[1:])):
-        return Spectrum(chain(*runs))
     entries: list[tuple[Eigenvalue, int]] = []
-    for run in runs:
+    for run in (top, plus, middle, minus, bottom):
         if run and entries:
             order = _cmp_keys(entries[-1][0], run[0][0])
             if order < 0:
-                return Spectrum(chain(*runs))
+                raise AssertionError(
+                    f"a closed form rises from {format_eigenvalue(entries[-1][0])} "
+                    f"to {format_eigenvalue(run[0][0])} at a seam"
+                )
             if order == 0:
                 entries[-1] = (run[0][0], entries[-1][1] + run[0][1])
                 run = run[1:]
@@ -514,12 +492,14 @@ def spectrum_line_semiregular(
 
     The edges number n1*r1 = n2*r2.  top_eigenvalues is a list of
     (Eigenvalue, multiplicity) pairs whose multiplicities sum to n1, each
-    value +-sqrt(m) for an integer m, and whose largest member is
-    sqrt(r1*r2).  Each non-principal eigenvalue lam contributes the two roots
-    (p +- sqrt(d))/2 of (x - r1 + 2)(x - r2 + 2) = lam^2, with p = r1 + r2 - 4
-    and d = (r1 - r2)^2 + 4 lam^2, which move apart as lam^2 grows.  So the
-    values are emitted in descending order: r1 + r2 - 2, the + roots by
-    falling lam^2, r2 - 2, the - roots by rising lam^2, then -2.
+    value +-sqrt(m) for an integer m; a pair of multiplicity 0 is dropped,
+    as Spectrum drops it.  The largest value must be sqrt(r1*r2), the
+    spectral radius, and no value may pass it in absolute value, or
+    ValueError is raised.  Each non-principal eigenvalue lam contributes
+    the two roots (p +- sqrt(d))/2 of (x - r1 + 2)(x - r2 + 2) = lam^2, with
+    p = r1 + r2 - 4 and d = (r1 - r2)^2 + 4 lam^2, which move apart as lam^2
+    grows.  So the values are emitted in descending order: r1 + r2 - 2, the
+    + roots by falling lam^2, r2 - 2, the - roots by rising lam^2, then -2.
     """
     # Python ints, as the - roots reflect the + roots about p unchecked
     n1, n2, r1, r2 = map(operator.index, (n1, n2, r1, r2))
@@ -533,8 +513,13 @@ def spectrum_line_semiregular(
         # lam = (a + e*sqrt(r))/2 is +-sqrt(m) iff a*e = 0, and then 4m = a*a + r
         if a * e or (a * a + r) % 4:
             raise ValueError(f"top eigenvalue {ev} is not +-sqrt(m) for an integer m")
+        mult = _multiplicity(mult)
+        if not mult:
+            continue
         key = (_sign(a) + e) * (a * a + r)
-        tops[key] = tops.get(key, 0) + _multiplicity(mult)
+        if abs(key) > 4 * r1 * r2:
+            raise ValueError(f"top eigenvalue {ev} is beyond sqrt(r1*r2), the spectral radius")
+        tops[key] = tops.get(key, 0) + mult
     return _line_spectrum(n1, n2, r1, r2, tops)
 
 
@@ -543,7 +528,7 @@ def _line_spectrum(n1: int, n2: int, r1: int, r2: int, tops: dict[int, int]) -> 
     sign(lam) * 4 lam^2 of each top eigenvalue lam to its multiplicity."""
     if sum(tops.values()) != n1:
         raise ValueError("top eigenvalue multiplicities must sum to n1")
-    if max(tops) != 4 * r1 * r2:
+    if max(tops, default=None) != 4 * r1 * r2:
         raise ValueError("largest eigenvalue must be sqrt(r1*r2)")
     tops[4 * r1 * r2] -= 1  # the single principal copy became r1 + r2 - 2
     cycle_rank = n2 * r2 - n1 - n2 + 1  # edges minus vertices plus one

@@ -3,8 +3,10 @@ a bound, the check that each preflight row's bits bound its size, the
 intersection numbers summed over every r, the intersection sizes of every
 pair of k-subsets with the relation graphs and the dense scheme check read
 from them, a reference CSR build and the check of a graph against it,
-connectivity by networkx, and the product and identity test of vertex
-actions."""
+connectivity by networkx, the product and identity test of vertex
+actions, and the two lemma checks on the k-side of an inclusion graph: only
+the identity fixes it pointwise, and common neighbours give intersection
+sizes."""
 
 from types import SimpleNamespace
 
@@ -14,7 +16,7 @@ import pytest
 from setincl import binom, cli
 from setincl.automorphisms import InducedAction
 from setincl.combinatorics import intersection_number
-from setincl.graphs import Graph, GraphParams, canonicalize, subset_positions
+from setincl.graphs import Graph, GraphParams, SubsetGraph, canonicalize, subset_positions
 
 
 def canonical_params_up_to(max_n: int, min_n: int = 3):
@@ -161,3 +163,25 @@ def compose(a: InducedAction, b: InducedAction) -> InducedAction:
 
 def is_identity(a: InducedAction) -> bool:
     return np.array_equal(a.images, np.arange(len(a.images)))
+
+
+def pointwise_stabilizer_trivial(g: SubsetGraph) -> bool:
+    """True iff the identity is the only automorphism fixing every k-subset
+    vertex.
+
+    An automorphism fixing the first size class pointwise can move an
+    l-subset vertex only onto one with the identical (fixed) neighborhood,
+    and any permutation inside such duplicate classes is an automorphism;
+    the restricted search therefore reduces to checking that all
+    neighborhoods on the l-side are distinct.
+    """
+    # the l-side rows are the rank rows, each sorted
+    return len(np.unique(g.ranks, axis=0)) == len(g.ranks)
+
+
+def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
+    """Number of common neighbors of two k-subset vertices (their degree
+    when u == v); determines the intersection size of the two subsets."""
+    if not (0 <= u < g.v1_count and 0 <= v < g.v1_count):
+        raise ValueError("both vertices must lie in the k-subset class")
+    return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))

@@ -14,19 +14,21 @@ from setincl import (
     brute_force_aut_order,
     build_inclusion_graph,
     build_line_graph,
-    common_neighbor_fingerprint,
     compare_spectra,
     eigensolver_oracle,
     aut_group,
     johnson_scheme_holds,
     orbit_count,
-    pointwise_stabilizer_trivial,
     spectrum_inclusion,
     spectrum_line_inclusion,
     spectrum_line_middle,
 )
 
-from reference_helpers import canonical_params_up_to
+from reference_helpers import (
+    canonical_params_up_to,
+    common_neighbor_fingerprint,
+    pointwise_stabilizer_trivial,
+)
 from reference_ranks import vertex_sets
 
 TOL = 1e-8

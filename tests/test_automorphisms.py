@@ -20,17 +20,22 @@ from setincl import (
     brute_force_aut_order,
     build_inclusion_graph,
     certified_aut_order,
-    common_neighbor_fingerprint,
     group_shape,
     induced_action,
     is_automorphism,
     orbit_count,
-    pointwise_stabilizer_trivial,
     tau_action,
 )
 from setincl import automorphisms
 
-from reference_helpers import build_johnson_graph, canonical_params_up_to, compose, is_identity
+from reference_helpers import (
+    build_johnson_graph,
+    canonical_params_up_to,
+    common_neighbor_fingerprint,
+    compose,
+    is_identity,
+    pointwise_stabilizer_trivial,
+)
 from reference_ranks import mask_of, subset_rank, vertex_sets
 
 

@@ -77,6 +77,18 @@ def test_spectrum_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", 6, 2, 3],
+    ["spectrum", "6", "2", "3", "--out", 5],
+    [b"spectrum", "6", "2", "3"],
+])
+def test_argument_that_is_no_str_is_a_usage_error(argv, capsys):
+    # each once ended in a traceback from the argv reader or argparse
+    code, out, err = run(argv, capsys)
+    assert code == 64 and out == ""
+    assert err.startswith("setincl: error: each argument must be a str") and err.count("\n") == 1
+
+
 def test_spectrum_canonicalization_notice(capsys):
     code, out, err = run(["spectrum", "5", "3", "4"], capsys)
     assert code == 0

@@ -48,6 +48,7 @@ from setincl import (  # noqa: E402
     spectrum_inclusion,
     spectrum_line_inclusion,
     spectrum_line_middle,
+    spectrum_line_semiregular,
     spectrum_middle,
 )
 from setincl import cli, combinatorics  # noqa: E402
@@ -402,6 +403,56 @@ def test_closed_forms_emit_values_in_normal_form(case):
     assert csv[1:] == [f"{float(ev):.17g},{m}" for ev, m in spec.entries], (form, args)
     table = [row.rsplit("  ", 1) for row in spec.to_table_text().splitlines()]
     assert table == [[format_eigenvalue(ev).rjust(len(table[0][0])), str(m)] for ev, m in spec.entries]
+
+
+@st.composite
+def _semiregular_tops(draw):
+    """(n1, n2, r1, r2) with n1*r1 = n2*r2 and n1 <= n2, and top values
+    +-sqrt(m) with 0 <= m <= r1*r2 in any order, sign and form, whose
+    multiplicities sum to n1 and give sqrt(r1*r2) at least one; some
+    multiplicities are 0.  Also the (m, multiplicity) of each top, with one
+    principal copy taken off."""
+    mults = draw(st.lists(st.integers(0, 3), max_size=6))
+    principal = draw(st.integers(1, 3))
+    n1 = principal + sum(mults)
+    r1 = draw(st.integers(1, 30) | st.integers(10**6, 10**12))
+    r2 = draw(st.sampled_from([d for d in range(1, min(r1, 60) + 1) if n1 * r1 % d == 0]))
+    ms = [draw(st.integers(0, r1 * r2) | st.sampled_from([0, r1 * r2])) for _ in mults]
+    pairs = [(ExactEigenvalue(1, r1 * r2), principal)]
+    for m, mult in zip(ms, mults):
+        sign = draw(_BRANCHES) if m else 0
+        surd = draw(st.booleans())
+        pairs.append((SurdEigenvalue(0, 4 * m, sign or 1) if surd else ExactEigenvalue(sign, m), mult))
+    tops = [(r1 * r2, principal - 1), *zip(ms, mults)]
+    return (n1, n1 * r1 // r2, r1, r2), draw(st.permutations(pairs)), tops
+
+
+@settings(deadline=None)
+@given(_semiregular_tops())
+# K_{2,4}: the - root of its zero top is r2 - 2.  The 4-cycle with a top
+# -2: its roots 2 and -2 are r1 + r2 - 2 and -2
+@example(((2, 4, 4, 2), [(ExactEigenvalue(0, 0), 1), (ExactEigenvalue(1, 8), 1)], [(8, 0), (0, 1)]))
+@example(((2, 2, 2, 2), [(ExactEigenvalue(-1, 4), 1), (ExactEigenvalue(1, 4), 1)], [(4, 0), (4, 1)]))
+def test_line_form_of_valid_tops_passes_its_own_checks(case):
+    # tops that satisfy the lemma's conditions never reach a failed chain
+    # or seam check (AssertionError): the line spectrum is Spectrum over
+    # its values, r1 + r2 - 2 once, (p +- sqrt(d))/2 for each top but one
+    # principal copy, r2 - 2 and -2, unless the degrees leave fewer edges
+    # than vertices
+    (n1, n2, r1, r2), pairs, tops = case
+    cycle_rank = n2 * r2 - n1 - n2 + 1
+    if cycle_rank < 0:
+        with pytest.raises(ValueError, match="not connected"):
+            spectrum_line_semiregular(n1, n2, r1, r2, pairs)
+        return
+    spec = spectrum_line_semiregular(n1, n2, r1, r2, pairs)
+    p, expect = r1 + r2 - 4, [(Eigenvalue(2 * (r1 + r2 - 2), 0, 0), 1)]
+    for m, mult in tops:
+        d = (r1 - r2) ** 2 + 4 * m
+        expect += [(SurdEigenvalue(p, d, 1), mult), (SurdEigenvalue(p, d, -1), mult)]
+    expect += [(Eigenvalue(2 * (r2 - 2), 0, 0), n2 - n1), (Eigenvalue(-4, 0, 0), cycle_rank)]
+    assert spec == Spectrum(expect)
+    assert spec.total_multiplicity == n1 * r1
 
 
 def _bracket(ev, bits):

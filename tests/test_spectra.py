@@ -7,10 +7,13 @@ import json
 import operator
 import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,36 +57,6 @@ def as_rational_int(ev):
 
 def spectrum_as_multiset(spec):
     return {format_eigenvalue(ev): mult for ev, mult in spec.entries}
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Count Spectrum's fallback, which merges and sorts input that is out
-    of order: one entry in the returned list per call during the test."""
-    calls = []
-    fallback = spectra_module._sorted_entries
-
-    def counted(pairs):
-        calls.append(None)
-        return fallback(pairs)
-
-    monkeypatch.setattr(spectra_module, "_sorted_entries", counted)
-    return calls
-
-
-@pytest.fixture
-def general(monkeypatch):
-    """Count general constructions, Spectrum(pairs): a closed form whose
-    order certificate holds makes none."""
-    calls = []
-    init = Spectrum.__init__
-
-    def counted(self, pairs):
-        calls.append(None)
-        init(self, pairs)
-
-    monkeypatch.setattr(Spectrum, "__init__", counted)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +177,18 @@ def test_spectrum_distinguishes_close_values():
     assert spec.entries[1][0] == a
 
 
-def test_spectrum_merges_in_one_pass_and_falls_back_on_disorder(fallbacks):
+def test_spectrum_merges_and_sorts_pairs_in_any_order(monkeypatch):
     two, root2, one, zero = ExactEigenvalue(1, 4), ExactEigenvalue(1, 2), ExactEigenvalue(1, 1), ExactEigenvalue(0, 0)
-    # adjacent duplicates, √2 given twice in two forms, merge in the one pass
+    # √2 given twice in two forms, and a zero multiplicity, which is dropped
     spec = Spectrum([(two, 1), (root2, 1), (SurdEigenvalue(0, 8, 1), 2), (one, 1), (one, 0), (zero, 3)])
-    assert spec.entries == ((two, 1), (root2, 3), (one, 1), (zero, 3)) and fallbacks == []
-    # non-adjacent duplicates merge in the fallback, which the first
-    # larger value starts
+    assert spec.entries == ((two, 1), (root2, 3), (one, 1), (zero, 3))
+    # non-adjacent duplicates merge, whatever the order
     assert Spectrum([(root2, 1), (zero, 1), (two, 1), (one, 1), (root2, 2), (zero, 2)]) == spec
-    assert len(fallbacks) == 1
-    # the multiplicities after the first out-of-order pair are still checked
+    # every multiplicity is checked, also after the first out-of-order pair
     for bad, error in ((-1, ValueError), (1.5, TypeError), ("3", TypeError)):
         with pytest.raises(error):
             Spectrum([(zero, 1), (one, 1), (two, bad)])
-    # a generator is read once, both the part before the disorder and the rest
+    # a generator is read once
     read = []
 
     def pairs():
@@ -226,6 +197,17 @@ def test_spectrum_merges_in_one_pass_and_falls_back_on_disorder(fallbacks):
             yield pair
 
     assert Spectrum(pairs()) == spec and len(read) == 5
+    # input already in descending order is one run to the sort: one exact
+    # comparison per adjacent pair
+    entries = spectrum_line_inclusion(GraphParams(12, 4, 6)).entries
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return _cmp_keys(x, y)
+
+    monkeypatch.setattr(spectra_module, "_cmp_keys", counted)
+    assert Spectrum(entries).entries == entries and len(calls) == len(entries) - 1
 
 
 def test_eigenvalue_keeps_its_normal_form():
@@ -494,11 +476,10 @@ def test_spectra_match_beta_sum_reference(n, k, l):
     # line graphs with values that float64 cannot order
     pytest.param(((111, 12, 26), (999, 60, 122), (412, 10, 402), (887, 58, 829)), id="large"),
 ])
-def test_each_closed_form_certifies_its_own_order(triples, general, fallbacks):
+def test_each_closed_form_certifies_its_own_order(triples):
     # every closed form proves its order on the integers its values come
-    # from and joins its runs by exact comparisons, so it makes no general
-    # construction; its entries shuffled take the fallback and give the
-    # same spectrum
+    # from and joins its runs by exact comparisons; its entries shuffled
+    # give the same spectrum through the general constructor
     if triples:
         cases = [(f, GraphParams(*t)) for t in triples for f in (spectrum_inclusion, spectrum_line_inclusion)]
         cases += [(spectrum_middle, 3050, 900), (spectrum_line_middle, 3050, 900)]
@@ -507,16 +488,11 @@ def test_each_closed_form_certifies_its_own_order(triples, general, fallbacks):
     rng = random.Random(27)
     for build, *args in cases:
         spec = build(*args)
-        assert general == [] and fallbacks == [], (build.__name__, args)
         values = [ev for ev, _ in spec.entries]
         assert all(_cmp_keys(x, y) > 0 for x, y in zip(values, values[1:])), (build.__name__, args)
-        # shuffled, with the smallest value first, so that order cannot hold
-        *pairs, smallest = spec.entries
+        pairs = list(spec.entries)
         rng.shuffle(pairs)
-        pairs.insert(0, smallest)
-        assert Spectrum(pairs) == spec and len(fallbacks) == 1, (build.__name__, args)
-        general.clear()
-        fallbacks.clear()
+        assert Spectrum(pairs) == spec, (build.__name__, args)
 
 
 def _line_pairs(n1, n2, r1, r2, tops):
@@ -535,27 +511,57 @@ def _line_pairs(n1, n2, r1, r2, tops):
     return pairs
 
 
-def test_closed_forms_equal_the_general_path_when_a_check_fails(general, fallbacks, monkeypatch):
-    # two radicands swapped: the chain check fails, so the closed form hands
-    # its pairs to Spectrum, which sorts them.  The last radicand made 0: the
-    # chain holds, and the roots +-0 merge with the zeros at two seams.  Each
-    # result equals Spectrum over the same pairs, value by value
+_SWAPPED_RADICANDS = """
+import sys
+import setincl.spectra as spectra
+from setincl import GraphParams
+radicands = spectra.radicands
+def swapped(params):
+    betas = radicands(params)
+    return [betas[0], betas[2], betas[1], *betas[3:]]
+spectra.radicands = swapped
+try:
+    spectra.spectrum_inclusion(GraphParams(12, 4, 6))
+except AssertionError as exc:
+    print(sys.flags.optimize, "refused:", exc)
+"""
+
+
+@pytest.mark.parametrize("optimize", [0, 1])
+def test_a_failed_chain_check_raises_under_python_O(optimize):
+    # beta_1 and beta_2 swapped: the chain check fails, and it raises, so
+    # python -O, which strips assert statements, keeps it
+    command = [sys.executable, *["-O"] * optimize, "-c", _SWAPPED_RADICANDS]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(command, capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(f"{optimize} refused:") and "strictly fall" in run.stdout, run.stdout
+
+
+def test_a_failed_seam_check_raises():
+    # the 4-cycle with a top -3 past its spectral radius 2, handed straight
+    # to the line form: the + root 3 rises above the top value 2
+    with pytest.raises(AssertionError, match="seam"):
+        spectra_module._line_spectrum(2, 2, 2, 2, {16: 1, -36: 1})
+
+
+def test_closed_forms_merge_equal_values_at_their_seams(monkeypatch):
+    # the last radicand made 0: the chain holds, and the roots +-0 merge with
+    # the zeros at two seams.  The swapped radicands of the line form are
+    # sorted as ints d, so its chain holds too.  Each result equals Spectrum
+    # over the same pairs, value by value
     params = GraphParams(12, 4, 6)
     betas, mults = radicands(params), multiplicities(12, 4)
     swapped = [betas[0], betas[2], betas[1], *betas[3:]]
-    for patched, sorts in ((swapped, 1), (betas[:-1] + [0], 0)):
+    for patched, line_only in ((betas[:-1] + [0], False), (swapped, True)):
         monkeypatch.setattr(spectra_module, "radicands", lambda p, patched=patched: list(patched))
-        spec = spectrum_inclusion(params)
-        assert (len(general), len(fallbacks)) == (sorts, sorts)
-        # the line form sorts its ints d, so the swap needs no fallback
-        line = spectrum_line_inclusion(params)
-        assert (len(general), len(fallbacks)) == (sorts, sorts)
-        roots = [(ExactEigenvalue(sign if b else 0, b), m) for b, m in zip(patched, mults) for sign in (1, -1)]
-        assert spec == Spectrum(roots + [(ExactEigenvalue(0, 0), params.n2 - params.n1)])
+        if not line_only:
+            roots = [(ExactEigenvalue(sign if b else 0, b), m) for b, m in zip(patched, mults) for sign in (1, -1)]
+            zeros = (ExactEigenvalue(0, 0), params.n2 - params.n1)
+            assert spectrum_inclusion(params) == Spectrum(roots + [zeros])
         tops = list(zip(patched, mults))
+        line = spectrum_line_inclusion(params)
         assert line == Spectrum(_line_pairs(params.n1, params.n2, params.r1, params.r2, tops))
-        general.clear()
-        fallbacks.clear()
     # tops out of order, among them K_{2,4}'s zero, whose - root 0 = r2 - 2
     # merges with the bulk value at the seam between them
     rng = random.Random(27)
@@ -565,9 +571,7 @@ def test_closed_forms_equal_the_general_path_when_a_check_fails(general, fallbac
     ):
         rng.shuffle(tops)
         spec = spectrum_line_semiregular(*sizes, [(ExactEigenvalue(1 if m else 0, m), mult) for m, mult in tops])
-        assert general == [] and fallbacks == []
         assert spec == Spectrum(_line_pairs(*sizes, tops))
-        general.clear()
     # K_{2,4}'s line graph is the rook's graph K_2 x K_4
     spec = spectrum_line_semiregular(2, 4, 4, 2, [(ExactEigenvalue(0, 0), 1), (ExactEigenvalue(1, 8), 1)])
     assert spectrum_as_multiset(spec) == {"4": 1, "2": 1, "0": 3, "-2": 3}
@@ -617,7 +621,7 @@ def test_spectrum_line_semiregular_regular_bipartite_case():
     assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
 
 
-def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks, general):
+def test_spectrum_line_semiregular_tops_in_any_order_and_sign():
     # only lam^2 enters the roots, so each non-principal top may be given as
     # +sqrt(m) or -sqrt(m), in any order, and the values still come in order
     params = GraphParams(7, 2, 3)
@@ -636,7 +640,6 @@ def test_spectrum_line_semiregular_tops_in_any_order_and_sign(fallbacks, general
     assert spectrum_as_multiset(spec) == {"2": 1, "√2": 2, "0": 2, "-√2": 2, "-2": 1}
     spec = spectrum_line_semiregular(4, 4, 2, 2, [(zero, 2), (ExactEigenvalue(1, 4), 2)])
     assert spectrum_as_multiset(spec) == {"2": 2, "0": 4, "-2": 2}
-    assert fallbacks == [] and general == []
 
 
 def test_spectrum_line_semiregular_refuses_non_integer_multiplicities():
@@ -669,6 +672,20 @@ def test_spectrum_line_semiregular_validation():
     with pytest.raises(ValueError, match="negative multiplicity"):
         spectrum_line_semiregular(
             3, 3, 2, 2, [(ExactEigenvalue(1, 4), 1), (ExactEigenvalue(1, 1), 3), (ExactEigenvalue(1, 2), -1)])
+
+
+def test_spectrum_line_semiregular_refuses_tops_no_graph_has():
+    # the 4-cycle: sqrt(r1*r2) = 2 is its spectral radius, so no top is -3,
+    # and its principal 2 of multiplicity 0 is no principal at all (the
+    # spectrum once read {3, 2, -2, -3} and {2, 0, 0, 0, 0, -2})
+    two, zero = ExactEigenvalue(1, 4), ExactEigenvalue(0, 0)
+    with pytest.raises(ValueError, match="spectral radius"):
+        spectrum_line_semiregular(2, 2, 2, 2, [(two, 1), (ExactEigenvalue(-1, 9), 1)])
+    with pytest.raises(ValueError, match="largest"):
+        spectrum_line_semiregular(2, 2, 2, 2, [(two, 0), (zero, 2)])
+    # a top of multiplicity 0 is dropped, as Spectrum drops it, even past the radius
+    spec = spectrum_line_semiregular(2, 2, 2, 2, [(two, 1), (ExactEigenvalue(1, 9), 0), (zero, 1)])
+    assert spectrum_as_multiset(spec) == {"2": 1, "0": 2, "-2": 1}
 
 
 def test_spectrum_line_semiregular_reads_values_not_forms():
