@@ -75,23 +75,18 @@ _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
 
 def _env_cap(name: str, default: int) -> int:
-    """The positive integer in the environment variable name, of any length,
-    or default when it is unset or empty; a message echoes a value of more
-    than 30 characters by its length, so it stays one short line."""
+    """The positive integer in the environment variable name, or default
+    when it is unset or empty; a message echoes a value of more than 30
+    characters by its length, so it stays one short line.  A value past the
+    int <-> str digit limit is read only where the caller has lifted it."""
     value = os.environ.get(name)
     if not value:
         return default
     shown = repr(value) if len(value) <= 30 else f"a value of {len(value)} characters"
-    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else 0
     try:
-        if limit:  # the limit is for argv; a cap past it is still an integer
-            sys.set_int_max_str_digits(0)
         cap = int(value)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {shown}") from None
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     if cap < 1:
         raise ValueError(f"{name} must be positive, got {shown}")
     return cap
@@ -288,8 +283,10 @@ def _preflight(argv):
     command at the first row of _bounds past its cap, on the row's bound N
     when that is 64 bits past the cap: then 2^N > cap, and the exact size,
     such as C(10^6, 4*10^5) of 1.0e6 bits that takes seconds, is never
-    computed.  The environment cap is read, and so validated, first."""
-    cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
+    computed.  argv is read, and so validated, first, under the int <-> str
+    digit limit, so an argv error or -h comes before a bad cap; the cap is
+    read after it with the limit lifted, so it may have any length.  main
+    restores the limit."""
     if argv is not None:
         argv = list(argv)  # read twice: by _read_argv, then maybe by argparse
         for token in argv:  # neither reader handles a token that is no str
@@ -302,6 +299,7 @@ def _preflight(argv):
     # C(n,k) in a cap message or n! in a report, may be longer
     if _DIGIT_LIMIT:
         sys.set_int_max_str_digits(0)
+    cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
     if args.command == "scheme":
         _checked_nk(args.n, args.k)
     else:

@@ -137,16 +137,6 @@ def _int_eigenvalue(x: int) -> Eigenvalue:
     return _new_tuple(Eigenvalue, (2 * operator.index(x), 0, 0))
 
 
-def _reflect(ev: Eigenvalue, p: int) -> Eigenvalue:
-    """The value p - ev for an int p, with the fields (2p - a, -e, r): r is
-    unchanged and e only changes sign, so they are in normal form when ev's
-    are, and the square test of ev is not run again.  It is not the
-    conjugate (a, -e, r), which is wrong once a square r has been folded
-    into a."""
-    a, e, r = ev
-    return _new_tuple(Eigenvalue, (2 * p - a, -e, r))
-
-
 # a square is a quadratic residue modulo every m; together these four moduli
 # pass fewer than 1 in 100 non-squares on to isqrt
 _SQUARE_FILTERS = tuple(
@@ -387,7 +377,7 @@ class Spectrum:
                 continue
             core = cores.get(r)
             if core is None:
-                core = cores[r] = format_eigenvalue(ev if e > 0 else _reflect(ev, 0))
+                core = cores[r] = format_eigenvalue(_new_tuple(Eigenvalue, (0, 1, r)))
             values.append(core if e > 0 else "-" + core)
         width = max(map(len, values), default=0)
         return "".join(f"{v:>{width}}  {m}\n" for v, (_, m) in zip(values, self.entries))
@@ -438,7 +428,10 @@ def _from_runs(keys, plus, p: int, middle, top=None, bottom=None) -> Spectrum:
     python -O."""
     if not all(map(operator.gt, keys, keys[1:])):
         raise AssertionError("the keys of a closed form do not strictly fall")
-    minus = [(_reflect(ev, p), m) for ev, m in reversed(plus)]
+    # p - ev has the fields (2p - a, -e, r), in normal form when ev's are, so
+    # the square test of ev is not run again.  It is not the conjugate
+    # (a, -e, r), which is wrong once a square r has been folded into a.
+    minus = [(_new_tuple(Eigenvalue, (2 * p - a, -e, r)), m) for (a, e, r), m in reversed(plus)]
     top, middle, bottom = ([pair] if pair and pair[1] else [] for pair in (top, middle, bottom))
     entries: list[tuple[Eigenvalue, int]] = []
     for run in (top, plus, middle, minus, bottom):

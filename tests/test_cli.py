@@ -300,18 +300,20 @@ def test_aut_brute_force_disagreement_exits_1(monkeypatch, capsys):
 
 
 def test_orbits(capsys):
-    assert run(["orbits", "4", "1", "2", "--on", "edges"], capsys)[:2] == (
-        0,
-        "orbits on edges: 1\n",
-    )
-    assert run(["orbits", "4", "1", "2", "--on", "arcs"], capsys)[:2] == (
-        0,
-        "orbits on arcs: 2\n",
-    )
-    assert run(["orbits", "5", "2", "3", "--on", "arcs"], capsys)[:2] == (
-        0,
-        "orbits on arcs: 1\n",
-    )
+    # Aut acts on arcs with two orbits when k+l < n, and one when tau swaps
+    # the sides; on the 22,880 vertices of G(16,7,9) only tau joins the sides
+    for n, k, l, on, count in (
+        (4, 1, 2, "edges", 1),
+        (4, 1, 2, "arcs", 2),
+        (5, 2, 3, "arcs", 1),
+        (15, 4, 6, "arcs", 2),
+        (13, 5, 8, "arcs", 1),
+        (16, 7, 9, "vertices", 1),
+    ):
+        assert run(["orbits", str(n), str(k), str(l), "--on", on], capsys)[:2] == (
+            0,
+            f"orbits on {on}: {count}\n",
+        )
 
 
 def test_export_edgelist(tmp_path, capsys):
@@ -418,11 +420,13 @@ def test_readme_api_table_lists_every_public_name():
 
 
 def test_scheme_check(capsys):
-    # k = 0: one k-subset, the empty one, of any ground set
-    for args in (["scheme", "6", "2", "--check"], ["scheme", "1000", "0", "--check"]):
-        code, out, _ = run(args, capsys)
-        assert code == 0
-        assert "PASS" in out
+    # 3*C(63,2) = 5859 and 7*C(13,6) = 12012 counted entries were the
+    # largest inputs of the dense check that counting replaced; 7*C(30,6) =
+    # 4156425 is well under 10*2000^2.  k = 0: one k-subset, the empty one,
+    # of any ground set
+    for n, k in ((6, 2), (63, 2), (13, 6), (30, 6), (1000, 0), (10**20, 0)):
+        code, out, _ = run(["scheme", str(n), str(k), "--check"], capsys)
+        assert (code, out) == (0, f"scheme ({n},{k}) identities: PASS\n")
 
 
 def test_scheme_table(capsys):
@@ -454,11 +458,18 @@ def test_env_var_cap_not_an_integer(monkeypatch, capsys):
     code, out, err = run(["verify", "5", "2", "3"], capsys)
     assert code == 64 and out == ""
     assert err == "setincl: error: SETINCL_MAX_VERTICES must be an integer, got 'abc'\n"
+    # argv is read first: its error wins, and -h prints help
+    code, out, err = run(["verify", "5", "2"], capsys)
+    assert code == 64 and out == "" and "the following arguments are required: l" in err
+    code, out, err = run(["verify", "-h"], capsys)
+    assert code == 0 and out.startswith("usage: setincl verify") and err == ""
 
 
 def test_env_var_cap_past_the_int_digit_limit(monkeypatch, capsys):
-    # the cap is read before argv and outside Python's 4300-digit int <-> str
-    # limit, which stays in force for argv
+    # argv is read, and so validated, first, under Python's 4300-digit
+    # int <-> str limit; the cap after it, with the limit lifted.  So with a
+    # bad argv and a bad cap the argv error wins, and -h prints help (both
+    # checked in test_env_var_cap_not_an_integer)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     monkeypatch.setenv("SETINCL_MAX_VERTICES", "9" * 4301)
     code, out, err = run(["verify", "5", "2", "3"], capsys)
@@ -628,8 +639,11 @@ def _forbid_building(monkeypatch):
         ("100", ["aut", "50", "1", "49", "--brute-force"]),
         # 5*C(8,4) = 350 counted entries, past 10*5^2 (10*6^2 admits them)
         ("5", ["scheme", "8", "4", "--check"]),
+        # 7*C(43,6) = 42675178 entries, just past 10*2000^2 at the default
+        # cap (empty); (42,6) fits
+        ("", ["scheme", "43", "6", "--check"]),
     ],
-    ids=[f"args{i}" for i in range(4)],  # stable test ids
+    ids=[f"args{i}" for i in range(5)],  # stable test ids
 )
 def test_caps_refuse_before_anything_is_built(cap, args, monkeypatch, capsys):
     _forbid_building(monkeypatch)

@@ -589,6 +589,18 @@ def test_scheme_check_builds_no_graph(monkeypatch):
     assert johnson_scheme_holds(SCHEME_N, SCHEME_K) is True
 
 
+def test_scheme_check_forms_no_square_product():
+    # the count visits one pair per relation: its peak at (13,6) is 129 KB,
+    # where one dense product of C(13,6)^2 int64 entries would be 23.6 MB
+    tracemalloc.start()
+    try:
+        assert johnson_scheme_holds(13, 6) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000 < 8 * comb(13, 6) ** 2
+
+
 def test_line_graph_cases():
     g = build_line_graph(build_inclusion_graph(GraphParams(4, 1, 2)))
     assert g.num_vertices == 12

@@ -54,7 +54,7 @@ from setincl import (  # noqa: E402
 from setincl import cli, combinatorics  # noqa: E402
 from setincl.automorphisms import _color_weights, _refinement_colors, component_labels  # noqa: E402
 from setincl.cli import main  # noqa: E402
-from setincl.spectra import _cmp_keys, _reflect  # noqa: E402
+from setincl.spectra import _cmp_keys, _from_runs  # noqa: E402
 from setincl.graphs import colex_ranks  # noqa: E402
 
 
@@ -352,9 +352,19 @@ _RAW_FIELDS = st.one_of(
 @example((5, 1, 49), 7)  # (5 + 7)/2 = 6 and 7 - 6 = 1
 @example((0, 1, 0), 0)  # the 8-cycle's line roots for lam = 0: d = 0
 def test_reflection_is_the_constructed_value(fields, p):
+    # the - run that _from_runs makes of a one-entry + run: p - ev follows
+    # ev, merges with it when equal, and above it fails the seam check
     a, e, r = fields
-    mirror = _reflect(Eigenvalue(a, e, r), p)
+    ev = Eigenvalue(a, e, r)
     expect = Eigenvalue(2 * p - a, -e, r)  # p - (a + e*sqrt(r))/2
+    order = _exact_order(ev, expect)
+    if order < 0:
+        with pytest.raises(AssertionError, match="at a seam"):
+            _from_runs([0], [(ev, 1)], p, None)
+        return
+    entries = _from_runs([0], [(ev, 1)], p, None).entries
+    assert [m for _, m in entries] == ([1, 1] if order else [2])
+    mirror = entries[-1][0]  # a merge keeps the - run's value
     assert (mirror.a, mirror.e, mirror.r) == (expect.a, expect.e, expect.r)
     assert mirror == expect and hash(mirror) == hash(expect)
     assert [type(x) for x in (mirror.a, mirror.e, mirror.r)] == [int, int, int]
