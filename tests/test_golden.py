@@ -73,6 +73,13 @@ GOLDEN = [
         "09ce7c2f62500c91a740f396a5f37204b9567888c159eb9d2e03d62e16309038",
         "806fdfa001ed8533969e9f963fb3bcbf0e5fc7ff",
     ),
+    (
+        # the help pages, setincl -h and each command's -h, at 80 columns
+        "help",
+        [["-h"]] + [[command, "-h"] for command in ("spectrum", "verify", "aut", "orbits", "export", "scheme")],
+        "7ea9170dcc2c979cd65f06c27afedeaf49be1118d665d60172da432334a3de50",
+        "8c0949b5cb08f2fb4980e4592c31219e4e646fad",
+    ),
 ]
 
 
@@ -99,8 +106,10 @@ def digest(runs):
 
 @pytest.fixture(autouse=True)
 def _default_cap(monkeypatch):
-    # the digests were taken at the default cap
+    # the digests were taken at the default cap, and argparse wraps help
+    # to the width that COLUMNS gives
     monkeypatch.delenv("SETINCL_MAX_VERTICES", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
 
 
 @pytest.mark.parametrize("runs,expected,commit", [row[1:] for row in GOLDEN], ids=[row[0] for row in GOLDEN])
