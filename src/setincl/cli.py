@@ -5,13 +5,12 @@ Exit codes: 0 success, 1 verification failure, 2 resource cap exceeded or
 out of memory, 64 usage error.  Machine output goes to stdout, diagnostics
 to stderr.
 
-Caps are checked here only, before anything is built, by one rule on the
-rows of _bounds: one cap, SETINCL_MAX_VERTICES (a positive integer, default
-2000, read on every call), for verify, aut --brute-force and scheme --check,
-then numpy's array limit for all, then the int64 edge keys' vertex limit.
-A size whose lower bound 2^N is far past its limit is refused on N alone,
-with no exact binomial; any other is computed exactly.  A bad cap, or a
---tol that is not finite and nonnegative, is a usage error.
+Before anything is built, the sizes of the command line are checked against
+the limits of setincl.limits: one cap, SETINCL_MAX_VERTICES (a positive
+integer, default 2000, read on every call), for verify, aut --brute-force and
+scheme --check, then numpy's array limit, then the int64 edge keys' vertex
+limit.  A bad cap, or a --tol that is not finite and nonnegative, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ import json
 import math
 import os
 import sys
+
+from . import limits
 
 # brute_force_aut_order and build_line_graph are not called here; the names
 # stay bound because perfbench/spans.py looks them up in this module to trace them
@@ -35,8 +36,6 @@ from .automorphisms import (  # noqa: F401
 from .combinatorics import _checked_nk
 from .errors import CapExceededError
 from .graphs import (  # noqa: F401
-    _ARRAY_MAX,
-    _VERTEX_MAX,
     GraphParams,
     build_inclusion_graph,
     build_line_graph,
@@ -60,16 +59,6 @@ EX_VERIFY_FAIL = 1
 EX_CAP = 2
 EX_USAGE = 64
 
-MAX_VERTICES = 2000  # default cap of verify's solve, aut's certificate and scheme's count
-# Gram products of GRAM_WORK*cap^3 multiply-adds take about as long as the
-# dense solve at dimension cap: about 1.1 s each at cap 2000 on one thread of
-# a 2-vCPU Xeon (BLAS symmetric rank-k update and eigvalsh)
-GRAM_WORK = 6
-# aut's certificate visits at most n*2m arcs; CERT_WORK*cap^2 visits take about
-# 1 s at cap 2000 (1.7-2.5e-8 s each from 3e6 visits up, one 2-vCPU Xeon thread)
-CERT_WORK = 10
-# scheme --check's count of SCHEME_WORK*cap^2 entries takes 0.5-1.3 s at cap 2000 (2-vCPU Xeon)
-SCHEME_WORK = 10
 # Python 3.10.7 and later limit int <-> str conversion to 4300 digits
 _DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
 
@@ -115,12 +104,11 @@ def _build_parser() -> tuple[_Parser, dict]:
     options by option string) of the actions that add_argument returned."""
     parser = _Parser(prog="setincl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    capped = f"The cap SETINCL_MAX_VERTICES (default {MAX_VERTICES}) bounds"
     grammar = {}
 
     def command(name, positionals="nkl", **kwargs):
         """Add the command name with its int positionals; return its add_argument."""
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, description=limits.help_text(name), **kwargs)
         positional_actions = [p.add_argument(x, type=int) for x in positionals]
         options = {}
         grammar[name] = positional_actions, options
@@ -136,15 +124,12 @@ def _build_parser() -> tuple[_Parser, dict]:
     add("--format", choices=["table", "json", "csv"], default="table")
     add("--out", help="write to this path instead of stdout")
 
-    add = command("verify", help="compare the exact spectrum with the numeric solver",
-                  description=f"{capped} the solved dimension, n1 (n1+n2 with --line), rank "
-                  f"array n2*r2 <= cap^2 and Gram products n1^2*n2 <= {GRAM_WORK}*cap^3.")
+    add = command("verify", help="compare the exact spectrum with the numeric solver")
     add("--line", action="store_true")
     add("--tol", type=_tolerance, default=1e-8)
     add("--inject-perturbation", type=float, default=0.0, help=argparse.SUPPRESS)
 
-    add = command("aut", help="automorphism group report", description=f"{capped} the "
-                  f"--brute-force certificate: n*2m arc visits (m edges) <= {CERT_WORK}*cap^2.")
+    add = command("aut", help="automorphism group report")
     add("--brute-force", action="store_true", help="check the order on the built "
         "graph by upper and lower bounds that must meet")
     add("--format", choices=["table", "json"], default="table")
@@ -156,14 +141,15 @@ def _build_parser() -> tuple[_Parser, dict]:
     add("--format", choices=["edgelist", "graph6", "dot"], default="edgelist")
     add("--out", help="write to this path instead of stdout")
 
-    add = command("scheme", "nk", help="intersection numbers of the scheme on k-subsets",
-                  description=f"{capped} the count of --check: (k+1)*C(n,k) entries <= "
-                  f"{SCHEME_WORK}*cap^2.")
+    add = command("scheme", "nk", help="intersection numbers of the scheme on k-subsets")
     add("--check", action="store_true", help="verify the identities by counting")
     return parser, grammar
 
 
 _PARSER, _GRAMMAR = _build_parser()
+# each command's switches, the options that take no value: (option string, dest)
+_SWITCHES = {name: [(option, action.dest) for option, action in options.items() if action.nargs == 0]
+             for name, (_, options) in _GRAMMAR.items()}
 
 
 def _read_argv(argv):
@@ -209,84 +195,13 @@ def _read_argv(argv):
     return args
 
 
-def _size(x: int) -> str:
-    """x in full up to 30 digits, else its digit count, so that a cap
-    message stays one short line however large the parameters are."""
-    text = str(x)
-    return text if len(text) <= 30 else f"a {len(text)}-digit number"
-
-
-def _binom_bits(n: int, l: int) -> int:
-    """An integer N with 2^N <= C(n,l), for 0 <= l <= n, from C(n,l) >=
-    (n/m)^m with m = min(l, n-l): log2(n/m) in 32-bit fixed point, rounded
-    down past the error of the two float logarithms."""
-    m = min(l, n - l)
-    if m == 0:
-        return 0
-    high = math.log2(n)
-    return m * math.floor((high - math.log2(m) - high * 2**-49) * 2**32) >> 32
-
-
-def _array_row(what: str) -> str:
-    """The message of numpy's array limit on what, with {} for its bytes."""
-    return f"byte count of the {what} is {{}}, numpy's array limit is {_ARRAY_MAX}"
-
-
-def _bounds(args, cap: int):
-    """Yield the (bits, size, limit, message) rows of the command in args, in
-    order: the command's rows under the cap, numpy's array limit on what it
-    builds, then the vertex limit of a built graph's int64 edge keys.  Each
-    is from (n,k,l), the flags and the cap.  bits is an N with 2^N <= size(),
-    the sum of a lower bound on each binomial factor and on the small exact
-    ones; size() is the exact size; the message has {} for the size."""
-    cmd, c = args.command, _size(cap)
-    if cmd == "scheme" and args.check:
-        n, k = args.n, args.k
-        n1, bits, work = (lambda: math.comb(n, k)), _binom_bits(n, k), SCHEME_WORK * cap**2
-        yield (k + 1).bit_length() - 1 + bits, lambda: (k + 1) * n1(), work, (
-            f"scheme count has {{}} entries, cap is {SCHEME_WORK}*{c}^2 = {_size(work)}")
-        if k:  # int64 element rows
-            yield (8 * k).bit_length() - 1 + bits, lambda: 8 * k * n1(), _ARRAY_MAX, (
-                _array_row("k-subset rows"))
-    elif cmd in ("verify", "orbits", "export") or cmd == "aut" and args.brute_force:
-        p = args.params
-        b1, b2, br = _binom_bits(p.n, p.k), _binom_bits(p.n, p.l), _binom_bits(p.l, p.k)
-        if cmd == "verify":
-            # the solved dimension; n2 >= n1, since k < l <= n - k
-            dim_bits, dim = (b2, lambda: p.n1 + p.n2) if args.line else (b1, lambda: p.n1)
-            yield dim_bits, dim, cap, f"verify solves dimension {{}}, cap is {c}"
-            yield b2 + br, lambda: p.n2 * p.r2, cap**2, (
-                f"rank array has {{}} entries, cap is {c}^2 = {_size(cap**2)}")
-            if not args.line:
-                yield 2 * b1 + b2, lambda: p.n1**2 * p.n2, GRAM_WORK * cap**3, (
-                    f"Gram matrix takes {{}} multiply-adds, "
-                    f"cap is {GRAM_WORK}*{c}^3 = {_size(GRAM_WORK * cap**3)}")
-        elif cmd == "aut":  # at most n refined colourings, one pass over the 2m arcs each
-            visit_bits = (2 * p.n).bit_length() - 1 + br + b2
-            yield visit_bits, lambda: p.n * 2 * p.r2 * p.n2, CERT_WORK * cap**2, (
-                f"certificate takes {{}} arc visits, "
-                f"cap is {CERT_WORK}*{c}^2 = {_size(CERT_WORK * cap**2)}")
-        # int64 l-subset rows and arcs; verify's rank array is half the arcs
-        rows_bits = (8 * p.l).bit_length() - 1 + b2
-        yield rows_bits, lambda: 8 * p.l * p.n2, _ARRAY_MAX, _array_row("l-subset rows")
-        yield 4 + br + b2, lambda: 16 * p.r2 * p.n2, _ARRAY_MAX, _array_row("arcs")
-        if cmd == "verify":  # float64
-            yield 3 + 2 * dim_bits, lambda: 8 * dim() ** 2, _ARRAY_MAX, _array_row("dense matrix")
-        else:  # the CLI's copy of Graph's vertex limit, for exit 2; n2 <= n1 + n2
-            yield b2, lambda: p.n1 + p.n2, _VERTEX_MAX, (
-                f"graph has {{}} vertices, its int64 edge keys allow {_VERTEX_MAX}")
-
-
 def _preflight(argv):
     """Parse argv (by _read_argv, else by argparse) and validate the
-    parameters (canonicalizing any (n,k,l), with a note), then refuse the
-    command at the first row of _bounds past its cap, on the row's bound N
-    when that is 64 bits past the cap: then 2^N > cap, and the exact size,
-    such as C(10^6, 4*10^5) of 1.0e6 bits that takes seconds, is never
-    computed.  argv is read, and so validated, first, under the int <-> str
-    digit limit, so an argv error or -h comes before a bad cap; the cap is
-    read after it with the limit lifted, so it may have any length.  main
-    restores the limit."""
+    parameters (canonicalizing any (n,k,l), with a note), then check the
+    rows of the command line in limits.ROWS.  argv is read, and so validated,
+    first, under the int <-> str digit limit, so an argv error or -h comes
+    before a bad cap; the cap is read after it with the limit lifted, so it
+    may have any length.  main restores the limit."""
     if argv is not None:
         argv = list(argv)  # read twice: by _read_argv, then maybe by argparse
         for token in argv:  # neither reader handles a token that is no str
@@ -299,9 +214,14 @@ def _preflight(argv):
     # C(n,k) in a cap message or n! in a report, may be longer
     if _DIGIT_LIMIT:
         sys.set_int_max_str_digits(0)
-    cap = _env_cap("SETINCL_MAX_VERTICES", MAX_VERTICES)
+    cap = _env_cap("SETINCL_MAX_VERTICES", limits.MAX_VERTICES)
+    call = args.command  # then each switch given: a command line, as limits.ROWS names it
+    for option, dest in _SWITCHES[call]:
+        if getattr(args, dest):
+            call += " " + option
     if args.command == "scheme":
-        _checked_nk(args.n, args.k)
+        n, k = _checked_nk(args.n, args.k)
+        q = limits.Sizes(n=n, k=k)
     else:
         p, complemented = canonicalize(GraphParams(args.n, args.k, args.l))
         if complemented:
@@ -309,13 +229,10 @@ def _preflight(argv):
                 f"note: ({args.n},{args.k},{args.l}) canonicalized to "
                 f"({p.n},{p.k},{p.l}) via complementation\n"
             )
-        args.params = p
-    for bits, size, limit, message in _bounds(args, cap):
-        if bits >= limit.bit_length() + 64:
-            raise CapExceededError(message.format(f"more than 2^{_size(bits)}"))
-        exact = size()
-        if exact > limit:
-            raise CapExceededError(message.format(_size(exact)))
+        q = args.params = p
+    rows = limits.ROWS.get(call)
+    if rows:
+        limits.check(rows, q, cap)
     return args
 
 

@@ -14,14 +14,12 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
 from .combinatorics import _checked_nk, intersection_number
-
-_ARRAY_MAX = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
-_VERTEX_MAX = isqrt(np.iinfo(np.int64).max)  # Graph's edge keys are below num_vertices^2
+from .limits import _VERTEX_MAX, SUBSET_ROWS, VERTICES, Sizes, check
 
 __all__ = [
     "GraphParams",
@@ -40,9 +38,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GraphParams:
+class GraphParams(Sizes):
     """Validated (n, k, l) triple for the inclusion graph on k- and l-subsets;
-    each of its sizes n1, n2, r1 and r2 is computed once, when first read."""
+    each of its Sizes (n1, n2, r1, r2, ...) is computed once, when first read."""
 
     n: int
     k: int
@@ -68,26 +66,6 @@ class GraphParams:
                 " (k+l>n); canonicalize first"
             )
 
-    @cached_property
-    def n1(self) -> int:
-        """Number of k-subsets."""
-        return comb(self.n, self.k)
-
-    @cached_property
-    def n2(self) -> int:
-        """Number of l-subsets."""
-        return comb(self.n, self.l)
-
-    @cached_property
-    def r1(self) -> int:
-        """Degree of every k-subset vertex."""
-        return comb(self.n - self.k, self.l - self.k)
-
-    @cached_property
-    def r2(self) -> int:
-        """Degree of every l-subset vertex."""
-        return comb(self.l, self.k)
-
 
 def canonicalize(params: GraphParams) -> tuple[GraphParams, bool]:
     """Reduce parameters to the k + l <= n form.
@@ -101,25 +79,15 @@ def canonicalize(params: GraphParams) -> tuple[GraphParams, bool]:
     return GraphParams(params.n, params.n - params.l, params.n - params.k), True
 
 
-def _subset_count(n: int, size: int) -> int:
-    """C(n, size), whose int64 rows of size elements must fit one array."""
-    if not 0 <= size <= n:
-        raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
-    count = comb(n, size)
-    if 8 * count * size > _ARRAY_MAX:  # int64 entries, 8 bytes each
-        raise ValueError(
-            f"the {size}-subsets of {n} elements need {count} rows of {size}"
-            " entries, past numpy's array limit"
-        )
-    return count
-
-
 def subset_positions(n: int, size: int) -> np.ndarray:
     """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
     per subset, rows in colexicographic order.  The array is the transpose
     of a C-contiguous one, so its .T, one column per element place, costs
-    no copy."""
-    count = _subset_count(n, size)
+    no copy.  Rows past numpy's array limit raise CapExceededError (SUBSET_ROWS, l = size)."""
+    if not 0 <= size <= n:
+        raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
+    check((SUBSET_ROWS,), Sizes(n=n, l=size))
+    count = comb(n, size)
     # columns[:s, :C(span + s, s)] holds level s: the s-subsets that can
     # still grow to size-subsets, those with largest element q <= span + s - 1.
     # In colex order, the level-s subsets that end at q are the first
@@ -168,11 +136,6 @@ def colex_ranks(columns, n: int) -> np.ndarray:
     return ranks
 
 
-def _check_vertex_count(nv: int) -> None:
-    if not 0 <= nv <= _VERTEX_MAX:
-        raise ValueError(f"vertex count {nv} is outside 0..{_VERTEX_MAX}, the edge keys' range")
-
-
 class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1 (at
     most _VERTEX_MAX = isqrt(2^63 - 1)), held as its lower edges: the pairs
@@ -186,7 +149,8 @@ class Graph:
     def __init__(self, num_vertices: int, edges):
         """edges: an (m, 2) integer array of distinct pairs of distinct vertices."""
         nv = operator.index(num_vertices)  # refuses 3.7 and "3"
-        _check_vertex_count(nv)
+        if not 0 <= nv <= _VERTEX_MAX:
+            raise ValueError(f"vertex count {nv} is outside 0..{_VERTEX_MAX}, the edge keys' range")
         pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size and pairs.shape[1:] != (2,):  # [] and an empty array are no edges
             raise ValueError(f"edges must be an (m, 2) array of pairs, got shape {pairs.shape}")
@@ -323,11 +287,10 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     Graph).  Checked here, by an AssertionError raised under python -O too:
     every rank row strictly increases (so no edge repeats), and every
     k-degree is r1, the count of each rank (every l-degree is r2 by shape).
-    Too many l-subset rows, then vertices (rows first, for their message),
-    raise ValueError before allocation; cli._bounds holds the CLI's copies.
+    Too many l-subset rows, then vertices, raise CapExceededError before
+    allocation, from the rows (and with the messages) of the CLI's refusals.
     """
-    _subset_count(params.n, params.l)
-    _check_vertex_count(params.n1 + params.n2)
+    check((SUBSET_ROWS, VERTICES), params)
     ranks = inclusion_ranks(params)
     if not (ranks[:, 1:] > ranks[:, :-1]).all():
         raise AssertionError(f"a rank row of {params} does not strictly ascend")

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from setincl import binom, cli
+from setincl import binom, limits
 from setincl.automorphisms import InducedAction
 from setincl.combinatorics import intersection_number
 from setincl.graphs import Graph, GraphParams, SubsetGraph, canonicalize, subset_positions
@@ -27,25 +27,24 @@ def canonical_params_up_to(max_n: int, min_n: int = 3):
                 yield GraphParams(n, k, l)
 
 
-# each command that builds, with its flags
-_BUILDING_CALLS = [
-    ["verify"], ["verify", "--line"], ["aut", "--brute-force"], ["orbits", "--on", "edges"], ["export"]
-]
-
-
 def assert_bounds_are_lower_bounds(n, k, l=None):
-    """Check 2^bits <= size() on every row that cli._bounds yields for each
-    building command at (n,k,l), or for scheme --check at (n,k) when l is
-    None: every row, whatever the rows before it would decide."""
-    for command, *flags in [["scheme", "--check"]] if l is None else _BUILDING_CALLS:
-        argv = [command, *(str(x) for x in (n, k, l) if x is not None), *flags]
-        args = cli._PARSER.parse_args(argv)
-        if l is not None:
-            args.params = canonicalize(GraphParams(n, k, l))[0]
-        rows = list(cli._bounds(args, cli.MAX_VERTICES))
-        assert rows, argv
-        for bits, size, _, message in rows:
-            assert 0 <= bits and 1 << bits <= size(), (argv, message)
+    """Check 2^bits <= size on every row of every command line in
+    limits.ROWS at (n,k,l), canonicalized as the CLI does, or of every
+    scheme command line at (n,k) when l is None: every row, whatever the
+    rows before it would decide.  A size of 0 (the k-subset rows at k = 0)
+    has bits -1."""
+    if l is not None:
+        p = canonicalize(GraphParams(n, k, l))[0]
+        n, k, l = p.n, p.k, p.l
+    checked = 0
+    for call, rows in limits.ROWS.items():
+        if call.startswith("scheme") == (l is None):
+            q = limits.Sizes(n=n, k=k, l=l)
+            for row in rows:
+                bits, size = row.bits(q), row.size(q)
+                assert size == 0 if bits == -1 else 0 <= bits and 1 << bits <= size, (call, row.message)
+                checked += 1
+    assert checked, (n, k, l)
 
 
 def intersection_number_by_full_sum(n, k, i, j, s):

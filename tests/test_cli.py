@@ -19,6 +19,7 @@ import pytest
 
 import setincl
 import setincl.cli as cli
+import setincl.limits as limits
 from setincl import Graph, automorphisms, group_shape
 from setincl.cli import main
 
@@ -762,13 +763,13 @@ def test_binom_bits_is_a_lower_bound():
     cases = [(n, l) for n in range(2, 120) for l in range(1, n)]
     cases += [(20000, 10000), (20000, 19999), (10**30, 3), (10**30, 10**30 - 2), (2**100, 2**99)]
     for n, l in cases:
-        bits = cli._binom_bits(n, l)
+        bits = limits._binom_bits(n, l)
         if n < 2**64:
             assert 1 << bits <= comb(n, l), (n, l)
         m = min(l, n - l)  # and it is m*log2(n/m) within the fixed point's 2^-32
         assert bits >= m * log2(n / m) * (1 - 2**-30) - 1, (n, l)
-    assert cli._binom_bits(1000000, 400000) == 528771
-    assert cli._binom_bits(10, 0) == cli._binom_bits(10, 10) == cli._binom_bits(0, 0) == 0
+    assert limits._binom_bits(1000000, 400000) == 528771
+    assert limits._binom_bits(10, 0) == limits._binom_bits(10, 10) == limits._binom_bits(0, 0) == 0
 
 
 def test_every_bound_row_is_a_lower_bound():

@@ -77,7 +77,7 @@ GOLDEN = [
         # the help pages, setincl -h and each command's -h, at 80 columns
         "help",
         [["-h"]] + [[command, "-h"] for command in ("spectrum", "verify", "aut", "orbits", "export", "scheme")],
-        "7ea9170dcc2c979cd65f06c27afedeaf49be1118d665d60172da432334a3de50",
+        "296cf41ff2c57ed7bdb456f5adb81e1534c65f34347452f66e759a8944a13567",
         "8c0949b5cb08f2fb4980e4592c31219e4e646fad",
     ),
 ]

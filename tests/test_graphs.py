@@ -13,6 +13,7 @@ import pytest
 
 import setincl.graphs as graphs_module
 from setincl import (
+    CapExceededError,
     Graph,
     GraphParams,
     build_inclusion_graph,
@@ -108,11 +109,12 @@ def test_enumerate_subsets_bounds():
     assert subset_positions(65, 1).tolist() == [[e] for e in range(65)]
     wide = subset_positions(130, 129)
     assert wide[0].tolist() == list(range(129)) and wide[-1].tolist() == list(range(1, 130))
-    # C(64, 32) rows of 32 entries are past numpy's array limit: a ValueError
-    # that names the size, from the library as from the CLI's preflight
-    with pytest.raises(ValueError, match="32-subsets of 64 elements"):
+    # C(64, 32) rows of 32 entries are past numpy's array limit: refused
+    # with the size in bytes, from the library as from the CLI's preflight
+    bytes_ = f"byte count of the l-subset rows is {8 * 32 * comb(64, 32)}, numpy's array limit"
+    with pytest.raises(CapExceededError, match=bytes_):
         subset_positions(64, 32)
-    with pytest.raises(ValueError, match="32-subsets of 64 elements"):
+    with pytest.raises(CapExceededError, match=bytes_):
         build_inclusion_graph(GraphParams(64, 2, 32))
 
 
@@ -654,7 +656,7 @@ def test_graph_vertex_count_fits_the_int64_edge_keys(monkeypatch):
 
     monkeypatch.setattr(graphs_module, "inclusion_ranks", never)
     for n in (77936, 100000):  # n + C(n,2) vertices: 3,037,049,016 and 5,000,050,000
-        with pytest.raises(ValueError, match="vertex count"):
+        with pytest.raises(CapExceededError, match=f"graph has {n + comb(n, 2)} vertices"):
             build_inclusion_graph(GraphParams(n, 1, 2))
 
 

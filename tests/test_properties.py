@@ -51,7 +51,7 @@ from setincl import (  # noqa: E402
     spectrum_line_semiregular,
     spectrum_middle,
 )
-from setincl import cli, combinatorics  # noqa: E402
+from setincl import cli, combinatorics, limits  # noqa: E402
 from setincl.automorphisms import _color_weights, _refinement_colors, component_labels  # noqa: E402
 from setincl.cli import main  # noqa: E402
 from setincl.spectra import _cmp_keys, _from_runs  # noqa: E402
@@ -784,19 +784,18 @@ def test_reader_takes_every_workload_command_line():
     assert commands == set(cli._GRAMMAR)
 
 
-# the commands that build, each with the flags it builds under; plain aut and
-# spectrum answer at any size, and printing 10^6! takes minutes
-_BUILDING = [["verify"], ["verify", "--line"], ["aut", "--brute-force"], ["orbits", "--on", "arcs"],
-             ["export", "--format", "graph6"], ["scheme", "--check"]]
-
-
 @st.composite
 def _huge_calls(draw):
-    """A building command on parameters no cap lets through: n from 10^12
-    to 10^18 with k <= 3 (smaller n may pass numpy's limit and fail only
-    on allocation), or n from 1000 to 10^6 with k just below n/2; (n,k,l)
-    canonical or its complement."""
-    command, *flags = draw(st.sampled_from(_BUILDING), label="command")
+    """A command line with rows in limits.ROWS, each required option given
+    one of its choices, on parameters no cap lets through: n from 10^12 to
+    10^18 with k <= 3 (smaller n may pass numpy's limit and fail only on
+    allocation), or n from 1000 to 10^6 with k just below n/2; (n,k,l)
+    canonical or its complement.  Plain aut and spectrum have no rows: they
+    answer at any size, and printing 10^6! takes minutes."""
+    command, *flags = draw(st.sampled_from(sorted(limits.ROWS)), label="command").split()
+    for option, action in cli._GRAMMAR[command][1].items():
+        if action.required:
+            flags += [option, draw(st.sampled_from(action.choices), label=option)]
     if draw(st.booleans(), label="k near n/2"):
         n = draw(st.integers(1000, 10**6), label="n")
         k = n // 2 - draw(st.integers(1, 4), label="n/2 - k")
