@@ -42,7 +42,8 @@ def assert_bounds_are_lower_bounds(n, k, l=None):
             q = limits.Sizes(n=n, k=k, l=l)
             for row in rows:
                 bits, size = row.bits(q), row.size(q)
-                assert size == 0 if bits == -1 else 0 <= bits and 1 << bits <= size, (call, row.message)
+                ok = size == 0 if bits == -1 else 0 <= bits and 1 << bits <= size
+                assert ok, (call, row.message)
                 checked += 1
     assert checked, (n, k, l)
 

@@ -78,7 +78,7 @@ GOLDEN = [
         "help",
         [["-h"]] + [[command, "-h"] for command in ("spectrum", "verify", "aut", "orbits", "export", "scheme")],
         "296cf41ff2c57ed7bdb456f5adb81e1534c65f34347452f66e759a8944a13567",
-        "8c0949b5cb08f2fb4980e4592c31219e4e646fad",
+        "2d5ae6a8e5cb7ff0f07cf397f45ab2aa7b103695",
     ),
 ]
 

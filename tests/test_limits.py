@@ -63,7 +63,8 @@ def _cli_refusal(argv):
     "build,argv",
     [
         # 5,000,050,000 vertices, past the int64 edge keys' 3,037,000,499
-        (lambda: build_inclusion_graph(GraphParams(100000, 1, 2)), ["orbits", "100000", "1", "2", "--on", "vertices"]),
+        (lambda: build_inclusion_graph(GraphParams(100000, 1, 2)),
+         ["orbits", "100000", "1", "2", "--on", "vertices"]),
         # C(64,32) rows of 32 int64 elements, past numpy's array limit
         (lambda: subset_positions(64, 32), ["orbits", "64", "2", "32", "--on", "vertices"]),
     ],
