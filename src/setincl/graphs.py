@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .combinatorics import _checked_nk, intersection_number
-from .limits import _VERTEX_MAX, SUBSET_ROWS, VERTICES, Sizes, check
+from .limits import _VERTEX_MAX, K_SUBSET_ROWS, L_SUBSET_ROWS, VERTICES, Sizes, check
 
 __all__ = [
     "GraphParams",
@@ -83,10 +83,10 @@ def subset_positions(n: int, size: int) -> np.ndarray:
     """Elements of every size-subset of {0,...,n-1}: one ascending int64 row
     per subset, rows in colexicographic order.  The array is the transpose
     of a C-contiguous one, so its .T, one column per element place, costs
-    no copy.  Rows past numpy's array limit raise CapExceededError (SUBSET_ROWS, l = size)."""
+    no copy.  Rows past numpy's array limit raise CapExceededError (L_SUBSET_ROWS, l = size)."""
     if not 0 <= size <= n:
         raise ValueError(f"need 0 <= size <= n, got n={n}, size={size}")
-    check((SUBSET_ROWS,), Sizes(n=n, l=size))
+    check((L_SUBSET_ROWS,), Sizes(n=n, l=size))
     count = comb(n, size)
     # columns[:s, :C(span + s, s)] holds level s: the s-subsets that can
     # still grow to size-subsets, those with largest element q <= span + s - 1.
@@ -290,7 +290,7 @@ def build_inclusion_graph(params: GraphParams) -> SubsetGraph:
     Too many l-subset rows, then vertices, raise CapExceededError before
     allocation, from the rows (and with the messages) of the CLI's refusals.
     """
-    check((SUBSET_ROWS, VERTICES), params)
+    check((L_SUBSET_ROWS, VERTICES), params)
     ranks = inclusion_ranks(params)
     if not (ranks[:, 1:] > ranks[:, :-1]).all():
         raise AssertionError(f"a rank row of {params} does not strictly ascend")
@@ -325,9 +325,9 @@ def export_graph(g: Graph, format: str) -> bytes:
 
     Supported formats: "edgelist" ("p <nv> <ne>" header then "u v" lines),
     "graph6" (standard bit-packed encoding), "dot".  The text formats read
-    the sorted edge codes one block at a time and join the block texts once,
-    after the codes are freed: beyond the graph, peak memory is about twice
-    the output size.
+    the sorted edge codes one block at a time, make each block's text as one
+    join of its vertex tokens, and join the block texts once, after the codes
+    are freed: beyond the graph, peak memory is about twice the output size.
     """
     if format == "graph6":
         return _to_graph6(g)
@@ -351,25 +351,13 @@ _TEXT_BLOCK = 4096  # edges per block; bounds its index temporaries and its text
 
 def _text_rows(tokens: list[bytes], g: Graph):
     """The text of each edge u < v of g, in lexicographic order, as its
-    tokens u and nv + v: one uint8 array per block of the sorted codes
-    u * nv + v, which are freed once the last block is made.  Each block is
-    one segmented gather from the joined token table: byte j of a token
-    that starts at offset o of the block comes from table position (token
-    start - o) + j."""
-    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
-    length = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    start = np.cumsum(length) - length
-    step = np.arange(2 * _TEXT_BLOCK * int(length.max(initial=0)))
+    tokens u and nv + v: one bytes join per block of the sorted codes
+    u * nv + v, which are freed once the last block is made."""
+    table = np.array(tokens, dtype=object)
     codes = g._upper_codes()
     for first in range(0, len(codes), _TEXT_BLOCK):
         u, v = np.divmod(codes[first : first + _TEXT_BLOCK], g.num_vertices)
-        ids = np.column_stack((u, v + g.num_vertices)).ravel()
-        lens = length[ids]
-        offsets = np.cumsum(lens)
-        offsets -= lens
-        src = np.repeat(start[ids] - offsets, lens)
-        src += step[: len(src)]
-        yield table[src]
+        yield b"".join(table[np.column_stack((u, v + g.num_vertices)).ravel()].tolist())
 
 
 def _graph6_encode_count(n: int) -> bytes:
@@ -447,7 +435,9 @@ def _scheme_counts(n: int, k: int) -> np.ndarray:
     """table[s, i, j] = #{k-subsets C : |A & C| = i, |B_s & C| = j}, from
     one enumeration of the k-subsets.  Only the elements e < 2k tell A and
     the B_s apart; each is looked for in the places 0..e of the ascending
-    element rows."""
+    element rows.  Rows past numpy's array limit raise CapExceededError
+    (K_SUBSET_ROWS), as scheme --check names them."""
+    check((K_SUBSET_ROWS,), Sizes(n=n, k=k))
     columns = subset_positions(n, k).T
     dtype = np.min_scalar_type((k + 1) ** 2)  # holds i * (k+1) + j
     member = np.zeros((2 * k, columns.shape[1]), dtype=bool)

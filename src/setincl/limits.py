@@ -101,8 +101,11 @@ def _array(calls, what, bits, size) -> Row:
 
 
 _BUILDS = ("verify", "verify --line", "aut --brute-force", "orbits", "export")
-SUBSET_ROWS = _array(_BUILDS, "l-subset rows", lambda q: (8 * q.l).bit_length() - 1 + q.b2,
-                     lambda q: 8 * q.l * q.n2)  # int64 elements
+L_SUBSET_ROWS = _array(_BUILDS, "l-subset rows", lambda q: (8 * q.l).bit_length() - 1 + q.b2,
+                       lambda q: 8 * q.l * q.n2)  # int64 elements
+K_SUBSET_ROWS = _array(("scheme --check",), "k-subset rows",
+                       lambda q: (8 * q.k).bit_length() - 1 + q.b1,
+                       lambda q: 8 * q.k * q.n1)  # int64 elements
 VERTICES = Row(_BUILDS[2:], f"graph has {{}} vertices, its int64 edge keys allow {_VERTEX_MAX}",
                lambda q: q.b2, lambda q: q.nv, _VERTEX_MAX)
 # the rows under the cap, then numpy's array limit, then the vertex limit
@@ -122,9 +125,8 @@ TABLE = (
     Row(("aut --brute-force",), "certificate takes {} arc visits",
         lambda q: (2 * q.n).bit_length() - 1 + q.br + q.b2, lambda q: 2 * q.n * q.r2 * q.n2,
         CERT_WORK, 2, "the --brute-force certificate: n*2m arc visits (m edges) <= {}"),
-    _array(("scheme --check",), "k-subset rows", lambda q: (8 * q.k).bit_length() - 1 + q.b1,
-           lambda q: 8 * q.k * q.n1),  # int64 elements
-    SUBSET_ROWS,
+    K_SUBSET_ROWS,
+    L_SUBSET_ROWS,
     _array(_BUILDS, "arcs", lambda q: 4 + q.br + q.b2, lambda q: 16 * q.r2 * q.n2),  # int64 pairs
     _array(("verify",), "dense matrix", lambda q: 3 + 2 * q.b1, lambda q: 8 * q.n1**2),  # float64
     _array(("verify --line",), "dense matrix", lambda q: 3 + 2 * q.b2, lambda q: 8 * q.nv**2),

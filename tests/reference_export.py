@@ -1,6 +1,6 @@
 """The per-edge f-string text export that `graphs.export_graph` replaced with
-a segmented byte gather, kept as the reference its output must match byte
-for byte."""
+one join of vertex tokens per block of edges, kept as the reference its
+output must match byte for byte."""
 
 
 def reference_export(g, format: str) -> bytes:

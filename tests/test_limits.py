@@ -12,7 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setincl import CapExceededError, GraphParams, build_inclusion_graph, cli, limits, subset_positions
+from setincl import (
+    CapExceededError,
+    GraphParams,
+    build_inclusion_graph,
+    cli,
+    johnson_scheme_holds,
+    limits,
+    subset_positions,
+)
 
 
 def test_limits_are_numpy_limits():
@@ -60,18 +68,22 @@ def _cli_refusal(argv):
 
 
 @pytest.mark.parametrize(
-    "build,argv",
+    "build,argv,cap",
     [
         # 5,000,050,000 vertices, past the int64 edge keys' 3,037,000,499
         (lambda: build_inclusion_graph(GraphParams(100000, 1, 2)),
-         ["orbits", "100000", "1", "2", "--on", "vertices"]),
+         ["orbits", "100000", "1", "2", "--on", "vertices"], limits.MAX_VERTICES),
         # C(64,32) rows of 32 int64 elements, past numpy's array limit
-        (lambda: subset_positions(64, 32), ["orbits", "64", "2", "32", "--on", "vertices"]),
+        (lambda: subset_positions(64, 32), ["orbits", "64", "2", "32", "--on", "vertices"],
+         limits.MAX_VERTICES),
+        # C(80,40) rows of 40 int64 elements; the CLI's cap is lifted past
+        # its count of 41*C(80,40) entries, which the library does not cap
+        (lambda: johnson_scheme_holds(80, 40), ["scheme", "80", "40", "--check"], 10**30),
     ],
-    ids=["vertices", "l-subset rows"],
+    ids=["vertices", "l-subset rows", "k-subset rows"],
 )
-def test_library_refuses_as_the_cli_does_before_allocating(build, argv, monkeypatch):
-    monkeypatch.delenv("SETINCL_MAX_VERTICES", raising=False)
+def test_library_refuses_as_the_cli_does_before_allocating(build, argv, cap, monkeypatch):
+    monkeypatch.setenv("SETINCL_MAX_VERTICES", str(cap))
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError) as refused:

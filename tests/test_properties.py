@@ -88,13 +88,17 @@ def test_graph6_roundtrip_random_edge_sets(graph):
 
 
 # vertex counts at which the widest vertex number gains a digit
-_DIGIT_BOUNDARIES = st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100])
+_DIGIT_BOUNDARIES = st.sampled_from(
+    [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1100, 9999, 10000, 99999, 100000]
+)
 
 
 @st.composite
 def _text_export_graphs(draw):
-    """A graph on at most 1100 vertices with up to 9000 random edges, past two
-    blocks of rows; or an edgeless graph, whose export is its header only."""
+    """A graph on at most 1100 vertices, or on a count at a digit boundary up
+    to 100000 (the 5- and 6-digit ids of the scale exports), with up to 9000
+    random edges, past two blocks of rows; or an edgeless graph, whose export
+    is its header only."""
     if draw(st.booleans(), label="edgeless"):
         return Graph(draw(st.integers(2, 12), label="n"), [])
     n = draw(st.one_of(_DIGIT_BOUNDARIES, st.integers(0, 1100)), label="n")
@@ -115,6 +119,8 @@ def _text_export_graphs(draw):
 @example(Graph(1100, []), "dot")
 @example(Graph(1001, [(8, 9), (9, 10), (98, 99), (99, 100), (998, 999), (999, 1000)]), "edgelist")
 @example(Graph(1001, [(8, 9), (9, 10), (98, 99), (99, 100), (998, 999), (999, 1000)]), "dot")
+@example(Graph(100001, [(9998, 9999), (9999, 10000), (99998, 99999), (99999, 100000)]), "edgelist")
+@example(Graph(100001, [(9998, 9999), (9999, 10000), (99998, 99999), (99999, 100000)]), "dot")
 def test_text_export_matches_per_edge_reference(g, fmt):
     assert export_graph(g, fmt) == reference_export(g, fmt)
 
