@@ -204,8 +204,9 @@ def _refinement_colors(g: Graph, weights: np.ndarray, colors=None, expect=None):
     sorts the vertices by (class, h) and renumbers the classes by the rank
     of that pair, so the result depends on the colour numbers only, never
     on the vertex labels: refining the colouring relabelled by an
-    automorphism gives the relabelled result.  Each round costs one gather
-    and one cumulative sum over the arcs and one sort of the vertices.  Two
+    automorphism gives the relabelled result.  Each round adds the weight
+    of each edge's one end into the other end's h, both ways, by two
+    unbuffered add.at over the edges, and sorts the vertices once.  Two
     vertices whose neighbour colours differ as multisets share a class only
     if their sums collide; that leaves a class unsplit, never splits one
     that equitable refinement would keep.  Returns (colours, trace), where
@@ -215,14 +216,15 @@ def _refinement_colors(g: Graph, weights: np.ndarray, colors=None, expect=None):
     together, since the number of classes is read off the pairs.
     """
     nv = g.num_vertices
-    indptr, indices = g.indptr, g.indices
+    hi, lo = g.lower_edges()
     colors = np.zeros(nv, dtype=np.int64) if colors is None else colors
     classes = int(colors.max()) + 1
-    sums = np.zeros(len(indices) + 1, dtype=np.uint64)
     trace = []
     for round_ in count():
-        np.cumsum(weights[colors][indices], out=sums[1:])
-        h = sums[indptr[1:]] - sums[indptr[:-1]]
+        w = weights[colors]
+        h = np.zeros(nv, dtype=np.uint64)
+        np.add.at(h, hi, w[lo])
+        np.add.at(h, lo, w[hi])
         order = np.lexsort((h, colors))
         ranked = (colors[order], h[order])
         if expect is None:
@@ -293,9 +295,9 @@ def brute_force_aut_order(g: Graph) -> int:
     unsplit, which grows the search; a leaf that is not an automorphism is
     rejected by the check of its map against the edge keys, the certificate
     of is_automorphism and the one check that every automorphism used
-    passes.  Only indptr/indices are read, and the search keeps its own
-    stack, so graphs of any size run without recursion.  It takes no cap:
-    the caller bounds the graph.
+    passes.  Only lower_edges() and the keys are read, and the search keeps
+    its own stack, so graphs of any size run without recursion.  It takes
+    no cap: the caller bounds the graph.
     """
     nv = g.num_vertices
     if nv == 0:

@@ -140,10 +140,8 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1 (at
     most _VERTEX_MAX = isqrt(2^63 - 1)), held as its lower edges: the pairs
     (hi, lo), hi > lo, by ascending key hi * num_vertices + lo, the int64
-    array _keys.  The rest is made from them when read: the edges in
-    lexicographic order, afresh, and, once, the compressed sparse row form,
-    in which the neighbours of v are indices[indptr[v]:indptr[v+1]], in
-    ascending order (int64 arrays).
+    array _keys, and nothing else.  The edges in lexicographic order are
+    made from them afresh when read.
     """
 
     def __init__(self, num_vertices: int, edges):
@@ -175,7 +173,7 @@ class Graph:
 
     def _upper_codes(self) -> np.ndarray:
         """The code lo * num_vertices + hi of every edge, ascending, afresh:
-        the edges in lexicographic order, and the arcs (lo, hi) in CSR order."""
+        the edges in lexicographic order."""
         hi, lo = self.lower_edges()
         codes = lo * self.num_vertices + hi
         codes.sort()
@@ -187,32 +185,6 @@ class Graph:
         out = np.empty((self.num_edges, 2), dtype=np.int64)
         np.divmod(self._upper_codes(), self.num_vertices, out=(out[:, 0], out[:, 1]))
         return out
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        nv = self.num_vertices
-        hi, lo = self.lower_edges()
-        degrees = np.bincount(hi, minlength=nv) + np.bincount(lo, minlength=nv)
-        return np.concatenate(([0], np.cumsum(degrees)))
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        # the arc codes tail * nv + head: the lower arcs (hi, lo), ascending,
-        # are _keys, then the upper arcs (lo, hi), ascending; one stable sort
-        # merges them
-        arcs = np.concatenate((self._keys, self._upper_codes()))
-        arcs.sort(kind="stable")
-        arcs %= self.num_vertices
-        return arcs
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex {v} is outside 0..{self.num_vertices - 1}")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        d = self.degree(v)  # refuses any v outside 0..num_vertices-1
-        return self.indices[self.indptr[v] : self.indptr[v] + d]
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
@@ -304,13 +276,14 @@ def build_line_graph(g: Graph) -> Graph:
     adjacent when the edges share an endpoint."""
     ends = g.edges()
     m = len(ends)
-    # edge ids grouped by endpoint, vertex v's group at indptr[v]:indptr[v+1]
+    # edge ids grouped by endpoint: vertex v's degrees[v] ids start at starts[v]
     incident = np.argsort(ends.T.ravel(), kind="stable") % m
-    degrees = g.indptr[1:] - g.indptr[:-1]
+    degrees = np.bincount(ends.ravel())
+    starts = np.cumsum(degrees) - degrees
     pairs = [np.empty((0, 2), dtype=np.int64)]
     # two distinct edges share at most one endpoint, so no pair repeats
     for d in np.flatnonzero(np.bincount(degrees)).tolist():
-        at = incident[g.indptr[:-1][degrees == d][:, None] + np.arange(d)]
+        at = incident[starts[degrees == d][:, None] + np.arange(d)]
         choose = np.array(list(combinations(range(d), 2)), dtype=np.int64).reshape(-1, 2)
         pairs.append(at[:, choose].reshape(-1, 2))
     return Graph(m, np.concatenate(pairs))

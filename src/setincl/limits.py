@@ -16,8 +16,8 @@ MAX_VERTICES = 2000  # default cap of verify's solve, aut's certificate and sche
 # dense solve at dimension cap: about 1.1 s each at cap 2000 on one thread of
 # a 2-vCPU Xeon (BLAS symmetric rank-k update and eigvalsh)
 GRAM_WORK = 6
-# aut's certificate visits at most n*2m arcs; CERT_WORK*cap^2 visits take about
-# 1 s at cap 2000 (1.7-2.5e-8 s each from 3e6 visits up, one 2-vCPU Xeon thread)
+# aut's certificate visits at most n*2m arcs; CERT_WORK*cap^2 visits take 0.6-1.1 s
+# at cap 2000 (1.4-2.8e-8 s each from 4e5 visits up, numpy 2.4, one 2-vCPU Xeon thread)
 CERT_WORK = 10
 # scheme --check's count of SCHEME_WORK*cap^2 entries takes 0.5-1.3 s at cap 2000 (2-vCPU Xeon)
 SCHEME_WORK = 10

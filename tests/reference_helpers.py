@@ -2,11 +2,11 @@
 a bound, the check that each preflight row's bits bound its size, the
 intersection numbers summed over every r, the intersection sizes of every
 pair of k-subsets with the relation graphs and the dense scheme check read
-from them, a reference CSR build and the check of a graph against it,
-connectivity by networkx, the product and identity test of vertex
-actions, and the two lemma checks on the k-side of an inclusion graph: only
-the identity fixes it pointwise, and common neighbours give intersection
-sizes."""
+from them, a reference build of the edges and the check of a graph against
+it, the degrees by one bincount of the edge ends, connectivity by networkx,
+the product and identity test of vertex actions, and the two lemma checks
+on the k-side of an inclusion graph: only the identity fixes it pointwise,
+and common neighbours give intersection sizes."""
 
 from types import SimpleNamespace
 
@@ -118,31 +118,33 @@ def dense_scheme_holds(n: int, k: int) -> bool:
 
 
 def reference_csr(num_vertices: int, edges) -> SimpleNamespace:
-    """indptr, indices, edges and lower_edges of the simple graph with this
-    edge list, all read off one sort of all 2m arc codes tail * nv + head,
-    a build that shares no step with Graph's.  edges are the pairs u < v and
-    lower_edges the pairs (hi, lo), hi > lo, each in the order of the arcs."""
+    """edges and lower_edges of the simple graph with this edge list, both
+    read off one sort of all 2m arc codes tail * nv + head, a build that
+    shares no step with Graph's.  edges are the pairs u < v and lower_edges
+    the pairs (hi, lo), hi > lo, each in the order of the arcs."""
     nv = num_vertices
     u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     arcs = np.sort(np.concatenate((u * nv + v, v * nv + u)))
     tails, heads = np.divmod(arcs, nv)
     upper, lower = tails < heads, tails > heads
     return SimpleNamespace(
-        indptr=np.searchsorted(arcs, np.arange(nv + 1) * nv),
-        indices=heads,
         edges=np.column_stack((tails[upper], heads[upper])),
         lower_edges=(tails[lower], heads[lower]),
     )
 
 
 def assert_matches_reference_csr(g, edges) -> None:
-    """g's edge count, and its indptr, indices, edges() and lower_edges(),
-    values and int64 dtype, against reference_csr of the edge list."""
+    """g's edge count, and its edges() and lower_edges(), values and int64
+    dtype, against reference_csr of the edge list."""
     ref = reference_csr(g.num_vertices, edges)
     assert g.num_edges == len(ref.edges)
-    pairs = [(g.indptr, ref.indptr), (g.indices, ref.indices), (g.edges(), ref.edges)]
-    for got, want in [*pairs, *zip(g.lower_edges(), ref.lower_edges)]:
+    for got, want in [(g.edges(), ref.edges), *zip(g.lower_edges(), ref.lower_edges)]:
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def degrees(g) -> np.ndarray:
+    """The degree of each vertex of g: one bincount of its edge ends."""
+    return np.bincount(g.edges().ravel(), minlength=g.num_vertices)
 
 
 def is_connected(g) -> bool:
@@ -184,4 +186,8 @@ def common_neighbor_fingerprint(g: SubsetGraph, u: int, v: int) -> int:
     when u == v); determines the intersection size of the two subsets."""
     if not (0 <= u < g.v1_count and 0 <= v < g.v1_count):
         raise ValueError("both vertices must lie in the k-subset class")
-    return len(np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True))
+    # a k-vertex is the smaller end of each of its edges: count, by one
+    # bincount of the larger ends, the vertices joined to each of {u, v}
+    hi, lo = g.lower_edges()
+    joined = np.bincount(hi[(lo == u) | (lo == v)])
+    return int(np.count_nonzero(joined == len({u, v})))

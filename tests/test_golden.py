@@ -4,13 +4,15 @@ Each row of GOLDEN names a set of runs, the sha256 they hash to and the
 commit the digest was taken at. A run is an argv list, hashed as
 repr((argv, exit code, stdout)) of main(argv), or a (form, n, k) tuple,
 hashed as repr((form.__name__, n, k, form(n, k).entries)).  The README's
-examples are run too, and each stdout must equal the text printed under it.
+examples are run too, and each stdout must equal the text printed under it;
+its `>>>` example runs as a doctest.
 
 A digest is re-taken only in a change whose CHANGES.md entry says which
 output changed and why, and the row's commit is updated with it.
 """
 
 import contextlib
+import doctest
 import hashlib
 import io
 import shlex
@@ -22,6 +24,8 @@ from setincl import spectrum_line_middle, spectrum_middle
 from setincl.cli import main
 
 from reference_helpers import canonical_params_up_to
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _triples(max_n):
@@ -119,7 +123,7 @@ def test_golden_digest(runs, expected, commit):
 
 def readme_examples():
     """(argv, stdout) of each `$ setincl ...` line in README.md's Examples block."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
     examples = []
     for text in block.split("\n\n"):
@@ -137,3 +141,12 @@ _EXAMPLES = [(argv, out) for argv, out in readme_examples() if argv[0] != "verif
 @pytest.mark.parametrize("argv,expected", _EXAMPLES, ids=[" ".join(argv) for argv, _ in _EXAMPLES])
 def test_readme_example(argv, expected):
     assert run(argv) == (0, expected)
+
+
+def test_readme_python_example():
+    head, block = README.read_text(encoding="utf-8").split("```python\n", 1)
+    block = block.split("```", 1)[0]
+    # a failure is reported at its line of README.md
+    example = doctest.DocTestParser().get_doctest(block, {}, "README.md", str(README), head.count("\n") + 1)
+    result = doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF).run(example)
+    assert result.attempted and not result.failed

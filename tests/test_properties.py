@@ -3,8 +3,9 @@ vectorised colex rank, the union of link maps, the exact merge and order
 of `Spectrum` (also where float64 cannot order or hold the values), the
 normal form of every value a closed form emits, the reflection and the
 equal-(a, e) and equal-e comparisons of exact eigenvalues, the range of r
-that each intersection number sums over, the automorphism-order oracle and
-the command line's exit codes and its argv reader, which parses as argparse does."""
+that each intersection number sums over, the automorphism-order oracle, the
+neighbour-weight sums of a colour refinement round and the command line's
+exit codes and its argv reader, which parses as argparse does."""
 
 import contextlib
 import importlib
@@ -624,6 +625,32 @@ def test_refinement_commutes_with_relabelling(case):
     for ours, theirs in zip(moved_trace, trace):
         assert all(map(np.array_equal, ours, theirs))
     assert _refinement_colors(moved_graph, weights, moved_colors, trace) is not None
+
+
+@st.composite
+def _coloured_graphs(draw):
+    """A graph of _graphs() on at least one vertex (most of them isolated
+    when it is large) and a colour in 0..4 for each vertex."""
+    n, edges = draw(_graphs().filter(lambda graph: graph[0] > 0))
+    return n, edges, draw(st.lists(st.integers(0, 4), min_size=n, max_size=n), label="colours")
+
+
+@settings(deadline=None, max_examples=100)
+@given(_coloured_graphs())
+@example((3, [(1, 0)], [1, 1, 0]))  # vertex 2 is isolated
+def test_refinement_round_sums_the_neighbour_weights(case):
+    # the first round's sorted pairs (c(v), h(v)), h(v) the sum mod 2^64 of
+    # weights[c(u)] over the neighbours u of v, made here in Python ints
+    n, edges, drawn = case
+    colors = np.unique(drawn, return_inverse=True)[1].reshape(n)
+    weights = _color_weights(n)
+    h = [0] * n
+    for u, v in edges:
+        h[u] += int(weights[colors[v]])
+        h[v] += int(weights[colors[u]])
+    want = sorted((int(c), s % 2**64) for c, s in zip(colors, h))
+    classes, sums = _refinement_colors(Graph(n, edges), weights, colors)[1][0]
+    assert list(zip(classes.tolist(), sums.tolist())) == want
 
 
 @settings(deadline=None, max_examples=40)
