@@ -298,39 +298,47 @@ def export_graph(g: Graph, format: str) -> bytes:
 
     Supported formats: "edgelist" ("p <nv> <ne>" header then "u v" lines),
     "graph6" (standard bit-packed encoding), "dot".  The text formats read
-    the sorted edge codes one block at a time, make each block's text as one
-    join of its vertex tokens, and join the block texts once, after the codes
-    are freed: beyond the graph, peak memory is about twice the output size.
+    the sorted edge codes one block at a time, make each block's text from
+    its runs of edges that share their smaller end, one join per run, and
+    join the block texts once, after the codes are freed: beyond the graph,
+    peak memory is about twice the output size.
     """
     if format == "graph6":
         return _to_graph6(g)
     if format not in ("edgelist", "dot"):
         raise ValueError(f"unsupported format: {format!r}")
     nv = g.num_vertices
-    # an edge line is two tokens: one naming u (ids 0..nv-1), one naming v
-    # and ending the line (ids nv..2nv-1)
+    # an edge line is u's start token, made once per run of lines that
+    # begin with u, then v's end token, which ends the line
     if format == "edgelist":
         head, tail = b"p %d %d\n" % (nv, g.num_edges), b""
-        starts, ends = [b"%d " % v for v in range(nv)], [b"%d\n" % v for v in range(nv)]
+        start, ends = b"%d ", [b"%d\n" % v for v in range(nv)]
     else:
-        starts, ends = [b"  %d -- " % v for v in range(nv)], [b"%d;\n" % v for v in range(nv)]
-        # the vertex lines "  v;\n" are the line-ending tokens, each after two spaces
+        start, ends = b"  %d -- ", [b"%d;\n" % v for v in range(nv)]
+        # the vertex lines "  v;\n" are the end tokens, each after two spaces
         head, tail = b"  ".join([b"graph g {\n", *ends]), b"}\n"
-    return b"".join([head, *_text_rows(starts + ends, g), tail])
+    return b"".join([head, *_text_rows(start, ends, g), tail])
 
 
 _TEXT_BLOCK = 4096  # edges per block; bounds its index temporaries and its text
 
 
-def _text_rows(tokens: list[bytes], g: Graph):
-    """The text of each edge u < v of g, in lexicographic order, as its
-    tokens u and nv + v: one bytes join per block of the sorted codes
-    u * nv + v, which are freed once the last block is made."""
-    table = np.array(tokens, dtype=object)
+def _text_rows(start: bytes, ends: list[bytes], g: Graph):
+    """The text of each edge u < v of g, in lexicographic order, one bytes
+    per block of the sorted codes u * nv + v, which are freed once the last
+    block is made.  A block is cut wherever u changes, and each run of its
+    edges with one u is written as s + s.join(the end tokens of their v's),
+    s = start % u, so each join handles one token per edge."""
+    table = np.array(ends, dtype=object)
     codes = g._upper_codes()
     for first in range(0, len(codes), _TEXT_BLOCK):
         u, v = np.divmod(codes[first : first + _TEXT_BLOCK], g.num_vertices)
-        yield b"".join(table[np.column_stack((u, v + g.num_vertices)).ravel()].tolist())
+        tokens = table[v].tolist()
+        cuts = [0, *(np.flatnonzero(u[1:] != u[:-1]) + 1).tolist(), len(u)]
+        yield b"".join([
+            (s := start % x) + s.join(tokens[a:b])
+            for x, a, b in zip(u[cuts[:-1]].tolist(), cuts, cuts[1:])
+        ])
 
 
 def _graph6_encode_count(n: int) -> bytes:

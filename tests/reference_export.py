@@ -1,6 +1,6 @@
 """The per-edge f-string text export that `graphs.export_graph` replaced with
-one join of vertex tokens per block of edges, kept as the reference its
-output must match byte for byte."""
+blocks of edges, each written as one join per run of edges that share their
+smaller end, kept as the reference its output must match byte for byte."""
 
 
 def reference_export(g, format: str) -> bytes:

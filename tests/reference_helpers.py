@@ -117,7 +117,7 @@ def dense_scheme_holds(n: int, k: int) -> bool:
     return True
 
 
-def reference_csr(num_vertices: int, edges) -> SimpleNamespace:
+def reference_edges(num_vertices: int, edges) -> SimpleNamespace:
     """edges and lower_edges of the simple graph with this edge list, both
     read off one sort of all 2m arc codes tail * nv + head, a build that
     shares no step with Graph's.  edges are the pairs u < v and lower_edges
@@ -133,10 +133,10 @@ def reference_csr(num_vertices: int, edges) -> SimpleNamespace:
     )
 
 
-def assert_matches_reference_csr(g, edges) -> None:
+def assert_matches_reference_edges(g, edges) -> None:
     """g's edge count, and its edges() and lower_edges(), values and int64
-    dtype, against reference_csr of the edge list."""
-    ref = reference_csr(g.num_vertices, edges)
+    dtype, against reference_edges of the edge list."""
+    ref = reference_edges(g.num_vertices, edges)
     assert g.num_edges == len(ref.edges)
     for got, want in [(g.edges(), ref.edges), *zip(g.lower_edges(), ref.lower_edges)]:
         assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -631,7 +631,7 @@ def test_orbit_count_peaks_below_50_bytes_per_edge():
         assert peak <= 50 * g.num_edges, (on, peak / g.num_edges)
 
 
-def test_orbit_count_on_subset_graph_matches_the_generic_csr():
+def test_orbit_count_on_subset_graph_matches_the_generic_graph():
     # the SubsetGraph reads its edges off its rank rows, the generic Graph
     # off the keys it sorted; the counts do not depend on how they are read
     for params in canonical_params_up_to(8):

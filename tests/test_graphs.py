@@ -31,14 +31,14 @@ from setincl.cli import main
 from reference_export import reference_export
 import reference_helpers
 from reference_helpers import (
-    assert_matches_reference_csr,
+    assert_matches_reference_edges,
     build_johnson_graph,
     canonical_params_up_to,
     degrees,
     dense_scheme_holds,
     is_connected,
     meets,
-    reference_csr,
+    reference_edges,
 )
 from reference_ranks import mask_of, subset_rank, subset_unrank, vertex_sets
 
@@ -191,11 +191,11 @@ def _rank_edges(params):
     return np.column_stack((ranks.ravel(), np.repeat(np.arange(params.n2) + params.n1, params.r2)))
 
 
-def test_inclusion_graph_csr_matches_generic_build():
+def test_inclusion_graph_matches_the_reference_edges():
     # edges() and lower_edges(), made from the rank rows, against one sort
     # of all the arcs of the same edges
     for params in _INCLUSION_CASES:
-        assert_matches_reference_csr(build_inclusion_graph(params), _rank_edges(params))
+        assert_matches_reference_edges(build_inclusion_graph(params), _rank_edges(params))
 
 
 def test_subset_graph_lower_edges_are_the_generic_lower_edges():
@@ -208,24 +208,24 @@ def test_subset_graph_lower_edges_are_the_generic_lower_edges():
         hi, lo = g.lower_edges()
         assert (hi > lo).all() and (np.diff(hi * nv + lo) > 0).all(), params
         images = rng.permutation(nv)
-        want = reference_csr(nv, _rank_edges(params)).lower_edges
+        want = reference_edges(nv, _rank_edges(params)).lower_edges
         assert np.array_equal(g._keys, want[0] * nv + want[1]), params
         for got, ref in zip(g.lower_edges(images), want):
             assert np.array_equal(got, images[ref]), params
 
 
-def test_line_and_johnson_graphs_match_the_reference_csr():
+def test_line_and_johnson_graphs_match_the_reference_edges():
     # both are built through Graph(num_vertices, edges); their edges are
     # found here from the definitions: two edges of g that share an end,
     # and two k-subsets (colex unranked bitmasks) that share i elements
     for params in [*canonical_params_up_to(9), GraphParams(65, 1, 2)]:
-        ends = reference_csr(params.n1 + params.n2, _rank_edges(params)).edges.tolist()
+        ends = reference_edges(params.n1 + params.n2, _rank_edges(params)).edges.tolist()
         incident = {}
         for e, pair in enumerate(ends):
             for v in pair:
                 incident.setdefault(v, []).append(e)
         pairs = [pair for edges in incident.values() for pair in combinations(edges, 2)]
-        assert_matches_reference_csr(build_line_graph(build_inclusion_graph(params)), pairs)
+        assert_matches_reference_edges(build_line_graph(build_inclusion_graph(params)), pairs)
     for n in range(2, 10):
         for k in range(1, n // 2 + 1):
             masks = [subset_unrank(k, r) for r in range(comb(n, k))]
@@ -234,7 +234,7 @@ def test_line_and_johnson_graphs_match_the_reference_csr():
                     (a, b) for a, b in combinations(range(len(masks)), 2)
                     if (masks[a] & masks[b]).bit_count() == i
                 ]
-                assert_matches_reference_csr(build_johnson_graph(n, k, i), pairs)
+                assert_matches_reference_edges(build_johnson_graph(n, k, i), pairs)
 
 
 def test_subset_graph_builds_its_k_side_rows_when_first_read():
@@ -249,7 +249,7 @@ def test_subset_graph_builds_its_k_side_rows_when_first_read():
         assert set(vars(g)) == held, params
         for fmt in ("edgelist", "dot"):
             export_graph(g, fmt)
-        assert np.array_equal(g.edges(), reference_csr(g.num_vertices, _rank_edges(params)).edges)
+        assert np.array_equal(g.edges(), reference_edges(g.num_vertices, _rank_edges(params)).edges)
         assert set(vars(g)) == held, params
 
 
@@ -269,14 +269,14 @@ def _export_peak(monkeypatch, fmt):
 
 def test_edgelist_export_with_its_build_keeps_no_codes(monkeypatch):
     # 900,900 edges, 7.2 MB an int64 array of them, and 8.8 MB of text.  The
-    # peak is 26.8 MB; with the (m, 2) rows and one preallocated text buffer
+    # peak is 25.5 MB; with the (m, 2) rows and one preallocated text buffer
     # copied by tobytes() it was 42.3 MB
     peak = _export_peak(monkeypatch, "edgelist")
     assert peak < 30e6, peak
 
 
 def test_dot_export_with_its_build_keeps_no_codes(monkeypatch):
-    # 14.3 MB of text: the peak is 37.4 MB, and it was 54.2 MB with the rows
+    # 14.3 MB of text: the peak is 36.6 MB, and it was 54.2 MB with the rows
     # and the buffer
     peak = _export_peak(monkeypatch, "dot")
     assert peak < 40e6, peak
@@ -726,7 +726,7 @@ def test_graph6_roundtrip():
     for params in canonical_params_up_to(6):
         g = build_inclusion_graph(params)
         again = parse_graph6(export_graph(g, "graph6"))
-        assert_matches_reference_csr(again, _rank_edges(params))
+        assert_matches_reference_edges(again, _rank_edges(params))
     # three-byte vertex-count encoding
     big = Graph(63, [])
     assert parse_graph6(export_graph(big, "graph6")).num_vertices == 63

@@ -28,7 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 from reference_export import reference_export  # noqa: E402
 from reference_helpers import (  # noqa: E402
     assert_bounds_are_lower_bounds,
-    assert_matches_reference_csr,
+    assert_matches_reference_edges,
     canonical_params_up_to,
     intersection_number_by_full_sum,
 )
@@ -78,14 +78,14 @@ def _graphs(draw):
 @example((7, []))
 @example((7, [(6, 0), (2, 5)]))
 def test_graph6_roundtrip_random_edge_sets(graph):
-    # the graph and its graph6 round trip both match the reference CSR of
-    # the edges
+    # the graph and its graph6 round trip both match the reference edges
+    # of the edge list
     n, edges = graph
     g = Graph(n, edges)
     again = parse_graph6(export_graph(g, "graph6"))
     assert again.num_vertices == n
-    assert_matches_reference_csr(g, edges)
-    assert_matches_reference_csr(again, edges)
+    assert_matches_reference_edges(g, edges)
+    assert_matches_reference_edges(again, edges)
 
 
 # vertex counts at which the widest vertex number gains a digit
@@ -113,6 +113,14 @@ def _text_export_graphs(draw):
     return Graph(n, np.column_stack((codes // n, codes % n)))
 
 
+# run shapes the draws never make: the star's one run of 9000 edges fills
+# the first two blocks of 4096 and ends in the third, so the second and the
+# third block each start it again; every run of the perfect matching is one
+# edge
+_STAR = Graph(9001, np.column_stack((np.zeros(9000, dtype=np.int64), np.arange(1, 9001))))
+_MATCHING = Graph(18000, np.arange(18000).reshape(-1, 2))
+
+
 @settings(deadline=None)
 @given(_text_export_graphs(), st.sampled_from(["edgelist", "dot"]))
 @example(Graph(0, []), "edgelist")
@@ -122,6 +130,10 @@ def _text_export_graphs(draw):
 @example(Graph(1001, [(8, 9), (9, 10), (98, 99), (99, 100), (998, 999), (999, 1000)]), "dot")
 @example(Graph(100001, [(9998, 9999), (9999, 10000), (99998, 99999), (99999, 100000)]), "edgelist")
 @example(Graph(100001, [(9998, 9999), (9999, 10000), (99998, 99999), (99999, 100000)]), "dot")
+@example(_STAR, "edgelist")
+@example(_STAR, "dot")
+@example(_MATCHING, "edgelist")
+@example(_MATCHING, "dot")
 def test_text_export_matches_per_edge_reference(g, fmt):
     assert export_graph(g, fmt) == reference_export(g, fmt)
 
