@@ -55,7 +55,7 @@ __all__ = [
     "compare_spectra",
 ]
 
-_FLOAT_BITS = 96  # fixed-point bits used when expanding radicals to floats
+_FLOAT_BITS = 96  # the precision _rounded starts from, in bits of its root
 _new_tuple = tuple.__new__  # makes an Eigenvalue with no check: its fields must be in normal form
 
 
@@ -104,14 +104,9 @@ class Eigenvalue(tuple):
         return "Eigenvalue(a=%r, e=%r, r=%r)" % tuple(self)
 
     def __float__(self) -> float:
-        """The value rounded to float64 once, via extended fixed point: one
-        int / int true division, which Python rounds correctly.  A value
+        """The value correctly rounded to float64 (see _rounded).  A value
         beyond the float64 range raises OverflowError."""
-        a, e, r = self
-        if e == 0:
-            return a / 2
-        s = isqrt(r << (2 * _FLOAT_BITS))
-        return ((a << _FLOAT_BITS) + e * s) / (1 << (_FLOAT_BITS + 1))
+        return _rounded(*self)
 
     def __str__(self) -> str:
         return format_eigenvalue(self)
@@ -154,6 +149,45 @@ def _square_root(r: int) -> int | None:
             return None
     s = isqrt(r)
     return s if s * s == r else None
+
+
+def _rounded(a: int, e: int, r: int, roots: dict | None = None) -> float:
+    """(a + e*sqrt(r))/2, fields in normal form, correctly rounded to float64.
+    At precision p, s = isqrt(r << 2b) with b = p - bit_length(r)//2 (a right
+    shift when b < 0) has about p bits, and sqrt(r)*2**b lies strictly
+    between s and s + 1.  So the value lies strictly between two bounds,
+    each one correctly rounded int / int division; when a*e < 0 they bound
+    (a*a - r)/(2*(a - e*sqrt(r))), which does not cancel.  Rounding is
+    monotone: if both bounds round alike, that float is the value's, else p
+    doubles from _FLOAT_BITS (Ziv's method).  This ends because normal form
+    keeps r from being a square, so the irrational value is no rounding
+    boundary.  Past the float64 range the bound nearer 0 raises
+    OverflowError.  roots keeps each s by (r, b) for the next value with r."""
+    if not e:
+        return a / 2
+    if roots is None:
+        roots = {}
+    p, half = _FLOAT_BITS, r.bit_length() >> 1
+    while True:
+        b = p - half
+        u, v = (b, 0) if b >= 0 else (0, -b)
+        s = roots.get((r, b))
+        if s is None:
+            s = roots[r, b] = isqrt(r << 2 * u >> 2 * v)
+        # sqrt(r) * 2**u lies strictly between s << v and (s + 1) << v
+        am, lo, hi = a << u, e * s << v, e * (s + 1) << v
+        if a * e >= 0:
+            n, d = am + hi, 2 << u
+            near = (am + lo) / d
+        else:
+            n, d = (a * a - r) << u, (am - lo) << 1
+            near = n / ((am - hi) << 1)
+        try:  # n / d is the far bound
+            if near == n / d:
+                return near
+        except OverflowError:  # the far bound alone is beyond the range
+            pass
+        p *= 2
 
 
 def _sign(x: int) -> int:
@@ -282,10 +316,12 @@ class Spectrum:
         raise IndexError("eigenvalue index out of range")
 
     def to_floats(self) -> list[float]:
-        """Expand to a descending float list, one entry per multiplicity."""
+        """Expand to a descending list of float(ev), one entry per
+        multiplicity; the members of a pair share their radicand's root."""
+        roots: dict = {}
         out: list[float] = []
-        for ev, mult in self.entries:
-            out.extend([float(ev)] * mult)
+        for (a, e, r), mult in self.entries:
+            out.extend([_rounded(a, e, r, roots)] * mult)
         return out
 
     def power_sum(self, j: int):
@@ -384,21 +420,11 @@ class Spectrum:
 
     def to_csv_text(self) -> str:
         """One "value,multiplicity" row per entry, the value as float(ev);
-        the two members of a pair share their radicand r, so isqrt(r << 192)
-        is taken once per r.  A value beyond the float64 range raises
-        ValueError."""
-        roots: dict[int, int] = {}
-        rows = []
+        the members of a pair share their radicand's root.  A value beyond
+        the float64 range raises ValueError."""
+        roots: dict = {}
         try:
-            for (a, e, r), mult in self.entries:
-                if e:
-                    s = roots.get(r)
-                    if s is None:
-                        s = roots[r] = isqrt(r << (2 * _FLOAT_BITS))
-                    value = ((a << _FLOAT_BITS) + e * s) / (1 << (_FLOAT_BITS + 1))
-                else:
-                    value = a / 2
-                rows.append(f"{value:.17g},{mult}")
+            rows = [f"{_rounded(a, e, r, roots):.17g},{m}" for (a, e, r), m in self.entries]
         except OverflowError:
             raise ValueError(
                 "an eigenvalue is beyond the float64 range of the csv format; "

@@ -578,6 +578,23 @@ def test_numbers_past_the_int_digit_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "n,value",
+    [
+        (10**15, "1.9999999999999982e-15"),
+        (10**18, "2.0000000000000001e-18"),
+        (10**24, "1.9999999999999998e-24"),
+    ],
+)
+def test_csv_rounds_a_cancelling_line_value_correctly(n, value, capsys):
+    # the fifth line holds the fourth value of the line spectrum of G(n,1,3),
+    # (p - sqrt(d))/2 with p*p - d small, about 2/n; each pinned value is
+    # float() of its 400-digit decimal evaluation
+    code, out, _ = run(["spectrum", str(n), "1", "3", "--line", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[4] == f"{value},{n - 1}"
+
+
 @pytest.mark.parametrize("line", [[], ["--line"]])
 def test_csv_refuses_values_past_float64(line, capsys):
     # sqrt(C(3000,1500) * 1501) is about 10^452, past float64's 1.8e308

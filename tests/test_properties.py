@@ -414,6 +414,12 @@ def _closed_form_calls(draw):
 @example(((spectrum_inclusion, GraphParams(9, 1, 7)), 9 + 36))  # beta_0 = 196, beta_1 = 7
 @example(((spectrum_line_inclusion, GraphParams(5, 1, 2)), 20))  # every d a square
 @example(((spectrum_line_inclusion, GraphParams(12, 4, 6)), 13860))  # d = 1009, 529, 289, 193
+# (p - sqrt(d))/2, about 2/n, cancels; and the pair +-sqrt(r)/2 of the
+# midpoint case in test_spectra, whose rounding needs a second precision
+@example(((spectrum_line_inclusion, GraphParams(10**15, 1, 3)), 3 * comb(10**15, 3)))
+@example(((spectrum_line_inclusion, GraphParams(10**18, 1, 3)), 3 * comb(10**18, 3)))
+@example(((spectrum_line_inclusion, GraphParams(10**24, 1, 3)), 3 * comb(10**24, 3)))
+@example(((Spectrum, [(Eigenvalue(0, e, (2**101 + 2**48) ** 2 + 1), 1) for e in (1, -1)]), 2))
 def test_closed_forms_emit_values_in_normal_form(case):
     # each closed form makes its values as tuples, by one square test and no
     # check: building each again through Eigenvalue must change nothing.

@@ -12,7 +12,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import copysign, inf, isqrt, nextafter
 from pathlib import Path
 
 import numpy as np
@@ -101,24 +101,63 @@ def test_eigenvalue_floats():
     )
 
 
-def test_eigenvalue_float_is_one_rounding_of_the_fixed_point_value():
-    # reference: the fixed-point sum as a Fraction, which float() rounds once
-    bits = spectra_module._FLOAT_BITS
+def _above(ev, m: Fraction) -> bool:
+    """Whether the value (a + e*sqrt(r))/2 of ev is above the rational m =
+    u/q, decided in integers: it is whether e*q*sqrt(r) > x = 2u - q*a."""
+    a, e, r = ev
+    x = 2 * m.numerator - m.denominator * a
+    qqr = m.denominator**2 * r
+    return (x < 0 or qqr > x * x) if e > 0 else (x < 0 and x * x > qqr)
 
-    def by_fraction(ev):
-        s = isqrt(ev.r << (2 * bits))
-        return float(Fraction(ev.a, 2) + ev.e * Fraction(s, 1 << (bits + 1)))
 
+def assert_correctly_rounded(ev):
+    """float(ev) = f with the value's sign, and the value lies strictly
+    between the midpoints of f and its two neighbouring floats."""
+    f = float(ev)
+    below, above = ((Fraction(f) + Fraction(nextafter(f, t))) / 2 for t in (-inf, inf))
+    assert _above(ev, below) and not _above(ev, above), (ev, f)
+    assert copysign(1.0, f) == (1.0 if _above(ev, Fraction(0)) else -1.0), (ev, f)
+
+
+# M = 2^100 + 2^47 is the midpoint between two adjacent floats, and
+# sqrt((2M)^2 + 1)/2 lies about 2^-103 above it, so the first bounds of the
+# rounding straddle M: a second precision decides that it rounds up
+MIDPOINT_SURD = Eigenvalue(0, 1, (2 * (2**100 + 2**47)) ** 2 + 1)
+
+
+def test_eigenvalue_float_is_correctly_rounded():
     rng = random.Random(59)
-    cases = []
-    for _ in range(3000):
+    cases, cancelling = [MIDPOINT_SURD], []
+    for _ in range(1000):
         p = rng.randrange(-(10 ** rng.randint(0, 60)), 10 ** rng.randint(0, 60) + 1)
-        d = rng.randrange(10 ** rng.randint(0, 60) + 1)
-        cases.append(SurdEigenvalue(p, d, rng.choice((-1, 1))))
-        cases.append(ExactEigenvalue(rng.choice((-1, 1)), d + 1))
-        cases.append(SurdEigenvalue(p, p * p + rng.randint(0, 5), 1))  # p^2 near d
-    assert [ev for ev in cases if float(ev) != by_fraction(ev)] == []
+        d = rng.randrange(2, 10 ** rng.randint(1, 60) + 3)
+        cases += [SurdEigenvalue(p, d, rng.choice((-1, 1))), ExactEigenvalue(rng.choice((-1, 1)), d)]
+        # p*p - d = +-1 or +-4: one of (p +- sqrt(d))/2 cancels to about 1/p
+        p = rng.randrange(3, 10 ** rng.randint(1, 60)) * rng.choice((-1, 1))
+        d = p * p + rng.choice((-4, -1, 1, 4))
+        cases.append(SurdEigenvalue(p, d, 1 if p > 0 else -1))
+        cancelling.append(SurdEigenvalue(p, d, -1 if p > 0 else 1))
+        # and one that cancels near and below the subnormal range
+        p = rng.randrange(2**1020, 2**1085) * rng.choice((-1, 1))
+        cancelling.append(SurdEigenvalue(p, p * p + rng.choice((-4, -1, 1, 4)), -1 if p > 0 else 1))
+    for ev in cases + cancelling:
+        if ev.e:  # a square d folds into a rational value
+            assert_correctly_rounded(ev)
+    # a value that cancels is bounded through its conjugate, whose bounds are
+    # as close as any value's, so the first precision, one key of roots,
+    # decides it.  The midpoint case takes more than one
+    for ev in cancelling:
+        roots = {}
+        assert spectra_module._rounded(*ev, roots) == float(ev) and len(roots) == 1, ev
+    roots = {}
+    assert spectra_module._rounded(*MIDPOINT_SURD, roots) == 2**100 + 2**48 and len(roots) > 1
+    # t = 2^1024 - 2^970, the midpoint between the largest float and 2^1024:
+    # a value just below it rounds to the largest float, one above overflows
+    t, n = 2**1024 - 2**970, 2**96
+    assert float(Eigenvalue(2 * t - n, 1, n * n - 1)) == sys.float_info.max
+    assert float(Eigenvalue(n - 2 * t, -1, n * n - 1)) == -sys.float_info.max
     for ev in (
+        Eigenvalue(2 * t - n, 1, n * n + 1),
         SurdEigenvalue(10**400, 7, -1),
         ExactEigenvalue(-1, 10**700 + 1),
         SurdEigenvalue(2 * 10**400, 0, 1),  # rational: e = 0
@@ -901,6 +940,27 @@ def test_eigenvalue_at_walks_the_expanded_multiset():
     for index in (-1, spec.total_multiplicity):
         with pytest.raises(IndexError):
             spec.eigenvalue_at(index)
+
+
+# the pair +-MIDPOINT_SURD, and the line spectra of G(n,1,3) whose fourth
+# value (p - sqrt(d))/2, about 2/n, cancels: each value once
+_ROUNDING_SPECTRA = [
+    Spectrum([(MIDPOINT_SURD, 1), (Eigenvalue(0, -1, MIDPOINT_SURD.r), 1)]),
+    *(
+        Spectrum([(ev, 1) for ev, _ in spectrum_line_inclusion(GraphParams(n, 1, 3)).entries])
+        for n in (10**15, 10**18, 10**24)
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", _ROUNDING_SPECTRA, ids=["midpoint", "n=1e15", "n=1e18", "n=1e24"])
+def test_to_floats_is_float_of_each_value(spec):
+    # to_floats shares a radicand's roots between a pair, at every precision
+    values = [ev for ev, _ in spec.entries]
+    assert spec.to_floats() == [float(ev) for ev in values]
+    for ev in values:
+        if ev.e:
+            assert_correctly_rounded(ev)
 
 
 def reduced_oracle(params, line=False):
